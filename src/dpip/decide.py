@@ -18,7 +18,7 @@ import hashlib
 import random
 from dataclasses import dataclass, replace
 
-from .errors import FieldMismatchError, MaxTrialsExceededError
+from .errors import FieldMismatchError, MaxTrialsExceededError, NonDivisibleError
 from .lll import lll_reduce
 from .nf import as_prime_ideal, prime_power
 from .residue import element_in_prime, reduce_poly_mod_prime, splits_completely
@@ -138,16 +138,17 @@ def cofactor_ideal(ideal, r):
     return ideal.inverse().mul_element(r)
 
 
-def prime_cofactor(ideal, r, norm_hint=None):
+def prime_cofactor(ideal, r):
     """The prime ideal (r)/I when that cofactor is prime, else None.
 
     Non-prime-power cofactor norms are rejected from the norms alone
     (|N(r)| / N(I)), so the cofactor lattice is only built when it has a
-    chance of being prime.
+    chance of being prime. Raises NonDivisibleError when N(I) does not
+    divide N(r), which proves r is not in I.
     """
-    ni = norm_hint if norm_hint is not None else ideal.norm_int()
-    n2, rem = divmod(abs(r.norm_int()), ni)
-    assert rem == 0, "sampled element is not in the ideal"
+    n2, rem = divmod(abs(r.norm_int()), ideal.norm_int())
+    if rem:
+        raise NonDivisibleError("sampled element is not in the ideal")
     if n2 == 1 or prime_power(n2) is None:
         return None
     return as_prime_ideal(cofactor_ideal(ideal, r))
@@ -170,13 +171,12 @@ def decide_ideal(ideal, advice, cfg):
         base = decide_prime_ideal(direct, advice)
         return replace(base, witness_prime=direct, switches_used=0)
     basis = lll_reduce(ideal)
-    ni = ideal.norm_int()
     rng = substream(cfg.seed, "decide")
     for trial in range(1, cfg.max_trials + 1):
         r = _combine(
             ideal.K, basis, draw_coefficients(rng, cfg.bound_B, ideal.K.degree)
         )
-        witness = prime_cofactor(ideal, r, norm_hint=ni)
+        witness = prime_cofactor(ideal, r)
         if witness is not None:
             base = decide_prime_ideal(witness, advice)
             return replace(base, witness_prime=witness, switches_used=trial)

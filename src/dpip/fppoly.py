@@ -131,39 +131,11 @@ def pow_mod(a, e, m, p):
     return result
 
 
-def deriv(a, p):
-    return trim([(i * c) % p for i, c in enumerate(a)][1:])
-
-
 def evaluate(a, x, p):
     acc = 0
     for c in reversed(a):
         acc = (acc * x + c) % p
     return acc
-
-
-def resultant(a, b, p):
-    """Res(a, b) over F_p by the Euclidean reduction with sign tracking."""
-    a = from_ints(a, p)
-    b = from_ints(b, p)
-    if not a or not b:
-        return 0
-    res = 1
-    if deg(a) < deg(b):
-        if (deg(a) * deg(b)) % 2 == 1:
-            res = p - 1
-        a, b = b, a
-    while True:
-        da, db = deg(a), deg(b)
-        if db == 0:
-            return (res * pow(b[0], da, p)) % p
-        r = mod(a, b, p)
-        if not r:
-            return 0
-        if (da * db) % 2 == 1:
-            res = (-res) % p
-        res = (res * pow(b[-1], da - deg(r), p)) % p
-        a, b = b, r
 
 
 def frobenius_power(m, k, p):

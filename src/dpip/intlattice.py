@@ -25,34 +25,47 @@ def xgcd(a, b):
     return a, x0, y0
 
 
-def bareiss_det(vectors):
-    """Exact determinant of a square integer matrix (given as rows)."""
-    a = [list(map(int, row)) for row in vectors]
+def bareiss(a):
+    """Fraction-free Gaussian elimination, in place, on the rows of a.
+
+    a has n rows of length m >= n. The leading n x n block becomes upper
+    triangular and every later column follows the same row operations, so
+    an augmented right-hand side is carried along. A row moved up to fill a
+    zero pivot is negated, which keeps the determinant of the block
+    unchanged. Returns that determinant, left in a[n-1][n-1], or 0 when
+    the block is singular.
+    """
     n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix must be square")
     if n == 0:
         return 1
-    sign = 1
+    m = len(a[0])
     prev = 1
     for k in range(n - 1):
         if a[k][k] == 0:
             for r in range(k + 1, n):
                 if a[r][k]:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
+                    a[k], a[r] = [-v for v in a[r]], a[k]
                     break
             else:
                 return 0
         akk = a[k][k]
+        top = a[k]
         for i in range(k + 1, n):
             aik = a[i][k]
-            row, top = a[i], a[k]
-            for j in range(k + 1, n):
+            row = a[i]
+            for j in range(k + 1, m):
                 row[j] = (akk * row[j] - aik * top[j]) // prev
             row[k] = 0
         prev = akk
-    return sign * a[n - 1][n - 1]
+    return a[n - 1][n - 1]
+
+
+def bareiss_det(vectors):
+    """Exact determinant of a square integer matrix (given as rows)."""
+    a = [list(map(int, row)) for row in vectors]
+    if any(len(row) != len(a) for row in a):
+        raise ValueError("matrix must be square")
+    return bareiss(a)
 
 
 class IntLattice:

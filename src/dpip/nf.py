@@ -11,21 +11,19 @@ anywhere in this module.
 from fractions import Fraction
 from math import gcd, lcm
 
-from sympy import isprime, nextprime, divisors
+from sympy import Poly, Symbol, isprime
 from sympy.ntheory import perfect_power
 
 from . import fppoly
 from .errors import (
     DefiningPolyError,
+    DpipError,
     FieldMismatchError,
     NonDivisibleError,
     NonInvertibleIdealError,
     ZeroIdealError,
 )
-from .intlattice import IntLattice
-
-_RATIONAL_ROOT_LIMIT = 10**12
-_SCREEN_PRIMES = 5
+from .intlattice import IntLattice, bareiss
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +127,8 @@ def int_poly_discriminant(f):
     res = int_poly_resultant(f, fp)
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
     d, rem = divmod(sign * res, f[-1])
-    assert rem == 0
+    if rem:
+        raise DpipError("discriminant is not divisible by the leading coefficient")
     return d
 
 
@@ -145,62 +144,6 @@ def prime_power(n):
         if isprime(base):
             return base, e
     return None
-
-
-# Large word-sized primes for Chinese-remainder resultants, grown on demand.
-_CRT_PRIMES = []
-
-
-def _crt_primes(total_bits):
-    bits = 0
-    for p in _CRT_PRIMES:
-        bits += p.bit_length() - 1
-        if bits >= total_bits:
-            break
-    start = _CRT_PRIMES[-1] if _CRT_PRIMES else (1 << 62)
-    while bits < total_bits:
-        start = int(nextprime(start))
-        _CRT_PRIMES.append(start)
-        bits += start.bit_length() - 1
-    out = []
-    bits = 0
-    for p in _CRT_PRIMES:
-        out.append(p)
-        bits += p.bit_length() - 1
-        if bits >= total_bits:
-            return out
-    return out
-
-
-def _resultant_with_monic_crt(f, g):
-    """Res(f, g) for monic f, via modular images and CRT reconstruction.
-
-    The true value is bounded through Hadamard's inequality on the
-    Sylvester matrix, so enough primes are used for the symmetric lift to
-    be exact. Much faster than the subresultant PRS once intermediate
-    coefficients would dominate.
-    """
-    import math
-
-    m = len(f) - 1
-    n = len(g) - 1
-    if n < 0:
-        return 0
-    if n == 0:
-        return g[0] ** m
-    f2 = sum(c * c for c in f)
-    g2 = sum(c * c for c in g)
-    bound_bits = n * 0.5 * math.log2(f2) + m * 0.5 * math.log2(g2)
-    primes = _crt_primes(int(bound_bits) + 8)
-    value, modulus = 0, 1
-    for p in primes:
-        rp = fppoly.resultant(f, g, p)
-        inc = ((rp - value) * pow(modulus, -1, p)) % p
-        value += modulus * inc
-        modulus *= p
-    if value > modulus // 2:
-        value -= modulus
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +162,6 @@ class NumberField:
         "poly",
         "degree",
         "disc",
-        "irreducibility_certified",
         "_kd_cache",
         "_ring",
         "_gram",
@@ -239,55 +181,11 @@ class NumberField:
         self.disc = int_poly_discriminant(poly)
         if self.disc == 0:
             raise DefiningPolyError("defining polynomial has a repeated factor")
-        self._screen_reducible()
-        self.irreducibility_certified = self._screen_degrees()
+        if not Poly(list(reversed(poly)), Symbol("x")).is_irreducible:
+            raise DefiningPolyError("defining polynomial is reducible over Q")
         self._kd_cache = {}
         self._ring = None
         self._gram = None
-
-    # -- construction helpers ------------------------------------------------
-
-    def _screen_reducible(self):
-        """Reject inputs with an obvious rational root (degree > 1 only)."""
-        d = self.degree
-        if d == 1:
-            return
-        f0 = self.poly[0]
-        if f0 == 0:
-            raise DefiningPolyError("x divides the defining polynomial")
-        candidates = {1, -1}
-        if abs(f0) <= _RATIONAL_ROOT_LIMIT:
-            for q in divisors(abs(f0)):
-                candidates.add(q)
-                candidates.add(-q)
-        for r in candidates:
-            acc = 0
-            for c in reversed(self.poly):
-                acc = acc * r + c
-            if acc == 0:
-                raise DefiningPolyError(f"rational root {r}: polynomial is reducible")
-
-    def _screen_degrees(self):
-        """Factor mod a few primes; True when the patterns certify irreducibility."""
-        d = self.degree
-        if d == 1:
-            return True
-        possible = set(range(d + 1))
-        p, used = 2, 0
-        while used < _SCREEN_PRIMES:
-            if self.disc % p != 0:
-                degs = []
-                for fac, e in fppoly.factor(list(self.poly), p):
-                    degs.extend([len(fac) - 1] * e)
-                sums = {0}
-                for dg in degs:
-                    sums |= {s + dg for s in sums}
-                possible &= sums
-                used += 1
-                if possible == {0, d}:
-                    return True
-            p = int(nextprime(p))
-        return possible == {0, d}
 
     # -- basic API -----------------------------------------------------------
 
@@ -364,6 +262,25 @@ class NumberField:
         for _ in range(self.degree - 1):
             cols.append(self.theta_shift(cols[-1]))
         return cols
+
+    def mul_vectors(self, coords, vecs):
+        """Coordinates of x*v for every v in vecs, x given by coords.
+
+        The multiplication matrix of x is built once and applied to each
+        vector, so a lattice basis times an element costs O(d^2) per column.
+        """
+        d = self.degree
+        mcols = self.mul_matrix_columns(coords)
+        out = []
+        for v in vecs:
+            w = [0] * d
+            for j, vj in enumerate(v):
+                if vj:
+                    col = mcols[j]
+                    for i in range(d):
+                        w[i] += vj * col[i]
+            out.append(w)
+        return out
 
 
 class FieldElement:
@@ -470,18 +387,12 @@ class FieldElement:
         return result
 
     def inverse(self):
-        """Multiplicative inverse, via a fraction-free linear solve."""
+        """Multiplicative inverse den*beta/N(den*self), from norm_quotient."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        if self.is_rational():
-            return self.K.rational(Fraction(1, 1) / self.coords[0])
-        den = 1
-        for c in self.coords:
-            if isinstance(c, Fraction):
-                den = lcm(den, c.denominator)
-        ints = [int(c * den) for c in self.coords]
-        x, _ = _solve_mul_system(self.K, ints)
-        return FieldElement(self.K, [den * c for c in x])
+        den = self._denominator()
+        beta, n = norm_quotient(FieldElement(self.K, [int(c * den) for c in self.coords]))
+        return FieldElement(self.K, [Fraction(den * c, n) for c in beta.coords])
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -491,21 +402,20 @@ class FieldElement:
 
     # -- norm ------------------------------------------------------------------
 
-    def norm(self):
-        """Field norm N(self) as a Fraction (integer-valued on Z[theta])."""
-        if self.is_zero():
-            return Fraction(0)
+    def _denominator(self):
         den = 1
         for c in self.coords:
             if isinstance(c, Fraction):
                 den = lcm(den, c.denominator)
-        g = [int(c * den) for c in self.coords]
-        while g and g[-1] == 0:
-            g.pop()
-        if self.K.degree <= 6:
-            r = int_poly_resultant(list(self.K.poly), g)
-        else:
-            r = _resultant_with_monic_crt(list(self.K.poly), g)
+        return den
+
+    def norm(self):
+        """Field norm N(self) = Res(f, g) / den^d for self = g(theta) / den.
+
+        The resultant is the subresultant PRS over Z (Cohen, GTM 138, 3.3).
+        """
+        den = self._denominator()
+        r = int_poly_resultant(self.K.poly, [c * den for c in self.coords])
         return Fraction(r, den**self.K.degree)
 
     def norm_int(self):
@@ -532,47 +442,6 @@ class FieldElement:
         return f"FieldElement({poly_str(self.coords)})"
 
 
-def _solve_mul_system(K, coords):
-    """Solve (mult-by-coords matrix) x = e_0 by Bareiss elimination.
-
-    Returns (x, det) with x the Fraction solution (the inverse element's
-    coordinates) and det the signed determinant, i.e. the norm.
-    """
-    d = K.degree
-    cols = K.mul_matrix_columns(list(coords))
-    a = [[cols[j][i] for j in range(d)] + [1 if i == 0 else 0] for i in range(d)]
-    prev = 1
-    for k in range(d - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, d):
-                if a[r][k]:
-                    # negate the incoming row so the determinant is preserved
-                    a[k], a[r] = [-v for v in a[r]], a[k]
-                    break
-            else:
-                raise ZeroDivisionError("singular multiplication matrix")
-        akk = a[k][k]
-        for i in range(k + 1, d):
-            aik = a[i][k]
-            row = a[i]
-            top = a[k]
-            for j in range(k + 1, d + 1):
-                row[j] = (akk * row[j] - aik * top[j]) // prev
-            row[k] = 0
-        prev = akk
-    det = a[d - 1][d - 1]
-    if det == 0:
-        raise ZeroDivisionError("singular multiplication matrix")
-    x = [Fraction(0)] * d
-    for i in range(d - 1, -1, -1):
-        s = Fraction(a[i][d])
-        for j in range(i + 1, d):
-            if a[i][j]:
-                s -= a[i][j] * x[j]
-        x[i] = s / a[i][i]
-    return x, det
-
-
 def norm_quotient(alpha):
     """(beta, n) with alpha * beta == n == N(alpha), beta in Z[theta].
 
@@ -582,12 +451,22 @@ def norm_quotient(alpha):
     K = alpha.K
     if not alpha.is_integral():
         raise ValueError("norm_quotient needs an integral element")
-    x, det = _solve_mul_system(K, list(alpha.coords))
-    beta = []
-    for c in x:
-        v = c * det
-        assert v.denominator == 1
-        beta.append(v.numerator)
+    d = K.degree
+    cols = K.mul_matrix_columns(alpha.coords)
+    a = [[cols[j][i] for j in range(d)] + [int(i == 0)] for i in range(d)]
+    det = bareiss(a)
+    if det == 0:
+        raise ZeroDivisionError("singular multiplication matrix")
+    # back substitution for beta = det * M^-1 e_0; each division is exact
+    # because beta, a column of the adjugate, is integral
+    beta = [0] * d
+    for i in range(d - 1, -1, -1):
+        s = det * a[i][d]
+        for j in range(i + 1, d):
+            s -= a[i][j] * beta[j]
+        beta[i], rem = divmod(s, a[i][i])
+        if rem:
+            raise DpipError("adjugate of the multiplication matrix is not integral")
     return FieldElement(K, beta), det
 
 
@@ -672,10 +551,7 @@ class Ideal:
             modulus = gcd(modulus, abs(g.norm_int()))
         lat = IntLattice(K.degree, modulus=modulus or None)
         for g in elems:
-            v = list(g.coords)
-            for _ in range(K.degree):
-                lat.add(v)
-                v = K.theta_shift(v)
+            lat.extend(K.mul_matrix_columns(g.coords))
         if not lat.is_full_rank():
             raise ZeroIdealError("generators span a degenerate lattice")
         return Ideal(K, lat.basis_columns(), 1, gens=tuple(elems))
@@ -791,16 +667,6 @@ class Ideal:
             ints.append(c)
         return self.contains_vector(ints)
 
-    def contains_ideal(self, other):
-        """True when other is a subset of self (as lattices)."""
-        if other.K != self.K:
-            raise FieldMismatchError("ideal from a different field")
-        a, b = self.denom, other.denom
-        mine = IntLattice(self.K.degree)
-        for c in self.cols:
-            mine.add([b * x for x in c])
-        return all([a * x for x in c] in mine for c in other.cols)
-
     # -- arithmetic ---------------------------------------------------------------------
 
     def __mul__(self, other):
@@ -817,15 +683,7 @@ class Ideal:
         modulus = self.det() * other.det()
         lat = IntLattice(K.degree, modulus=modulus)
         for u in self.cols:
-            mcols = K.mul_matrix_columns(list(u))
-            for v in other.cols:
-                w = [0] * K.degree
-                for j, vj in enumerate(v):
-                    if vj:
-                        col = mcols[j]
-                        for i in range(K.degree):
-                            w[i] += vj * col[i]
-                lat.add(w)
+            lat.extend(K.mul_vectors(u, other.cols))
         if not lat.is_full_rank():
             raise ZeroIdealError("degenerate product lattice")
         gens = None
@@ -880,10 +738,7 @@ class Ideal:
         n = abs(det)
         # beta divides n (n/beta = ±alpha), so n*Z^d sits inside (beta)
         lat = IntLattice(self.K.degree, modulus=n)
-        v = list(beta.coords)
-        for _ in range(self.K.degree):
-            lat.add(v)
-            v = self.K.theta_shift(v)
+        lat.extend(self.K.mul_matrix_columns(beta.coords))
         return _normalized(self.K, lat.basis_columns(), n, gens=(beta,))
 
     def divide(self, other):
@@ -923,21 +778,14 @@ class Ideal:
         beta, det = norm_quotient(gamma)
         n = abs(det)
         K = self.K
-        mcols = K.mul_matrix_columns(list(beta.coords))
         xdet = self.det() * other.denom**K.degree
         quotient_det, rem = divmod(xdet, n)
         if rem:
             return None
         lat = IntLattice(K.degree, modulus=quotient_det)
-        for c in xcols:
-            w = [0] * K.degree
-            for j, vj in enumerate(c):
-                if vj:
-                    col = mcols[j]
-                    for i in range(K.degree):
-                        w[i] += vj * col[i]
-            v, ok = _exact_div_vector(w, n)
-            if not ok:
+        for w in K.mul_vectors(beta.coords, xcols):
+            v = _exact_div_vector(w, n)
+            if v is None:
                 return None
             lat.add(v)
         if not lat.is_full_rank():
@@ -947,17 +795,9 @@ class Ideal:
     def _times_generator(self, alpha, extra_denom):
         """self * (alpha)/extra_denom for an integral generator alpha."""
         K = self.K
-        mcols = K.mul_matrix_columns(list(alpha.coords))
         # det of the alpha-scaled lattice bounds the entries during insertion
         lat = IntLattice(K.degree, modulus=abs(alpha.norm_int()) * self.det())
-        for c in self.cols:
-            w = [0] * K.degree
-            for j, vj in enumerate(c):
-                if vj:
-                    col = mcols[j]
-                    for i in range(K.degree):
-                        w[i] += vj * col[i]
-            lat.add(w)
+        lat.extend(K.mul_vectors(alpha.coords, self.cols))
         if not lat.is_full_rank():
             raise ZeroIdealError("degenerate product lattice")
         gens = None
@@ -972,7 +812,6 @@ class Ideal:
         K = self.K
         if not elem.is_integral():
             raise ValueError("element must be integral")
-        mcols = K.mul_matrix_columns(list(elem.coords))
         modulus, rem = divmod(
             abs(elem.norm_int()) * self.det(), self.denom**K.degree
         )
@@ -982,16 +821,10 @@ class Ideal:
         gens = None
         if self._gens:
             gens = tuple(elem * g for g in self._gens)
-        for c in self.cols:
-            w = [0] * K.degree
-            for j, vj in enumerate(c):
-                if vj:
-                    col = mcols[j]
-                    for i in range(K.degree):
-                        w[i] += vj * col[i]
+        for w in K.mul_vectors(elem.coords, self.cols):
             if self.denom != 1:
-                w, ok = _exact_div_vector(w, self.denom)
-                if not ok:
+                w = _exact_div_vector(w, self.denom)
+                if w is None:
                     raise NonDivisibleError("product is not integral")
             lat.add(w)
         if not lat.is_full_rank():
@@ -1000,13 +833,14 @@ class Ideal:
 
 
 def _exact_div_vector(v, n):
+    """v / n when n divides every entry, else None."""
     out = []
     for x in v:
         q, r = divmod(x, n)
         if r:
-            return None, False
+            return None
         out.append(q)
-    return out, True
+    return out
 
 
 def _normalized(K, cols, denom, gens=None):
@@ -1046,7 +880,7 @@ def _triangular_adjugate(cols, det):
     """Adjugate det * M^-1 of the lower-triangular basis matrix M.
 
     M[i][j] = cols[j][i]; solved column by column by forward substitution,
-    with the adjugate's integrality asserted.
+    with the adjugate's integrality checked.
     """
     d = len(cols)
     adj = [[0] * d for _ in range(d)]
@@ -1060,7 +894,8 @@ def _triangular_adjugate(cols, det):
                     s += cols[j][i] * x[j]
             x[i] = -s / cols[i][i]
         for i in range(d):
-            assert x[i].denominator == 1, "adjugate must be integral"
+            if x[i].denominator != 1:
+                raise DpipError("adjugate must be integral")
             adj[i][k] = x[i].numerator
     return adj
 
@@ -1111,10 +946,12 @@ def _scaled_dual(r, n):
             x[i] = -s / cols[i][i]
         v = []
         for c in x:
-            assert c.denominator == 1, "dual lattice is not integral"
+            if c.denominator != 1:
+                raise DpipError("dual lattice is not integral")
             v.append(c.numerator)
         out.add(v)
-    assert out.is_full_rank()
+    if not out.is_full_rank():
+        raise DpipError("dual lattice is not full rank")
     return out
 
 
@@ -1155,17 +992,10 @@ class PrimeIdeal:
             )
             ideal = Ideal(K, cols, 1, gens=(K.rational(self.p),))
         else:
+            g = K.element(list(self.gen_poly) + [0] * (d - self.res_degree - 1))
             lat = IntLattice(d, modulus=self.p)
-            v = list(self.gen_poly) + [0] * (d - self.res_degree - 1)
-            for _ in range(d):
-                lat.add(v)
-                v = K.theta_shift(v)
-            ideal = Ideal(
-                K,
-                lat.basis_columns(),
-                1,
-                gens=(K.rational(self.p), K.element(list(self.gen_poly) + [0] * (d - self.res_degree - 1))),
-            )
+            lat.extend(K.mul_matrix_columns(g.coords))
+            ideal = Ideal(K, lat.basis_columns(), 1, gens=(K.rational(self.p), g))
         self._ideal = ideal
         return ideal
 
@@ -1206,7 +1036,8 @@ def kummer_dedekind(p, K):
         deg = len(coeffs) - 1
         total += e * deg
         out.append(PrimeIdeal(K, p, coeffs, deg, e))
-    assert total == K.degree, "Kummer-Dedekind degree bookkeeping failed"
+    if total != K.degree:
+        raise DpipError("Kummer-Dedekind degree bookkeeping failed")
     K._kd_cache[p] = out
     return out
 
@@ -1299,7 +1130,8 @@ def order_is_maximal_at(p, K):
     for i, c in enumerate(K.poly):
         diff[i] -= c
     fbig = [c // p for c in diff]
-    assert all(c * p == d for c, d in zip(fbig, diff)), "Dedekind lift failed"
+    if any(c * p != d for c, d in zip(fbig, diff)):
+        raise DpipError("Dedekind lift failed")
     fbar = fppoly.from_ints(fbig, p)
     g = fppoly.gcd(fbar, repeated, p)
     return fppoly.deg(g) == 0
@@ -1342,7 +1174,8 @@ def _sylvester_resultant(a, b, K):
         rows.append([zero] * i + ahigh + [zero] * (n - 1 - i))
     for i in range(m):
         rows.append([zero] * i + bhigh + [zero] * (m - 1 - i))
-    assert all(len(r) == size for r in rows)
+    if any(len(r) != size for r in rows):
+        raise DpipError("Sylvester matrix is not square")
     return berkowitz_det(rows, zero, one)
 
 

@@ -36,10 +36,6 @@ class ResidueField:
     def one(self):
         return (1,)
 
-    def from_int(self, n):
-        n %= self.p
-        return (n,) if n else ()
-
     def from_poly(self, coeffs):
         """Image of an integer polynomial in theta under theta -> y."""
         return tuple(fppoly.mod(fppoly.from_ints(coeffs, self.p), list(self.modulus), self.p))
@@ -53,9 +49,6 @@ class ResidueField:
     def mul(self, a, b):
         prod = fppoly.mul(list(a), list(b), self.p)
         return tuple(fppoly.mod(prod, list(self.modulus), self.p))
-
-    def neg(self, a):
-        return tuple(fppoly.sub([], list(a), self.p))
 
     def inv(self, a):
         if not a:

@@ -39,12 +39,6 @@ def load_field(path):
         return field_from_dict(json.load(fh))
 
 
-def store_field(K, path):
-    with open(path, "w") as fh:
-        json.dump(field_to_dict(K), fh, indent=1)
-        fh.write("\n")
-
-
 def ideal_to_dict(I):
     return {"hnf": [[encode_int(x) for x in row] for row in I.hnf_matrix()]}
 
@@ -64,11 +58,3 @@ def ideal_from_dict(data, K):
 def load_ideal(path, K):
     with open(path) as fh:
         return ideal_from_dict(json.load(fh), K)
-
-
-def store_ideal(I, path):
-    if I.denom != 1:
-        raise ValueError("only integral ideals are serialized")
-    with open(path, "w") as fh:
-        json.dump(ideal_to_dict(I), fh, indent=1)
-        fh.write("\n")

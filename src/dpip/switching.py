@@ -35,25 +35,24 @@ class SwitchStats:
         return self.capped_trials > 0
 
 
-def _count_until_prime(ideal, basis, ni, bound, rng, cap):
+def _count_until_prime(ideal, basis, bound, rng, cap):
     draws = 0
     while draws < cap:
         coeffs = draw_coefficients(rng, bound, ideal.K.degree)
         r = _combine(ideal.K, basis, coeffs)
         draws += 1
-        if prime_cofactor(ideal, r, norm_hint=ni) is not None:
+        if prime_cofactor(ideal, r) is not None:
             return draws, False
     return cap, True
 
 
 def _run_trials(ideal, bound, seed, trial_range, cap):
     basis = lll_reduce(ideal)
-    ni = ideal.norm_int()
     counts = []
     capped = 0
     for t in trial_range:
         rng = substream(seed, "stats", bound, t)
-        c, hit_cap = _count_until_prime(ideal, basis, ni, bound, rng, cap)
+        c, hit_cap = _count_until_prime(ideal, basis, bound, rng, cap)
         counts.append(c)
         capped += hit_cap
     return counts, capped
@@ -141,13 +140,12 @@ def prime_switch_density(ideal, bound, mode="exhaustive", budget=10**6, seed=0):
     d = K.degree
     grid = (2 * bound + 1) ** d
     basis = lll_reduce(ideal)
-    ni = ideal.norm_int()
 
     def hit(coeffs):
         if not any(coeffs):
             return False
         r = _combine(K, basis, coeffs)
-        return prime_cofactor(ideal, r, norm_hint=ni) is not None
+        return prime_cofactor(ideal, r) is not None
 
     if mode == "exhaustive":
         if grid > budget:

@@ -257,3 +257,17 @@ def test_corrupt_ideal_file(capsys, tmp_path, fixtures_dir):
     )
     assert code == 2
     assert "diagonal" in err or "error" in err
+
+
+def test_decide_reducible_field(capsys, tmp_path, fixtures_dir):
+    field = tmp_path / "reducible_field.json"
+    field.write_text(json.dumps({"defining_poly": ["2", "0", "3", "0", "1"]}))
+    code, _, err = run(
+        capsys,
+        "decide",
+        "--field", str(field),
+        "--advice", str(fixtures_dir / "advice_qsqrtm5.json"),
+        "--ideal", str(fixtures_dir / "ideal_qsqrtm5_3pt.json"),
+    )
+    assert code == 2
+    assert "reducible" in err

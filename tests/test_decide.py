@@ -1,7 +1,13 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from sympy import primerange
+
+import dpip
 
 from dpip.decide import (
     NO,
@@ -265,3 +271,29 @@ def test_advice_equivalence_small(K5, advice20):
                 decide_prime_ideal(P, advice20).verdict
                 == decide_prime_ideal(P, alt).verdict
             )
+
+
+def test_prime_cofactor_rejects_foreign_element_under_O():
+    # python -O strips asserts; the membership check must still raise
+    script = (
+        "from dpip.decide import prime_cofactor\n"
+        "from dpip.errors import NonDivisibleError\n"
+        "from dpip.nf import NumberField, kummer_dedekind\n"
+        "K = NumberField([5, 0, 1])\n"
+        "I = kummer_dedekind(3, K)[0].to_ideal()\n"
+        "try:\n"
+        "    prime_cofactor(I, K.one())\n"
+        "except NonDivisibleError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    src = str(Path(dpip.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -95,21 +95,6 @@ def test_is_irreducible_agrees_with_sympy():
         assert mine == theirs, (p, coeffs)
 
 
-def test_resultant_matches_integer_resultant():
-    from dpip.nf import int_poly_resultant
-
-    rng = random.Random(6)
-    for _ in range(300):
-        p = rng.choice(PRIMES)
-        a = [rng.randint(-20, 20) for _ in range(rng.randint(1, 6))] + [1]
-        b = [rng.randint(-20, 20) for _ in range(rng.randint(1, 6))]
-        while b and b[-1] == 0:
-            b.pop()
-        if not b:
-            continue
-        assert fppoly.resultant(a, b, p) == int_poly_resultant(a, b) % p
-
-
 def test_evaluate():
     assert fppoly.evaluate([1, 2, 3], 2, 7) == (1 + 4 + 12) % 7
     assert fppoly.evaluate([], 5, 7) == 0

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpip.errors import DefiningPolyError, FieldMismatchError
+from dpip.intlattice import bareiss_det
 from dpip.nf import (
     NumberField,
     int_poly_discriminant,
@@ -60,16 +61,15 @@ def test_norm_quadratic_formula(K5):
         assert K5.element([x, y]).norm() == x * x + 5 * y * y
 
 
-def test_norm_crt_path_matches_prs(K180):
+def test_norm_matches_multiplication_determinant(K64, K180):
+    # the norm is the determinant of multiplication by the element, taken
+    # here by elimination instead of the resultant that norm() uses
     rng = random.Random(2)
-    for _ in range(10):
-        a = K180.element([rng.randint(-3, 3) for _ in range(48)])
-        if a.is_zero():
-            continue
-        g = list(a.coords)
-        while g and g[-1] == 0:
-            g.pop()
-        assert a.norm() == int_poly_resultant(list(K180.poly), g)
+    for K in (K64, K180):
+        for _ in range(5):
+            a = K.element([rng.randint(-3, 3) for _ in range(K.degree)])
+            cols = K.mul_matrix_columns(a.coords)
+            assert a.norm() == bareiss_det(cols)
 
 
 def test_inverse(K5):
@@ -78,6 +78,8 @@ def test_inverse(K5):
         a = K5.element([rng.randint(-20, 20), rng.randint(-20, 20)])
         if a.is_zero():
             continue
+        assert a * a.inverse() == K5.one()
+    for a in (K5.element([Fraction(1, 2), Fraction(-3, 4)]), K5.rational(Fraction(-2, 3))):
         assert a * a.inverse() == K5.one()
     with pytest.raises(ZeroDivisionError):
         K5.zero().inverse()
@@ -122,10 +124,10 @@ def test_defining_poly_validation():
 
 
 def test_reducible_without_rational_root_screen():
-    # (x^2+1)(x^2+2) = x^4 + 3x^2 + 2 has no rational root and squarefree
-    # disc: the probabilistic screen must not certify it irreducible.
-    K = NumberField([2, 0, 3, 0, 1])
-    assert K.irreducibility_certified is False
+    # (x^2+1)(x^2+2) = x^4 + 3x^2 + 2 has no rational root and a nonzero
+    # discriminant, yet it is reducible and must be rejected.
+    with pytest.raises(DefiningPolyError):
+        NumberField([2, 0, 3, 0, 1])
 
 
 def test_discriminants():
