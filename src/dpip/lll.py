@@ -1,19 +1,30 @@
 """LLL reduction of ideal lattices under the canonical embedding.
 
 The inner product is <x, y> = sum over complex embeddings sigma of
-sigma(x) * conj(sigma(y)), evaluated through a Gram matrix on power-basis
-coordinates. Roots are computed once per field at fixed precision; for
-totally real and CM fields the Gram matrix is exactly integral and the
-rounding is certified, otherwise the form is scaled by 2^32 and rounded.
-A perturbed Gram matrix only shifts the reduction weights: the basis
-transformation is unimodular by construction, and lll_reduce verifies that
-the output spans the input ideal before returning.
+sigma(x) * conj(sigma(y)), evaluated through an integer Gram matrix on
+power-basis coordinates that is computed once per field and cached on it:
 
-The reduction itself is the all-integer LLL (exact arithmetic on the
-lambda/d Gram-Schmidt tables), so runs are deterministic.
+* Cyclotomic fields get the exact Gram matrix. cyclotomic_order certifies
+  f | x^m - 1 with phi(m) = deg f, so every root lies on the unit circle
+  and the (j, k) entry is the power sum s_|j-k| of the roots, computed over
+  Z by Newton's identities. No floating point is involved.
+* Every other field falls back to mpmath roots at fixed precision. If each
+  entry lies within 2^-40 of an integer it is rounded (a tolerance test,
+  not a proof); otherwise the form is scaled by 2^32, rounded and
+  symmetrised.
+
+An inexact Gram matrix only shifts the reduction weights: the reduction runs
+exactly on whatever integral form it is given, the basis transformation is
+unimodular by construction, and lll_reduce checks exactly that the output
+spans the input ideal before returning.
+
+The reduction itself is the all-integer LLL (Cohen, GTM 138, 2.6), with
+exact arithmetic on the lambda/d Gram-Schmidt tables, so runs are
+deterministic.
 """
 
 from fractions import Fraction
+from operator import mul
 
 import mpmath
 
@@ -26,9 +37,86 @@ DELTA = (99, 100)
 
 
 def minkowski_gram(K):
-    """Integer Gram matrix of the canonical-embedding form (cached on K)."""
-    if K._gram is not None:
-        return K._gram
+    """Integer Gram matrix of the canonical-embedding form (cached on K).
+
+    Exact from power sums when K is certified cyclotomic, numerical
+    otherwise.
+    """
+    if K._gram is None:
+        if cyclotomic_order(K) is not None:
+            K._gram = _cyclotomic_gram(K)
+        else:
+            K._gram = _numerical_gram(K)
+    return K._gram
+
+
+def _totients(n):
+    """Euler's phi(m) for 0 <= m <= n, by a sieve."""
+    phi = list(range(n + 1))
+    for p in range(2, n + 1):
+        if phi[p] == p:  # p is prime
+            for m in range(p, n + 1, p):
+                phi[m] -= phi[m] // p
+    return phi
+
+
+def cyclotomic_order(K):
+    """The m with f | x^m - 1 and phi(m) = deg f, or None if there is none.
+
+    Such an m certifies that every root of f is a root of unity. Since
+    phi(m) >= sqrt(m/2), only m <= 2d^2 can qualify; x^m mod f is computed
+    exactly by repeated multiplication by theta, up to the largest
+    candidate.
+    """
+    d = K.degree
+    phi = _totients(2 * d * d)
+    candidates = {m for m in range(1, len(phi)) if phi[m] == d}
+    if not candidates:
+        return None
+    one = [1] + [0] * (d - 1)
+    v = one
+    for m in range(1, max(candidates) + 1):
+        v = K.theta_shift(v)
+        if v == one:
+            return m if m in candidates else None
+    return None
+
+
+def _power_sums(poly):
+    """s_k = sum of the k-th powers of the roots of a monic f, for k < deg f.
+
+    Newton's identities over Z: s_k = -(k c_{d-k} + sum_{0<i<k} c_{d-i} s_{k-i}),
+    with c_j the coefficient of x^j.
+    """
+    d = len(poly) - 1
+    s = [d]
+    for k in range(1, d):
+        acc = k * poly[d - k]
+        for i in range(1, k):
+            acc += poly[d - i] * s[k - i]
+        s.append(-acc)
+    return s
+
+
+def _cyclotomic_gram(K):
+    """Exact Gram matrix for a field whose roots all lie on the unit circle.
+
+    There conj(sigma(theta)) = sigma(theta)^-1, so the (j, k) entry is the
+    power sum s_{j-k}, and s_{-k} = s_k because s_k is a real integer.
+    """
+    d = K.degree
+    s = _power_sums(K.poly)
+    return tuple(tuple(s[abs(j - k)] for k in range(d)) for j in range(d))
+
+
+def _numerical_gram(K):
+    """Gram matrix from mpmath roots, rounded to integers.
+
+    Entries within 2^-40 of an integer are rounded; otherwise the whole
+    form is scaled by 2^32, rounded and symmetrised. Either way the
+    reduction runs on an exact integral form; only its weights are
+    approximate.
+    """
     d = K.degree
     with mpmath.workprec(_PREC_BITS + 8 * d):
         roots = mpmath.polyroots(
@@ -69,8 +157,7 @@ def minkowski_gram(K):
                     m = (q[j][k] + q[k][j]) // 2
                     q[j][k] = m
                     q[k][j] = m
-    K._gram = tuple(tuple(row) for row in q)
-    return K._gram
+    return tuple(tuple(row) for row in q)
 
 
 def _form_ip(gram, u, v):
@@ -98,10 +185,15 @@ def integral_lll(vectors, gram, delta=DELTA):
     lam = [[0] * n for _ in range(n)]
     big_d = [1] * (n + 1)
 
+    gram_cols = list(zip(*gram))
+
     def init_gs():
         for i in range(n):
+            # one vector-matrix product per vector, then a dot product per
+            # pair: (b_i^T G) . b_j is the form <b_i, b_j> exactly
+            bg = [sum(map(mul, b[i], c)) for c in gram_cols]
             for j in range(i + 1):
-                u = _form_ip(gram, b[i], b[j])
+                u = sum(map(mul, bg, b[j]))
                 for t in range(j):
                     u = (big_d[t + 1] * u - lam[i][t] * lam[j][t]) // big_d[t]
                 if j < i:
@@ -115,25 +207,27 @@ def integral_lll(vectors, gram, delta=DELTA):
 
     def redi(k, l):
         dl = big_d[l + 1]
-        if 2 * abs(lam[k][l]) > dl:
-            q = (2 * lam[k][l] + dl) // (2 * dl)
-            bk, bl = b[k], b[l]
-            for i in range(len(bk)):
-                bk[i] -= q * bl[i]
+        lk = lam[k]
+        if 2 * abs(lk[l]) > dl:
+            q = (2 * lk[l] + dl) // (2 * dl)
+            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+            ll = lam[l]
             for j in range(l):
-                lam[k][j] -= q * lam[l][j]
-            lam[k][l] -= q * dl
+                lk[j] -= q * ll[j]
+            lk[l] -= q * dl
 
     def swapi(k):
         b[k], b[k - 1] = b[k - 1], b[k]
-        for j in range(k - 1):
-            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
-        lam_ = lam[k][k - 1]
-        new_d = (big_d[k - 1] * big_d[k + 1] + lam_ * lam_) // big_d[k]
-        for i in range(k + 1, n):
-            t = lam[i][k]
-            lam[i][k] = (big_d[k + 1] * lam[i][k - 1] - lam_ * t) // big_d[k]
-            lam[i][k - 1] = (new_d * t + lam_ * lam[i][k]) // big_d[k + 1]
+        lk, lk1 = lam[k], lam[k - 1]
+        lk[: k - 1], lk1[: k - 1] = lk1[: k - 1], lk[: k - 1]
+        lam_ = lk[k - 1]
+        dk, dk1 = big_d[k], big_d[k + 1]
+        new_d = (big_d[k - 1] * dk1 + lam_ * lam_) // dk
+        for li in lam[k + 1 :]:
+            t = li[k]
+            u = (dk1 * li[k - 1] - lam_ * t) // dk
+            li[k] = u
+            li[k - 1] = (new_d * t + lam_ * u) // dk1
         big_d[k] = new_d
 
     init_gs()
@@ -182,9 +276,9 @@ def is_lll_reduced(vectors, gram, delta=DELTA):
 def lll_reduce(ideal, K=None, delta=DELTA):
     """LLL-reduced Z-basis of an integral ideal, as field elements.
 
-    The output spans exactly the lattice of `ideal` (asserted by Hermite
-    form equality) and is reduced at the given delta with respect to the
-    canonical-embedding Gram matrix of the field.
+    The output spans exactly the lattice of `ideal` (checked by membership
+    and by the determinant) and is reduced at the given delta with respect
+    to the canonical-embedding Gram matrix of the field.
     """
     field = ideal.K
     if K is not None and K != field:

@@ -288,9 +288,10 @@ class FieldElement:
 
     Coordinates are ints where possible and Fractions otherwise; arithmetic
     keeps representatives fully reduced modulo the defining polynomial.
+    The coordinates never change, so the norm is computed once and cached.
     """
 
-    __slots__ = ("K", "coords")
+    __slots__ = ("K", "coords", "_norm")
 
     def __init__(self, K, coords):
         coords = list(coords)
@@ -308,6 +309,7 @@ class FieldElement:
                 raise TypeError(f"bad coordinate type {type(c).__name__}")
         self.K = K
         self.coords = tuple(norm)
+        self._norm = None
 
     # -- predicates -----------------------------------------------------------
 
@@ -414,9 +416,11 @@ class FieldElement:
 
         The resultant is the subresultant PRS over Z (Cohen, GTM 138, 3.3).
         """
-        den = self._denominator()
-        r = int_poly_resultant(self.K.poly, [c * den for c in self.coords])
-        return Fraction(r, den**self.K.degree)
+        if self._norm is None:
+            den = self._denominator()
+            r = int_poly_resultant(self.K.poly, [c * den for c in self.coords])
+            self._norm = Fraction(r, den**self.K.degree)
+        return self._norm
 
     def norm_int(self):
         n = self.norm()
@@ -686,10 +690,7 @@ class Ideal:
             lat.extend(K.mul_vectors(u, other.cols))
         if not lat.is_full_rank():
             raise ZeroIdealError("degenerate product lattice")
-        gens = None
-        if self._gens and other._gens and len(self._gens) * len(other._gens) == 1:
-            gens = (self._gens[0] * other._gens[0],)
-        return _normalized(K, lat.basis_columns(), self.denom * other.denom, gens)
+        return _normalized(K, lat.basis_columns(), self.denom * other.denom)
 
     def __pow__(self, e):
         if e < 0:
@@ -713,7 +714,12 @@ class Ideal:
             raise ZeroIdealError("zero ideal has no inverse")
         inv = self._principal_inverse()
         if inv is None:
-            lat = _saturate_kernel(K, self.cols, n)
+            # n*I^-1 is cut out by one congruence per O_K-module generator,
+            # so a few recorded generators beat the d HNF columns
+            vecs = self.cols
+            if self._gens and len(self._gens) < K.degree:
+                vecs = [g.coords for g in self._gens]
+            lat = _saturate_kernel(K, vecs, n)
             if lat.det() * n != n**K.degree:
                 raise NonInvertibleIdealError(
                     "lattice is not invertible over this order"
@@ -801,8 +807,8 @@ class Ideal:
         if not lat.is_full_rank():
             raise ZeroIdealError("degenerate product lattice")
         gens = None
-        if self._gens and len(self._gens) == 1:
-            gens = (self._gens[0] * alpha,)
+        if self._gens:
+            gens = tuple(g * alpha for g in self._gens)
         return _normalized(
             K, lat.basis_columns(), self.denom * extra_denom, gens=gens
         )
@@ -820,7 +826,11 @@ class Ideal:
         lat = IntLattice(K.degree, modulus=modulus)
         gens = None
         if self._gens:
-            gens = tuple(elem * g for g in self._gens)
+            # the generators span the numerator lattice, so each one shares
+            # its division by denom
+            divided = [_exact_div_vector((elem * g).coords, self.denom) for g in self._gens]
+            if None not in divided:
+                gens = tuple(K.element(v) for v in divided)
         for w in K.mul_vectors(elem.coords, self.cols):
             if self.denom != 1:
                 w = _exact_div_vector(w, self.denom)
@@ -860,16 +870,17 @@ def _normalized(K, cols, denom, gens=None):
     return Ideal(K, cols, denom, gens=gens)
 
 
-def _saturate_kernel(K, cols, n):
-    """Lattice {y : y * b in n*O_K for every basis column b}, i.e. n*I^-1.
+def _saturate_kernel(K, vecs, n):
+    """Lattice {y : y * b in n*O_K for every b in vecs}, i.e. n*I^-1.
 
-    The congruences M_b y = 0 (mod n) are collected as functionals; the
-    solution lattice is n times the dual of the lattice they span together
-    with n*Z^d.
+    vecs are the coordinates of O_K-module generators of the integral
+    ideal I (its HNF columns are one such set). The congruences
+    M_b y = 0 (mod n) are collected as functionals; the solution lattice is
+    n times the dual of the lattice they span together with n*Z^d.
     """
     d = K.degree
     r = IntLattice(d, modulus=n)
-    for c in cols:
+    for c in vecs:
         mcols = K.mul_matrix_columns(list(c))
         for i in range(d):
             r.add([mcols[j][i] for j in range(d)])

@@ -17,6 +17,7 @@ from sympy import factorint
 from .advice import build_advice
 from .errors import (
     ClassGroupNotElementary2Error,
+    DpipError,
     FieldMismatchError,
     NotFundamentalError,
 )
@@ -58,7 +59,8 @@ class QuadForm:
             s = (c + b) // (2 * c)
             a, b, c = c, -b + 2 * s * c, c * s * s - b * s + a
         out = QuadForm(a, b, c)
-        assert out.is_reduced(), out
+        if not out.is_reduced():
+            raise DpipError(f"form reduction ended at {out}, which is not reduced")
         return out
 
     def __repr__(self):
@@ -113,7 +115,8 @@ def enumerate_forms(disc):
             if 0 < b < a < c:
                 forms.append(QuadForm(a, -b, c))
     forms.sort(key=lambda f: (f.a, f.b))
-    assert all(f.is_reduced() for f in forms)
+    if not all(f.is_reduced() for f in forms):
+        raise DpipError(f"form enumeration for {disc} produced a non-reduced form")
     return FormClassGroup(
         disc=disc,
         forms=tuple(forms),
@@ -147,9 +150,11 @@ def ideal_form(ideal, disc):
     a_raw = u1 * u1 - bco * u1 * v1 + cco * v1 * v1
     b_raw = 2 * u1 * u2 - bco * (u1 * v2 + u2 * v1) + 2 * cco * v1 * v2
     c_raw = u2 * u2 - bco * u2 * v2 + cco * v2 * v2
-    assert a_raw % n == 0 and b_raw % n == 0 and c_raw % n == 0
+    if a_raw % n or b_raw % n or c_raw % n:
+        raise DpipError("norm form is not divisible by the ideal norm")
     form = QuadForm(a_raw // n, b_raw // n, c_raw // n)
-    assert form.disc() == disc, "norm form has the wrong discriminant"
+    if form.disc() != disc:
+        raise DpipError("norm form has the wrong discriminant")
     return form
 
 
@@ -180,7 +185,8 @@ def prime_discriminants(disc):
     prod = 1
     for d in out:
         prod *= d
-    assert prod == disc
+    if prod != disc:
+        raise DpipError(f"prime discriminants of {disc} multiply to {prod}")
     return out
 
 

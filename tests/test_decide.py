@@ -1,3 +1,4 @@
+import ast
 import os
 import random
 import subprocess
@@ -8,6 +9,7 @@ import pytest
 from sympy import primerange
 
 import dpip
+from dpip import nf
 
 from dpip.decide import (
     NO,
@@ -297,3 +299,30 @@ def test_prime_cofactor_rejects_foreign_element_under_O():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_prime_cofactor_computes_the_norm_once(monkeypatch, K5):
+    # (1 + theta) = P2 * P3: the cofactor of r = 1 + theta over P2 is P3,
+    # and N(r) is needed by prime_cofactor and again by mul_element
+    I = kummer_dedekind(2, K5)[0].to_ideal()
+    I.inverse()
+    r = K5.element([1, 1])
+    calls = []
+    resultant = nf.int_poly_resultant
+
+    def counted(a, b):
+        calls.append(1)
+        return resultant(a, b)
+
+    monkeypatch.setattr(nf, "int_poly_resultant", counted)
+    assert prime_cofactor(I, r) == kummer_dedekind(3, K5)[0]
+    assert len(calls) == 1
+
+
+def test_no_assert_statements_in_the_package():
+    # python -O strips assert statements, so none may guard correctness
+    found = []
+    for path in sorted(Path(dpip.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []

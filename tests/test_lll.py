@@ -1,10 +1,19 @@
+import hashlib
 import random
 
 import pytest
 
+from dpip import lll
 from dpip.intlattice import IntLattice
-from dpip.lll import integral_lll, is_lll_reduced, lll_reduce, minkowski_gram
-from dpip.nf import Ideal, kummer_dedekind
+from dpip.lll import (
+    cyclotomic_order,
+    integral_lll,
+    is_lll_reduced,
+    lll_reduce,
+    minkowski_gram,
+)
+from dpip.nf import Ideal, NumberField, kummer_dedekind
+from dpip.serialize import load_field, load_ideal
 from helpers import lll_reference
 
 
@@ -92,3 +101,43 @@ def test_lll_deterministic(K64):
     b1 = [b.coords for b in lll_reduce(i1)]
     b2 = [b.coords for b in lll_reduce(i2)]
     assert b1 == b2
+
+
+def _basis_digest(basis):
+    return hashlib.sha256(repr([b.coords for b in basis]).encode()).hexdigest()[:16]
+
+
+def test_lll_output_pinned(K64, K180, fixtures_dir):
+    # the exact Gram and the set-up by vector-matrix products leave every
+    # reduced basis bit-identical; these digests were taken before both
+    switch = load_ideal(fixtures_dir / "ideal_zeta64_switch.json", K64)
+    assert _basis_digest(lll_reduce(switch)) == "7573ffb223edc36c"
+    rng = random.Random(180)
+    alpha = K180.element([rng.randint(-3, 3) for _ in range(48)])
+    principal = Ideal.principal(K180, alpha)
+    assert _basis_digest(lll_reduce(principal)) == "f3cd96f444c4f0de"
+
+
+def test_exact_gram_matches_numerical(K64, K180):
+    for K in (K64, K180):
+        assert lll._cyclotomic_gram(K) == lll._numerical_gram(K)
+
+
+def test_cyclotomic_order(K5, K64, K180):
+    assert cyclotomic_order(K64) == 64
+    assert cyclotomic_order(K180) == 180
+    assert cyclotomic_order(K5) is None
+    # reciprocal, with two roots on the unit circle, but not cyclotomic
+    assert cyclotomic_order(NumberField([1, -1, -1, -1, 1])) is None
+
+
+def test_cyclotomic_fixtures_skip_numerical_gram(monkeypatch, fixtures_dir):
+    def refuse(K):
+        raise AssertionError(f"numerical Gram matrix computed for {K}")
+
+    monkeypatch.setattr(lll, "_numerical_gram", refuse)
+    for name in ("field_zeta64.json", "field_zeta180.json"):
+        K = load_field(fixtures_dir / name)  # a fresh field, so no cached Gram
+        gram = minkowski_gram(K)
+        d = K.degree
+        assert all(gram[j][k] == gram[0][abs(j - k)] for j in range(d) for k in range(d))

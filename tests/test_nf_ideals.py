@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from dpip.errors import NonDivisibleError, ZeroIdealError
+from dpip.intlattice import IntLattice
+from dpip.lll import lll_reduce
 from dpip.nf import Ideal, kummer_dedekind
 from helpers import naive_lattice_basis
 
@@ -117,6 +119,54 @@ def test_inverse_identity_random(K5, K21):
         for _ in range(100):
             I = _random_small_ideal(K, rng)
             assert I * I.inverse() == ring
+
+
+def _inverse_rows(monkeypatch, ideal):
+    """ideal.inverse(), and the number of vectors it inserted into lattices."""
+    calls = []
+    add = IntLattice.add
+
+    def counted(lat, vec):
+        calls.append(1)
+        return add(lat, vec)
+
+    monkeypatch.setattr(IntLattice, "add", counted)
+    inv = ideal.inverse()
+    monkeypatch.setattr(IntLattice, "add", add)
+    return inv, len(calls)
+
+
+@pytest.mark.parametrize("field, p", [("K5", 3), ("K180", 181)])
+def test_inverse_from_generators_matches_hnf_inverse(request, monkeypatch, field, p):
+    # (alpha)*P keeps the generators (alpha*p, alpha*g(theta)), and its
+    # inverse from their congruences equals the inverse from the HNF columns
+    K = request.getfixturevalue(field)
+    rng = random.Random(180)
+    alpha = K.element([rng.randint(-3, 3) for _ in range(K.degree)])
+    P = kummer_dedekind(p, K)[0].to_ideal()
+    J = Ideal.principal(K, alpha) * P
+    assert J._gens == tuple(alpha * g for g in P._gens)
+    bare = Ideal(K, J.cols, J.denom)
+    inv, rows = _inverse_rows(monkeypatch, J)
+    bare_inv, bare_rows = _inverse_rows(monkeypatch, bare)
+    assert inv == bare_inv
+    assert inv.norm() * J.norm() == 1
+    # 2d congruences and d dual vectors, against d*d + d from the columns
+    assert rows == 3 * K.degree
+    assert bare_rows == K.degree**2 + K.degree
+
+
+def test_mul_element_divides_generators_by_denominator(K5):
+    # r * I^-1 for I = (a) and r = a*(3 + theta) is the ideal (3 + theta);
+    # its recorded generator used to keep the factor N(a) = 21
+    a = K5.element([1, 2])
+    g = K5.element([3, 1])
+    J = Ideal.principal(K5, a).inverse().mul_element(a * g)
+    assert J == Ideal.principal(K5, g)
+    assert J._gens == (g,)
+    assert J * J.inverse() == Ideal.ring(K5)
+    basis = lll_reduce(J)
+    assert all(J.contains_element(b) for b in basis)
 
 
 def test_divide_examples(K5):
