@@ -16,7 +16,6 @@ from .decide import (
     decide_ideal,
     decide_prime_ideal,
     default_switch_config,
-    sample_switch,
 )
 from .errors import (
     AdviceError,
@@ -111,7 +110,6 @@ __all__ = [
     "poly_discriminant",
     "prime_switch_density",
     "reduce_poly_mod_prime",
-    "sample_switch",
     "splits_completely",
     "store_advice",
     "switch_stats",

@@ -11,11 +11,7 @@ import json
 import sys
 
 from .advice import load_advice
-from .decide import (
-    SwitchConfig,
-    conjectural_bound,
-    decide_ideal,
-)
+from .decide import conjectural_bound, decide_ideal, default_switch_config
 from .errors import DpipError, MaxTrialsExceededError
 from .nf import kummer_dedekind
 from .quadforms import genus_advice, is_principal_quad
@@ -96,13 +92,10 @@ def run_decide(args):
         return EXIT_ERROR
     ideal = load_ideal(args.ideal, K)
     bound = conjectural_bound(K) if args.conjectural_bound else args.bound
-    max_trials = args.max_trials if args.max_trials else 64 * K.degree
-    cfg = SwitchConfig(bound_B=bound, max_trials=max_trials, seed=args.seed)
-    try:
-        decision = decide_ideal(ideal, advice, cfg)
-    except MaxTrialsExceededError as exc:
-        print(f"gave up: {exc}")
-        return EXIT_GAVE_UP
+    cfg = default_switch_config(
+        K, bound_B=bound, seed=args.seed, max_trials=args.max_trials
+    )
+    decision = decide_ideal(ideal, advice, cfg)
     print(f"verdict: {decision.verdict}")
     print(f"reason: {decision.reason}")
     print(f"switches_used: {decision.switches_used}")

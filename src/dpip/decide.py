@@ -123,18 +123,8 @@ def _combine(K, basis, coeffs):
     return K.element(acc)
 
 
-def sample_switch(ideal, basis, cfg, rng):
-    """One switching step: (r, (r)/I) for r random in the span of basis.
-
-    The cofactor is computed as r * I^-1 (the inverse is cached on the
-    ideal), which equals the exact ideal quotient and is always integral
-    because r lies in I.
-    """
-    r = _combine(ideal.K, basis, draw_coefficients(rng, cfg.bound_B, ideal.K.degree))
-    return r, cofactor_ideal(ideal, r)
-
-
 def cofactor_ideal(ideal, r):
+    """(r)/I as r * I^-1, integral because r lies in I (the inverse is cached)."""
     return ideal.inverse().mul_element(r)
 
 

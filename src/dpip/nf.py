@@ -674,23 +674,58 @@ class Ideal:
     # -- arithmetic ---------------------------------------------------------------------
 
     def __mul__(self, other):
+        """I * J, spanned by (generators of I) x (HNF basis of J).
+
+        The shorter generator list is multiplied by the other operand's
+        columns. With l the least positive integer in a numerator lattice,
+        m = l(I) * l(J) lies in the product, hence so does m*Z[theta], and
+        insertion runs mod m.
+        """
         if not isinstance(other, Ideal):
             return NotImplemented
         if other.K != self.K:
             raise FieldMismatchError("ideals of different fields")
         K = self.K
-        # single-generator operands multiply in O(d^3) instead of O(d^4)
-        if self._gens is not None and len(self._gens) == 1:
-            return other._times_generator(self._gens[0], self.denom)
-        if other._gens is not None and len(other._gens) == 1:
-            return self._times_generator(other._gens[0], other.denom)
-        modulus = self.det() * other.det()
-        lat = IntLattice(K.degree, modulus=modulus)
-        for u in self.cols:
-            lat.extend(K.mul_vectors(u, other.cols))
-        if not lat.is_full_rank():
-            raise ZeroIdealError("degenerate product lattice")
-        return _normalized(K, lat.basis_columns(), self.denom * other.denom)
+        small, big = self, other
+        if len(other._generators()) < len(self._generators()):
+            small, big = other, self
+        lat = IntLattice(
+            K.degree, modulus=self._least_integer() * other._least_integer()
+        )
+        for u in small._generators():
+            lat.extend(K.mul_vectors(u, big.cols))
+        gens = None
+        # capped at d, so repeated squaring cannot multiply the record out
+        if self._gens and other._gens and len(self._gens) * len(other._gens) <= K.degree:
+            gens = tuple(g * h for g in self._gens for h in other._gens)
+        return _normalized(K, lat.basis_columns(), self.denom * other.denom, gens=gens)
+
+    def _least_integer(self):
+        """The least m > 0 with m*e_0 in the numerator lattice.
+
+        With H[i][j] = cols[j][i] lower triangular, y = det * H^-1 e_0 is the
+        integral first adjugate column, found by forward substitution; m*e_0 =
+        H (m*y/det) is in the lattice exactly when det / gcd(det, y) divides m.
+        """
+        cols = self.cols
+        det = self.det()
+        y = [det // cols[0][0]] + [0] * (len(cols) - 1)
+        g = gcd(det, y[0])
+        for i in range(1, len(cols)):
+            s = 0
+            for j in range(i):
+                if cols[j][i]:
+                    s += cols[j][i] * y[j]
+            y[i] = -s // cols[i][i]
+            g = gcd(g, y[i])
+        return det // g
+
+    def _generators(self):
+        """Coordinates of O_K-module generators of the numerator lattice:
+        the recorded ones when there are fewer than d, else the HNF columns."""
+        if self._gens and len(self._gens) < self.K.degree:
+            return [g.coords for g in self._gens]
+        return self.cols
 
     def __pow__(self, e):
         if e < 0:
@@ -705,7 +740,12 @@ class Ideal:
         return out
 
     def inverse(self):
-        """The fractional inverse, with I * I^-1 = O_K verified by norms."""
+        """The fractional inverse, with I * I^-1 = O_K verified.
+
+        Z[theta] is maximal at every prime not dividing disc(f), so there the
+        norm check proves the inverse; at the other primes the product is
+        checked. Raises NonInvertibleIdealError when I has no inverse.
+        """
         if self._inv is not None:
             return self._inv
         K = self.K
@@ -713,13 +753,10 @@ class Ideal:
         if n == 0:
             raise ZeroIdealError("zero ideal has no inverse")
         inv = self._principal_inverse()
+        verified = inv is not None or gcd(n, K.disc) == 1
         if inv is None:
-            # n*I^-1 is cut out by one congruence per O_K-module generator,
-            # so a few recorded generators beat the d HNF columns
-            vecs = self.cols
-            if self._gens and len(self._gens) < K.degree:
-                vecs = [g.coords for g in self._gens]
-            lat = _saturate_kernel(K, vecs, n)
+            # n*I^-1 is cut out by one congruence per O_K-module generator
+            lat = _saturate_kernel(K, self._generators(), n)
             if lat.det() * n != n**K.degree:
                 raise NonInvertibleIdealError(
                     "lattice is not invertible over this order"
@@ -731,6 +768,8 @@ class Ideal:
             )
         if (self.norm() * inv.norm()) != 1:
             raise NonInvertibleIdealError("inverse norm check failed")
+        if not verified and self * inv != Ideal.ring(K):
+            raise NonInvertibleIdealError("ideal is not invertible in this order")
         self._inv = inv
         inv._inv = self
         return inv
@@ -748,70 +787,21 @@ class Ideal:
         return _normalized(self.K, lat.basis_columns(), n, gens=(beta,))
 
     def divide(self, other):
-        """Exact quotient self / other; other must divide self.
+        """Exact quotient self / other = self * other^-1.
 
-        For integral inputs with other | self the result Q is the integral
-        ideal with Q * other = self, recovered as the module colon
-        (self : other) and cross-checked by norms.
+        other must be invertible (NonInvertibleIdealError otherwise; every
+        nonzero ideal is when Z[theta] is the maximal order) and must contain
+        self, which for an invertible divisor is exactly the integrality of
+        the quotient (NonDivisibleError otherwise).
         """
         if other.K != self.K:
             raise FieldMismatchError("ideals of different fields")
-        K = self.K
-        a, b = other.denom, self.denom
-        xcols = [[a * v for v in c] for c in self.cols]  # a*B where self = B/b
-        ycols = [[b * v for v in c] for c in other.cols]  # b*A where other = A/a
-        ylat = IntLattice(K.degree)
-        for c in ycols:
-            ylat.add(list(c))
-        for c in xcols:
-            if c not in ylat:
-                raise NonDivisibleError("divisor does not contain the dividend")
-        xdet = self.det() * a**K.degree
-        ydet = other.det() * b**K.degree
-        q = self._divide_by_principal(other, xcols)
-        if q is None:
-            lat = _colon_lattice(K, xcols, xdet, ycols)
-            q = _normalized(K, lat.basis_columns(), 1)
-        if q.norm() * ydet != xdet:
+        q = self * other.inverse()
+        if not q.is_integral():
+            raise NonDivisibleError("divisor does not contain the dividend")
+        if q.norm() * other.norm() != self.norm():
             raise NonDivisibleError("division is not exact in this order")
         return q
-
-    def _divide_by_principal(self, other, xcols):
-        """(X : (gamma)) = gamma^-1 * X, when other has a known generator."""
-        if not other._gens or len(other._gens) != 1:
-            return None
-        gamma = other._gens[0] * (self.denom)  # other scaled by b
-        beta, det = norm_quotient(gamma)
-        n = abs(det)
-        K = self.K
-        xdet = self.det() * other.denom**K.degree
-        quotient_det, rem = divmod(xdet, n)
-        if rem:
-            return None
-        lat = IntLattice(K.degree, modulus=quotient_det)
-        for w in K.mul_vectors(beta.coords, xcols):
-            v = _exact_div_vector(w, n)
-            if v is None:
-                return None
-            lat.add(v)
-        if not lat.is_full_rank():
-            return None
-        return _normalized(K, lat.basis_columns(), 1)
-
-    def _times_generator(self, alpha, extra_denom):
-        """self * (alpha)/extra_denom for an integral generator alpha."""
-        K = self.K
-        # det of the alpha-scaled lattice bounds the entries during insertion
-        lat = IntLattice(K.degree, modulus=abs(alpha.norm_int()) * self.det())
-        lat.extend(K.mul_vectors(alpha.coords, self.cols))
-        if not lat.is_full_rank():
-            raise ZeroIdealError("degenerate product lattice")
-        gens = None
-        if self._gens:
-            gens = tuple(g * alpha for g in self._gens)
-        return _normalized(
-            K, lat.basis_columns(), self.denom * extra_denom, gens=gens
-        )
 
     def mul_element(self, elem):
         """The ideal elem * self (elem integral, result assumed integral)."""
@@ -885,58 +875,6 @@ def _saturate_kernel(K, vecs, n):
         for i in range(d):
             r.add([mcols[j][i] for j in range(d)])
     return _scaled_dual(r, n)
-
-
-def _triangular_adjugate(cols, det):
-    """Adjugate det * M^-1 of the lower-triangular basis matrix M.
-
-    M[i][j] = cols[j][i]; solved column by column by forward substitution,
-    with the adjugate's integrality checked.
-    """
-    d = len(cols)
-    adj = [[0] * d for _ in range(d)]
-    for k in range(d):
-        x = [Fraction(0)] * d
-        x[k] = Fraction(det, cols[k][k])
-        for i in range(k + 1, d):
-            s = Fraction(0)
-            for j in range(k, i):
-                if cols[j][i]:
-                    s += cols[j][i] * x[j]
-            x[i] = -s / cols[i][i]
-        for i in range(d):
-            if x[i].denominator != 1:
-                raise DpipError("adjugate must be integral")
-            adj[i][k] = x[i].numerator
-    return adj
-
-
-def _colon_lattice(K, xcols, xdet, ycols):
-    """Module colon {y : y * Y <= X} for integral lattices X, Y with X <= Y."""
-    d = K.degree
-    adj = _triangular_adjugate(xcols, xdet)
-    functionals = []
-    moduli = []
-    for c in ycols:
-        mcols = K.mul_matrix_columns(list(c))
-        # rows of adj(H_X) * M_c, each a congruence mod xdet
-        for i in range(d):
-            row = [
-                sum(adj[i][k] * mcols[j][k] for k in range(d)) for j in range(d)
-            ]
-            g = xdet
-            for x in row:
-                g = gcd(g, x)
-            functionals.append([x // g for x in row])
-            moduli.append(xdet // g)
-    m = 1
-    for x in moduli:
-        m = lcm(m, x)
-    r = IntLattice(d, modulus=m)
-    for row, mi in zip(functionals, moduli):
-        scale = m // mi
-        r.add([scale * x for x in row])
-    return _scaled_dual(r, m)
 
 
 def _scaled_dual(r, n):

@@ -220,6 +220,23 @@ def test_decide_gave_up_exit_code(capsys, tmp_path, fixtures_dir):
         pytest.fail("no seed exhausted the one-trial budget")
 
 
+def test_decide_zero_trial_budget_is_an_error(capsys, tmp_path, fixtures_dir):
+    # 0 used to fall back to the 64*d default; now it is refused like -1
+    two = tmp_path / "two.json"
+    two.write_text(json.dumps({"generators": [["2", "0"]]}))
+    for budget in ("0", "-1"):
+        code, _, err = run(
+            capsys,
+            "decide",
+            "--field", str(fixtures_dir / "field_qsqrtm5.json"),
+            "--advice", str(fixtures_dir / "advice_qsqrtm5.json"),
+            "--ideal", str(two),
+            "--max-trials", budget,
+        )
+        assert code == 2
+        assert "max_trials must be at least 1" in err
+
+
 def test_decide_conjectural_bound(capsys, fixtures_dir):
     code, out, _ = run(
         capsys,

@@ -20,8 +20,10 @@ from dpip.decide import (
     decide_ideal,
     decide_prime_ideal,
     default_switch_config,
+    _combine,
+    cofactor_ideal,
+    draw_coefficients,
     prime_cofactor,
-    sample_switch,
     substream,
 )
 from dpip.errors import FieldMismatchError, MaxTrialsExceededError
@@ -101,12 +103,19 @@ def test_conjectural_bound(K5):
     assert conjectural_bound(K5) == 4 * 20
 
 
+def _sample_switch(ideal, basis, cfg, rng):
+    """One switching draw: r uniform on the box over basis, and (r)/I."""
+    K = ideal.K
+    r = _combine(K, basis, draw_coefficients(rng, cfg.bound_B, K.degree))
+    return r, cofactor_ideal(ideal, r)
+
+
 def test_sample_switch_unit_ideal(K5, advice20):
     ring = Ideal.ring(K5)
     cfg = default_switch_config(K5, bound_B=5, seed=11)
     rng = substream(cfg.seed, "test")
     basis = lll_reduce(ring)
-    r, cof = sample_switch(ring, basis, cfg, rng)
+    r, cof = _sample_switch(ring, basis, cfg, rng)
     assert not r.is_zero()
     assert cof == Ideal.principal(K5, r)
 
@@ -117,7 +126,7 @@ def test_sample_switch_matches_exact_division(K5):
     rng = substream(cfg.seed, "test")
     basis = lll_reduce(I)
     for _ in range(20):
-        r, cof = sample_switch(I, basis, cfg, rng)
+        r, cof = _sample_switch(I, basis, cfg, rng)
         assert I.contains_element(r)
         assert cof.is_integral()
         assert Ideal.principal(K5, r).divide(I) == cof
@@ -137,7 +146,7 @@ def test_prime_cofactor_agrees_with_as_prime(K5):
     rng = substream(5, "check")
     cfg = default_switch_config(K5, bound_B=6, seed=5)
     for _ in range(50):
-        r, cof = sample_switch(I, basis, cfg, rng)
+        r, cof = _sample_switch(I, basis, cfg, rng)
         assert prime_cofactor(I, r) == as_prime_ideal(cof)
 
 

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from dpip.errors import NonDivisibleError, ZeroIdealError
+from sympy import primefactors
+
+from dpip.errors import NonDivisibleError, NonInvertibleIdealError, ZeroIdealError
 from dpip.intlattice import IntLattice
 from dpip.lll import lll_reduce
-from dpip.nf import Ideal, kummer_dedekind
+from dpip.nf import Ideal, NumberField, kummer_dedekind
 from helpers import naive_lattice_basis
 
 
@@ -150,10 +152,64 @@ def test_inverse_from_generators_matches_hnf_inverse(request, monkeypatch, field
     inv, rows = _inverse_rows(monkeypatch, J)
     bare_inv, bare_rows = _inverse_rows(monkeypatch, bare)
     assert inv == bare_inv
-    assert inv.norm() * J.norm() == 1
     # 2d congruences and d dual vectors, against d*d + d from the columns
     assert rows == 3 * K.degree
     assert bare_rows == K.degree**2 + K.degree
+    # exact identities, not only norms: at d = 48 the product used to run
+    # all d*d column pairs modulo a 2,000-digit determinant and never finished
+    assert J * inv == Ideal.ring(K)
+    assert (J * P).divide(P) == J
+
+
+def test_product_from_generators_matches_product_from_columns(K5, K21, K180):
+    # two primes above 181 at d = 48: 2 x 48 products against 48 x 48
+    P, Q = (F.to_ideal() for F in kummer_dedekind(181, K180)[:2])
+    assert P * Q == Ideal(K180, P.cols) * Ideal(K180, Q.cols)
+    assert (P * Q)._gens == tuple(g * h for g in P._gens for h in Q._gens)
+    rng = random.Random(4)
+    for K in (K5, K21):
+        for _ in range(40):
+            I = _random_small_ideal(K, rng)
+            J = _random_small_ideal(K, rng)
+            bare = Ideal(K, I.cols) * Ideal(K, J.cols)
+            assert I * J == bare and J * I == bare
+            if I._gens and J._gens and len(I._gens) * len(J._gens) <= K.degree:
+                assert (I * J)._gens == tuple(g * h for g in I._gens for h in J._gens)
+            # repeated squaring keeps at most d recorded generators
+            assert len((I**8)._gens or ()) <= K.degree
+
+
+def _assert_least_integer(ideal):
+    lat = ideal._lattice()
+    ell = ideal._least_integer()
+    e0 = [1] + [0] * (ideal.K.degree - 1)
+    assert [ell * x for x in e0] in lat
+    for q in primefactors(ell):
+        assert [ell // q * x for x in e0] not in lat
+
+
+def test_least_integer_is_least(K5, K21):
+    rng = random.Random(5)
+    for K in (K5, K21):
+        for _ in range(60):
+            I = _random_small_ideal(K, rng)
+            _assert_least_integer(I)
+            # the numerator lattice of a fractional inverse
+            _assert_least_integer(I.inverse())
+    two = Ideal.principal(K5, K5.rational(2))
+    assert two.det() == 4 and two._least_integer() == 2
+
+
+def test_non_invertible_ideal_is_refused():
+    # Z[sqrt 5] is not maximal at 2, and P = (2, 1 + theta) is not invertible:
+    # its colon inverse has the right norm but P * (O : P) has norm 2
+    K = NumberField([-5, 0, 1])
+    P = Ideal.from_generators(K, [K.rational(2), K.element([1, 1])])
+    assert (P * P).norm() == 8
+    with pytest.raises(NonInvertibleIdealError):
+        P.inverse()
+    with pytest.raises(NonInvertibleIdealError):
+        P.divide(P)
 
 
 def test_mul_element_divides_generators_by_denominator(K5):
