@@ -22,7 +22,13 @@ from .nf import (
     prime_power,
 )
 from .residue import element_in_prime
-from .serialize import decode_int, encode_int, field_from_dict, field_to_dict
+from .serialize import (
+    decode_int,
+    encode_int,
+    field_from_dict,
+    field_to_dict,
+    read_json,
+)
 
 
 @dataclass(frozen=True)
@@ -207,9 +213,7 @@ def _multiplicity(K, p, gen):
 
 
 def load_advice(path):
-    with open(path) as fh:
-        data = json.load(fh)
-    return advice_from_dict(data)
+    return advice_from_dict(read_json(path))
 
 
 def store_advice(bundle, path):

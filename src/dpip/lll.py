@@ -28,7 +28,7 @@ from operator import mul
 
 import mpmath
 
-from .errors import ZeroIdealError
+from .errors import DpipError, ZeroIdealError
 from .intlattice import bareiss_det
 
 _PREC_BITS = 192
@@ -278,7 +278,9 @@ def lll_reduce(ideal, K=None, delta=DELTA):
 
     The output spans exactly the lattice of `ideal` (checked by membership
     and by the determinant) and is reduced at the given delta with respect
-    to the canonical-embedding Gram matrix of the field.
+    to the canonical-embedding Gram matrix of the field. The reduction
+    starts from the Z-basis the ideal recorded at construction, if any, else
+    from its HNF columns; a failed span check raises DpipError.
     """
     field = ideal.K
     if K is not None and K != field:
@@ -290,22 +292,15 @@ def lll_reduce(ideal, K=None, delta=DELTA):
     if ideal._lll is not None:
         return list(ideal._lll)
     gram = minkowski_gram(field)
-    start = ideal.cols
-    if ideal._gens is not None and len(ideal._gens) == 1:
-        # a generator chain usually has far smaller entries than the HNF
-        chain = []
-        v = list(ideal._gens[0].coords)
-        for _ in range(field.degree):
-            chain.append(list(v))
-            v = field.theta_shift(v)
-        start = chain
-    reduced = integral_lll(start, gram, delta)
+    # a basis recorded at construction (u times a basis of the other
+    # factor) has far smaller entries than the HNF
+    reduced = integral_lll(ideal._basis or ideal.cols, gram, delta)
     # lattice equality: every output vector lies in the ideal and the
     # determinants agree, which pins the same Hermite form
     if any(not ideal.contains_vector(v) for v in reduced):
-        raise AssertionError("LLL output left the input ideal")
+        raise DpipError("LLL output left the input ideal")
     if abs(bareiss_det(reduced)) != ideal.det():
-        raise AssertionError("LLL output does not span the input ideal")
+        raise DpipError("LLL output does not span the input ideal")
     out = [field.element(v) for v in reduced]
     ideal._lll = tuple(out)
     return list(out)

@@ -11,7 +11,7 @@ anywhere in this module.
 from fractions import Fraction
 from math import gcd, lcm
 
-from sympy import Poly, Symbol, isprime
+from sympy import Poly, Symbol, isprime, primefactors
 from sympy.ntheory import perfect_power
 
 from . import fppoly
@@ -163,6 +163,7 @@ class NumberField:
         "degree",
         "disc",
         "_kd_cache",
+        "_maximal_at",
         "_ring",
         "_gram",
     )
@@ -184,6 +185,7 @@ class NumberField:
         if not Poly(list(reversed(poly)), Symbol("x")).is_irreducible:
             raise DefiningPolyError("defining polynomial is reducible over Q")
         self._kd_cache = {}
+        self._maximal_at = {}
         self._ring = None
         self._gram = None
 
@@ -474,6 +476,46 @@ def norm_quotient(alpha):
     return FieldElement(K, beta), det
 
 
+# Python >= 3.11 refuses int <-> str conversions beyond 4,300 digits by
+# default; larger numbers go through 4,000-digit chunks, and the process-wide
+# limit is left alone.
+_CHUNK_DIGITS = 4000
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def decimal_str(x):
+    """Decimal string of an int (or Fraction) of any size."""
+    if isinstance(x, Fraction) and x.denominator != 1:
+        return f"{decimal_str(x.numerator)}/{decimal_str(x.denominator)}"
+    x = int(x)
+    if -_CHUNK < x < _CHUNK:
+        return str(x)
+    if x < 0:
+        return "-" + decimal_str(-x)
+    chunks = []
+    while x:
+        x, r = divmod(x, _CHUNK)
+        chunks.append(r)
+    head = str(chunks.pop())
+    return head + "".join(f"{r:0{_CHUNK_DIGITS}d}" for r in reversed(chunks))
+
+
+def parse_decimal(text):
+    """int(text, 10) for a decimal string of any length."""
+    text = text.strip()
+    if len(text) <= _CHUNK_DIGITS:
+        return int(text, 10)
+    sign = -1 if text[0] == "-" else 1
+    digits = text[1:] if text[0] in "+-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError("invalid decimal integer string")
+    out = 0
+    for i in range(0, len(digits), _CHUNK_DIGITS):
+        chunk = digits[i : i + _CHUNK_DIGITS]
+        out = out * 10 ** len(chunk) + int(chunk)
+    return sign * out
+
+
 def poly_str(coords, var="θ"):
     """Human-readable polynomial in var from little-endian coordinates."""
     terms = []
@@ -481,7 +523,7 @@ def poly_str(coords, var="θ"):
         if c == 0:
             continue
         if i == 0:
-            terms.append(f"{c}")
+            terms.append(decimal_str(c))
         else:
             v = var if i == 1 else f"{var}^{i}"
             if c == 1:
@@ -489,7 +531,7 @@ def poly_str(coords, var="θ"):
             elif c == -1:
                 terms.append(f"-{v}")
             else:
-                terms.append(f"{c}{v}")
+                terms.append(f"{decimal_str(c)}{v}")
     if not terms:
         return "0"
     out = terms[0]
@@ -508,15 +550,21 @@ class Ideal:
     below other pivots reduced), `denom` a positive integer with content
     coprime to the lattice. Integral ideals have denom == 1. Instances are
     immutable; derived data (norm, inverse, reduced bases) is cached.
+
+    `_basis`, when set, is a Z-basis of the numerator lattice with small
+    entries that construction already produced: u times a basis of the
+    other factor, for an ideal built from a single generator u. LLL starts
+    from it instead of the HNF columns.
     """
 
-    __slots__ = ("K", "cols", "denom", "_gens", "_inv", "_lll")
+    __slots__ = ("K", "cols", "denom", "_gens", "_basis", "_inv", "_lll")
 
-    def __init__(self, K, cols, denom=1, gens=None):
+    def __init__(self, K, cols, denom=1, gens=None, basis=None):
         self.K = K
         self.cols = tuple(tuple(int(x) for x in c) for c in cols)
         self.denom = int(denom)
         self._gens = gens
+        self._basis = basis
         self._inv = None
         self._lll = None
         if self.denom < 1:
@@ -555,10 +603,13 @@ class Ideal:
             modulus = gcd(modulus, abs(g.norm_int()))
         lat = IntLattice(K.degree, modulus=modulus or None)
         for g in elems:
-            lat.extend(K.mul_matrix_columns(g.coords))
+            cols = K.mul_matrix_columns(g.coords)
+            lat.extend(cols)
         if not lat.is_full_rank():
             raise ZeroIdealError("generators span a degenerate lattice")
-        return Ideal(K, lat.basis_columns(), 1, gens=tuple(elems))
+        # one generator: its multiplication-matrix columns are a basis
+        basis = tuple(map(tuple, cols)) if len(elems) == 1 else None
+        return Ideal(K, lat.basis_columns(), 1, gens=tuple(elems), basis=basis)
 
     @staticmethod
     def principal(K, g):
@@ -674,12 +725,13 @@ class Ideal:
     # -- arithmetic ---------------------------------------------------------------------
 
     def __mul__(self, other):
-        """I * J, spanned by (generators of I) x (HNF basis of J).
+        """I * J, spanned by (generators of I) x (a Z-basis of J).
 
         The shorter generator list is multiplied by the other operand's
-        columns. With l the least positive integer in a numerator lattice,
-        m = l(I) * l(J) lies in the product, hence so does m*Z[theta], and
-        insertion runs mod m.
+        recorded basis, or its columns. With l the least positive integer in
+        a numerator lattice, m = l(I) * l(J) lies in the product, hence so
+        does m*Z[theta], and insertion runs mod m. A single generator u
+        makes u x basis a Z-basis of the product, and it is recorded.
         """
         if not isinstance(other, Ideal):
             return NotImplemented
@@ -692,13 +744,18 @@ class Ideal:
         lat = IntLattice(
             K.degree, modulus=self._least_integer() * other._least_integer()
         )
-        for u in small._generators():
-            lat.extend(K.mul_vectors(u, big.cols))
+        units = small._generators()
+        for u in units:
+            vecs = K.mul_vectors(u, big._basis or big.cols)
+            lat.extend(vecs)
+        basis = tuple(map(tuple, vecs)) if len(units) == 1 else None
         gens = None
         # capped at d, so repeated squaring cannot multiply the record out
         if self._gens and other._gens and len(self._gens) * len(other._gens) <= K.degree:
             gens = tuple(g * h for g in self._gens for h in other._gens)
-        return _normalized(K, lat.basis_columns(), self.denom * other.denom, gens=gens)
+        return _normalized(
+            K, lat.basis_columns(), self.denom * other.denom, gens=gens, basis=basis
+        )
 
     def _least_integer(self):
         """The least m > 0 with m*e_0 in the numerator lattice.
@@ -742,9 +799,10 @@ class Ideal:
     def inverse(self):
         """The fractional inverse, with I * I^-1 = O_K verified.
 
-        Z[theta] is maximal at every prime not dividing disc(f), so there the
-        norm check proves the inverse; at the other primes the product is
-        checked. Raises NonInvertibleIdealError when I has no inverse.
+        Where Z[theta] is maximal at every prime dividing both N(I) and
+        disc(f) (Dedekind's criterion; always at primes not dividing disc(f)),
+        the norm check proves the inverse; otherwise the product is checked.
+        Raises NonInvertibleIdealError when I has no inverse.
         """
         if self._inv is not None:
             return self._inv
@@ -753,7 +811,9 @@ class Ideal:
         if n == 0:
             raise ZeroIdealError("zero ideal has no inverse")
         inv = self._principal_inverse()
-        verified = inv is not None or gcd(n, K.disc) == 1
+        verified = inv is not None or all(
+            order_is_maximal_at(p, K) for p in primefactors(gcd(n, K.disc))
+        )
         if inv is None:
             # n*I^-1 is cut out by one congruence per O_K-module generator
             lat = _saturate_kernel(K, self._generators(), n)
@@ -843,8 +903,9 @@ def _exact_div_vector(v, n):
     return out
 
 
-def _normalized(K, cols, denom, gens=None):
-    """Reduce a (cols, denom) pair by the common content."""
+def _normalized(K, cols, denom, gens=None, basis=None):
+    """Reduce a (cols, denom) pair by the common content, which invalidates
+    the recorded generators and basis."""
     g = denom
     for c in cols:
         for x in c:
@@ -856,8 +917,8 @@ def _normalized(K, cols, denom, gens=None):
     if g > 1:
         cols = [[x // g for x in c] for c in cols]
         denom //= g
-        gens = None
-    return Ideal(K, cols, denom, gens=gens)
+        gens = basis = None
+    return Ideal(K, cols, denom, gens=gens, basis=basis)
 
 
 def _saturate_kernel(K, vecs, n):
@@ -963,7 +1024,7 @@ class PrimeIdeal:
         return f"PrimeIdeal(p={self.p}, g={poly_str(self.gen_poly, 'x')}, f={self.res_degree}, e={self.ram_index})"
 
     def label(self, var="θ"):
-        return f"({self.p}, {poly_str(self.gen_poly, var)})"
+        return f"({decimal_str(self.p)}, {poly_str(self.gen_poly, var)})"
 
 
 def kummer_dedekind(p, K):
@@ -1057,10 +1118,16 @@ def _degree_one_prime(ideal, p):
 
 
 def order_is_maximal_at(p, K):
-    """Dedekind's criterion: is Z[theta] maximal at p?"""
+    """Dedekind's criterion: is Z[theta] maximal at p? (cached on K)"""
     p = int(p)
-    if not isprime(p):
-        raise ValueError(f"{p} is not prime")
+    if p not in K._maximal_at:
+        if not isprime(p):
+            raise ValueError(f"{p} is not prime")
+        K._maximal_at[p] = _dedekind_criterion(p, K)
+    return K._maximal_at[p]
+
+
+def _dedekind_criterion(p, K):
     factors = fppoly.factor(list(K.poly), p)
     gbar = [1]
     hbar = [1]

@@ -2,16 +2,16 @@
 
 All unbounded integers are written as decimal strings so files survive
 readers with 64-bit integer parsers; readers accept both plain ints and
-strings. Matrices are row-major.
+strings, of any length. Matrices are row-major.
 """
 
 import json
 
-from .nf import Ideal, NumberField
+from .nf import Ideal, NumberField, decimal_str, parse_decimal
 
 
 def encode_int(x):
-    return str(int(x))
+    return decimal_str(int(x))
 
 
 def decode_int(v):
@@ -20,7 +20,7 @@ def decode_int(v):
     if isinstance(v, int):
         return v
     if isinstance(v, str):
-        return int(v, 10)
+        return parse_decimal(v)
     raise ValueError(f"expected an integer or decimal string, got {type(v).__name__}")
 
 
@@ -34,9 +34,14 @@ def field_from_dict(data):
     return NumberField([decode_int(c) for c in data["defining_poly"]])
 
 
-def load_field(path):
+def read_json(path):
+    """Parse a JSON file, reading plain integer literals of any length."""
     with open(path) as fh:
-        return field_from_dict(json.load(fh))
+        return json.load(fh, parse_int=parse_decimal)
+
+
+def load_field(path):
+    return field_from_dict(read_json(path))
 
 
 def ideal_to_dict(I):
@@ -56,5 +61,4 @@ def ideal_from_dict(data, K):
 
 
 def load_ideal(path, K):
-    with open(path) as fh:
-        return ideal_from_dict(json.load(fh), K)
+    return ideal_from_dict(read_json(path), K)

@@ -237,6 +237,33 @@ def test_decide_zero_trial_budget_is_an_error(capsys, tmp_path, fixtures_dir):
         assert "max_trials must be at least 1" in err
 
 
+@pytest.mark.parametrize(
+    "wrong, message",
+    [
+        # a sublattice of index 2^d: every vector in the ideal, no span
+        (lambda vecs: [[2 * x for x in v] for v in vecs], "does not span"),
+        # the unit vector 1 is not in the ideal (3 + theta)
+        (lambda vecs: [[1] + [0] * (len(vecs) - 1)] + vecs[1:], "left the input ideal"),
+    ],
+    ids=["sublattice", "outside"],
+)
+def test_decide_bad_lll_output_is_an_error(capsys, monkeypatch, fixtures_dir, wrong, message):
+    # a wrong reduced basis used to escape main() as an AssertionError
+    monkeypatch.setattr(
+        "dpip.lll.integral_lll", lambda vecs, gram, delta: wrong([list(v) for v in vecs])
+    )
+    code, out, err = run(
+        capsys,
+        "decide",
+        "--field", str(fixtures_dir / "field_qsqrtm5.json"),
+        "--advice", str(fixtures_dir / "advice_qsqrtm5.json"),
+        "--ideal", str(fixtures_dir / "ideal_qsqrtm5_3pt.json"),
+    )
+    assert code == 2
+    assert "verdict" not in out
+    assert message in err
+
+
 def test_decide_conjectural_bound(capsys, fixtures_dir):
     code, out, _ = run(
         capsys,

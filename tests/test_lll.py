@@ -4,7 +4,7 @@ import random
 import pytest
 
 from dpip import lll
-from dpip.intlattice import IntLattice
+from dpip.intlattice import IntLattice, bareiss_det
 from dpip.lll import (
     cyclotomic_order,
     integral_lll,
@@ -116,6 +116,40 @@ def test_lll_output_pinned(K64, K180, fixtures_dir):
     alpha = K180.element([rng.randint(-3, 3) for _ in range(48)])
     principal = Ideal.principal(K180, alpha)
     assert _basis_digest(lll_reduce(principal)) == "f3cd96f444c4f0de"
+
+
+def _principal_times_prime(K, p):
+    rng = random.Random(180)
+    alpha = K.element([rng.randint(-3, 3) for _ in range(K.degree)])
+    P = kummer_dedekind(p, K)[0].to_ideal()
+    return alpha, P, Ideal.principal(K, alpha) * P
+
+
+@pytest.mark.parametrize("field, p", [("K5", 3), ("K21", 5), ("K180", 181)])
+def test_product_by_principal_records_a_short_basis(request, field, p):
+    # (alpha) * P records alpha x (basis of P), and LLL starts from it
+    K = request.getfixturevalue(field)
+    alpha, P, J = _principal_times_prime(K, p)
+    assert P._basis is None
+    assert J._basis == tuple(map(tuple, K.mul_vectors(alpha.coords, P.cols)))
+    basis = [list(b.coords) for b in lll_reduce(J)]
+    # |det| times Z^d lies in the span of the basis, so the modulus is exact
+    lat = IntLattice(K.degree, modulus=abs(bareiss_det(basis)))
+    lat.extend(basis)
+    assert lat.basis_columns() == J.cols
+    assert is_lll_reduced(basis, minkowski_gram(K))
+
+
+def test_product_of_non_principal_ideals_records_no_basis(K5, K180):
+    for K, p in ((K5, 3), (K180, 181)):
+        P, Q = (F.to_ideal() for F in kummer_dedekind(p, K)[:2])
+        assert (P * Q)._basis is None
+
+
+def test_product_lll_output_pinned(K180):
+    # taken when the start from alpha x (basis of P) replaced the HNF start
+    _, _, J = _principal_times_prime(K180, 181)
+    assert _basis_digest(lll_reduce(J)) == "0bc21fbae997372f"
 
 
 def test_exact_gram_matches_numerical(K64, K180):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -212,6 +213,24 @@ def test_non_invertible_ideal_is_refused():
         P.inverse()
     with pytest.raises(NonInvertibleIdealError):
         P.divide(P)
+
+
+def test_inverse_skips_product_check_where_the_order_is_maximal(monkeypatch, K180):
+    # gcd(N(J), disc f) = 81, and Z[zeta_180] is maximal at 3, so the norm
+    # check proves the inverse without forming J * J^-1
+    rng = random.Random(7)
+    alpha = K180.element([rng.randint(-3, 3) for _ in range(48)])
+    P = kummer_dedekind(181, K180)[0].to_ideal()
+    J = Ideal.principal(K180, alpha) * P
+    assert gcd(J.norm_int(), K180.disc) == 81
+
+    def refuse(self, other):
+        raise AssertionError("product check ran")
+
+    monkeypatch.setattr(Ideal, "__mul__", refuse)
+    inv = J.inverse()
+    monkeypatch.undo()
+    assert J * inv == Ideal.ring(K180)
 
 
 def test_mul_element_divides_generators_by_denominator(K5):
