@@ -59,11 +59,8 @@ def build_advice(K, polys, S=(), principal_test=None):
     ideals dividing each polynomial discriminant and keeping the principal
     ones; otherwise the provided S is validated as-is.
     """
-    polys = [tuple(p) for p in polys]
-    try:
-        discs = tuple(poly_discriminant(list(p)) for p in polys)
-    except (ValueError, AttributeError) as exc:
-        raise AdviceError(f"invalid subfield polynomial: {exc}") from exc
+    subfields = tuple((len(p) - 1, tuple(p)) for p in polys)
+    discs = _discriminants(K, subfields)
     if principal_test is not None:
         found = []
         for disc in discs:
@@ -71,9 +68,8 @@ def build_advice(K, polys, S=(), principal_test=None):
                 if P not in found and principal_test(P):
                     found.append(P)
         S = tuple(found)
-    subfields = tuple((len(p) - 1, p) for p in polys)
     bundle = AdviceBundle(field=K, subfields=subfields, S=tuple(S), disc_cache=discs)
-    validate_advice(bundle)
+    _validate(bundle, discs)
     return bundle
 
 
@@ -94,10 +90,13 @@ def _primes_dividing(K, disc_elem):
 
 def validate_advice(bundle):
     """Check every bundle invariant; raise AdviceError on the first failure."""
-    K = bundle.field
-    if len(bundle.disc_cache) != len(bundle.subfields):
-        raise AdviceError("disc_cache length does not match the subfield list")
-    for idx, (q, poly) in enumerate(bundle.subfields):
+    _validate(bundle, _discriminants(bundle.field, bundle.subfields))
+
+
+def _discriminants(K, subfields):
+    """Check each (degree, polynomial) pair and return the discriminants."""
+    discs = []
+    for idx, (q, poly) in enumerate(subfields):
         if len(poly) - 1 != q:
             raise AdviceError(f"subfield {idx}: declared degree {q} != polynomial degree")
         if q < 2:
@@ -111,12 +110,18 @@ def validate_advice(bundle):
                 raise AdviceError(f"subfield {idx}: coefficients must be integral")
         if poly[-1] != K.one():
             raise AdviceError(f"subfield {idx}: polynomial must be monic")
-        recomputed = poly_discriminant(list(poly))
-        if recomputed != bundle.disc_cache[idx]:
-            raise AdviceError(f"subfield {idx}: cached discriminant mismatch")
+        discs.append(poly_discriminant(list(poly)))
+    return tuple(discs)
+
+
+def _validate(bundle, discs):
+    """The bundle checks, given the discriminants of its subfields."""
+    if tuple(bundle.disc_cache) != discs:
+        raise AdviceError("disc_cache does not match the recomputed discriminants")
+    K = bundle.field
     for P in bundle.S:
         _validate_prime(K, P)
-        if not any(element_in_prime(disc, P) for disc in bundle.disc_cache):
+        if not any(element_in_prime(disc, P) for disc in discs):
             raise AdviceError(
                 f"exceptional prime {P.label()} divides no subfield discriminant"
             )
@@ -175,41 +180,28 @@ def advice_from_dict(data):
         for entry in data.get("S", []):
             p = decode_int(entry["p"])
             gen = [decode_int(c) for c in entry["gen_poly"]]
-            deg = len(gen) - 1
-            e = _multiplicity(K, p, gen)
-            S.append(PrimeIdeal(K, p, gen, deg, e))
+            e = fppoly.multiplicity(
+                fppoly.from_ints(gen, p), fppoly.from_ints(K.poly, p), p
+            )
+            S.append(PrimeIdeal(K, p, gen, len(gen) - 1, e))
         cached = None
         if "disc_cache" in data:
             cached = tuple(
                 K.element([decode_int(x) for x in coords])
                 for coords in data["disc_cache"]
             )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise AdviceError(f"malformed advice file: {exc}") from exc
-    discs = tuple(poly_discriminant(list(p)) for _, p in subfields)
-    if cached is not None and discs != cached:
-        raise AdviceError("disc_cache does not match the recomputed discriminants")
+    subfields = tuple(subfields)
+    discs = _discriminants(K, subfields)
     bundle = AdviceBundle(
-        field=K, subfields=tuple(subfields), S=tuple(S), disc_cache=discs
+        field=K,
+        subfields=subfields,
+        S=tuple(S),
+        disc_cache=discs if cached is None else cached,
     )
-    validate_advice(bundle)
+    _validate(bundle, discs)
     return bundle
-
-
-def _multiplicity(K, p, gen):
-    """Multiplicity of gen inside the defining polynomial mod p."""
-    e = 0
-    rem = fppoly.from_ints(list(K.poly), p)
-    g = fppoly.from_ints(gen, p)
-    while rem:
-        q, r = fppoly.divmod_(rem, g, p)
-        if r:
-            break
-        e += 1
-        rem = q
-    if e == 0:
-        raise AdviceError("gen_poly does not divide the defining polynomial mod p")
-    return e
 
 
 def load_advice(path):

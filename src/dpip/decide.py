@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 from .errors import FieldMismatchError, MaxTrialsExceededError, NonDivisibleError
 from .lll import lll_reduce
-from .nf import as_prime_ideal, prime_power
+from .nf import as_prime_ideal, prime_from_generators, prime_power
 from .residue import element_in_prime, reduce_poly_mod_prime, splits_completely
 
 YES = "Yes"
@@ -123,25 +123,58 @@ def _combine(K, basis, coeffs):
     return K.element(acc)
 
 
-def cofactor_ideal(ideal, r):
-    """(r)/I as r * I^-1, integral because r lies in I (the inverse is cached)."""
-    return ideal.inverse().mul_element(r)
-
-
 def prime_cofactor(ideal, r):
-    """The prime ideal (r)/I when that cofactor is prime, else None.
+    """The prime ideal C = (r)/I when that cofactor is prime, else None.
 
-    Non-prime-power cofactor norms are rejected from the norms alone
-    (|N(r)| / N(I)), so the cofactor lattice is only built when it has a
-    chance of being prime. Raises NonDivisibleError when N(I) does not
-    divide N(r), which proves r is not in I.
+    Non-prime-power norms N(C) = |N(r)| / N(I) = p^k are rejected from the
+    norms alone. Otherwise `prime_from_generators` reads C from
+    Z[theta]-generators of C = r * I^-1, and no lattice is built: r alone
+    when p does not divide N(I), since then I + (p) = (1) and C + (p) =
+    (r) + (p); else r * gamma / den for the generators gamma / den of I^-1.
+    Raises NonDivisibleError when r is not in I (N(I) not dividing N(r)
+    proves it from the norms alone), and NonInvertibleIdealError when I
+    has no inverse.
     """
-    n2, rem = divmod(abs(r.norm_int()), ideal.norm_int())
+    n = ideal.norm_int()
+    n2, rem = divmod(abs(r.norm_int()), n)
     if rem:
         raise NonDivisibleError("sampled element is not in the ideal")
-    if n2 == 1 or prime_power(n2) is None:
+    pk = prime_power(n2)
+    if pk is None:
         return None
-    return as_prime_ideal(cofactor_ideal(ideal, r))
+    inv = ideal.inverse()
+    if not ideal.contains_element(r):
+        raise NonDivisibleError("sampled element is not in the ideal")
+    K = ideal.K
+    p, k = pk
+    if n % p:
+        gens = [r.coords]
+    else:
+        # exact: r in the invertible I makes r * I^-1 integral
+        gens = [
+            [x // inv.denom for x in v]
+            for v in K.mul_vectors(r.coords, inv._generators())
+        ]
+    return prime_from_generators(K, p, k, gens)
+
+
+def switch_cofactor(ideal, basis, coeffs):
+    """One switching draw: the prime cofactor (r)/I for r = sum coeffs_i
+    basis_i, or None."""
+    return prime_cofactor(ideal, _combine(ideal.K, basis, coeffs))
+
+
+def first_prime_cofactor(ideal, basis, bound, rng, limit):
+    """The switching loop: (draws, prime cofactor) for the first of at most
+    `limit` draws r = sum c_i basis_i, c uniform on [-bound, bound]^d, whose
+    cofactor (r)/I is prime, or (limit, None) when none is."""
+    for draw in range(1, limit + 1):
+        witness = switch_cofactor(
+            ideal, basis, draw_coefficients(rng, bound, ideal.K.degree)
+        )
+        if witness is not None:
+            return draw, witness
+    return limit, None
 
 
 def decide_ideal(ideal, advice, cfg):
@@ -160,14 +193,11 @@ def decide_ideal(ideal, advice, cfg):
     if direct is not None:
         base = decide_prime_ideal(direct, advice)
         return replace(base, witness_prime=direct, switches_used=0)
-    basis = lll_reduce(ideal)
     rng = substream(cfg.seed, "decide")
-    for trial in range(1, cfg.max_trials + 1):
-        r = _combine(
-            ideal.K, basis, draw_coefficients(rng, cfg.bound_B, ideal.K.degree)
-        )
-        witness = prime_cofactor(ideal, r)
-        if witness is not None:
-            base = decide_prime_ideal(witness, advice)
-            return replace(base, witness_prime=witness, switches_used=trial)
-    raise MaxTrialsExceededError(cfg.max_trials, cfg.bound_B)
+    draws, witness = first_prime_cofactor(
+        ideal, lll_reduce(ideal), cfg.bound_B, rng, cfg.max_trials
+    )
+    if witness is None:
+        raise MaxTrialsExceededError(cfg.max_trials, cfg.bound_B)
+    base = decide_prime_ideal(witness, advice)
+    return replace(base, witness_prime=witness, switches_used=draws)

@@ -131,11 +131,18 @@ def pow_mod(a, e, m, p):
     return result
 
 
-def evaluate(a, x, p):
-    acc = 0
-    for c in reversed(a):
-        acc = (acc * x + c) % p
-    return acc
+def multiplicity(g, a, p):
+    """The largest e with g^e dividing a (nonzero a, deg g >= 1)."""
+    if deg(g) < 1:
+        raise ValueError("multiplicity needs a divisor of positive degree")
+    e = 0
+    while a:
+        q, r = divmod_(a, g, p)
+        if r:
+            break
+        e += 1
+        a = q
+    return e
 
 
 def frobenius_power(m, k, p):

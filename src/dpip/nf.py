@@ -863,45 +863,6 @@ class Ideal:
             raise NonDivisibleError("division is not exact in this order")
         return q
 
-    def mul_element(self, elem):
-        """The ideal elem * self (elem integral, result assumed integral)."""
-        K = self.K
-        if not elem.is_integral():
-            raise ValueError("element must be integral")
-        modulus, rem = divmod(
-            abs(elem.norm_int()) * self.det(), self.denom**K.degree
-        )
-        if rem:
-            raise NonDivisibleError("product is not integral")
-        lat = IntLattice(K.degree, modulus=modulus)
-        gens = None
-        if self._gens:
-            # the generators span the numerator lattice, so each one shares
-            # its division by denom
-            divided = [_exact_div_vector((elem * g).coords, self.denom) for g in self._gens]
-            if None not in divided:
-                gens = tuple(K.element(v) for v in divided)
-        for w in K.mul_vectors(elem.coords, self.cols):
-            if self.denom != 1:
-                w = _exact_div_vector(w, self.denom)
-                if w is None:
-                    raise NonDivisibleError("product is not integral")
-            lat.add(w)
-        if not lat.is_full_rank():
-            raise ZeroIdealError("zero multiplier")
-        return _normalized(K, lat.basis_columns(), 1, gens=gens)
-
-
-def _exact_div_vector(v, n):
-    """v / n when n divides every entry, else None."""
-    out = []
-    for x in v:
-        q, r = divmod(x, n)
-        if r:
-            return None
-        out.append(q)
-    return out
-
 
 def _normalized(K, cols, denom, gens=None, basis=None):
     """Reduce a (cols, denom) pair by the common content, which invalidates
@@ -1055,66 +1016,38 @@ def kummer_dedekind(p, K):
 def as_prime_ideal(ideal):
     """The PrimeIdeal equal to this integral ideal, or None.
 
-    Norm 1 and non-prime-power norms are rejected immediately; a prime norm
-    pins the unique degree-one prime above p (recovered from the quotient
-    map without factoring mod p); a proper prime power is compared against
-    the Kummer-Dedekind factors of matching residue degree.
+    Norm 1 and non-prime-power norms are rejected from the norm alone; an
+    ideal of norm p^k is then read by `prime_from_generators` from its
+    Z[theta]-module generators.
     """
     if ideal.denom != 1:
         raise ValueError("prime test requires an integral ideal")
-    K = ideal.K
-    n = ideal.det()
-    if n == 1:
-        return None
-    pk = prime_power(n)
+    pk = prime_power(ideal.det())
     if pk is None:
         return None
-    p, k = pk
-    if k == 1:
-        prime = _degree_one_prime(ideal, p)
-        if prime is not None:
-            return prime
-    for cand in kummer_dedekind(p, K):
-        if cand.res_degree == k and cand.to_ideal() == ideal:
-            return cand
-    return None
+    return prime_from_generators(ideal.K, *pk, ideal._generators())
 
 
-def _degree_one_prime(ideal, p):
-    """Extract (p, theta - a) from a norm-p lattice via its quotient map."""
-    K = ideal.K
-    d = K.degree
-    e0 = [0] * d
-    e0[0] = 1
-    r0 = ideal.reduce_vector(e0)
-    if d == 1:
-        a = 0
-    else:
-        e1 = [0] * d
-        e1[1] = 1
-        r1 = ideal.reduce_vector(e1)
-        m = next(j for j in range(d) if ideal.cols[j][j] == p)
-        c0, c1 = r0[m] % p, r1[m] % p
-        if c0 == 0:
+def prime_from_generators(K, p, k, gens):
+    """The prime (p, G(theta)) equal to the ideal J of norm p^k that the
+    integer coordinate vectors `gens` generate over Z[theta], or None.
+
+    Z[theta]/(p) = F_p[x]/(f), so J + (p) = (p, G(theta)) for G = gcd(f,
+    g for g in gens) mod p, an ideal of index p^deg G containing J. Hence
+    J = (p, G(theta)) exactly when deg G = k, and as a prime of norm p^k
+    contains p, J is prime exactly when also G is irreducible mod p
+    (Kummer-Dedekind, Cohen GTM 138, 4.8). No maximality at p is needed.
+    The ramification index is the multiplicity of G in f mod p.
+    """
+    f = fppoly.from_ints(K.poly, p)
+    G = f
+    for g in gens:
+        G = fppoly.gcd(G, fppoly.from_ints(g, p), p)
+        if fppoly.deg(G) < k:
             return None
-        a = (c1 * pow(c0, -1, p)) % p
-    if fppoly.evaluate(list(K.poly), a, p) != 0:
+    if fppoly.deg(G) != k or not fppoly.is_irreducible(G, p):
         return None
-    if d > 1:
-        vec = [-a] + [0] * (d - 1)
-        vec[1] = 1
-        if not ideal.contains_vector(vec):
-            return None
-    # the ramification index is the multiplicity of (x - a) in f mod p
-    e = 0
-    rem = fppoly.from_ints(list(K.poly), p)
-    while rem:
-        q, r = fppoly.divmod_(rem, [(-a) % p, 1], p)
-        if r:
-            break
-        e += 1
-        rem = q
-    return PrimeIdeal(K, p, ((-a) % p, 1), 1, e)
+    return PrimeIdeal(K, p, G, k, fppoly.multiplicity(G, f, p))
 
 
 def order_is_maximal_at(p, K):

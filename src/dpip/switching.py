@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .decide import _combine, draw_coefficients, prime_cofactor, substream
+from .decide import first_prime_cofactor, substream, switch_cofactor
 from .lll import lll_reduce
 from .nf import NumberField, kummer_dedekind
 from .serialize import ideal_from_dict, ideal_to_dict
@@ -35,26 +35,15 @@ class SwitchStats:
         return self.capped_trials > 0
 
 
-def _count_until_prime(ideal, basis, bound, rng, cap):
-    draws = 0
-    while draws < cap:
-        coeffs = draw_coefficients(rng, bound, ideal.K.degree)
-        r = _combine(ideal.K, basis, coeffs)
-        draws += 1
-        if prime_cofactor(ideal, r) is not None:
-            return draws, False
-    return cap, True
-
-
 def _run_trials(ideal, bound, seed, trial_range, cap):
     basis = lll_reduce(ideal)
     counts = []
     capped = 0
     for t in trial_range:
         rng = substream(seed, "stats", bound, t)
-        c, hit_cap = _count_until_prime(ideal, basis, bound, rng, cap)
-        counts.append(c)
-        capped += hit_cap
+        draws, witness = first_prime_cofactor(ideal, basis, bound, rng, cap)
+        counts.append(draws)
+        capped += witness is None
     return counts, capped
 
 
@@ -77,6 +66,8 @@ def switch_stats(ideal, bounds, trials, seed, field=None, cap=TRIAL_CAP, jobs=1)
         raise ValueError("ideal does not belong to the given field")
     if trials < 1:
         raise ValueError("at least one trial is required")
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     out = []
     for bound in bounds:
         if bound < 1:
@@ -136,16 +127,12 @@ def prime_switch_density(ideal, bound, mode="exhaustive", budget=10**6, seed=0):
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    K = ideal.K
-    d = K.degree
+    d = ideal.K.degree
     grid = (2 * bound + 1) ** d
     basis = lll_reduce(ideal)
 
     def hit(coeffs):
-        if not any(coeffs):
-            return False
-        r = _combine(K, basis, coeffs)
-        return prime_cofactor(ideal, r) is not None
+        return any(coeffs) and switch_cofactor(ideal, basis, coeffs) is not None
 
     if mode == "exhaustive":
         if grid > budget:

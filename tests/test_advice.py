@@ -125,3 +125,29 @@ def test_dict_round_trip_without_cache(K5):
     del data["disc_cache"]  # legacy files may omit it: recomputed on load
     loaded = advice_from_dict(data)
     assert loaded.disc_cache == bundle.disc_cache
+
+
+def test_advice_discriminants_computed_once(monkeypatch, fixtures_dir):
+    # one discriminant per subfield, shared by the disc_cache comparison
+    # and the exceptional-set checks
+    from dpip import advice
+
+    calls = []
+    discriminant = advice.poly_discriminant
+
+    def counted(coeffs):
+        calls.append(1)
+        return discriminant(coeffs)
+
+    monkeypatch.setattr(advice, "poly_discriminant", counted)
+    bundle = load_advice(fixtures_dir / "advice_zeta180.json")
+    assert len(calls) == len(bundle.subfields) == 3
+
+
+@pytest.mark.parametrize("p, gen", [("2", ["1"]), ("2", ["0"]), ("0", ["1", "1"])])
+def test_degenerate_exceptional_prime_rejected(p, gen):
+    # a constant gen_poly used to make the multiplicity loop run forever
+    data = advice_to_dict(genus_advice(-20))
+    data["S"] = [{"p": p, "gen_poly": gen}]
+    with pytest.raises(AdviceError):
+        advice_from_dict(data)

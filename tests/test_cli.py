@@ -237,6 +237,43 @@ def test_decide_zero_trial_budget_is_an_error(capsys, tmp_path, fixtures_dir):
         assert "max_trials must be at least 1" in err
 
 
+def test_switch_stats_bad_jobs_is_an_error(capsys, fixtures_dir):
+    for jobs in ("0", "-1"):
+        code, _, err = run(
+            capsys,
+            "switch-stats",
+            "--field", str(fixtures_dir / "field_qsqrtm5.json"),
+            "--ideal", str(fixtures_dir / "ideal_qsqrtm5_ramified2.json"),
+            "--trials", "2",
+            "--jobs", jobs,
+        )
+        assert code == 2
+        assert "jobs must be at least 1" in err
+
+
+def test_decide_non_invertible_ideal_is_an_error(capsys, tmp_path):
+    # in Z[sqrt 5], (2, 1 + theta) * (a prime above 11) has no inverse
+    from dpip.advice import build_advice, store_advice
+    from dpip.nf import Ideal, NumberField, kummer_dedekind
+    from dpip.serialize import ideal_to_dict
+
+    K = NumberField([-5, 0, 1])
+    I = Ideal.from_generators(K, [K.rational(2), K.element([1, 1])])
+    I = I * kummer_dedekind(11, K)[0].to_ideal()
+    (tmp_path / "field.json").write_text(json.dumps({"defining_poly": ["-5", "0", "1"]}))
+    (tmp_path / "ideal.json").write_text(json.dumps(ideal_to_dict(I)))
+    store_advice(build_advice(K, [[K.one(), K.zero(), K.one()]]), tmp_path / "advice.json")
+    code, _, err = run(
+        capsys,
+        "decide",
+        "--field", str(tmp_path / "field.json"),
+        "--advice", str(tmp_path / "advice.json"),
+        "--ideal", str(tmp_path / "ideal.json"),
+    )
+    assert code == 2
+    assert "invertible" in err
+
+
 @pytest.mark.parametrize(
     "wrong, message",
     [

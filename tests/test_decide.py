@@ -11,6 +11,7 @@ from sympy import primerange
 import dpip
 from dpip import nf
 
+from dpip.advice import build_advice
 from dpip.decide import (
     NO,
     YES,
@@ -21,16 +22,23 @@ from dpip.decide import (
     decide_prime_ideal,
     default_switch_config,
     _combine,
-    cofactor_ideal,
     draw_coefficients,
     prime_cofactor,
     substream,
+    switch_cofactor,
 )
-from dpip.errors import FieldMismatchError, MaxTrialsExceededError
+from dpip.errors import (
+    FieldMismatchError,
+    MaxTrialsExceededError,
+    NonDivisibleError,
+    NonInvertibleIdealError,
+)
+from dpip.intlattice import IntLattice
 from dpip.lll import lll_reduce
-from dpip.nf import Ideal, as_prime_ideal, kummer_dedekind
+from dpip.nf import Ideal, NumberField, kummer_dedekind, prime_power
 from dpip.quadforms import genus_advice, is_principal_quad
 from dpip.residue import element_in_prime
+from dpip.serialize import load_ideal
 
 
 @pytest.fixture(scope="module")
@@ -107,7 +115,7 @@ def _sample_switch(ideal, basis, cfg, rng):
     """One switching draw: r uniform on the box over basis, and (r)/I."""
     K = ideal.K
     r = _combine(K, basis, draw_coefficients(rng, cfg.bound_B, K.degree))
-    return r, cofactor_ideal(ideal, r)
+    return r, Ideal.principal(K, r) * ideal.inverse()
 
 
 def test_sample_switch_unit_ideal(K5, advice20):
@@ -140,6 +148,104 @@ def test_divide_example_cofactor(K5):
     assert cof == Ideal.from_generators(K5, [K5.rational(3), K5.element([1, 1])])
 
 
+def _reference_prime(C):
+    """The Kummer-Dedekind prime whose ideal equals the integral ideal C, or None."""
+    pk = prime_power(C.norm_int())
+    if pk is None:
+        return None
+    p, k = pk
+    for P in kummer_dedekind(p, C.K):
+        if P.res_degree == k and P.to_ideal() == C:
+            return P
+    return None
+
+
+def test_prime_cofactor_matches_kummer_dedekind(K5, K21):
+    # small fields: the witness is exactly the factor of (p) equal to (r)/I;
+    # Z[sqrt 5] is not maximal at 2, so its ideals stay away from 2
+    Z5 = NumberField([-5, 0, 1])
+    rng = random.Random(6)
+    kinds = {"p | N(I)": 0, "k > 1": 0, "prime": 0}
+    for K in (K5, K21, Z5):
+        ideals = []
+        for p in primerange(3 if K is Z5 else 2, 30):
+            for P in kummer_dedekind(p, K):
+                alpha = K.element([rng.randint(-4, 4), rng.randint(1, 4)])
+                Q = P.to_ideal()
+                ideals += [Q, Q * Q, Ideal.principal(K, alpha) * Q]
+        for I in ideals:
+            basis = lll_reduce(I)
+            for _ in range(20):
+                r = _combine(K, basis, draw_coefficients(rng, 6, K.degree))
+                C = Ideal.principal(K, r) * I.inverse()
+                want = _reference_prime(C)
+                got = prime_cofactor(I, r)
+                assert got == want, (K.poly, I, r.coords)
+                if got is not None:
+                    assert got.ram_index == want.ram_index
+                    kinds["prime"] += 1
+                    kinds["p | N(I)"] += I.norm_int() % got.p == 0
+                    kinds["k > 1"] += got.res_degree > 1
+    assert all(kinds.values()), kinds
+
+
+def test_prime_cofactor_witness_is_the_cofactor(K64, K180, fixtures_dir):
+    # large fields: every witness generates exactly (r)/I
+    rng = random.Random(180)
+    alpha = K180.element([rng.randint(-3, 3) for _ in range(K180.degree)])
+    P181 = kummer_dedekind(181, K180)[0].to_ideal()
+    ideals = [
+        load_ideal(fixtures_dir / "ideal_zeta64_switch.json", K64),
+        Ideal.principal(K180, alpha),
+        Ideal.principal(K180, alpha) * P181,
+    ]
+    for I in ideals:
+        basis = lll_reduce(I)
+        draws = substream(7, "witness")
+        hits = 0
+        for _ in range(200):
+            r = _combine(I.K, basis, draw_coefficients(draws, 5, I.K.degree))
+            witness = prime_cofactor(I, r)
+            if witness is not None:
+                assert witness.to_ideal() == Ideal.principal(I.K, r) * I.inverse()
+                hits += 1
+                if hits == 2:
+                    break
+        assert hits == 2
+
+
+def test_prime_cofactor_builds_no_lattice(monkeypatch, K180):
+    # with the inverse cached, a prime cofactor is read without a lattice
+    rng = random.Random(180)
+    alpha = K180.element([rng.randint(-3, 3) for _ in range(K180.degree)])
+    I = Ideal.principal(K180, alpha)
+    I.inverse()
+    basis = lll_reduce(I)
+
+    def refuse(self, vec):
+        raise AssertionError("prime_cofactor inserted a lattice vector")
+
+    monkeypatch.setattr(IntLattice, "add", refuse)
+    draws = substream(3, "lattice-free")
+    hits = sum(
+        switch_cofactor(I, basis, draw_coefficients(draws, 5, K180.degree)) is not None
+        for _ in range(40)
+    )
+    assert hits > 0
+
+
+def test_decide_refuses_non_invertible_ideal():
+    # (2, 1 + theta) has no inverse in Z[sqrt 5], so neither has its product
+    # with a prime above 11, and the first prime-power draw must say so
+    K = NumberField([-5, 0, 1])
+    advice = build_advice(K, [[K.one(), K.zero(), K.one()]])
+    I = Ideal.from_generators(K, [K.rational(2), K.element([1, 1])])
+    I = I * kummer_dedekind(11, K)[0].to_ideal()
+    for seed in range(5):
+        with pytest.raises(NonInvertibleIdealError):
+            decide_ideal(I, advice, default_switch_config(K, seed=seed))
+
+
 def test_prime_cofactor_agrees_with_as_prime(K5):
     I = Ideal.from_generators(K5, [K5.rational(2), K5.element([1, 1])])
     basis = lll_reduce(I)
@@ -147,7 +253,7 @@ def test_prime_cofactor_agrees_with_as_prime(K5):
     cfg = default_switch_config(K5, bound_B=6, seed=5)
     for _ in range(50):
         r, cof = _sample_switch(I, basis, cfg, rng)
-        assert prime_cofactor(I, r) == as_prime_ideal(cof)
+        assert prime_cofactor(I, r) == _reference_prime(cof)
 
 
 def test_decide_principal_by_construction(K5, advice20):
@@ -310,9 +416,19 @@ def test_prime_cofactor_rejects_foreign_element_under_O():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_prime_cofactor_rejects_element_outside_the_ideal(K5):
+    # N(r) = 21 is divisible by N(P) = 3 and 21/3 is prime, yet r is in the
+    # other prime above 3, so the norms alone cannot refuse it
+    I = kummer_dedekind(3, K5)[0].to_ideal()
+    r = K5.element([-4, 1])
+    assert not I.contains_element(r)
+    with pytest.raises(NonDivisibleError):
+        prime_cofactor(I, r)
+
+
 def test_prime_cofactor_computes_the_norm_once(monkeypatch, K5):
     # (1 + theta) = P2 * P3: the cofactor of r = 1 + theta over P2 is P3,
-    # and N(r) is needed by prime_cofactor and again by mul_element
+    # and N(r) screens the draw; nothing after the screen may recompute it
     I = kummer_dedekind(2, K5)[0].to_ideal()
     I.inverse()
     r = K5.element([1, 1])

@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from sympy import Poly, Symbol
 
 from dpip import fppoly
@@ -95,6 +96,15 @@ def test_is_irreducible_agrees_with_sympy():
         assert mine == theirs, (p, coeffs)
 
 
-def test_evaluate():
-    assert fppoly.evaluate([1, 2, 3], 2, 7) == (1 + 4 + 12) % 7
-    assert fppoly.evaluate([], 5, 7) == 0
+def test_multiplicity():
+    p = 7
+    g = [3, 1]  # x + 3
+    u = [1, 0, 1]  # x^2 + 1, which has no root -3 mod 7
+    a = u
+    for e in range(4):
+        assert fppoly.multiplicity(g, a, p) == e
+        a = fppoly.mul(a, g, p)
+    assert fppoly.multiplicity(fppoly.mul(g, g, p), a, p) == 2  # a = u * g^4
+    for constant in ([1], []):
+        with pytest.raises(ValueError):
+            fppoly.multiplicity(constant, u, p)

@@ -8,7 +8,6 @@ from sympy import primefactors
 
 from dpip.errors import NonDivisibleError, NonInvertibleIdealError, ZeroIdealError
 from dpip.intlattice import IntLattice
-from dpip.lll import lll_reduce
 from dpip.nf import Ideal, NumberField, kummer_dedekind
 from helpers import naive_lattice_basis
 
@@ -231,19 +230,6 @@ def test_inverse_skips_product_check_where_the_order_is_maximal(monkeypatch, K18
     inv = J.inverse()
     monkeypatch.undo()
     assert J * inv == Ideal.ring(K180)
-
-
-def test_mul_element_divides_generators_by_denominator(K5):
-    # r * I^-1 for I = (a) and r = a*(3 + theta) is the ideal (3 + theta);
-    # its recorded generator used to keep the factor N(a) = 21
-    a = K5.element([1, 2])
-    g = K5.element([3, 1])
-    J = Ideal.principal(K5, a).inverse().mul_element(a * g)
-    assert J == Ideal.principal(K5, g)
-    assert J._gens == (g,)
-    assert J * J.inverse() == Ideal.ring(K5)
-    basis = lll_reduce(J)
-    assert all(J.contains_element(b) for b in basis)
 
 
 def test_divide_examples(K5):
