@@ -133,7 +133,10 @@ def prime_cofactor(ideal, r):
     (r) + (p); else r * gamma / den for the generators gamma / den of I^-1.
     Raises NonDivisibleError when r is not in I (N(I) not dividing N(r)
     proves it from the norms alone), and NonInvertibleIdealError when I
-    has no inverse.
+    has no inverse. Only the p | N(I) branch needs the inverse, and a
+    non-invertible I never leaves it: at a prime q where I is not locally
+    principal, (r) is strictly smaller than I, so q divides N(I) and
+    N(C) = p^k, and p = q.
     """
     n = ideal.norm_int()
     n2, rem = divmod(abs(r.norm_int()), n)
@@ -142,7 +145,6 @@ def prime_cofactor(ideal, r):
     pk = prime_power(n2)
     if pk is None:
         return None
-    inv = ideal.inverse()
     if not ideal.contains_element(r):
         raise NonDivisibleError("sampled element is not in the ideal")
     K = ideal.K
@@ -150,6 +152,7 @@ def prime_cofactor(ideal, r):
     if n % p:
         gens = [r.coords]
     else:
+        inv = ideal.inverse()
         # exact: r in the invertible I makes r * I^-1 integral
         gens = [
             [x // inv.denom for x in v]

@@ -273,7 +273,7 @@ def is_lll_reduced(vectors, gram, delta=DELTA):
     return True
 
 
-def lll_reduce(ideal, K=None, delta=DELTA):
+def lll_reduce(ideal, delta=DELTA):
     """LLL-reduced Z-basis of an integral ideal, as field elements.
 
     The output spans exactly the lattice of `ideal` (checked by membership
@@ -283,8 +283,6 @@ def lll_reduce(ideal, K=None, delta=DELTA):
     from its HNF columns; a failed span check raises DpipError.
     """
     field = ideal.K
-    if K is not None and K != field:
-        raise ValueError("ideal does not belong to the given field")
     if ideal.denom != 1:
         raise ValueError("LLL reduction expects an integral ideal")
     if ideal.det() == 0:

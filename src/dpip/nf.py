@@ -10,6 +10,7 @@ anywhere in this module.
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from sympy import Poly, Symbol, isprime, primefactors
 from sympy.ntheory import perfect_power
@@ -463,17 +464,27 @@ def norm_quotient(alpha):
     det = bareiss(a)
     if det == 0:
         raise ZeroDivisionError("singular multiplication matrix")
-    # back substitution for beta = det * M^-1 e_0; each division is exact
-    # because beta, a column of the adjugate, is integral
-    beta = [0] * d
-    for i in range(d - 1, -1, -1):
-        s = det * a[i][d]
-        for j in range(i + 1, d):
-            s -= a[i][j] * beta[j]
-        beta[i], rem = divmod(s, a[i][i])
-        if rem:
-            raise DpipError("adjugate of the multiplication matrix is not integral")
+    # beta = det * M^-1 e_0, a column of the adjugate, is integral
+    beta = int_back_substitution(a, [det * row[d] for row in a])
     return FieldElement(K, beta), det
+
+
+def int_back_substitution(rows, rhs):
+    """The integer x with sum_j rows[i][j] * x[j] == rhs[i] for every i.
+
+    rows is upper triangular with a nonzero diagonal; entries past column
+    len(rhs) - 1 are ignored. When x is integral every division is exact;
+    when it is not, raises DpipError.
+    """
+    d = len(rhs)
+    x = [0] * d
+    for i in range(d - 1, -1, -1):
+        row = rows[i]
+        s = rhs[i] - sum(map(mul, row[i + 1 : d], x[i + 1 :]))
+        x[i], rem = divmod(s, row[i])
+        if rem:
+            raise DpipError("triangular system has no integral solution")
+    return x
 
 
 # Python >= 3.11 refuses int <-> str conversions beyond 4,300 digits by
@@ -907,20 +918,7 @@ def _scaled_dual(r, n):
     # (upper triangular): U[i][j] = cols[i][j].
     out = IntLattice(d, modulus=n)
     for k in range(d):
-        x = [Fraction(0)] * d
-        x[k] = Fraction(n, cols[k][k])
-        for i in range(k - 1, -1, -1):
-            s = Fraction(0)
-            for j in range(i + 1, d):
-                if cols[i][j]:
-                    s += cols[i][j] * x[j]
-            x[i] = -s / cols[i][i]
-        v = []
-        for c in x:
-            if c.denominator != 1:
-                raise DpipError("dual lattice is not integral")
-            v.append(c.numerator)
-        out.add(v)
+        out.add(int_back_substitution(cols, [n * (i == k) for i in range(d)]))
     if not out.is_full_rank():
         raise DpipError("dual lattice is not full rank")
     return out
@@ -933,7 +931,8 @@ class PrimeIdeal:
     """A prime of Z[theta] in two-element form (p, g(theta)).
 
     gen_poly is the monic irreducible factor of the defining polynomial
-    mod p that cuts out this prime, with coefficients canonically in [0, p).
+    mod p that cuts out this prime, with coefficients canonically in [0, p);
+    a given polynomial is divided by its leading coefficient mod p.
     """
 
     __slots__ = ("K", "p", "gen_poly", "res_degree", "ram_index", "_ideal")
@@ -941,7 +940,7 @@ class PrimeIdeal:
     def __init__(self, K, p, gen_poly, res_degree, ram_index):
         self.K = K
         self.p = int(p)
-        self.gen_poly = tuple(int(c) % self.p for c in gen_poly[:-1]) + (1,)
+        self.gen_poly = tuple(fppoly.monic(fppoly.from_ints(gen_poly, self.p), self.p))
         self.res_degree = int(res_degree)
         self.ram_index = int(ram_index)
         self._ideal = None
@@ -1061,14 +1060,12 @@ def order_is_maximal_at(p, K):
 
 
 def _dedekind_criterion(p, K):
-    factors = fppoly.factor(list(K.poly), p)
     gbar = [1]
     hbar = [1]
-    for coeffs, e in factors:
-        gbar = fppoly.mul(gbar, list(coeffs), p)
-        if e > 1:
-            for _ in range(e - 1):
-                hbar = fppoly.mul(hbar, list(coeffs), p)
+    for P in kummer_dedekind(p, K):
+        gbar = fppoly.mul(gbar, list(P.gen_poly), p)
+        for _ in range(P.ram_index - 1):
+            hbar = fppoly.mul(hbar, list(P.gen_poly), p)
     repeated = fppoly.gcd(gbar, hbar, p)
     if fppoly.deg(repeated) == 0:
         return True

@@ -185,9 +185,9 @@ def reduce_poly_mod_prime(coeffs, prime):
     return ResiduePoly(F, out)
 
 
-def residue_field(prime, check=False):
+def residue_field(prime):
     """The residue field of a PrimeIdeal (gen_poly already irreducible)."""
-    return ResidueField(prime.p, prime.gen_poly, check=check)
+    return ResidueField(prime.p, prime.gen_poly, check=False)
 
 
 def element_in_prime(elem, prime):

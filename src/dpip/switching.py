@@ -14,8 +14,7 @@ from itertools import product
 
 from .decide import first_prime_cofactor, substream, switch_cofactor
 from .lll import lll_reduce
-from .nf import NumberField, kummer_dedekind
-from .serialize import ideal_from_dict, ideal_to_dict
+from .nf import kummer_dedekind
 
 TRIAL_CAP = 10**5
 
@@ -35,8 +34,7 @@ class SwitchStats:
         return self.capped_trials > 0
 
 
-def _run_trials(ideal, bound, seed, trial_range, cap):
-    basis = lll_reduce(ideal)
+def _run_trials(ideal, basis, bound, seed, trial_range, cap):
     counts = []
     capped = 0
     for t in trial_range:
@@ -47,20 +45,15 @@ def _run_trials(ideal, bound, seed, trial_range, cap):
     return counts, capped
 
 
-def _stats_worker(args):
-    field_poly, ideal_data, bound, seed, lo, hi, cap = args
-    K = NumberField(field_poly)
-    ideal = ideal_from_dict(ideal_data, K)
-    return _run_trials(ideal, bound, seed, range(lo, hi), cap)
-
-
 def switch_stats(ideal, bounds, trials, seed, field=None, cap=TRIAL_CAP, jobs=1):
     """Repeat-until-prime switch counts for each bound.
 
     Each trial is an independent experiment with its own substream keyed
     by (seed, bound, trial index), so results do not depend on scheduling
     and identical seeds reproduce identical counts. A trial that exceeds
-    `cap` draws records the cap and flags the run.
+    `cap` draws records the cap and flags the run. The ideal is reduced
+    once; with jobs > 1 one process pool runs the trial ranges of every
+    bound, each task receiving the pickled ideal and its reduced basis.
     """
     if field is not None and field != ideal.K:
         raise ValueError("ideal does not belong to the given field")
@@ -68,32 +61,23 @@ def switch_stats(ideal, bounds, trials, seed, field=None, cap=TRIAL_CAP, jobs=1)
         raise ValueError("at least one trial is required")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
+    if any(bound < 1 for bound in bounds):
+        raise ValueError("bounds must be positive")
+    basis = lll_reduce(ideal)
+    chunk = -(-trials // jobs)
+    ranges = [range(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
+    tasks = [(ideal, basis, bound, seed, r, cap) for bound in bounds for r in ranges]
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            futures = [pool.submit(_run_trials, *task) for task in tasks]
+            parts = [f.result() for f in futures]
+    else:
+        parts = [_run_trials(*task) for task in tasks]
     out = []
-    for bound in bounds:
-        if bound < 1:
-            raise ValueError("bounds must be positive")
-        if jobs > 1:
-            chunk = (trials + jobs - 1) // jobs
-            args = [
-                (
-                    list(ideal.K.poly),
-                    ideal_to_dict(ideal),
-                    bound,
-                    seed,
-                    lo,
-                    min(lo + chunk, trials),
-                    cap,
-                )
-                for lo in range(0, trials, chunk)
-            ]
-            counts = []
-            capped = 0
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for part_counts, part_capped in pool.map(_stats_worker, args):
-                    counts.extend(part_counts)
-                    capped += part_capped
-        else:
-            counts, capped = _run_trials(ideal, bound, seed, range(trials), cap)
+    for i, bound in enumerate(bounds):
+        mine = parts[i * len(ranges) : (i + 1) * len(ranges)]
+        counts = [c for part_counts, _ in mine for c in part_counts]
+        capped = sum(part_capped for _, part_capped in mine)
         total = sum(counts)
         out.append(
             SwitchStats(

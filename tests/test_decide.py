@@ -23,6 +23,7 @@ from dpip.decide import (
     default_switch_config,
     _combine,
     draw_coefficients,
+    first_prime_cofactor,
     prime_cofactor,
     substream,
     switch_cofactor,
@@ -232,6 +233,22 @@ def test_prime_cofactor_builds_no_lattice(monkeypatch, K180):
         for _ in range(40)
     )
     assert hits > 0
+
+
+def test_prime_cofactor_needs_no_inverse_when_p_is_coprime(monkeypatch, K180):
+    # p not dividing N(I) reads C from r alone: C + (p) = (r) + (p)
+    rng = random.Random(180)
+    alpha = K180.element([rng.randint(-3, 3) for _ in range(K180.degree)])
+    I = Ideal.principal(K180, alpha)
+    basis = lll_reduce(I)
+
+    def refuse(self):
+        raise AssertionError("prime_cofactor computed an inverse")
+
+    monkeypatch.setattr(Ideal, "inverse", refuse)
+    _, witness = first_prime_cofactor(I, basis, 5, substream(3, "no-inverse"), 200)
+    assert witness is not None
+    assert I.norm_int() % witness.p
 
 
 def test_decide_refuses_non_invertible_ideal():

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpip.errors import DefiningPolyError, FieldMismatchError
+from dpip.errors import DefiningPolyError, DpipError, FieldMismatchError
 from dpip.intlattice import bareiss_det
 from dpip.nf import (
     NumberField,
+    int_back_substitution,
     int_poly_discriminant,
     int_poly_resultant,
     norm_quotient,
@@ -96,6 +97,14 @@ def test_norm_quotient_identity(K5, K180):
             assert beta.is_integral()
             assert a * beta == K.rational(det)
             assert det == a.norm()
+
+
+def test_int_back_substitution():
+    rows = [[2, 1, 5], [0, 3, 7], [0, 0, 4]]
+    assert int_back_substitution(rows, [8, 10, 4]) == [1, 1, 1]
+    # 4 x_2 = 2 has no integral solution
+    with pytest.raises(DpipError):
+        int_back_substitution(rows, [8, 10, 2])
 
 
 def test_fractional_coordinates(K5):

@@ -6,6 +6,7 @@ from sympy import primerange
 from dpip.nf import (
     Ideal,
     NumberField,
+    PrimeIdeal,
     as_prime_ideal,
     kummer_dedekind,
     order_is_maximal_at,
@@ -100,6 +101,14 @@ def test_prime_norm(K5):
         for P in kummer_dedekind(p, K5):
             assert P.norm() == p**P.res_degree
             assert P.to_ideal().norm() == P.norm()
+
+
+def test_prime_gen_poly_is_divided_by_its_leading_coefficient(K5):
+    # 2x + 3 = 2(x + 4) mod 5: both cut out theta = 1
+    assert PrimeIdeal(K5, 5, (3, 2), 1, 1).gen_poly == (4, 1)
+    # 5x + 3 = 3 mod 5 has degree 0, not the residue degree 1
+    with pytest.raises(ValueError):
+        PrimeIdeal(K5, 5, (3, 5), 1, 1)
 
 
 def test_poly_discriminant_examples(K5):

@@ -8,6 +8,7 @@ from sympy import primerange
 from dpip.decide import _combine
 from dpip.lll import lll_reduce
 from dpip.nf import Ideal, kummer_dedekind, prime_power
+from dpip.serialize import load_ideal
 from dpip.switching import (
     landau_ratio,
     prime_ideal_count,
@@ -41,11 +42,15 @@ def test_stats_mean_bookkeeping(K5):
     assert s.capped_trials == 0
 
 
-def test_stats_jobs_match_serial(K5):
+def test_stats_jobs_match_serial(K5, K64, fixtures_dir):
+    # the workers get a pickled ideal, field and reduced basis, and one pool
+    # runs every bound
     I = Ideal.from_generators(K5, [K5.rational(2), K5.element([1, 1])])
-    serial = switch_stats(I, [4, 8], trials=12, seed=3, jobs=1)
-    parallel = switch_stats(I, [4, 8], trials=12, seed=3, jobs=2)
-    assert serial == parallel
+    J = load_ideal(fixtures_dir / "ideal_zeta64_switch.json", K64)
+    for ideal, bounds, trials in ((I, [4, 8], 12), (J, [5, 10], 4)):
+        serial = switch_stats(ideal, bounds, trials=trials, seed=3, jobs=1)
+        parallel = switch_stats(ideal, bounds, trials=trials, seed=3, jobs=2)
+        assert serial == parallel
 
 
 def test_exhaustive_density_unit_ideal(K5):
