@@ -47,6 +47,8 @@ class Decision:
             REASON_NOT_IN_S: NO,
             REASON_NON_SPLIT: NO,
         }
+        if self.reason not in ok:
+            raise ValueError(f"unknown reason {self.reason!r}")
         if ok[self.reason] != self.verdict:
             raise ValueError(f"reason {self.reason} inconsistent with {self.verdict}")
 

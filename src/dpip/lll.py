@@ -30,6 +30,7 @@ import mpmath
 
 from .errors import DpipError, ZeroIdealError
 from .intlattice import bareiss_det
+from .nf import cyclotomic_order
 
 _PREC_BITS = 192
 _SCALE_BITS = 32
@@ -48,38 +49,6 @@ def minkowski_gram(K):
         else:
             K._gram = _numerical_gram(K)
     return K._gram
-
-
-def _totients(n):
-    """Euler's phi(m) for 0 <= m <= n, by a sieve."""
-    phi = list(range(n + 1))
-    for p in range(2, n + 1):
-        if phi[p] == p:  # p is prime
-            for m in range(p, n + 1, p):
-                phi[m] -= phi[m] // p
-    return phi
-
-
-def cyclotomic_order(K):
-    """The m with f | x^m - 1 and phi(m) = deg f, or None if there is none.
-
-    Such an m certifies that every root of f is a root of unity. Since
-    phi(m) >= sqrt(m/2), only m <= 2d^2 can qualify; x^m mod f is computed
-    exactly by repeated multiplication by theta, up to the largest
-    candidate.
-    """
-    d = K.degree
-    phi = _totients(2 * d * d)
-    candidates = {m for m in range(1, len(phi)) if phi[m] == d}
-    if not candidates:
-        return None
-    one = [1] + [0] * (d - 1)
-    v = one
-    for m in range(1, max(candidates) + 1):
-        v = K.theta_shift(v)
-        if v == one:
-            return m if m in candidates else None
-    return None
 
 
 def _power_sums(poly):

@@ -167,6 +167,8 @@ class NumberField:
         "_maximal_at",
         "_ring",
         "_gram",
+        "_cyclo",
+        "_roots",
     )
 
     def __init__(self, coeffs):
@@ -189,6 +191,8 @@ class NumberField:
         self._maximal_at = {}
         self._ring = None
         self._gram = None
+        self._cyclo = None  # cyclotomic_order: m, 0 for none, None if unknown
+        self._roots = None  # the _RootTable of the cyclotomic norm
 
     # -- basic API -----------------------------------------------------------
 
@@ -417,12 +421,23 @@ class FieldElement:
     def norm(self):
         """Field norm N(self) = Res(f, g) / den^d for self = g(theta) / den.
 
-        The resultant is the subresultant PRS over Z (Cohen, GTM 138, 3.3).
+        In a field certified cyclotomic by `cyclotomic_order`, every root of
+        f lies on the unit circle, so |Res(f, g)| <= S^d for S the sum of
+        the |g_j|; the resultant is then the product of g over the roots of
+        f modulo a product M > 2 S^d of split primes, read as the residue
+        of least absolute value (`_RootTable`). Every other field takes the
+        subresultant PRS over Z (Cohen, GTM 138, 3.3).
         """
         if self._norm is None:
+            K = self.K
             den = self._denominator()
-            r = int_poly_resultant(self.K.poly, [c * den for c in self.coords])
-            self._norm = Fraction(r, den**self.K.degree)
+            g = [int(c * den) for c in self.coords]
+            m = cyclotomic_order(K)
+            if m is None:
+                r = int_poly_resultant(K.poly, g)
+            else:
+                r = _cyclotomic_resultant(K, m, g)
+            self._norm = Fraction(r, den**K.degree)
         return self._norm
 
     def norm_int(self):
@@ -447,6 +462,147 @@ class FieldElement:
 
     def __repr__(self):
         return f"FieldElement({poly_str(self.coords)})"
+
+
+def _totients(n):
+    """Euler's phi(m) for 0 <= m <= n, by a sieve."""
+    phi = list(range(n + 1))
+    for p in range(2, n + 1):
+        if phi[p] == p:  # p is prime
+            for m in range(p, n + 1, p):
+                phi[m] -= phi[m] // p
+    return phi
+
+
+def cyclotomic_order(K):
+    """The m with f | x^m - 1 and phi(m) = deg f, or None if there is none
+    (cached on K).
+
+    Such an m certifies that every root of f is a root of unity, and f is
+    then the m-th cyclotomic polynomial. Since phi(m) >= sqrt(m/2), only
+    m <= 2d^2 can qualify; x^m mod f is computed exactly by repeated
+    multiplication by theta, up to the largest candidate.
+    """
+    if K._cyclo is None:
+        K._cyclo = _theta_order(K) or 0
+    return K._cyclo or None
+
+
+def _theta_order(K):
+    d = K.degree
+    phi = _totients(2 * d * d)
+    candidates = {m for m in range(1, len(phi)) if phi[m] == d}
+    if not candidates:
+        return None
+    one = [1] + [0] * (d - 1)
+    v = one
+    for m in range(1, max(candidates) + 1):
+        v = K.theta_shift(v)
+        if v == one:
+            return m if m in candidates else None
+    return None
+
+
+class _RootTable:
+    """The roots of the m-th cyclotomic f modulo a product M of split primes,
+    with their powers packed for evaluating a polynomial at all of them.
+
+    Each prime l = 1 (mod m) is below 2^64, so `isprime` decides it
+    exactly, and has an element z of order m; the d roots of f mod l are
+    z^k for gcd(k, m) = 1, and each is checked to be a root, and all to be
+    distinct, so f = prod (x - z^k) mod l and Res(f, g) = prod g(z^k) mod l.
+    The CRT lifts them to roots a_i of f mod M.
+
+    Column j < d packs a_0^j, ..., a_(d-1)^j mod M into one integer, in
+    slots of `width` bytes, and column d packs the offsets -sum_j a_i^j mod
+    M. With C = max |g_j|, every coefficient of (g_0 + C, ..., g_(d-1) + C,
+    C) is nonnegative, so their combination of the columns holds in slot i
+    a number congruent to g(a_i) mod M, at most (2d + 1) C M. As
+    M > 2 S^d >= 2 C^d, for S the sum of the |g_j|, that is below 2^(8 *
+    width) when 8 * width >= bits(M) + bits(M) // d + bits(d) + 2.
+    """
+
+    __slots__ = ("count", "modulus", "bits", "width", "cols")
+
+    def __init__(self, K, m, count, bits):
+        """At least `count` primes, with a product of at least `bits` bits."""
+        d = K.degree
+        exps = [k for k in range(m) if gcd(k, m) == 1]
+        f = [(j, c) for j, c in enumerate(K.poly) if c]
+        primes, roots = [], []
+        M = 1
+        q = (2**64 - 2) // m
+        while len(primes) < count or M.bit_length() < bits:
+            ell = q * m + 1
+            q -= 1
+            if not isprime(ell):
+                continue
+            z = _root_of_unity(m, ell)
+            powers = [1]
+            for _ in range(m - 1):
+                powers.append(powers[-1] * z % ell)
+            if len({powers[k] for k in exps}) != d or any(
+                sum(c * powers[k * j % m] for j, c in f) % ell for k in exps
+            ):
+                raise DpipError(f"f does not split into distinct roots mod {ell}")
+            primes.append(ell)
+            roots.append(z)
+            M *= ell
+        z = 0
+        for ell, root in zip(primes, roots):
+            cofactor = M // ell
+            z += root * cofactor * pow(cofactor, -1, ell)
+        powers = [1]
+        for _ in range(m - 1):
+            powers.append(powers[-1] * z % M)
+        rows = [[powers[k * j % m] for j in range(d)] for k in exps]
+        for row in rows:
+            row.append(-sum(row) % M)
+        self.count = len(primes)
+        self.modulus = M
+        self.bits = M.bit_length()
+        w = self.width = (self.bits + self.bits // d + d.bit_length() + 9) // 8
+        self.cols = [
+            int.from_bytes(b"".join(row[j].to_bytes(w, "little") for row in rows), "little")
+            for j in range(d + 1)
+        ]
+
+    def resultant(self, g, bound):
+        """Res(f, g) for integer coordinates g with max |g_j| = bound."""
+        M, w = self.modulus, self.width
+        acc = sum(map(mul, [x + bound for x in g] + [bound], self.cols))
+        slots = acc.to_bytes(w * len(g), "little")
+        r = 1
+        for i in range(0, len(slots), w):
+            r = r * int.from_bytes(slots[i : i + w], "little") % M
+        return r - M if 2 * r > M else r
+
+
+def _root_of_unity(m, ell):
+    """An element of order m in F_ell, for a prime ell = 1 (mod m)."""
+    e = (ell - 1) // m
+    qs = primefactors(m)
+    a = 2
+    while True:
+        z = pow(a, e, ell)
+        if all(pow(z, m // q, ell) != 1 for q in qs):
+            return z
+        a += 1
+
+
+def _cyclotomic_resultant(K, m, g):
+    """Res(f, g) for the m-th cyclotomic f of K, from K's root table. The table
+    is built on first use, and rebuilt with at least twice the primes when
+    it is too small for g: 2^(d * bits(S) + 1) <= 2^(bits(M) - 1) <= M
+    proves M > 2 S^d."""
+    bound = max(map(abs, g))
+    if not bound:
+        return 0
+    bits = K.degree * sum(map(abs, g)).bit_length() + 2
+    table = K._roots
+    if table is None or table.bits < bits:
+        table = K._roots = _RootTable(K, m, 2 * table.count if table else 1, bits)
+    return table.resultant(g, bound)
 
 
 def norm_quotient(alpha):
@@ -609,10 +765,16 @@ class Ideal:
                 elems.append(g)
         if not elems:
             raise ZeroIdealError("all generators are zero")
+        # a rational generator q lies in the ideal, hence so does q*Z^d, and
+        # no norm is needed; otherwise N(g) = g * (g^-1 N(g)) lies in it
         modulus = 0
         for g in elems:
-            modulus = gcd(modulus, abs(g.norm_int()))
-        lat = IntLattice(K.degree, modulus=modulus or None)
+            if g.is_rational():
+                modulus = gcd(modulus, g.coords[0])
+        if not modulus:
+            for g in elems:
+                modulus = gcd(modulus, g.norm_int())
+        lat = IntLattice(K.degree, modulus=modulus)
         for g in elems:
             cols = K.mul_matrix_columns(g.coords)
             lat.extend(cols)

@@ -11,7 +11,7 @@ from sympy import primerange
 import dpip
 from dpip import nf
 
-from dpip.advice import build_advice
+from dpip.advice import build_advice, load_advice
 from dpip.decide import (
     NO,
     YES,
@@ -40,6 +40,7 @@ from dpip.nf import Ideal, NumberField, kummer_dedekind, prime_power
 from dpip.quadforms import genus_advice, is_principal_quad
 from dpip.residue import element_in_prime
 from dpip.serialize import load_ideal
+from dpip.switching import switch_stats
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +98,11 @@ def test_advice_field_mismatch(K5, Ki, advice20):
 def test_decision_consistency_enforced():
     with pytest.raises(ValueError):
         Decision(verdict=YES, reason="non-split")
+
+
+def test_decision_with_an_unknown_reason_is_a_value_error():
+    with pytest.raises(ValueError, match="unknown reason"):
+        Decision(verdict=YES, reason="bogus")
 
 
 def test_switch_config_validation():
@@ -249,6 +255,25 @@ def test_prime_cofactor_needs_no_inverse_when_p_is_coprime(monkeypatch, K180):
     _, witness = first_prime_cofactor(I, basis, 5, substream(3, "no-inverse"), 200)
     assert witness is not None
     assert I.norm_int() % witness.p
+
+
+def test_cyclotomic_switching_computes_no_resultant(monkeypatch, K64, K180, fixtures_dir):
+    # x^32 + 1 and Phi_180 take every norm from their root tables
+    advice = load_advice(fixtures_dir / "advice_zeta180.json")
+    rng = random.Random(180)
+    alpha = K180.element([rng.randint(-3, 3) for _ in range(K180.degree)])
+
+    def refuse(a, b):
+        raise AssertionError("norm computed by the subresultant PRS")
+
+    monkeypatch.setattr(nf, "int_poly_resultant", refuse)
+    J = load_ideal(fixtures_dir / "ideal_zeta64_switch.json", K64)
+    (stats,) = switch_stats(J, [10], trials=1, seed=801, cap=1000)
+    assert stats.capped_trials == 0
+    cfg = default_switch_config(K180, bound_B=5, seed=480)
+    decision = decide_ideal(Ideal.principal(K180, alpha), advice, cfg)
+    assert decision.verdict == YES
+    assert decision.switches_used > 0
 
 
 def test_decide_refuses_non_invertible_ideal():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from dpip import lll
+from dpip import lll, nf
 from dpip.intlattice import IntLattice, bareiss_det
 from dpip.lll import (
     cyclotomic_order,
@@ -163,6 +163,24 @@ def test_cyclotomic_order(K5, K64, K180):
     assert cyclotomic_order(K5) is None
     # reciprocal, with two roots on the unit circle, but not cyclotomic
     assert cyclotomic_order(NumberField([1, -1, -1, -1, 1])) is None
+
+
+def test_cyclotomic_order_is_computed_once_per_field(monkeypatch, fixtures_dir):
+    # the Gram matrix and the norm table both ask; the field answers from
+    # its cache the second time
+    calls = []
+    totients = nf._totients
+
+    def counted(n):
+        calls.append(n)
+        return totients(n)
+
+    monkeypatch.setattr(nf, "_totients", counted)
+    K = load_field(fixtures_dir / "field_zeta64.json")
+    minkowski_gram(K)
+    assert K.element([1, 2] + [0] * 30).norm() == 1 + 2**32
+    assert cyclotomic_order(K) == 64
+    assert len(calls) == 1
 
 
 def test_cyclotomic_fixtures_skip_numerical_gram(monkeypatch, fixtures_dir):

@@ -1,14 +1,17 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpip import nf
 from dpip.errors import DefiningPolyError, DpipError, FieldMismatchError
 from dpip.intlattice import bareiss_det
 from dpip.nf import (
     NumberField,
+    cyclotomic_order,
     int_back_substitution,
     int_poly_discriminant,
     int_poly_resultant,
@@ -71,6 +74,76 @@ def test_norm_matches_multiplication_determinant(K64, K180):
             a = K.element([rng.randint(-3, 3) for _ in range(K.degree)])
             cols = K.mul_matrix_columns(a.coords)
             assert a.norm() == bareiss_det(cols)
+
+
+def _resultant_norm(a):
+    """N(a) by the subresultant PRS, the reference for the cyclotomic norm."""
+    den = lcm(*(Fraction(c).denominator for c in a.coords))
+    g = [int(c * den) for c in a.coords]
+    return Fraction(int_poly_resultant(a.K.poly, g), den**a.K.degree)
+
+
+def test_cyclotomic_norm_matches_resultant(K64, K180):
+    rng = random.Random(6)
+    for K in (K64, K180):
+        d = K.degree
+        theta = K.gen()
+        elems = [K.zero(), K.one(), -K.one(), theta, -theta, theta + 1]
+        elems += [K.element([rng.randint(-9, 9) for _ in range(d)]) for _ in range(20)]
+        elems += [K.element([rng.randint(-300, 300) for _ in range(d)]) for _ in range(5)]
+        elems.append(K.element([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(d)]))
+        for a in elems:
+            assert a.norm() == _resultant_norm(a), a
+        assert K.zero().norm() == 0
+        assert K.one().norm() == (-K.one()).norm() == theta.norm() == 1
+        assert not elems[-1].is_integral()
+        assert K._roots is not None
+
+
+def test_cyclotomic_norm_of_rationals_in_degree_one():
+    # Q as Q[x]/(x - 1) and Q[x]/(x + 1): conductors 1 and 2, and the only
+    # cyclotomic fields with negative norms
+    for poly, m in (([-1, 1], 1), ([1, 1], 2)):
+        K = NumberField(poly)
+        assert cyclotomic_order(K) == m
+        for q in (-7, -1, 1, 12, Fraction(-5, 3), 0):
+            assert K.rational(q).norm() == q
+        assert K._roots is not None
+
+
+def test_cyclotomic_norm_table_grows_for_large_elements(K64, K180):
+    # coefficients of about 2^200, as drawn under the conjectural bound
+    rng = random.Random(7)
+    for fixture in (K64, K180):
+        K = NumberField(fixture.poly)  # a fresh field, so its table starts cold
+        d = K.degree
+        small = K.element([rng.randint(-3, 3) for _ in range(d)])
+        assert small.norm() == _resultant_norm(small)
+        count = K._roots.count
+        big = K.element([rng.randint(-(2**200), 2**200) for _ in range(d)])
+        assert big.norm() == _resultant_norm(big)
+        table = K._roots
+        assert table.count >= 2 * count
+        assert table.modulus > 2 * sum(abs(c) for c in big.coords) ** d
+        # the grown table still serves small elements
+        again = K.element([rng.randint(-3, 3) for _ in range(d)])
+        assert again.norm() == _resultant_norm(again)
+        assert K._roots is table
+
+
+def test_non_cyclotomic_norms_use_the_resultant(monkeypatch, K5, K21):
+    calls = []
+    resultant = nf.int_poly_resultant
+
+    def counted(a, b):
+        calls.append(1)
+        return resultant(a, b)
+
+    monkeypatch.setattr(nf, "int_poly_resultant", counted)
+    assert K5.element([3, 2]).norm() == 9 + 5 * 4
+    assert K21.element([3, -2]).norm() == 9 + 21 * 4
+    assert len(calls) == 2
+    assert K5._roots is None and K21._roots is None
 
 
 def test_inverse(K5):

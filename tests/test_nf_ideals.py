@@ -8,7 +8,8 @@ from sympy import primefactors
 
 from dpip.errors import NonDivisibleError, NonInvertibleIdealError, ZeroIdealError
 from dpip.intlattice import IntLattice
-from dpip.nf import Ideal, NumberField, kummer_dedekind
+from dpip.nf import FieldElement, Ideal, NumberField, kummer_dedekind
+from dpip.serialize import load_ideal, read_json
 from helpers import naive_lattice_basis
 
 
@@ -278,6 +279,26 @@ def test_membership(K5):
     assert not I.contains_element(K5.one())
     assert not I.contains_element(K5.gen())
     assert I.contains_element(K5.element([0, 2]))
+
+
+def test_from_generators_takes_no_norm_beside_a_rational_generator(
+    monkeypatch, K64, fixtures_dir
+):
+    # (187, beta): 187 lies in the ideal, so 187 Z^d bounds the insertion,
+    # and the HNF equals the one reduced modulo gcd of the generator norms
+    path = fixtures_dir / "ideal_zeta64_switch.json"
+    gens = [K64.element(map(int, c)) for c in read_json(path)["generators"]]
+    old_modulus = gcd(*(g.norm_int() for g in gens))
+    lat = IntLattice(K64.degree, modulus=old_modulus)
+    for g in gens:
+        lat.extend(K64.mul_matrix_columns(g.coords))
+
+    def refuse(self):
+        raise AssertionError("generator norm computed")
+
+    monkeypatch.setattr(FieldElement, "norm", refuse)
+    I = load_ideal(path, K64)
+    assert I.cols == tuple(map(tuple, lat.basis_columns()))
 
 
 def test_from_generators_rejects_zero(K5):
