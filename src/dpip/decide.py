@@ -17,10 +17,11 @@ trials can run concurrently.
 import hashlib
 import random
 from dataclasses import dataclass, replace
+from operator import mul
 
 from .errors import FieldMismatchError, MaxTrialsExceededError, NonDivisibleError
 from .lll import lll_reduce
-from .nf import as_prime_ideal, prime_from_generators, prime_power
+from .nf import _pack, _slots, as_prime_ideal, prime_from_generators, prime_power
 from .residue import element_in_prime, reduce_poly_mod_prime, splits_completely
 
 YES = "Yes"
@@ -116,13 +117,28 @@ def draw_coefficients(rng, bound, count):
             return coeffs
 
 
+def _combiner(K, basis, bound):
+    """r(c) = sum c_j basis_j for integer c with max |c_j| <= bound, as one
+    packed product: basis_j is packed into one integer with its coordinate
+    i in slot i (`nf._pack`). Every coordinate of r is at most R = bound *
+    max_i sum_j |basis_j[i]| in absolute value, so with R added to each
+    slot by one offset, every slot lies in [0, 2R] and the slots are read
+    back exactly."""
+    d = K.degree
+    rows = list(zip(*(v.coords for v in basis)))
+    R = bound * max(sum(map(abs, row)) for row in rows)
+    w = (2 * R).bit_length() // 8 + 1
+    cols = _pack(rows, w)
+    (off,) = _pack([[R]] * d, w)
+
+    def combine(coeffs):
+        return K.element([x - R for x in _slots(sum(map(mul, coeffs, cols), off), w, d)])
+
+    return combine
+
+
 def _combine(K, basis, coeffs):
-    acc = [0] * K.degree
-    for c, vec in zip(coeffs, basis):
-        if c:
-            for i, x in enumerate(vec.coords):
-                acc[i] += c * x
-    return K.element(acc)
+    return _combiner(K, basis, max(map(abs, coeffs)))(coeffs)
 
 
 def prime_cofactor(ideal, r):
@@ -163,20 +179,13 @@ def prime_cofactor(ideal, r):
     return prime_from_generators(K, p, k, gens)
 
 
-def switch_cofactor(ideal, basis, coeffs):
-    """One switching draw: the prime cofactor (r)/I for r = sum coeffs_i
-    basis_i, or None."""
-    return prime_cofactor(ideal, _combine(ideal.K, basis, coeffs))
-
-
 def first_prime_cofactor(ideal, basis, bound, rng, limit):
     """The switching loop: (draws, prime cofactor) for the first of at most
     `limit` draws r = sum c_i basis_i, c uniform on [-bound, bound]^d, whose
     cofactor (r)/I is prime, or (limit, None) when none is."""
+    combine = _combiner(ideal.K, basis, bound)
     for draw in range(1, limit + 1):
-        witness = switch_cofactor(
-            ideal, basis, draw_coefficients(rng, bound, ideal.K.degree)
-        )
+        witness = prime_cofactor(ideal, combine(draw_coefficients(rng, bound, ideal.K.degree)))
         if witness is not None:
             return draw, witness
     return limit, None

@@ -9,10 +9,10 @@ anywhere in this module.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 
-from sympy import Poly, Symbol, isprime, primefactors
+from sympy import Poly, Symbol, isprime, primefactors, primerange
 from sympy.ntheory import perfect_power
 
 from . import fppoly
@@ -133,10 +133,27 @@ def int_poly_discriminant(f):
     return d
 
 
+_SMALL_PRIMES = frozenset(primerange(2, 1000))
+_SMALL_PRIMORIAL = prod(_SMALL_PRIMES)
+
+
 def prime_power(n):
-    """(p, k) with n = p^k and p prime, or None."""
+    """(p, k) with n = p^k and p prime, or None.
+
+    One gcd with the product of the primes below 1000 screens n: if it is
+    some g > 1, n is a prime power only when g is one of those primes and n
+    is a power of g, so no primality test runs."""
     if n < 2:
         return None
+    g = gcd(n, _SMALL_PRIMORIAL)
+    if g > 1:
+        if g not in _SMALL_PRIMES:
+            return None
+        k = 0
+        while n % g == 0:
+            n //= g
+            k += 1
+        return (g, k) if n == 1 else None
     if isprime(n):
         return n, 1
     pp = perfect_power(n)
@@ -308,7 +325,10 @@ class FieldElement:
             )
         norm = []
         for c in coords:
-            if isinstance(c, Fraction):
+            # ints first: isinstance(c, Fraction) goes through ABCMeta
+            if type(c) is int:
+                norm.append(c)
+            elif isinstance(c, Fraction):
                 norm.append(int(c) if c.denominator == 1 else c)
             elif isinstance(c, int):
                 norm.append(c)
@@ -414,24 +434,25 @@ class FieldElement:
     def _denominator(self):
         den = 1
         for c in self.coords:
-            if isinstance(c, Fraction):
+            if type(c) is not int and isinstance(c, Fraction):
                 den = lcm(den, c.denominator)
         return den
 
     def norm(self):
         """Field norm N(self) = Res(f, g) / den^d for self = g(theta) / den.
 
-        In a field certified cyclotomic by `cyclotomic_order`, every root of
-        f lies on the unit circle, so |Res(f, g)| <= S^d for S the sum of
-        the |g_j|; the resultant is then the product of g over the roots of
-        f modulo a product M > 2 S^d of split primes, read as the residue
-        of least absolute value (`_RootTable`). Every other field takes the
-        subresultant PRS over Z (Cohen, GTM 138, 3.3).
+        In a field certified cyclotomic of order m by `cyclotomic_order`,
+        the roots of f are m-th roots of unity, so Parseval bounds
+        |Res(f, g)| by (m * sum g_j^2 / d)^(d/2); the resultant is then the
+        product of g over the roots of f modulo a product M of split primes
+        above twice that bound, read as the residue of least absolute value
+        (`_RootTable`). Every other field takes the subresultant PRS over Z
+        (Cohen, GTM 138, 3.3).
         """
         if self._norm is None:
             K = self.K
             den = self._denominator()
-            g = [int(c * den) for c in self.coords]
+            g = self.coords if den == 1 else [int(c * den) for c in self.coords]
             m = cyclotomic_order(K)
             if m is None:
                 r = int_poly_resultant(K.poly, g)
@@ -503,6 +524,38 @@ def _theta_order(K):
     return None
 
 
+def _pack(rows, width):
+    """Column integers of an integer matrix: column j is the sum of
+    rows[i][j] * 2^(8 * width * i), for entries of either sign.
+
+    A combination of the columns then holds the same combination of row i
+    in slot i (bytes i * width to (i + 1) * width, little-endian), which
+    `_slots` reads back when every slot lies in [0, 2^(8 * width)).
+    """
+    shift = 8 * width
+    cols = []
+    for col in zip(*rows):
+        acc = 0
+        for x in reversed(col):
+            acc = (acc << shift) + x
+        cols.append(acc)
+    return cols
+
+
+def _slots(acc, width, n):
+    """The n slots of `width` bytes of 0 <= acc < 2^(8 * width * n), lowest
+    first; anything else raises DpipError."""
+    shift = 8 * width
+    mask = (1 << shift) - 1
+    out = []
+    for _ in range(n):
+        out.append(acc & mask)
+        acc >>= shift
+    if acc:
+        raise DpipError("packed slots out of range")
+    return out
+
+
 class _RootTable:
     """The roots of the m-th cyclotomic f modulo a product M of split primes,
     with their powers packed for evaluating a polynomial at all of them.
@@ -513,26 +566,29 @@ class _RootTable:
     distinct, so f = prod (x - z^k) mod l and Res(f, g) = prod g(z^k) mod l.
     The CRT lifts them to roots a_i of f mod M.
 
-    Column j < d packs a_0^j, ..., a_(d-1)^j mod M into one integer, in
-    slots of `width` bytes, and column d packs the offsets -sum_j a_i^j mod
-    M. With C = max |g_j|, every coefficient of (g_0 + C, ..., g_(d-1) + C,
-    C) is nonnegative, so their combination of the columns holds in slot i
-    a number congruent to g(a_i) mod M, at most (2d + 1) C M. As
-    M > 2 S^d >= 2 C^d, for S the sum of the |g_j|, that is below 2^(8 *
-    width) when 8 * width >= bits(M) + bits(M) // d + bits(d) + 2.
+    Row i holds a_i^0, ..., a_i^(d-1) mod M and the offset -sum_j a_i^j mod
+    M, packed by `_pack` into d + 1 columns of slots of `width` bytes. With
+    C = max |g_j|, every coefficient of (g_0 + C, ..., g_(d-1) + C, C) is
+    nonnegative, so their combination of the columns holds in slot i a
+    number congruent to g(a_i) mod M, below (2d + 1) C M. The caller
+    guarantees M > 2 (m * sum g_j^2 / d)^(d/2) (`_cyclotomic_resultant`),
+    and C^2 <= sum g_j^2 <= m * sum g_j^2 / d as m >= d, so C^d < M and C <
+    2^(bits(M) // d + 1): the slot stays below 2^(8 * width) when 8 * width
+    >= bits(M) + bits(M) // d + bits(d) + 2.
     """
 
-    __slots__ = ("count", "modulus", "bits", "width", "cols")
+    __slots__ = ("primes", "roots", "modulus", "bits", "width", "cols")
 
-    def __init__(self, K, m, count, bits):
-        """At least `count` primes, with a product of at least `bits` bits."""
+    def __init__(self, K, m, bits, old=None):
+        """A table whose modulus has at least `bits` bits. It keeps the
+        checked primes and roots of `old`, if given, and adds the next ones."""
         d = K.degree
         exps = [k for k in range(m) if gcd(k, m) == 1]
         f = [(j, c) for j, c in enumerate(K.poly) if c]
-        primes, roots = [], []
-        M = 1
-        q = (2**64 - 2) // m
-        while len(primes) < count or M.bit_length() < bits:
+        primes, roots = (list(old.primes), list(old.roots)) if old else ([], [])
+        M = prod(primes)
+        q = (primes[-1] - 1) // m - 1 if primes else (2**64 - 2) // m
+        while M.bit_length() < bits:
             ell = q * m + 1
             q -= 1
             if not isprime(ell):
@@ -558,23 +614,20 @@ class _RootTable:
         rows = [[powers[k * j % m] for j in range(d)] for k in exps]
         for row in rows:
             row.append(-sum(row) % M)
-        self.count = len(primes)
+        self.primes = tuple(primes)
+        self.roots = tuple(roots)
         self.modulus = M
         self.bits = M.bit_length()
-        w = self.width = (self.bits + self.bits // d + d.bit_length() + 9) // 8
-        self.cols = [
-            int.from_bytes(b"".join(row[j].to_bytes(w, "little") for row in rows), "little")
-            for j in range(d + 1)
-        ]
+        self.width = (self.bits + self.bits // d + d.bit_length() + 9) // 8
+        self.cols = _pack(rows, self.width)
 
     def resultant(self, g, bound):
         """Res(f, g) for integer coordinates g with max |g_j| = bound."""
-        M, w = self.modulus, self.width
+        M = self.modulus
         acc = sum(map(mul, [x + bound for x in g] + [bound], self.cols))
-        slots = acc.to_bytes(w * len(g), "little")
         r = 1
-        for i in range(0, len(slots), w):
-            r = r * int.from_bytes(slots[i : i + w], "little") % M
+        for s in _slots(acc, self.width, len(g)):
+            r = r * s % M
         return r - M if 2 * r > M else r
 
 
@@ -591,17 +644,24 @@ def _root_of_unity(m, ell):
 
 
 def _cyclotomic_resultant(K, m, g):
-    """Res(f, g) for the m-th cyclotomic f of K, from K's root table. The table
-    is built on first use, and rebuilt with at least twice the primes when
-    it is too small for g: 2^(d * bits(S) + 1) <= 2^(bits(M) - 1) <= M
-    proves M > 2 S^d."""
+    """Res(f, g) for the m-th cyclotomic f of K, from K's root table.
+
+    For deg g < m, Parseval over the m-th roots of unity w gives sum |g(w)|^2
+    = m * sum g_j^2; the d roots of f are among them, so by AM-GM |Res(f,
+    g)|^2 <= (m * sum g_j^2 / d)^d <= t^d for t = ceil(m * sum g_j^2 / d).
+    A modulus of bits(M) >= ceil((d * bits(t) + 2) / 2) + 1 bits has M^2 >=
+    2^(d * bits(t) + 2) > 4 t^d, so M > 2 |Res(f, g)|. The table is built on
+    first use and extended by more primes when g needs more bits.
+    """
     bound = max(map(abs, g))
     if not bound:
         return 0
-    bits = K.degree * sum(map(abs, g)).bit_length() + 2
+    d = K.degree
+    t = -(-m * sum(map(mul, g, g)) // d)
+    bits = (d * t.bit_length() + 3) // 2 + 1
     table = K._roots
     if table is None or table.bits < bits:
-        table = K._roots = _RootTable(K, m, 2 * table.count if table else 1, bits)
+        table = K._roots = _RootTable(K, m, bits, table)
     return table.resultant(g, bound)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .decide import first_prime_cofactor, substream, switch_cofactor
+from .decide import _combiner, first_prime_cofactor, prime_cofactor, substream
 from .lll import lll_reduce
 from .nf import kummer_dedekind
 
@@ -113,10 +113,10 @@ def prime_switch_density(ideal, bound, mode="exhaustive", budget=10**6, seed=0):
         raise ValueError("bound must be nonnegative")
     d = ideal.K.degree
     grid = (2 * bound + 1) ** d
-    basis = lll_reduce(ideal)
+    combine = _combiner(ideal.K, lll_reduce(ideal), bound)
 
     def hit(coeffs):
-        return any(coeffs) and switch_cofactor(ideal, basis, coeffs) is not None
+        return any(coeffs) and prime_cofactor(ideal, combine(coeffs)) is not None
 
     if mode == "exhaustive":
         if grid > budget:

@@ -26,7 +26,6 @@ from dpip.decide import (
     first_prime_cofactor,
     prime_cofactor,
     substream,
-    switch_cofactor,
 )
 from dpip.errors import (
     FieldMismatchError,
@@ -167,6 +166,40 @@ def _reference_prime(C):
     return None
 
 
+def _plain_combination(basis, coeffs):
+    out = [0] * len(basis[0].coords)
+    for c, b in zip(coeffs, basis):
+        for i, x in enumerate(b.coords):
+            out[i] += c * x
+    return out
+
+
+def test_packed_combination_matches_the_plain_sum(K5, K21, K64, K180):
+    rng = random.Random(11)
+    Q = NumberField([-1, 1])
+    cases = [
+        (K5, Ideal.from_generators(K5, [K5.rational(3), K5.element([1, 1])])),
+        (K21, Ideal.principal(K21, K21.element([5, -2]))),
+        (K64, Ideal.principal(K64, K64.element([rng.randint(-3, 3) for _ in range(32)]))),
+        (K180, Ideal.principal(K180, K180.element([rng.randint(-2, 2) for _ in range(48)]))),
+        (Q, Ideal.principal(Q, Q.rational(-6))),
+    ]
+    for K, ideal in cases:
+        basis = lll_reduce(ideal)
+        d = K.degree
+        # the coordinate with the largest sum_j |b_j[i]| reaches the slot bound
+        top = max(range(d), key=lambda i: sum(abs(b.coords[i]) for b in basis))
+        sign = [(b.coords[top] > 0) - (b.coords[top] < 0) for b in basis]
+        for B in (1, 5, 20, 2**200):
+            draws = [[B] * d, [-B] * d, [B * s for s in sign], [-B * s for s in sign]]
+            draws += [[rng.randint(-B, B) for _ in range(d)] for _ in range(4)]
+            for c in draws:
+                r = _combine(K, basis, c)
+                assert list(r.coords) == _plain_combination(basis, c)
+                assert all(type(x) is int for x in r.coords)
+        assert _combine(K, basis, [0] * d) == K.zero()
+
+
 def test_prime_cofactor_matches_kummer_dedekind(K5, K21):
     # small fields: the witness is exactly the factor of (p) equal to (r)/I;
     # Z[sqrt 5] is not maximal at 2, so its ideals stay away from 2
@@ -235,7 +268,8 @@ def test_prime_cofactor_builds_no_lattice(monkeypatch, K180):
     monkeypatch.setattr(IntLattice, "add", refuse)
     draws = substream(3, "lattice-free")
     hits = sum(
-        switch_cofactor(I, basis, draw_coefficients(draws, 5, K180.degree)) is not None
+        prime_cofactor(I, _combine(K180, basis, draw_coefficients(draws, 5, K180.degree)))
+        is not None
         for _ in range(40)
     )
     assert hits > 0

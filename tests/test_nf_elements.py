@@ -5,6 +5,7 @@ from math import lcm
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import factorint
 
 from dpip import nf
 from dpip.errors import DefiningPolyError, DpipError, FieldMismatchError
@@ -16,6 +17,7 @@ from dpip.nf import (
     int_poly_discriminant,
     int_poly_resultant,
     norm_quotient,
+    prime_power,
 )
 
 coords5 = st.lists(st.integers(-50, 50), min_size=2, max_size=2)
@@ -111,6 +113,13 @@ def test_cyclotomic_norm_of_rationals_in_degree_one():
         assert K._roots is not None
 
 
+def _assert_parseval_table(K, g):
+    """K's root table proves |N(g)| < M / 2: M^2 > 4 (m * sum g_j^2 / d)^d."""
+    m, d, M = cyclotomic_order(K), K.degree, K._roots.modulus
+    assert M**2 * d**d > 4 * (m * sum(c * c for c in g.coords)) ** d
+    assert M > 2 * abs(g.norm())
+
+
 def test_cyclotomic_norm_table_grows_for_large_elements(K64, K180):
     # coefficients of about 2^200, as drawn under the conjectural bound
     rng = random.Random(7)
@@ -119,16 +128,37 @@ def test_cyclotomic_norm_table_grows_for_large_elements(K64, K180):
         d = K.degree
         small = K.element([rng.randint(-3, 3) for _ in range(d)])
         assert small.norm() == _resultant_norm(small)
-        count = K._roots.count
+        primes = K._roots.primes
         big = K.element([rng.randint(-(2**200), 2**200) for _ in range(d)])
         assert big.norm() == _resultant_norm(big)
         table = K._roots
-        assert table.count >= 2 * count
-        assert table.modulus > 2 * sum(abs(c) for c in big.coords) ** d
+        _assert_parseval_table(K, big)
+        # growth extends the checked primes rather than starting over
+        assert len(table.primes) > len(primes)
+        assert table.primes[: len(primes)] == primes
         # the grown table still serves small elements
         again = K.element([rng.randint(-3, 3) for _ in range(d)])
         assert again.norm() == _resultant_norm(again)
         assert K._roots is table
+
+
+def test_cyclotomic_norm_parseval_edge_cases(K64, K180):
+    # constants and monomials have |g(w)| = |c| at every root, where AM-GM
+    # is an equality; Q as x - 1 and x + 1 has d = 1 with m = 1 and m = 2
+    big = 2**200
+    for poly in (K64.poly, K180.poly, [-1, 1], [1, 1]):
+        K = NumberField(poly)
+        d = K.degree
+        elems = [K.rational(c) for c in (1, -1, 3, -7, big, -big - 1)]
+        for k in {0, d // 2, d - 1}:
+            for c in (1, -1, 5, big, -big):
+                coords = [0] * d
+                coords[k] = c
+                elems.append(K.element(coords))
+        elems.append(K.element([big if j % 2 else -big for j in range(d)]))
+        for a in elems:
+            assert a.norm() == _resultant_norm(a), a
+            _assert_parseval_table(K, a)
 
 
 def test_non_cyclotomic_norms_use_the_resultant(monkeypatch, K5, K21):
@@ -144,6 +174,41 @@ def test_non_cyclotomic_norms_use_the_resultant(monkeypatch, K5, K21):
     assert K21.element([3, -2]).norm() == 9 + 21 * 4
     assert len(calls) == 2
     assert K5._roots is None and K21._roots is None
+
+
+def test_prime_power_matches_factorint():
+    for n in range(-3, 2 * 10**5):
+        f = factorint(n) if n > 1 else {}
+        expected = next(iter(f.items())) if len(f) == 1 else None
+        assert prime_power(n) == expected, n
+    for k in (1, 2, 7, 300):
+        for p in (2, 997, 1009):
+            assert prime_power(p**k) == (p, k)
+        assert prime_power(2**k * 3) is None
+    for p, q in ((2, 1009), (997, 10**9 + 7), (3, 2**127 - 1)):
+        assert prime_power(p * q) is None
+        assert prime_power(p * q**2) is None
+    assert prime_power(997**3 * 1009) is None
+    assert prime_power(2**127 - 1) == (2**127 - 1, 1)
+    assert prime_power((2**61 - 1) ** 3) == (2**61 - 1, 3)
+    for n in (-8, 0, 1):
+        assert prime_power(n) is None
+
+
+def test_element_coordinate_types(K5, K64):
+    for bad in (1.0, "1", None):
+        with pytest.raises(TypeError):
+            K5.element([bad, 0])
+        with pytest.raises(TypeError):
+            K5.element([0, bad])
+    a = K5.element([True, False])
+    assert a.coords == (True, False) and type(a.coords[0]) is bool
+    assert a == K5.one() and a.norm() == 1
+    b = K5.element([Fraction(4, 2), Fraction(1, 2)])
+    assert type(b.coords[0]) is int and b.coords == (2, Fraction(1, 2))
+    assert b.norm() == 4 + Fraction(5, 4)
+    c = K64.element([True] * 2 + [0] * 30)
+    assert c.norm() == K64.element([1, 1] + [0] * 30).norm() == 2
 
 
 def test_inverse(K5):

@@ -53,6 +53,20 @@ def test_stats_jobs_match_serial(K5, K64, fixtures_dir):
         assert serial == parallel
 
 
+def test_switch_counts_are_pinned(K64, fixtures_dir):
+    # criterion-2 ideal: counts recorded before the switching draw was
+    # packed, so any change to the draw, the norm or the prime test that
+    # alters a verdict shows here
+    J = load_ideal(fixtures_dir / "ideal_zeta64_switch.json", K64)
+    stats = switch_stats(J, [5, 10, 20], trials=8, seed=2026)
+    assert [s.switch_counts for s in stats] == [
+        (6, 24, 34, 22, 9, 3, 79, 25),
+        (4, 10, 30, 71, 16, 24, 24, 67),
+        (18, 29, 46, 17, 133, 39, 50, 34),
+    ]
+    assert not any(s.capped for s in stats)
+
+
 def test_exhaustive_density_unit_ideal(K5):
     """Independent oracle: count a^2+5b^2 prime (or a matching prime power)."""
     ring = Ideal.ring(K5)
