@@ -17,11 +17,10 @@ trials can run concurrently.
 import hashlib
 import random
 from dataclasses import dataclass, replace
-from operator import mul
 
 from .errors import FieldMismatchError, MaxTrialsExceededError, NonDivisibleError
 from .lll import lll_reduce
-from .nf import _pack, _slots, as_prime_ideal, prime_from_generators, prime_power
+from .nf import _matvec, as_prime_ideal, prime_from_generators, prime_power
 from .residue import element_in_prime, reduce_poly_mod_prime, splits_completely
 
 YES = "Yes"
@@ -119,22 +118,9 @@ def draw_coefficients(rng, bound, count):
 
 def _combiner(K, basis, bound):
     """r(c) = sum c_j basis_j for integer c with max |c_j| <= bound, as one
-    packed product: basis_j is packed into one integer with its coordinate
-    i in slot i (`nf._pack`). Every coordinate of r is at most R = bound *
-    max_i sum_j |basis_j[i]| in absolute value, so with R added to each
-    slot by one offset, every slot lies in [0, 2R] and the slots are read
-    back exactly."""
-    d = K.degree
-    rows = list(zip(*(v.coords for v in basis)))
-    R = bound * max(sum(map(abs, row)) for row in rows)
-    w = (2 * R).bit_length() // 8 + 1
-    cols = _pack(rows, w)
-    (off,) = _pack([[R]] * d, w)
-
-    def combine(coeffs):
-        return K.element([x - R for x in _slots(sum(map(mul, coeffs, cols), off), w, d)])
-
-    return combine
+    packed product (`nf._matvec`)."""
+    apply = _matvec([v.coords for v in basis], bound)
+    return lambda coeffs: K.element(apply(coeffs))
 
 
 def _combine(K, basis, coeffs):

@@ -263,8 +263,9 @@ def lll_reduce(ideal, delta=DELTA):
     # factor) has far smaller entries than the HNF
     reduced = integral_lll(ideal._basis or ideal.cols, gram, delta)
     # lattice equality: every output vector lies in the ideal and the
-    # determinants agree, which pins the same Hermite form
-    if any(not ideal.contains_vector(v) for v in reduced):
+    # determinants agree, which pins the same Hermite form; an ideal u*J
+    # answers both from its factors, without building that form
+    if not ideal.contains_vectors(reduced):
         raise DpipError("LLL output left the input ideal")
     if abs(bareiss_det(reduced)) != ideal.det():
         raise DpipError("LLL output does not span the input ideal")

@@ -3,9 +3,10 @@
 Everything is computed in the order Z[theta] for a monic integral defining
 polynomial f. Elements are coordinate vectors over the power basis
 1, theta, ..., theta^(d-1) (ints, or Fractions for non-integral elements);
-ideals are full-rank integer lattices in canonical column Hermite form, so
-equal ideals have bit-identical representations. No floating point is used
-anywhere in this module.
+ideals are full-rank integer lattices whose canonical column Hermite form
+makes equal ideals bit-identical; an ideal u*J given by its factors builds
+that form only when asked. No floating point is used anywhere in this
+module.
 """
 
 from fractions import Fraction
@@ -288,23 +289,11 @@ class NumberField:
         return cols
 
     def mul_vectors(self, coords, vecs):
-        """Coordinates of x*v for every v in vecs, x given by coords.
-
-        The multiplication matrix of x is built once and applied to each
-        vector, so a lattice basis times an element costs O(d^2) per column.
-        """
-        d = self.degree
-        mcols = self.mul_matrix_columns(coords)
-        out = []
-        for v in vecs:
-            w = [0] * d
-            for j, vj in enumerate(v):
-                if vj:
-                    col = mcols[j]
-                    for i in range(d):
-                        w[i] += vj * col[i]
-            out.append(w)
-        return out
+        """Coordinates of x*v for every integer vector v in vecs, x given by
+        integer coords: one packed mat-vec each (`_matvec`)."""
+        bound = max((abs(t) for v in vecs for t in v), default=0)
+        apply = _matvec(self.mul_matrix_columns(coords), bound)
+        return [apply(v) for v in vecs]
 
 
 class FieldElement:
@@ -542,6 +531,21 @@ def _pack(rows, width):
     return cols
 
 
+def _matvec(cols, bound):
+    """v -> sum_j v_j * cols[j] for integer vectors v with max |v_j| <= bound,
+    as one packed product: column j is one integer with its entry i in slot
+    i (`_pack`). Every entry of the result is at most R = bound * max_i
+    sum_j |cols[j][i]| in absolute value, so with R added to each slot by
+    one offset, every slot lies in [0, 2R] and is read back exactly."""
+    rows = list(zip(*cols))
+    n = len(rows)
+    R = bound * max(sum(map(abs, row)) for row in rows)
+    w = (2 * R).bit_length() // 8 + 1
+    packed = _pack(rows, w)
+    (off,) = _pack([[R]] * n, w)
+    return lambda v: [x - R for x in _slots(sum(map(mul, v, packed), off), w, n)]
+
+
 def _slots(acc, width, n):
     """The n slots of `width` bytes of 0 <= acc < 2^(8 * width * n), lowest
     first; anything else raises DpipError."""
@@ -771,31 +775,52 @@ def poly_str(coords, var="θ"):
 # Ideals
 
 class Ideal:
-    """A fractional ideal of Z[theta] as a canonical HNF lattice.
+    """A fractional ideal of Z[theta]: a numerator lattice over `denom`.
 
-    `cols[j]` is the j-th basis vector (pivot at index j, positive, entries
-    below other pivots reduced), `denom` a positive integer with content
-    coprime to the lattice. Integral ideals have denom == 1. Instances are
-    immutable; derived data (norm, inverse, reduced bases) is cached.
+    `cols[j]` is the j-th vector of the lattice's canonical HNF (pivot at
+    index j, positive, entries below other pivots reduced), `denom` a
+    positive integer with content coprime to the lattice. Integral ideals
+    have denom == 1. Instances are immutable; derived data is cached.
 
-    `_basis`, when set, is a Z-basis of the numerator lattice with small
-    entries that construction already produced: u times a basis of the
-    other factor, for an ideal built from a single generator u. LLL starts
-    from it instead of the HNF columns.
+    An integral u*J (u a nonzero integral element, J an integral ideal or
+    None for O_K), built from one generator or as a product by one, keeps
+    `_factors` = (u, J) and the Z-basis `_basis` = u x basis(J), where LLL
+    starts. Its determinant is |N(u)| * det(J), membership divides by u
+    (`contains_vectors`), and the HNF is built only when `cols` is read.
+    Every other ideal is built as an HNF lattice.
     """
 
-    __slots__ = ("K", "cols", "denom", "_gens", "_basis", "_inv", "_lll")
+    __slots__ = (
+        "K", "_cols", "denom", "_gens", "_basis", "_factors", "_quot", "_det", "_inv", "_lll"
+    )
 
-    def __init__(self, K, cols, denom=1, gens=None, basis=None):
+    def __init__(self, K, cols, denom=1, gens=None):
         self.K = K
-        self.cols = tuple(tuple(int(x) for x in c) for c in cols)
+        self._cols = None if cols is None else tuple(tuple(int(x) for x in c) for c in cols)
         self.denom = int(denom)
         self._gens = gens
-        self._basis = basis
-        self._inv = None
-        self._lll = None
+        self._basis = self._factors = self._quot = self._det = self._inv = self._lll = None
         if self.denom < 1:
             raise ValueError("denominator must be positive")
+
+    @staticmethod
+    def _times(u, J, gens):
+        """u*J, with its HNF left unbuilt (see the class docstring)."""
+        K = u.K
+        out = Ideal(K, None, 1, gens=gens)
+        out._factors = (u, J)
+        vecs = K.mul_vectors(u.coords, J._basis or J.cols) if J else K.mul_matrix_columns(u.coords)
+        out._basis = tuple(map(tuple, vecs))
+        return out
+
+    @property
+    def cols(self):
+        if self._cols is None:
+            # the determinant times Z^d lies in any full-rank integer lattice
+            lat = IntLattice(self.K.degree, modulus=self.det())
+            lat.extend(self._basis)
+            self._cols = lat.basis_columns()
+        return self._cols
 
     # -- constructors -----------------------------------------------------------
 
@@ -812,7 +837,8 @@ class Ideal:
 
     @staticmethod
     def from_generators(K, gens):
-        """HNF lattice of the O_K-module generated by integral elements."""
+        """The O_K-module generated by integral elements: u*O_K with its HNF
+        left unbuilt for a single nonzero u, else its HNF lattice."""
         elems = []
         for g in gens:
             if isinstance(g, (int, Fraction)):
@@ -825,6 +851,8 @@ class Ideal:
                 elems.append(g)
         if not elems:
             raise ZeroIdealError("all generators are zero")
+        if len(elems) == 1:
+            return Ideal._times(elems[0], None, (elems[0],))
         # a rational generator q lies in the ideal, hence so does q*Z^d, and
         # no norm is needed; otherwise N(g) = g * (g^-1 N(g)) lies in it
         modulus = 0
@@ -836,13 +864,10 @@ class Ideal:
                 modulus = gcd(modulus, g.norm_int())
         lat = IntLattice(K.degree, modulus=modulus)
         for g in elems:
-            cols = K.mul_matrix_columns(g.coords)
-            lat.extend(cols)
+            lat.extend(K.mul_matrix_columns(g.coords))
         if not lat.is_full_rank():
             raise ZeroIdealError("generators span a degenerate lattice")
-        # one generator: its multiplication-matrix columns are a basis
-        basis = tuple(map(tuple, cols)) if len(elems) == 1 else None
-        return Ideal(K, lat.basis_columns(), 1, gens=tuple(elems), basis=basis)
+        return Ideal(K, lat.basis_columns(), 1, gens=tuple(elems))
 
     @staticmethod
     def principal(K, g):
@@ -890,19 +915,22 @@ class Ideal:
         return lat
 
     def det(self):
-        out = 1
-        for j in range(self.K.degree):
-            out *= self.cols[j][j]
-        return out
+        if self._det is None:
+            if self._factors:
+                u, J = self._factors
+                self._det = abs(u.norm_int()) * (1 if J is None else J.det())
+            else:
+                self._det = prod(c[j] for j, c in enumerate(self.cols))
+        return self._det
 
     def norm(self):
         return Fraction(self.det(), self.denom**self.K.degree)
 
     def norm_int(self):
-        n = self.norm()
-        if n.denominator != 1:
+        n, rem = divmod(self.det(), self.denom**self.K.degree)
+        if rem:
             raise ValueError("fractional ideal")
-        return n.numerator
+        return n
 
     def is_integral(self):
         return self.denom == 1
@@ -940,7 +968,29 @@ class Ideal:
         return v
 
     def contains_vector(self, vec):
-        return all(x == 0 for x in self.reduce_vector(vec))
+        return self.contains_vectors([vec])
+
+    def contains_vectors(self, vecs):
+        """Whether every integer vector lies in the numerator lattice. For
+        u*J, with (beta, n) = norm_quotient(u) and beta in Z[theta], v is in
+        u*J exactly when n divides beta*v and v/u = beta*v/n lies in J, in
+        any order; each beta*v is one packed mat-vec (`K.mul_vectors`)."""
+        if self._factors is None:
+            return all(not any(self.reduce_vector(v)) for v in vecs)
+        J = self._factors[1]
+        beta, n = self._quotient()
+        quots = []
+        for w in self.K.mul_vectors(beta.coords, vecs):
+            if any(x % n for x in w):
+                return False
+            quots.append([x // n for x in w])
+        return J is None or J.contains_vectors(quots)
+
+    def _quotient(self):
+        """norm_quotient(u) for the factor u of u*J, computed once."""
+        if self._quot is None:
+            self._quot = norm_quotient(self._factors[0])
+        return self._quot
 
     def contains_element(self, elem):
         if elem.K != self.K:
@@ -960,11 +1010,12 @@ class Ideal:
     def __mul__(self, other):
         """I * J, spanned by (generators of I) x (a Z-basis of J).
 
-        The shorter generator list is multiplied by the other operand's
-        recorded basis, or its columns. With l the least positive integer in
-        a numerator lattice, m = l(I) * l(J) lies in the product, hence so
-        does m*Z[theta], and insertion runs mod m. A single generator u
-        makes u x basis a Z-basis of the product, and it is recorded.
+        When both are integral and one has a single recorded generator u,
+        the product is u*J with its HNF left unbuilt. Otherwise the shorter
+        generator list is multiplied by the other operand's recorded basis,
+        or its columns. With l the least positive integer in a numerator
+        lattice, m = l(I) * l(J) lies in the product, hence so does
+        m*Z[theta], and insertion runs mod m.
         """
         if not isinstance(other, Ideal):
             return NotImplemented
@@ -974,21 +1025,18 @@ class Ideal:
         small, big = self, other
         if len(other._generators()) < len(self._generators()):
             small, big = other, self
-        lat = IntLattice(
-            K.degree, modulus=self._least_integer() * other._least_integer()
-        )
-        units = small._generators()
-        for u in units:
-            vecs = K.mul_vectors(u, big._basis or big.cols)
-            lat.extend(vecs)
-        basis = tuple(map(tuple, vecs)) if len(units) == 1 else None
         gens = None
         # capped at d, so repeated squaring cannot multiply the record out
         if self._gens and other._gens and len(self._gens) * len(other._gens) <= K.degree:
             gens = tuple(g * h for g in self._gens for h in other._gens)
-        return _normalized(
-            K, lat.basis_columns(), self.denom * other.denom, gens=gens, basis=basis
+        if small._gens and len(small._gens) == 1 and self.denom == other.denom == 1:
+            return Ideal._times(small._gens[0], big, gens)
+        lat = IntLattice(
+            K.degree, modulus=self._least_integer() * other._least_integer()
         )
+        for u in small._generators():
+            lat.extend(K.mul_vectors(u, big._basis or big.cols))
+        return _normalized(K, lat.basis_columns(), self.denom * other.denom, gens=gens)
 
     def _least_integer(self):
         """The least m > 0 with m*e_0 in the numerator lattice.
@@ -1011,11 +1059,11 @@ class Ideal:
         return det // g
 
     def _generators(self):
-        """Coordinates of O_K-module generators of the numerator lattice:
-        the recorded ones when there are fewer than d, else the HNF columns."""
+        """Coordinates of O_K-module generators of the numerator lattice: the
+        recorded ones when there are fewer than d, else `_basis` or `cols`."""
         if self._gens and len(self._gens) < self.K.degree:
             return [g.coords for g in self._gens]
-        return self.cols
+        return self._basis or self.cols
 
     def __pow__(self, e):
         if e < 0:
@@ -1068,11 +1116,15 @@ class Ideal:
         return inv
 
     def _principal_inverse(self):
-        """Inverse of the integral part via a known single generator."""
-        if not self._gens or len(self._gens) != 1:
+        """Inverse of the integral part via a known single generator g:
+        (beta)/|n| for (beta, n) = norm_quotient(g). For u*O_K, g is u and
+        the membership test's quotient is reused."""
+        if self._factors and self._factors[1] is None:
+            beta, det = self._quotient()
+        elif self._gens and len(self._gens) == 1:
+            beta, det = norm_quotient(self._gens[0])
+        else:
             return None
-        alpha = self._gens[0]
-        beta, det = norm_quotient(alpha)
         n = abs(det)
         # beta divides n (n/beta = ±alpha), so n*Z^d sits inside (beta)
         lat = IntLattice(self.K.degree, modulus=n)
@@ -1097,9 +1149,9 @@ class Ideal:
         return q
 
 
-def _normalized(K, cols, denom, gens=None, basis=None):
+def _normalized(K, cols, denom, gens=None):
     """Reduce a (cols, denom) pair by the common content, which invalidates
-    the recorded generators and basis."""
+    the recorded generators."""
     g = denom
     for c in cols:
         for x in c:
@@ -1111,8 +1163,8 @@ def _normalized(K, cols, denom, gens=None, basis=None):
     if g > 1:
         cols = [[x // g for x in c] for c in cols]
         denom //= g
-        gens = basis = None
-    return Ideal(K, cols, denom, gens=gens, basis=basis)
+        gens = None
+    return Ideal(K, cols, denom, gens=gens)
 
 
 def _saturate_kernel(K, vecs, n):

@@ -197,6 +197,9 @@ def test_packed_combination_matches_the_plain_sum(K5, K21, K64, K180):
                 r = _combine(K, basis, c)
                 assert list(r.coords) == _plain_combination(basis, c)
                 assert all(type(x) is int for x in r.coords)
+            # the same kernel multiplies vectors by an element
+            x = basis[-1].coords
+            assert K.mul_vectors(x, draws) == [K.mul_coords(x, c) for c in draws]
         assert _combine(K, basis, [0] * d) == K.zero()
 
 
@@ -527,3 +530,99 @@ def test_no_assert_statements_in_the_package():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_prime_cofactor_refuses_elements_outside_a_factored_ideal_under_O():
+    # (3 + theta) keeps its factors; 1 fails the norm screen, and 6 - 2*theta
+    # (norm 56 = 14 * 2^2, in the conjugate prime above 7) reaches membership
+    script = (
+        "from dpip.decide import prime_cofactor\n"
+        "from dpip.errors import NonDivisibleError\n"
+        "from dpip.nf import Ideal, NumberField\n"
+        "K = NumberField([5, 0, 1])\n"
+        "I = Ideal.principal(K, K.element([3, 1]))\n"
+        "for r in (K.one(), K.element([6, -2])):\n"
+        "    try:\n"
+        "        prime_cofactor(I, r)\n"
+        "    except NonDivisibleError:\n"
+        "        continue\n"
+        "    raise SystemExit(1)\n"
+        "raise SystemExit(0 if I._cols is None else 2)\n"
+    )
+    src = str(Path(dpip.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_decide_factored_ideals_builds_no_lattice(monkeypatch, K180, fixtures_dir):
+    # (alpha) and (alpha)*P decide from their factors: no HNF, no inverse
+    advice = load_advice(fixtures_dir / "advice_zeta180.json")
+    rng = random.Random(180)
+    alpha = K180.element([rng.randint(-3, 3) for _ in range(K180.degree)])
+    P = next(
+        F for F in kummer_dedekind(181, K180) if decide_prime_ideal(F, advice).verdict == NO
+    ).to_ideal()
+    inputs = [(Ideal.principal(K180, alpha), YES), (Ideal.principal(K180, alpha) * P, NO)]
+
+    def refuse(self, vec):
+        raise AssertionError("a lattice vector was inserted")
+
+    monkeypatch.setattr(IntLattice, "add", refuse)
+    cfg = default_switch_config(K180, bound_B=5, seed=480)
+    for ideal, verdict in inputs:
+        decision = decide_ideal(ideal, advice, cfg)
+        assert decision.verdict == verdict and decision.switches_used > 0
+        assert ideal.norm_int() % decision.witness_prime.p
+        assert ideal._cols is None and ideal._inv is None
+
+
+def test_decide_then_inverse_computes_one_norm_quotient(monkeypatch, K180, fixtures_dir):
+    # the membership test of (alpha) and its inverse share beta = N(alpha)/alpha
+    advice = load_advice(fixtures_dir / "advice_zeta180.json")
+    rng = random.Random(180)
+    alpha = K180.element([rng.randint(-3, 3) for _ in range(K180.degree)])
+    calls = []
+    norm_quotient = nf.norm_quotient
+
+    def counted(a):
+        calls.append(a)
+        return norm_quotient(a)
+
+    monkeypatch.setattr(nf, "norm_quotient", counted)
+    I = Ideal.principal(K180, alpha)
+    decide_ideal(I, advice, default_switch_config(K180, bound_B=5, seed=480))
+    assert I * I.inverse() == Ideal.ring(K180)
+    assert calls == [alpha]
+
+
+def test_ideal_norm_reads_the_pivots_once(K64, fixtures_dir):
+    # N(I) screens every draw; the d pivots of an HNF ideal are read once
+    J = load_ideal(fixtures_dir / "ideal_zeta64_switch.json", K64)
+    n = J.norm_int()
+    basis = lll_reduce(J)
+    draws = substream(5, "pivots")
+    rs = []
+    while len(rs) < 40:
+        r = _combine(K64, basis, draw_coefficients(draws, 5, K64.degree))
+        if prime_power(abs(r.norm_int()) // n) is None:
+            rs.append(r)
+    reads = []
+
+    class Counted(tuple):
+        def __getitem__(self, i):
+            reads.append(i)
+            return tuple.__getitem__(self, i)
+
+    I = load_ideal(fixtures_dir / "ideal_zeta64_switch.json", K64)
+    I._cols = tuple(Counted(c) for c in I.cols)
+    for r in rs:
+        assert prime_cofactor(I, r) is None
+    assert I.norm_int() == n
+    assert reads == list(range(K64.degree))

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from dpip import lll, nf
+from dpip.errors import DpipError
 from dpip.intlattice import IntLattice, bareiss_det
 from dpip.lll import (
     cyclotomic_order,
@@ -193,3 +194,29 @@ def test_cyclotomic_fixtures_skip_numerical_gram(monkeypatch, fixtures_dir):
         gram = minkowski_gram(K)
         d = K.degree
         assert all(gram[j][k] == gram[0][abs(j - k)] for j in range(d) for k in range(d))
+
+
+@pytest.mark.parametrize(
+    "wrong, message",
+    [
+        # a sublattice of index 2^d: every vector in the ideal, no span
+        (lambda vecs: [[2 * x for x in v] for v in vecs], "does not span"),
+        # the unit vector 1 is in no proper ideal
+        (lambda vecs: [[1] + [0] * (len(vecs) - 1)] + vecs[1:], "left the input ideal"),
+    ],
+    ids=["sublattice", "outside"],
+)
+@pytest.mark.parametrize("case", ["K5-principal", "K180-principal", "K180-times-prime"])
+def test_span_check_on_factored_ideals(request, monkeypatch, case, wrong, message):
+    # an ideal u*J checks both halves from its factors, with no HNF
+    if case == "K5-principal":
+        K = request.getfixturevalue("K5")
+        ideal = Ideal.principal(K, K.element([3, 1]))
+    else:
+        alpha, P, ideal = _principal_times_prime(request.getfixturevalue("K180"), 181)
+        if case == "K180-principal":
+            ideal = Ideal.principal(ideal.K, alpha)
+    monkeypatch.setattr(lll, "integral_lll", lambda vecs, gram, delta: wrong([list(v) for v in vecs]))
+    with pytest.raises(DpipError, match=message):
+        lll_reduce(ideal)
+    assert ideal._factors is not None and ideal._cols is None

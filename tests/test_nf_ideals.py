@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -326,3 +326,64 @@ def test_ideal_equality_and_hash(K5):
     J = Ideal.from_generators(K5, [K5.element([1, 1]), K5.rational(2)])
     assert I == J and hash(I) == hash(J)
     assert I != Ideal.ring(K5)
+
+
+def _eager(K, gens):
+    """The HNF built as before ideals kept their factors: the multiplication
+    columns of every generator, inserted modulo the norm."""
+    lat = IntLattice(K.degree, modulus=abs(prod(g.norm_int() for g in gens)))
+    for g in gens:
+        lat.extend(K.mul_matrix_columns(g.coords))
+    return Ideal(K, lat.basis_columns())
+
+
+@pytest.mark.parametrize("field", ["K5", "K21", "K64", "K180", "Kr5"])
+def test_factored_ideal_matches_eager_hnf(request, field):
+    # Z[sqrt 5] (Kr5) has elements of negative norm and is not maximal at 2
+    K = NumberField([-5, 0, 1]) if field == "Kr5" else request.getfixturevalue(field)
+    d = K.degree
+    rng = random.Random(field)
+    alpha, beta = (K.element([rng.randint(-3, 3) for _ in range(d)]) for _ in range(2))
+    if field == "Kr5":
+        alpha = K.element([1, 1])
+        assert alpha.norm_int() == -4
+    p = next(p for p in (181, 29, 5, 3) if len(kummer_dedekind(p, K)) > 1)
+    F = kummer_dedekind(p, K)[0]
+    P = F.to_ideal()
+    g = K.element(list(F.gen_poly) + [0] * (d - F.res_degree - 1))
+    six = K.rational(6)
+    # (lazy, eager, an element outside, one inside); for the products the
+    # outside one is a multiple of u, so only the test in J refuses it
+    cases = [
+        (Ideal.principal(K, alpha), _eager(K, [alpha]), K.one(), alpha),
+        (Ideal.principal(K, six), _eager(K, [six]), K.rational(3), six * g),
+        (Ideal.principal(K, alpha) * P, _eager(K, [alpha * p, alpha * g]), alpha, alpha * g),
+        (
+            Ideal.principal(K, alpha) * Ideal.principal(K, beta) * P,
+            _eager(K, [alpha * beta * p, alpha * beta * g]),
+            alpha * beta,
+            alpha * beta * p,
+        ),
+    ]
+    for lazy, eager, outside, inside_elem in cases:
+        assert lazy._factors is not None and eager._factors is None
+        assert lazy.det() == eager.det() and lazy.norm_int() == eager.norm_int()
+        inside = []
+        for _ in range(6):
+            coeffs = [rng.randint(-4, 4) for _ in range(d)]
+            inside.append([sum(x * c[i] for x, c in zip(coeffs, eager.cols)) for i in range(d)])
+        for v in inside:
+            assert lazy.contains_vector(v) and eager.contains_vector(v)
+            for j in range(d):
+                w = list(v)
+                w[j] += rng.randint(1, 3)
+                assert lazy.contains_vector(w) == eager.contains_vector(w)
+            assert not lazy.contains_vector([v[0] + 1] + v[1:])
+        assert lazy.contains_vectors(inside)
+        assert not lazy.contains_element(outside) and not eager.contains_element(outside)
+        assert lazy.contains_element(inside_elem) and eager.contains_element(inside_elem)
+        assert not lazy.contains_vectors(inside + [[1] + [0] * (d - 1)])
+        assert lazy._cols is None  # none of the above built the HNF
+        assert lazy.cols == eager.cols
+        assert lazy == eager and eager == lazy and hash(lazy) == hash(eager)
+        assert len({lazy, eager}) == 1
