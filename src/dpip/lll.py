@@ -20,10 +20,19 @@ spans the input ideal before returning.
 
 The reduction itself is the all-integer LLL (Cohen, GTM 138, 2.6), with
 exact arithmetic on the lambda/d Gram-Schmidt tables, so runs are
-deterministic.
+deterministic. It is given the Gram matrix of its start basis. For an
+ideal u*J of a cyclotomic field that matrix comes from u's weight form:
+|sigma(theta)| = 1 makes <u theta^i, u theta^j> depend on i - j only, so
+d inner products give a Toeplitz matrix T, and J's basis B_J gives
+B_J^T T B_J (start_gram). Every other ideal pays b_i^T G b_j per pair.
+
+DELTA is 3/4, the parameter of Lenstra, Lenstra and Lovasz (1982); the
+algorithm accepts any 1/4 < delta < 1. Since the span check makes the
+output exact at every such delta, delta only sets how short the reduced
+basis, and so the switching draws over it, come out. A larger delta buys
+slightly shorter vectors for many more swaps.
 """
 
-from fractions import Fraction
 from operator import mul
 
 import mpmath
@@ -34,7 +43,7 @@ from .nf import cyclotomic_order
 
 _PREC_BITS = 192
 _SCALE_BITS = 32
-DELTA = (99, 100)
+DELTA = (3, 4)
 
 
 def minkowski_gram(K):
@@ -88,11 +97,8 @@ def _numerical_gram(K):
     """
     d = K.degree
     with mpmath.workprec(_PREC_BITS + 8 * d):
-        roots = mpmath.polyroots(
-            [mpmath.mpf(c) for c in reversed(K.poly)],
-            maxsteps=200,
-            extraprec=_PREC_BITS,
-        )
+        coeffs = [mpmath.mpf(c) for c in reversed(K.poly)]
+        roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=_PREC_BITS)
         powers = []
         for r in roots:
             row = [mpmath.mpc(1)]
@@ -105,45 +111,58 @@ def _numerical_gram(K):
                 acc = mpmath.mpf(0)
                 for i in range(d):
                     acc += (powers[i][j] * mpmath.conj(powers[i][k])).real
-                gram[j][k] = acc
-                gram[k][j] = acc
+                gram[j][k] = gram[k][j] = acc
         tol = mpmath.mpf(2) ** -40
-        integral = all(
-            abs(gram[j][k] - mpmath.nint(gram[j][k])) < tol
-            for j in range(d)
-            for k in range(j, d)
-        )
+        integral = all(abs(x - mpmath.nint(x)) < tol for row in gram for x in row)
         if integral:
-            q = [[int(mpmath.nint(gram[j][k])) for k in range(d)] for j in range(d)]
+            q = [[int(mpmath.nint(x)) for x in row] for row in gram]
         else:
             s = mpmath.mpf(2) ** _SCALE_BITS
-            q = [
-                [int(mpmath.nint(gram[j][k] * s)) for k in range(d)]
-                for j in range(d)
-            ]
+            q = [[int(mpmath.nint(x * s)) for x in row] for row in gram]
             for j in range(d):
                 for k in range(j + 1, d):
-                    m = (q[j][k] + q[k][j]) // 2
-                    q[j][k] = m
-                    q[k][j] = m
+                    q[j][k] = q[k][j] = (q[j][k] + q[k][j]) // 2
     return tuple(tuple(row) for row in q)
 
 
-def _form_ip(gram, u, v):
-    acc = 0
-    for i, ui in enumerate(u):
-        if ui:
-            gi = gram[i]
-            s = 0
-            for j, vj in enumerate(v):
-                if vj:
-                    s += gi[j] * vj
-            acc += ui * s
-    return acc
+def form_gram(vectors, form):
+    """Gram matrix <b_i, b_j> = b_i^T G b_j of vectors under a symmetric form
+    G: G b_i for each vector, then a dot product per pair, both summed over
+    the nonzero entries of the vectors only."""
+    nonzero = [[(k, x) for k, x in enumerate(b) if x] for b in vectors]
+    gb = [[sum(x * row[k] for k, x in nz) for row in form] for nz in nonzero]
+    n = len(vectors)
+    ips = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            ips[i][j] = ips[j][i] = sum(x * gb[j][k] for k, x in nonzero[i])
+    return ips
 
 
-def integral_lll(vectors, gram, delta=DELTA):
-    """All-integer LLL on coordinate vectors under an integral SPD form.
+def start_gram(ideal):
+    """Gram matrix of the basis lll_reduce starts from: `_basis`, else `cols`.
+
+    For u*J in a certified cyclotomic field, |sigma(theta)| = 1 gives
+    <u theta^i, u theta^j> = t_|i-j| with t_k = (G u)^T (u theta^k): a
+    Toeplitz T from d dot products against the columns of u*O_K. The start
+    basis u x B_J, with B_J the recorded basis of J or its columns, then has
+    the Gram B_J^T T B_J, where the HNF of a degree-one prime has two
+    nonzeros per column. Every other ideal takes its start basis under G.
+    """
+    K = ideal.K
+    form = minkowski_gram(K)
+    if ideal._factors is None or cyclotomic_order(K) is None:
+        return form_gram(ideal._basis or ideal.cols, form)
+    u, J = ideal._factors
+    gu = [sum(map(mul, u.coords, row)) for row in form]
+    t = [sum(map(mul, gu, c)) for c in K.mul_matrix_columns(u.coords)]
+    toeplitz = [[t[abs(i - j)] for j in range(K.degree)] for i in range(K.degree)]
+    return toeplitz if J is None else form_gram(J._basis or J.cols, toeplitz)
+
+
+def integral_lll(vectors, ips, delta=DELTA):
+    """All-integer LLL on coordinate vectors, given their Gram matrix
+    ips[i][j] = <b_i, b_j> under an integral positive definite form.
 
     Returns a new list of vectors spanning the same lattice, size-reduced
     and satisfying the Lovasz condition at delta (a num/den pair).
@@ -154,24 +173,17 @@ def integral_lll(vectors, gram, delta=DELTA):
     lam = [[0] * n for _ in range(n)]
     big_d = [1] * (n + 1)
 
-    gram_cols = list(zip(*gram))
-
     def init_gs():
         for i in range(n):
-            # one vector-matrix product per vector, then a dot product per
-            # pair: (b_i^T G) . b_j is the form <b_i, b_j> exactly
-            bg = [sum(map(mul, b[i], c)) for c in gram_cols]
             for j in range(i + 1):
-                u = sum(map(mul, bg, b[j]))
+                u = ips[i][j]
                 for t in range(j):
                     u = (big_d[t + 1] * u - lam[i][t] * lam[j][t]) // big_d[t]
                 if j < i:
                     lam[i][j] = u
                 else:
                     if u <= 0:
-                        raise ArithmeticError(
-                            "form is not positive definite on the basis"
-                        )
+                        raise ArithmeticError("form is not positive definite on the basis")
                     big_d[i + 1] = u
 
     def redi(k, l):
@@ -214,34 +226,6 @@ def integral_lll(vectors, gram, delta=DELTA):
     return b
 
 
-def is_lll_reduced(vectors, gram, delta=DELTA):
-    """Exact check of size reduction and the Lovasz condition."""
-    n = len(vectors)
-    dnum, dden = delta
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    bstar = [Fraction(0)] * n
-    for i in range(n):
-        # Gram-Schmidt over Q against earlier vectors
-        ips = [Fraction(_form_ip(gram, vectors[i], vectors[j])) for j in range(i + 1)]
-        for j in range(i):
-            acc = ips[j]
-            for t in range(j):
-                acc -= mu[i][t] * mu[j][t] * bstar[t]
-            mu[i][j] = acc / bstar[j]
-            if abs(mu[i][j]) > Fraction(1, 2):
-                return False
-        acc = ips[i]
-        for t in range(i):
-            acc -= mu[i][t] * mu[i][t] * bstar[t]
-        bstar[i] = acc
-        if bstar[i] <= 0:
-            return False
-    for k in range(1, n):
-        if bstar[k] < (Fraction(dnum, dden) - mu[k][k - 1] ** 2) * bstar[k - 1]:
-            return False
-    return True
-
-
 def lll_reduce(ideal, delta=DELTA):
     """LLL-reduced Z-basis of an integral ideal, as field elements.
 
@@ -258,10 +242,9 @@ def lll_reduce(ideal, delta=DELTA):
         raise ZeroIdealError("zero ideal")
     if ideal._lll is not None:
         return list(ideal._lll)
-    gram = minkowski_gram(field)
     # a basis recorded at construction (u times a basis of the other
     # factor) has far smaller entries than the HNF
-    reduced = integral_lll(ideal._basis or ideal.cols, gram, delta)
+    reduced = integral_lll(ideal._basis or ideal.cols, start_gram(ideal), delta)
     # lattice equality: every output vector lies in the ideal and the
     # determinants agree, which pins the same Hermite form; an ideal u*J
     # answers both from its factors, without building that form

@@ -1013,9 +1013,9 @@ class Ideal:
         When both are integral and one has a single recorded generator u,
         the product is u*J with its HNF left unbuilt. Otherwise the shorter
         generator list is multiplied by the other operand's recorded basis,
-        or its columns. With l the least positive integer in a numerator
-        lattice, m = l(I) * l(J) lies in the product, hence so does
-        m*Z[theta], and insertion runs mod m.
+        or its columns. With l a positive integer in each numerator lattice
+        (`_lattice_integer`), m = l(I) * l(J) lies in the product, hence so
+        does m*Z[theta], and insertion runs mod m.
         """
         if not isinstance(other, Ideal):
             return NotImplemented
@@ -1031,12 +1031,19 @@ class Ideal:
             gens = tuple(g * h for g in self._gens for h in other._gens)
         if small._gens and len(small._gens) == 1 and self.denom == other.denom == 1:
             return Ideal._times(small._gens[0], big, gens)
-        lat = IntLattice(
-            K.degree, modulus=self._least_integer() * other._least_integer()
-        )
+        lat = IntLattice(K.degree, modulus=self._lattice_integer() * other._lattice_integer())
         for u in small._generators():
             lat.extend(K.mul_vectors(u, big._basis or big.cols))
         return _normalized(K, lat.basis_columns(), self.denom * other.denom, gens=gens)
+
+    def _lattice_integer(self):
+        """A positive integer in the numerator lattice: for u*J, |N(u)| times
+        that of J, read from the factors (N(u) = u * N(u)/u and N(u)/u is
+        integral); else the least one."""
+        if self._factors is None:
+            return self._least_integer()
+        u, J = self._factors
+        return abs(u.norm_int()) * (J._lattice_integer() if J else 1)
 
     def _least_integer(self):
         """The least m > 0 with m*e_0 in the numerator lattice.

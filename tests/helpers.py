@@ -8,6 +8,8 @@ implementations they are checking.
 
 from fractions import Fraction
 
+from dpip.lll import DELTA
+
 
 def naive_lattice_basis(vectors):
     """Row-style integer lattice basis by plain gcd elimination.
@@ -80,8 +82,52 @@ def naive_det(rows):
     return det
 
 
-def lll_reference(basis, gram, delta=Fraction(99, 100)):
-    """Textbook LLL over Fractions with inner product u^T gram v."""
+def form_ip(gram, u, v):
+    """u^T gram v, skipping zero coordinates."""
+    acc = 0
+    for ui, grow in zip(u, gram):
+        if ui:
+            acc += ui * sum(g * vj for g, vj in zip(grow, v) if vj)
+    return acc
+
+
+def gram_of(vectors, gram):
+    """The matrix of form_ip over every pair of vectors."""
+    return [[form_ip(gram, u, v) for v in vectors] for u in vectors]
+
+
+def is_lll_reduced(vectors, gram, delta=DELTA):
+    """Exact check of size reduction and the Lovasz condition."""
+    n = len(vectors)
+    dnum, dden = delta
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    bstar = [Fraction(0)] * n
+    for i in range(n):
+        # Gram-Schmidt over Q against earlier vectors
+        ips = [Fraction(form_ip(gram, vectors[i], vectors[j])) for j in range(i + 1)]
+        for j in range(i):
+            acc = ips[j]
+            for t in range(j):
+                acc -= mu[i][t] * mu[j][t] * bstar[t]
+            mu[i][j] = acc / bstar[j]
+            if abs(mu[i][j]) > Fraction(1, 2):
+                return False
+        acc = ips[i]
+        for t in range(i):
+            acc -= mu[i][t] * mu[i][t] * bstar[t]
+        bstar[i] = acc
+        if bstar[i] <= 0:
+            return False
+    for k in range(1, n):
+        if bstar[k] < (Fraction(dnum, dden) - mu[k][k - 1] ** 2) * bstar[k - 1]:
+            return False
+    return True
+
+
+def lll_reference(basis, gram, delta=DELTA):
+    """Textbook LLL over Fractions with inner product u^T gram v, at delta
+    given as a num/den pair."""
+    delta = Fraction(*delta)
 
     def ip(u, v):
         return Fraction(

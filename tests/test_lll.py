@@ -6,16 +6,10 @@ import pytest
 from dpip import lll, nf
 from dpip.errors import DpipError
 from dpip.intlattice import IntLattice, bareiss_det
-from dpip.lll import (
-    cyclotomic_order,
-    integral_lll,
-    is_lll_reduced,
-    lll_reduce,
-    minkowski_gram,
-)
+from dpip.lll import cyclotomic_order, integral_lll, lll_reduce, minkowski_gram
 from dpip.nf import Ideal, NumberField, kummer_dedekind
 from dpip.serialize import load_field, load_ideal
-from helpers import lll_reference
+from helpers import gram_of, is_lll_reduced, lll_reference
 
 
 def test_integral_lll_against_fraction_reference():
@@ -34,7 +28,8 @@ def test_integral_lll_against_fraction_reference():
             lat.add(list(v))
         if not lat.is_full_rank():
             continue
-        out = integral_lll(vecs, gram)
+        assert lll.form_gram(vecs, gram) == gram_of(vecs, gram)
+        out = integral_lll(vecs, gram_of(vecs, gram))
         assert is_lll_reduced(out, gram)
         ref = lll_reference(vecs, gram)
         assert is_lll_reduced(ref, gram)
@@ -109,14 +104,14 @@ def _basis_digest(basis):
 
 
 def test_lll_output_pinned(K64, K180, fixtures_dir):
-    # the exact Gram and the set-up by vector-matrix products leave every
-    # reduced basis bit-identical; these digests were taken before both
+    # taken at delta = 3/4; the Toeplitz start Gram of (alpha) leaves the
+    # basis bit-identical to the generic b_i^T G b_j
     switch = load_ideal(fixtures_dir / "ideal_zeta64_switch.json", K64)
-    assert _basis_digest(lll_reduce(switch)) == "7573ffb223edc36c"
+    assert _basis_digest(lll_reduce(switch)) == "056a2018dcfe50d5"
     rng = random.Random(180)
     alpha = K180.element([rng.randint(-3, 3) for _ in range(48)])
     principal = Ideal.principal(K180, alpha)
-    assert _basis_digest(lll_reduce(principal)) == "f3cd96f444c4f0de"
+    assert _basis_digest(lll_reduce(principal)) == "c66531891a5df380"
 
 
 def _principal_times_prime(K, p):
@@ -148,9 +143,55 @@ def test_product_of_non_principal_ideals_records_no_basis(K5, K180):
 
 
 def test_product_lll_output_pinned(K180):
-    # taken when the start from alpha x (basis of P) replaced the HNF start
+    # taken at delta = 3/4, from the start alpha x (basis of P)
     _, _, J = _principal_times_prime(K180, 181)
-    assert _basis_digest(lll_reduce(J)) == "0bc21fbae997372f"
+    assert _basis_digest(lll_reduce(J)) == "2f48f51ef1b15211"
+
+
+def _start_gram_cases(K, p):
+    alpha, P, J = _principal_times_prime(K, p)
+    beta = K.element([1, -2] + [0] * (K.degree - 3) + [1])
+    return {
+        "principal": Ideal.principal(K, alpha),
+        "times-prime": J,
+        # u*J with J itself a product: a dense recorded basis of J
+        "times-product": Ideal.principal(K, beta) * J,
+        "hnf": P * kummer_dedekind(p, K)[1].to_ideal(),
+    }
+
+
+@pytest.mark.parametrize("field, p", [("K64", 193), ("K180", 181)])
+def test_toeplitz_start_gram_equals_generic(request, monkeypatch, field, p):
+    # the weight form of u gives the Gram of u x B_J exactly, and LLL then
+    # returns the same basis as from b_i^T G b_j
+    K = request.getfixturevalue(field)
+    form = minkowski_gram(K)
+    cases = _start_gram_cases(K, p)
+    assert cases["hnf"]._factors is None and cases["times-product"]._factors[1]._basis
+    fast = {}
+    for name, ideal in cases.items():
+        start = ideal._basis or ideal.cols
+        assert lll.start_gram(ideal) == lll.form_gram(start, form), name
+        fast[name] = lll_reduce(ideal)
+    monkeypatch.setattr(
+        lll, "start_gram", lambda I: lll.form_gram(I._basis or I.cols, minkowski_gram(I.K))
+    )
+    for name, ideal in _start_gram_cases(K, p).items():
+        assert lll_reduce(ideal) == fast[name], name
+
+
+def test_start_gram_of_non_cyclotomic_fields_is_generic(monkeypatch, K5, K21):
+    # no weight form there: the start basis itself goes under the field's form
+    calls = []
+    generic = lll.form_gram
+    monkeypatch.setattr(lll, "form_gram", lambda *a: calls.append(a) or generic(*a))
+    for K, p in ((K5, 3), (K21, 5)):
+        _, _, J = _principal_times_prime(K, p)
+        for ideal in (J, Ideal.principal(K, J._factors[0])):
+            lll.start_gram(ideal)
+            assert calls == [(ideal._basis, minkowski_gram(K))]
+            assert is_lll_reduced([list(b.coords) for b in lll_reduce(ideal)], minkowski_gram(K))
+            calls.clear()
 
 
 def test_exact_gram_matches_numerical(K64, K180):

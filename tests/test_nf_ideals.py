@@ -387,3 +387,23 @@ def test_factored_ideal_matches_eager_hnf(request, field):
         assert lazy.cols == eager.cols
         assert lazy == eager and eager == lazy and hash(lazy) == hash(eager)
         assert len({lazy, eager}) == 1
+
+
+@pytest.mark.parametrize("field, p", [("K5", 3), ("K180", 181)])
+def test_general_product_builds_no_hnf_of_a_factored_operand(request, field, p):
+    # u*J lends |N(u)| * l(J) to the product's modulus, read from its factors
+    K = request.getfixturevalue(field)
+    rng = random.Random(field)
+    alpha = K.element([rng.randint(-3, 3) for _ in range(K.degree)])
+    P, Q = (F.to_ideal() for F in kummer_dedekind(p, K)[:2])
+    cases = [
+        (lambda: Ideal.principal(K, alpha) * P, Q),
+        (lambda: Ideal.principal(K, alpha), Q.inverse()),
+    ]
+    for make, other in cases:
+        # the same generators over a built HNF take the least integer
+        lazy, built = make(), make()
+        bare = Ideal(K, built.cols, gens=built._gens)
+        for got, want in ((lazy * other, bare * other), (other * lazy, other * bare)):
+            assert got.cols == want.cols and got.denom == want.denom
+        assert lazy._factors is not None and lazy._cols is None

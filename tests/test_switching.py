@@ -54,15 +54,15 @@ def test_stats_jobs_match_serial(K5, K64, fixtures_dir):
 
 
 def test_switch_counts_are_pinned(K64, fixtures_dir):
-    # criterion-2 ideal: counts recorded before the switching draw was
-    # packed, so any change to the draw, the norm or the prime test that
-    # alters a verdict shows here
+    # criterion-2 ideal: counts recorded at delta = 3/4, so any change to
+    # the LLL basis, the draw, the norm or the prime test that alters a
+    # verdict shows here
     J = load_ideal(fixtures_dir / "ideal_zeta64_switch.json", K64)
     stats = switch_stats(J, [5, 10, 20], trials=8, seed=2026)
     assert [s.switch_counts for s in stats] == [
-        (6, 24, 34, 22, 9, 3, 79, 25),
-        (4, 10, 30, 71, 16, 24, 24, 67),
-        (18, 29, 46, 17, 133, 39, 50, 34),
+        (25, 12, 21, 15, 52, 21, 11, 24),
+        (9, 24, 5, 2, 5, 92, 7, 12),
+        (9, 127, 4, 11, 70, 27, 17, 6),
     ]
     assert not any(s.capped for s in stats)
 
