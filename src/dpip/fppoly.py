@@ -2,13 +2,12 @@
 
 Polynomials are lists/tuples of ints indexed by degree (little-endian) with
 entries reduced into [0, p). The zero polynomial is the empty list. Only the
-handful of operations the rest of the package needs live here; full
-factorization is delegated to sympy's galoistools.
+handful of operations the rest of the package needs live here; factoring
+and the irreducibility test are delegated to sympy's galoistools.
 """
 
-from sympy import factorint
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_factor
+from sympy.polys.galoistools import gf_factor, gf_irreducible_p
 
 
 def trim(a):
@@ -119,18 +118,6 @@ def xgcd(a, b, p):
     return scale(r0, inv, p), scale(u0, inv, p), scale(v0, inv, p)
 
 
-def pow_mod(a, e, m, p):
-    """a**e mod m by square and multiply."""
-    result = [1]
-    base = mod(a, m, p)
-    while e > 0:
-        if e & 1:
-            result = mod(mul(result, base, p), m, p)
-        base = mod(mul(base, base, p), m, p)
-        e >>= 1
-    return result
-
-
 def multiplicity(g, a, p):
     """The largest e with g^e dividing a (nonzero a, deg g >= 1)."""
     if deg(g) < 1:
@@ -145,27 +132,12 @@ def multiplicity(g, a, p):
     return e
 
 
-def frobenius_power(m, k, p):
-    """x^(p^k) mod m, computed as k successive p-th powers."""
-    h = mod([0, 1], m, p)
-    for _ in range(k):
-        h = pow_mod(h, p, m, p)
-    return h
-
-
 def is_irreducible(a, p):
-    """Rabin irreducibility test for monic a of degree >= 1."""
-    n = deg(a)
-    if n < 1 or a[-1] != 1:
+    """Irreducibility over F_p of a monic a of degree >= 1 (sympy's Rabin
+    test); False for anything else, constants included."""
+    if len(a) < 2 or a[-1] != 1:
         return False
-    if n == 1:
-        return True
-    x = [0, 1]
-    for q in factorint(n):
-        h = frobenius_power(a, n // q, p)
-        if deg(gcd(sub(h, x, p), a, p)) != 0:
-            return False
-    return frobenius_power(a, n, p) == mod(x, a, p)
+    return gf_irreducible_p([int(c) % p for c in reversed(a)], p, ZZ)
 
 
 def factor(a, p):

@@ -15,6 +15,9 @@ from operator import mul
 
 from sympy import Poly, Symbol, isprime, primefactors, primerange
 from sympy.ntheory import perfect_power
+from sympy.polys.densebasic import dup_strip
+from sympy.polys.domains import ZZ
+from sympy.polys.euclidtools import dup_discriminant, dup_resultant
 
 from . import fppoly
 from .errors import (
@@ -29,109 +32,35 @@ from .intlattice import IntLattice, bareiss
 
 
 # ---------------------------------------------------------------------------
-# Integer polynomial helpers (little-endian coefficient lists)
+# Integer polynomials (little-endian coefficient lists), via sympy's dense
+# big-endian algorithms over ZZ
 
-def _ip_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _ip_mul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _ip_trim(out)
-
-
-def _ip_content(a):
-    g = 0
-    for c in a:
-        g = gcd(g, c)
-    return g
-
-
-def _ip_prem(a, b):
-    """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a = b*q + r."""
-    da, db = len(a) - 1, len(b) - 1
-    d = b[-1]
-    r = list(a)
-    e = da - db + 1
-    while len(r) - 1 >= db and r:
-        lead = r[-1]
-        shift = len(r) - 1 - db
-        r = [d * c for c in r]
-        for j in range(db + 1):
-            r[shift + j] -= lead * b[j]
-        _ip_trim(r)
-        e -= 1
-    if e > 0:
-        m = d**e
-        r = [c * m for c in r]
-    return r
+def _ip_dense(a):
+    """Big-endian dense form of a little-endian integer polynomial."""
+    return dup_strip([int(c) for c in reversed(a)])
 
 
 def int_poly_resultant(a, b):
-    """Resultant of two integer polynomials, by the subresultant PRS."""
-    a = _ip_trim([int(c) for c in a])
-    b = _ip_trim([int(c) for c in b])
+    """Resultant of two integer polynomials (sympy's subresultant PRS).
+
+    sympy swaps a shorter first argument without the sign
+    (-1)^(deg a * deg b), so the longer polynomial goes first here.
+    """
+    a, b = _ip_dense(a), _ip_dense(b)
     if not a or not b:
         return 0
-    s = 1
-    if len(a) < len(b):
-        if ((len(a) - 1) * (len(b) - 1)) % 2 == 1:
-            s = -1
-        a, b = b, a
-    ca, cb = abs(_ip_content(a)), abs(_ip_content(b))
-    a = [c // ca for c in a]
-    b = [c // cb for c in b]
-    t = ca ** (len(b) - 1) * cb ** (len(a) - 1)
-    g = h = 1
-    while len(b) - 1 > 0:
-        da, db = len(a) - 1, len(b) - 1
-        delta = da - db
-        if (da % 2 == 1) and (db % 2 == 1):
-            s = -s
-        r = _ip_prem(a, b)
-        if not r:
-            return 0
-        a = b
-        divisor = g * h**delta
-        b = [c // divisor for c in r]
-        g = a[-1]
-        if delta == 0:
-            pass  # h unchanged
-        elif delta == 1:
-            h = g
-        else:
-            h = g**delta // h ** (delta - 1)
-    # b is a nonzero constant
-    da = len(a) - 1
-    if da == 0:
-        return s * t
-    res = b[0] ** da // h ** (da - 1)
-    return s * t * res
+    if len(a) >= len(b):
+        return int(dup_resultant(a, b, ZZ))
+    sign = -1 if (len(a) - 1) * (len(b) - 1) % 2 else 1
+    return sign * int(dup_resultant(b, a, ZZ))
 
 
 def int_poly_discriminant(f):
     """Discriminant of an integer polynomial with the standard sign."""
-    f = _ip_trim([int(c) for c in f])
-    n = len(f) - 1
-    if n < 1:
+    f = _ip_dense(f)
+    if len(f) < 2:
         raise ValueError("discriminant needs degree >= 1")
-    if n == 1:
-        return 1
-    fp = _ip_trim([i * c for i, c in enumerate(f)][1:])
-    res = int_poly_resultant(f, fp)
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    d, rem = divmod(sign * res, f[-1])
-    if rem:
-        raise DpipError("discriminant is not divisible by the leading coefficient")
-    return d
+    return int(dup_discriminant(f, ZZ))
 
 
 _SMALL_PRIMES = frozenset(primerange(2, 1000))
@@ -435,8 +364,8 @@ class FieldElement:
         |Res(f, g)| by (m * sum g_j^2 / d)^(d/2); the resultant is then the
         product of g over the roots of f modulo a product M of split primes
         above twice that bound, read as the residue of least absolute value
-        (`_RootTable`). Every other field takes the subresultant PRS over Z
-        (Cohen, GTM 138, 3.3).
+        (`_RootTable`). Every other field takes sympy's subresultant PRS
+        over Z (`int_poly_resultant`; Cohen, GTM 138, 3.3).
         """
         if self._norm is None:
             K = self.K
@@ -891,10 +820,8 @@ class Ideal:
                 if not 0 <= cols[j][i] < cols[i][i]:
                     raise ValueError("HNF entries are not reduced")
         ideal = Ideal(K, cols, denom)
-        lat = ideal._lattice()
-        for c in cols:
-            if K.theta_shift(list(c)) not in lat:
-                raise ValueError("lattice is not closed under multiplication by theta")
+        if not ideal.contains_vectors(K.theta_shift(c) for c in cols):
+            raise ValueError("lattice is not closed under multiplication by theta")
         return ideal
 
     # -- representation ------------------------------------------------------------
@@ -907,12 +834,6 @@ class Ideal:
 
     def basis_elements(self):
         return [self.K.element(list(c)) for c in self.cols]
-
-    def _lattice(self):
-        lat = IntLattice(self.K.degree)
-        for c in self.cols:
-            lat.add(list(c))
-        return lat
 
     def det(self):
         if self._det is None:
@@ -1350,10 +1271,9 @@ def _dedekind_criterion(p, K):
     repeated = fppoly.gcd(gbar, hbar, p)
     if fppoly.deg(repeated) == 0:
         return True
-    glift = [int(c) for c in gbar]
-    hlift = [int(c) for c in hbar]
-    prod = _ip_mul(glift, hlift)
-    diff = list(prod) + [0] * max(0, len(K.poly) - len(prod))
+    # g*h is only needed mod p^2: (g*h - f) / p is read mod p
+    lift = fppoly.mul(gbar, hbar, p * p)
+    diff = lift + [0] * max(0, len(K.poly) - len(lift))
     for i, c in enumerate(K.poly):
         diff[i] -= c
     fbig = [c // p for c in diff]

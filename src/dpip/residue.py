@@ -198,17 +198,14 @@ def element_in_prime(elem, prime):
     return not F.from_poly(list(elem.coords))
 
 
-def splits_completely(g, F=None):
+def splits_completely(g):
     """Does the monic squarefree g factor into deg(g) distinct linear parts?
 
     Decided by x^q = x (mod g). The squarefree precondition is enforced:
     a nontrivial gcd(g, g') means the caller's discriminant gate failed,
     which is reported rather than repaired.
     """
-    if F is None:
-        F = g.field
-    elif F != g.field:
-        raise ValueError("polynomial does not live over the given field")
+    F = g.field
     if not g.is_monic() or g.degree() < 1:
         raise ValueError("splitting test needs a monic polynomial of degree >= 1")
     coeffs = list(g.coeffs)

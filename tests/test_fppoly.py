@@ -1,7 +1,7 @@
+import itertools
 import random
 
 import pytest
-from sympy import Poly, Symbol
 
 from dpip import fppoly
 
@@ -52,21 +52,6 @@ def test_xgcd_bezout():
         assert lhs == g
 
 
-def test_pow_mod_matches_repeated_multiplication():
-    rng = random.Random(3)
-    for _ in range(100):
-        p = rng.choice(PRIMES)
-        m = _rand_poly(rng, p, 4)
-        if fppoly.deg(m) < 1:
-            continue
-        a = _rand_poly(rng, p, 3)
-        e = rng.randint(0, 12)
-        expected = [1]
-        for _ in range(e):
-            expected = fppoly.mod(fppoly.mul(expected, a, p), m, p)
-        assert fppoly.pow_mod(a, e, m, p) == expected
-
-
 def test_factor_recomposes_and_is_irreducible():
     rng = random.Random(4)
     for _ in range(120):
@@ -84,16 +69,34 @@ def test_factor_recomposes_and_is_irreducible():
         assert prod == a
 
 
-def test_is_irreducible_agrees_with_sympy():
-    x = Symbol("x")
-    rng = random.Random(5)
-    for _ in range(120):
-        p = rng.choice([2, 3, 5, 7])
-        coeffs = [rng.randrange(p) for _ in range(rng.randint(1, 5))] + [1]
-        mine = fppoly.is_irreducible(coeffs, p)
-        poly = Poly(list(reversed(coeffs)), x, modulus=p)
-        theirs = len(poly.factor_list()[1]) == 1 and poly.factor_list()[1][0][1] == 1
-        assert mine == theirs, (p, coeffs)
+def _irreducible_by_trial_division(a, p):
+    """Monic a of degree n >= 1 is irreducible over F_p exactly when no
+    monic polynomial of degree 1..n//2 divides it."""
+    n = fppoly.deg(a)
+    for k in range(1, n // 2 + 1):
+        for tail in itertools.product(range(p), repeat=k):
+            if not fppoly.mod(a, list(tail) + [1], p):
+                return False
+    return True
+
+
+def test_is_irreducible_agrees_with_trial_division():
+    for p in (2, 3, 5, 7):
+        for n in range(1, 6):
+            rng = random.Random(5 * p + n)
+            for _ in range(30):
+                coeffs = [rng.randrange(p) for _ in range(n)] + [1]
+                assert fppoly.is_irreducible(coeffs, p) == _irreducible_by_trial_division(
+                    coeffs, p
+                ), (p, coeffs)
+
+
+def test_is_irreducible_needs_a_monic_polynomial_of_positive_degree():
+    assert fppoly.is_irreducible([], 5) is False
+    assert fppoly.is_irreducible([3], 5) is False
+    # 2x^2 + x + 1 is irreducible over F_5 but not monic
+    assert fppoly.is_irreducible([1, 1, 2], 5) is False
+    assert fppoly.is_irreducible([3, 3, 1], 5) is True  # its monic associate
 
 
 def test_multiplicity():

@@ -317,3 +317,6 @@ def test_resultant_constant_cases():
     assert int_poly_resultant([5, 0, 1], [3]) == 9
     assert int_poly_resultant([5, 0, 1], []) == 0
     assert int_poly_resultant([2, 1], [7]) == 7
+    # deg a < deg b with deg a * deg b odd: the sign (-1)^(deg a * deg b)
+    assert int_poly_resultant([9, 1], [0, 2, 8, 1]) == -99
+    assert int_poly_resultant([0, 2, 8, 1], [9, 1]) == 99
