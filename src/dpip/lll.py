@@ -20,11 +20,16 @@ spans the input ideal before returning.
 
 The reduction itself is the all-integer LLL (Cohen, GTM 138, 2.6), with
 exact arithmetic on the lambda/d Gram-Schmidt tables, so runs are
-deterministic. It is given the Gram matrix of its start basis. For an
-ideal u*J of a cyclotomic field that matrix comes from u's weight form:
-|sigma(theta)| = 1 makes <u theta^i, u theta^j> depend on i - j only, so
-d inner products give a Toeplitz matrix T, and J's basis B_J gives
-B_J^T T B_J (start_gram). Every other ideal pays b_i^T G b_j per pair.
+deterministic. Every swap and size reduction is read from the Gram matrix
+alone, so it may be given any vectors together with the Gram matrix of
+other vectors they map to linearly. An ideal u*J is reduced that way on
+its cofactor side: the vectors are J's basis B_J (the identity for O_K),
+the Gram matrix is that of u x B_J, and the transform W of B_J is checked
+against J, which needs neither u*J's Hermite form nor N(u)/u, before u x W
+is formed. In a cyclotomic field that Gram matrix comes from u's weight
+form: |sigma(theta)| = 1 makes <u theta^i, u theta^j> depend on i - j
+only, so d inner products give a Toeplitz matrix T, and B_J^T T B_J
+follows (start_gram). Every other ideal pays b_i^T G b_j per pair.
 
 DELTA is 3/4, the parameter of Lenstra, Lenstra and Lovasz (1982); the
 algorithm accepts any 1/4 < delta < 1. Since the span check makes the
@@ -140,14 +145,16 @@ def form_gram(vectors, form):
 
 
 def start_gram(ideal):
-    """Gram matrix of the basis lll_reduce starts from: `_basis`, else `cols`.
+    """Gram matrix lll_reduce reduces under: that of u x B_J for u*J, with
+    B_J the recorded basis of J, its columns, or the identity for J = O_K
+    (the vectors reduced are B_J); that of `cols` for any other ideal.
 
     For u*J in a certified cyclotomic field, |sigma(theta)| = 1 gives
     <u theta^i, u theta^j> = t_|i-j| with t_k = (G u)^T (u theta^k): a
-    Toeplitz T from d dot products against the columns of u*O_K. The start
-    basis u x B_J, with B_J the recorded basis of J or its columns, then has
-    the Gram B_J^T T B_J, where the HNF of a degree-one prime has two
-    nonzeros per column. Every other ideal takes its start basis under G.
+    Toeplitz T from d dot products against the columns of u*O_K, which is
+    the Gram matrix of u x O_K; u x B_J then has B_J^T T B_J, where the HNF
+    of a degree-one prime has two nonzeros per column. In every other field
+    u x B_J, the recorded `_basis`, goes under G.
     """
     K = ideal.K
     form = minkowski_gram(K)
@@ -229,11 +236,16 @@ def integral_lll(vectors, ips, delta=DELTA):
 def lll_reduce(ideal, delta=DELTA):
     """LLL-reduced Z-basis of an integral ideal, as field elements.
 
-    The output spans exactly the lattice of `ideal` (checked by membership
-    and by the determinant) and is reduced at the given delta with respect
-    to the canonical-embedding Gram matrix of the field. The reduction
-    starts from the Z-basis the ideal recorded at construction, if any, else
-    from its HNF columns; a failed span check raises DpipError.
+    The output is reduced at the given delta with respect to the
+    canonical-embedding Gram matrix of the field. An ideal u*J is reduced
+    on its cofactor side: the reduction runs on B_J (the identity for J =
+    O_K, else J's recorded basis or its columns) under the Gram matrix of
+    u x B_J (`start_gram`). Every swap and size reduction is read from that
+    Gram matrix, so the result W is the transform of B_J, and u x W is the
+    basis a reduction of u x B_J would return. W spans J exactly when it
+    lies in J and |det W| = det J, and then u x W spans u*J; any other ideal
+    checks its reduced HNF columns the same way. A failed check raises
+    DpipError.
     """
     field = ideal.K
     if ideal.denom != 1:
@@ -242,16 +254,20 @@ def lll_reduce(ideal, delta=DELTA):
         raise ZeroIdealError("zero ideal")
     if ideal._lll is not None:
         return list(ideal._lll)
-    # a basis recorded at construction (u times a basis of the other
-    # factor) has far smaller entries than the HNF
-    reduced = integral_lll(ideal._basis or ideal.cols, start_gram(ideal), delta)
-    # lattice equality: every output vector lies in the ideal and the
-    # determinants agree, which pins the same Hermite form; an ideal u*J
-    # answers both from its factors, without building that form
-    if not ideal.contains_vectors(reduced):
+    if ideal._factors is None:
+        u, J, start = None, ideal, ideal.cols
+    else:
+        u, J = ideal._factors
+        d = field.degree
+        start = (J._basis or J.cols) if J else [[int(i == j) for j in range(d)] for i in range(d)]
+    w = integral_lll(start, start_gram(ideal), delta)
+    # lattice equality: every vector lies in J and the determinants agree,
+    # which pins the same Hermite form; J = O_K holds every integer vector
+    if J is not None and not J.contains_vectors(w):
         raise DpipError("LLL output left the input ideal")
-    if abs(bareiss_det(reduced)) != ideal.det():
+    if abs(bareiss_det(w)) != (J.det() if J else 1):
         raise DpipError("LLL output does not span the input ideal")
+    reduced = w if u is None else field.mul_vectors(u.coords, w)
     out = [field.element(v) for v in reduced]
     ideal._lll = tuple(out)
     return list(out)

@@ -10,7 +10,7 @@ module.
 """
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from operator import mul
 
 from sympy import Poly, Symbol, isprime, primefactors, primerange
@@ -508,9 +508,16 @@ class _RootTable:
     and C^2 <= sum g_j^2 <= m * sum g_j^2 / d as m >= d, so C^d < M and C <
     2^(bits(M) // d + 1): the slot stays below 2^(8 * width) when 8 * width
     >= bits(M) + bits(M) // d + bits(d) + 2.
+
+    The powers z^e mod M of the lifted z (`powers`, e < m) give every a_i^e;
+    `lagrange` builds from them the interpolation columns through the a_i
+    modulo a product of leading primes, so that a polynomial of degree < d
+    is read back from its values (`cofactor`).
     """
 
-    __slots__ = ("primes", "roots", "modulus", "bits", "width", "cols")
+    __slots__ = (
+        "poly", "primes", "roots", "modulus", "bits", "width", "cols", "exps", "powers", "_lagrange"
+    )
 
     def __init__(self, K, m, bits, old=None):
         """A table whose modulus has at least `bits` bits. It keeps the
@@ -547,21 +554,94 @@ class _RootTable:
         rows = [[powers[k * j % m] for j in range(d)] for k in exps]
         for row in rows:
             row.append(-sum(row) % M)
+        self.poly = K.poly
         self.primes = tuple(primes)
         self.roots = tuple(roots)
         self.modulus = M
         self.bits = M.bit_length()
         self.width = (self.bits + self.bits // d + d.bit_length() + 9) // 8
         self.cols = _pack(rows, self.width)
+        self.exps = tuple(exps)
+        self.powers = tuple(powers)
+        self._lagrange = dict(old._lagrange) if old else {}
+
+    def values(self, g, bound):
+        """Numbers congruent to g(a_i) mod M, for integer coordinates g with
+        max |g_j| = bound."""
+        acc = sum(map(mul, [x + bound for x in g] + [bound], self.cols))
+        return _slots(acc, self.width, len(g))
 
     def resultant(self, g, bound):
         """Res(f, g) for integer coordinates g with max |g_j| = bound."""
         M = self.modulus
-        acc = sum(map(mul, [x + bound for x in g] + [bound], self.cols))
         r = 1
-        for s in _slots(acc, self.width, len(g)):
+        for s in self.values(g, bound):
             r = r * s % M
         return r - M if 2 * r > M else r
+
+    def cofactor(self, g, bound, above):
+        """Coordinates, as residues of least absolute value, of the
+        polynomial of degree < d taking the value prod_{l != i} g(a_l) at
+        each a_i, modulo the product M' of the fewest leading primes of the
+        table with M' > above (the caller makes M > above): products of
+        prefixes and suffixes, so no inverse is taken, then one packed
+        Lagrange interpolation (`lagrange`)."""
+        M, cols, scales, width = self.lagrange(above)
+        vals = self.values(g, bound)
+        suffix = [1]
+        for v in reversed(vals):
+            suffix.append(suffix[-1] * v % M)
+        suffix.reverse()
+        acc, prefix = 0, 1
+        for v, after, scale, col in zip(vals, suffix[1:], scales, cols):
+            acc += prefix * after % M * scale % M * col
+            prefix = prefix * v % M
+        out = []
+        for s in _slots(acc, width, len(vals)):
+            s %= M
+            out.append(s - M if 2 * s > M else s)
+        return out
+
+    def lagrange(self, above):
+        """(M', columns, scales, width) for the Lagrange polynomials L_i =
+        q_i / f'(a_i), q_i = f / (x - a_i), modulo the M' of `cofactor`.
+
+        The coefficient of x^j in q_i is sum_{e > j} f_e a_i^(e - j - 1) and
+        f'(a_i) = sum_e e f_e a_i^(e - 1): sums over the nonzero f_e of
+        entries of `powers`, with no product of residues. Column i packs q_i
+        mod M', coefficient j in slot j, and scales[i] = f'(a_i)^-1 mod M'
+        comes from one inversion (Montgomery's trick). A combination sum c_i
+        q_i with 0 <= c_i < M' leaves every slot below d M'^2, within width.
+        Built once per prefix of primes; a grown table keeps them, since its
+        leading primes and their roots are the same.
+        """
+        count, M = 0, 1
+        while M <= above:
+            M *= self.primes[count]
+            count += 1
+        if count not in self._lagrange:
+            pw = [x % M for x in self.powers]
+            m, d = len(pw), len(self.poly) - 1
+            f = [(e, c) for e, c in enumerate(self.poly) if c]
+            cols, derivs = [], []
+            for k in self.exps:
+                q = [0] * d
+                for e, c in f:
+                    for j in range(e):
+                        q[j] += c * pw[k * (e - j - 1) % m]
+                cols.append([x % M for x in q])
+                derivs.append(sum(e * c * pw[k * (e - 1) % m] for e, c in f) % M)
+            prefix = [1]
+            for x in derivs:
+                prefix.append(prefix[-1] * x % M)
+            inv = pow(prefix[-1], -1, M)
+            scales = [0] * d
+            for i in range(d - 1, -1, -1):
+                scales[i] = inv * prefix[i] % M
+                inv = inv * derivs[i] % M
+            width = (2 * M.bit_length() + d.bit_length()) // 8 + 1
+            self._lagrange[count] = (M, _pack(list(zip(*cols)), width), scales, width)
+        return self._lagrange[count]
 
 
 def _root_of_unity(m, ell):
@@ -602,11 +682,23 @@ def norm_quotient(alpha):
     """(beta, n) with alpha * beta == n == N(alpha), beta in Z[theta].
 
     beta is the first column of the adjugate of the multiplication matrix,
-    so it always has integer coordinates.
+    so it always has integer coordinates. In a field certified cyclotomic it
+    comes from K's root table (`_cyclotomic_quotient`); every other field
+    solves the multiplication matrix by Bareiss elimination.
     """
     K = alpha.K
     if not alpha.is_integral():
         raise ValueError("norm_quotient needs an integral element")
+    m = cyclotomic_order(K)
+    if m is not None:
+        return _cyclotomic_quotient(alpha, m)
+    return _bareiss_quotient(alpha)
+
+
+def _bareiss_quotient(alpha):
+    """norm_quotient(alpha) by Bareiss elimination on [M_alpha | e_0], then
+    back-substitution for the adjugate column det * M_alpha^-1 e_0."""
+    K = alpha.K
     d = K.degree
     cols = K.mul_matrix_columns(alpha.coords)
     a = [[cols[j][i] for j in range(d)] + [int(i == 0)] for i in range(d)]
@@ -616,6 +708,46 @@ def norm_quotient(alpha):
     # beta = det * M^-1 e_0, a column of the adjugate, is integral
     beta = int_back_substitution(a, [det * row[d] for row in a])
     return FieldElement(K, beta), det
+
+
+def _cyclotomic_quotient(alpha, m):
+    """norm_quotient(alpha) by evaluation at the roots a_i of K's table.
+
+    K is Galois, so beta = N(alpha) / alpha is the product of the other
+    conjugates of alpha, and beta(a_i) = prod_{l != i} alpha(a_l) mod M;
+    the table interpolates beta (`_RootTable.cofactor`), first modulo
+    primes above 2 |N(alpha)|, which bounds |beta_j| in practice. beta is
+    returned only once alpha * beta == N(alpha) holds exactly. Otherwise the
+    modulus, and the table if need be, grows past twice the Hadamard bound
+    H of the adjugate, where every |beta_j| <= H makes the residues exact; a
+    check that fails there raises DpipError.
+    """
+    K = alpha.K
+    g = alpha.coords
+    n = alpha.norm_int()  # fills K._roots
+    if n == 0:
+        raise ZeroDivisionError("singular multiplication matrix")
+    target = [n] + [0] * (K.degree - 1)
+    bound = max(map(abs, g))
+    for above in (2 * abs(n), None):
+        # the Hadamard limit is computed only when the first modulus failed
+        above = above or _adjugate_limit(K, g)
+        table = K._roots
+        if table.modulus <= above:
+            table = K._roots = _RootTable(K, m, above.bit_length() + 1, table)
+        beta = table.cofactor(g, bound, above)
+        if K.mul_coords(g, beta) == target:
+            return FieldElement(K, beta), n
+    raise DpipError("N(alpha)/alpha by evaluation failed its exact check")
+
+
+def _adjugate_limit(K, g):
+    """Twice an upper bound H on every entry of the adjugate of
+    multiplication by g: by Hadamard, a (d-1)-minor is at most the product
+    of the norms of its d - 1 columns, so H^2 <= prod_j |c_j|^2 / min_j
+    |c_j|^2 over the columns c_j of that matrix."""
+    norms = [sum(x * x for x in c) for c in K.mul_matrix_columns(g)]
+    return 2 * (isqrt(-(-prod(norms) // min(norms))) + 1)
 
 
 def int_back_substitution(rows, rhs):
@@ -713,9 +845,10 @@ class Ideal:
 
     An integral u*J (u a nonzero integral element, J an integral ideal or
     None for O_K), built from one generator or as a product by one, keeps
-    `_factors` = (u, J) and the Z-basis `_basis` = u x basis(J), where LLL
-    starts. Its determinant is |N(u)| * det(J), membership divides by u
-    (`contains_vectors`), and the HNF is built only when `cols` is read.
+    `_factors` = (u, J) and the Z-basis `_basis` = u x basis(J), whose Gram
+    matrix LLL reduces on J's side. Its determinant is |N(u)| * det(J),
+    membership divides by u (`contains_vectors`), and the HNF is built only
+    when `cols` is read.
     Every other ideal is built as an HNF lattice.
     """
 
@@ -895,7 +1028,9 @@ class Ideal:
         """Whether every integer vector lies in the numerator lattice. For
         u*J, with (beta, n) = norm_quotient(u) and beta in Z[theta], v is in
         u*J exactly when n divides beta*v and v/u = beta*v/n lies in J, in
-        any order; each beta*v is one packed mat-vec (`K.mul_vectors`)."""
+        any order; each beta*v is one packed mat-vec (`K.mul_vectors`), and
+        beta is computed once per ideal, from the root table in a cyclotomic
+        field. lll_reduce needs no beta: it checks its basis on J's side."""
         if self._factors is None:
             return all(not any(self.reduce_vector(v)) for v in vecs)
         J = self._factors[1]
@@ -1045,8 +1180,10 @@ class Ideal:
 
     def _principal_inverse(self):
         """Inverse of the integral part via a known single generator g:
-        (beta)/|n| for (beta, n) = norm_quotient(g). For u*O_K, g is u and
-        the membership test's quotient is reused."""
+        (beta)/|n| for (beta, n) = norm_quotient(g), by evaluation at the
+        root table in a cyclotomic field and by Bareiss elimination in any
+        other. For u*O_K, g is u and the membership test's quotient is
+        reused, so one beta serves both."""
         if self._factors and self._factors[1] is None:
             beta, det = self._quotient()
         elif self._gens and len(self._gens) == 1:

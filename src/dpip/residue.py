@@ -74,13 +74,6 @@ class ResidueField:
     def __repr__(self):
         return f"ResidueField(p={self.p}, f={self.f})"
 
-    def elements(self):
-        """Iterate over all q field elements (test-sized fields only)."""
-        from itertools import product
-
-        for coeffs in product(range(self.p), repeat=self.f):
-            yield tuple(fppoly.trim(list(coeffs)))
-
 
 class ResiduePoly:
     """A polynomial over a ResidueField, little-endian, trimmed."""
@@ -112,13 +105,6 @@ class ResiduePoly:
 
     def __repr__(self):
         return f"ResiduePoly(deg={self.degree()}, q={self.field.q})"
-
-    def evaluate(self, x):
-        F = self.field
-        acc = F.zero()
-        for c in reversed(self.coeffs):
-            acc = F.add(F.mul(acc, x), c)
-        return acc
 
 
 def _rp_mul(F, a, b):

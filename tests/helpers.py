@@ -7,6 +7,7 @@ implementations they are checking.
 """
 
 from fractions import Fraction
+from itertools import product
 
 from dpip.lll import DELTA
 
@@ -168,9 +169,23 @@ def lll_reference(basis, gram, delta=DELTA):
     return basis
 
 
-def count_roots_brute(poly_coeffs_eval, elements):
-    """Number of roots of a polynomial among the given field elements."""
-    return sum(1 for x in elements if not poly_coeffs_eval(x))
+def residue_elements(F):
+    """All q elements of a ResidueField F_p[y]/(modulus), as trimmed
+    little-endian tuples (test-sized fields only)."""
+    for coeffs in product(range(F.p), repeat=F.f):
+        c = list(coeffs)
+        while c and not c[-1]:
+            c.pop()
+        yield tuple(c)
+
+
+def residue_evaluate(g, x):
+    """g(x) for a ResiduePoly g at an element x of its field, by Horner."""
+    F = g.field
+    acc = F.zero()
+    for c in reversed(g.coeffs):
+        acc = F.add(F.mul(acc, x), c)
+    return acc
 
 
 def represents(m, target, bound=None):

@@ -275,26 +275,36 @@ def test_decide_non_invertible_ideal_is_an_error(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "wrong, message",
+    "generators, wrong, message",
     [
         # a sublattice of index 2^d: every vector in the ideal, no span
-        (lambda vecs: [[2 * x for x in v] for v in vecs], "does not span"),
-        # the unit vector 1 is not in the ideal (3 + theta)
-        (lambda vecs: [[1] + [0] * (len(vecs) - 1)] + vecs[1:], "left the input ideal"),
+        ([["3", "1"]], lambda vecs: [[2 * x for x in v] for v in vecs], "does not span"),
+        # (3 + theta) is reduced on the side of O_K, so a repeated vector,
+        # determinant 0, is what a wrong basis of it looks like
+        ([["3", "1"]], lambda vecs: [vecs[0]] + vecs[:-1], "does not span"),
+        # the unit vector 1 is not in (6, 1 + theta), an HNF lattice
+        (
+            [["6", "0"], ["1", "1"]],
+            lambda vecs: [[1] + [0] * (len(vecs) - 1)] + vecs[1:],
+            "left the input ideal",
+        ),
     ],
-    ids=["sublattice", "outside"],
+    ids=["sublattice", "repeated", "outside"],
 )
-def test_decide_bad_lll_output_is_an_error(capsys, monkeypatch, fixtures_dir, wrong, message):
+def test_decide_bad_lll_output_is_an_error(
+    capsys, monkeypatch, tmp_path, fixtures_dir, generators, wrong, message
+):
     # a wrong reduced basis used to escape main() as an AssertionError
     monkeypatch.setattr(
         "dpip.lll.integral_lll", lambda vecs, gram, delta: wrong([list(v) for v in vecs])
     )
+    (tmp_path / "ideal.json").write_text(json.dumps({"generators": generators}))
     code, out, err = run(
         capsys,
         "decide",
         "--field", str(fixtures_dir / "field_qsqrtm5.json"),
         "--advice", str(fixtures_dir / "advice_qsqrtm5.json"),
-        "--ideal", str(fixtures_dir / "ideal_qsqrtm5_3pt.json"),
+        "--ideal", str(tmp_path / "ideal.json"),
     )
     assert code == 2
     assert "verdict" not in out

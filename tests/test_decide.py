@@ -9,7 +9,7 @@ import pytest
 from sympy import primerange
 
 import dpip
-from dpip import nf
+from dpip import intlattice, nf
 
 from dpip.advice import build_advice, load_advice
 from dpip.decide import (
@@ -581,6 +581,33 @@ def test_decide_factored_ideals_builds_no_lattice(monkeypatch, K180, fixtures_di
         assert decision.verdict == verdict and decision.switches_used > 0
         assert ideal.norm_int() % decision.witness_prime.p
         assert ideal._cols is None and ideal._inv is None
+
+
+def test_decide_factored_ideals_runs_one_bareiss(monkeypatch, K180, fixtures_dir):
+    # the span check takes det W on J's side, and beta = N(alpha)/alpha for
+    # the membership test comes from the root table, not from elimination
+    advice = load_advice(fixtures_dir / "advice_zeta180.json")
+    rng = random.Random(181)
+    alpha = K180.element([rng.randint(-3, 3) for _ in range(K180.degree)])
+    P = kummer_dedekind(181, K180)[1].to_ideal()
+    calls = {"det": 0, "quotient": 0}
+    det, quotient = intlattice.bareiss, nf.bareiss
+
+    def counted(name, fn):
+        def run(a):
+            calls[name] += 1
+            return fn(a)
+
+        return run
+
+    monkeypatch.setattr(intlattice, "bareiss", counted("det", det))
+    monkeypatch.setattr(nf, "bareiss", counted("quotient", quotient))
+    cfg = default_switch_config(K180, bound_B=5, seed=480)
+    for ideal in (Ideal.principal(K180, alpha), Ideal.principal(K180, alpha) * P):
+        decision = decide_ideal(ideal, advice, cfg)
+        assert decision.switches_used > 0 and ideal._quot is not None
+        assert calls == {"det": 1, "quotient": 0}
+        calls["det"] = 0
 
 
 def test_decide_then_inverse_computes_one_norm_quotient(monkeypatch, K180, fixtures_dir):

@@ -148,6 +148,19 @@ def test_product_lll_output_pinned(K180):
     assert _basis_digest(lll_reduce(J)) == "2f48f51ef1b15211"
 
 
+@pytest.mark.parametrize("field, p", [("K5", 3), ("K21", 5), ("K64", 193), ("K180", 181)])
+def test_cofactor_side_reduction_returns_the_product_basis(request, field, p):
+    # integral_lll reads every step from the Gram matrix, so B_J reduced
+    # under the Gram of u x B_J, times u, is the reduction of u x B_J itself
+    K = request.getfixturevalue(field)
+    alpha, _, J = _principal_times_prime(K, p)
+    beta = K.element([1, -2] + [0] * (K.degree - 2))
+    for ideal in (Ideal.principal(K, alpha), J, Ideal.principal(K, beta) * J):
+        assert ideal._factors is not None
+        expected = integral_lll(ideal._basis, lll.start_gram(ideal))
+        assert [list(b.coords) for b in lll_reduce(ideal)] == expected
+
+
 def _start_gram_cases(K, p):
     alpha, P, J = _principal_times_prime(K, p)
     beta = K.element([1, -2] + [0] * (K.degree - 3) + [1])
@@ -237,27 +250,50 @@ def test_cyclotomic_fixtures_skip_numerical_gram(monkeypatch, fixtures_dir):
         assert all(gram[j][k] == gram[0][abs(j - k)] for j in range(d) for k in range(d))
 
 
-@pytest.mark.parametrize(
-    "wrong, message",
-    [
-        # a sublattice of index 2^d: every vector in the ideal, no span
-        (lambda vecs: [[2 * x for x in v] for v in vecs], "does not span"),
-        # the unit vector 1 is in no proper ideal
-        (lambda vecs: [[1] + [0] * (len(vecs) - 1)] + vecs[1:], "left the input ideal"),
-    ],
-    ids=["sublattice", "outside"],
-)
-@pytest.mark.parametrize("case", ["K5-principal", "K180-principal", "K180-times-prime"])
-def test_span_check_on_factored_ideals(request, monkeypatch, case, wrong, message):
-    # an ideal u*J checks both halves from its factors, with no HNF
+# corruptions of the reduction's output: a basis of u*J is reduced on J's
+# side, so for u*O_K every integer output stays in O_K and only the
+# determinant can refuse it
+_SPAN_CORRUPTIONS = {
+    # a sublattice of index 2^d: every vector in the ideal, no span
+    "sublattice": (lambda vecs: [[2 * x for x in v] for v in vecs], "does not span"),
+    # determinant 0
+    "repeated": (lambda vecs: [vecs[0]] + vecs[:-1], "does not span"),
+    # a sublattice of index 2
+    "doubled": (lambda vecs: [[2 * x for x in vecs[0]]] + vecs[1:], "does not span"),
+    # the unit vector 1 is in no proper ideal
+    "outside": (lambda vecs: [[1] + [0] * (len(vecs) - 1)] + vecs[1:], "left the input ideal"),
+}
+
+
+def _span_check_ideal(request, case):
     if case == "K5-principal":
         K = request.getfixturevalue("K5")
-        ideal = Ideal.principal(K, K.element([3, 1]))
-    else:
-        alpha, P, ideal = _principal_times_prime(request.getfixturevalue("K180"), 181)
-        if case == "K180-principal":
-            ideal = Ideal.principal(ideal.K, alpha)
+        return Ideal.principal(K, K.element([3, 1]))
+    if case == "K5-hnf":
+        K = request.getfixturevalue("K5")
+        P2, P3 = kummer_dedekind(2, K)[0], kummer_dedekind(3, K)[0]
+        return P2.to_ideal() * P3.to_ideal()
+    alpha, P, ideal = _principal_times_prime(request.getfixturevalue("K180"), 181)
+    return Ideal.principal(ideal.K, alpha) if case == "K180-principal" else ideal
+
+
+@pytest.mark.parametrize(
+    "case, corruption",
+    [
+        (case, corruption)
+        for case in ("K5-principal", "K180-principal", "K180-times-prime", "K5-hnf")
+        for corruption in _SPAN_CORRUPTIONS
+        # W stays in O_K for u*O_K, so nothing can leave (u)
+        if corruption != "outside" or case in ("K180-times-prime", "K5-hnf")
+    ],
+)
+def test_span_check_on_factored_ideals(request, monkeypatch, case, corruption):
+    # an ideal u*J checks both halves on J's side, with no HNF of u*J; an
+    # HNF lattice checks its own columns
+    ideal = _span_check_ideal(request, case)
+    wrong, message = _SPAN_CORRUPTIONS[corruption]
     monkeypatch.setattr(lll, "integral_lll", lambda vecs, gram, delta: wrong([list(v) for v in vecs]))
     with pytest.raises(DpipError, match=message):
         lll_reduce(ideal)
-    assert ideal._factors is not None and ideal._cols is None
+    assert (ideal._factors is None) == (case == "K5-hnf")
+    assert (ideal._cols is None) == (ideal._factors is not None)

@@ -237,6 +237,111 @@ def test_norm_quotient_identity(K5, K180):
             assert det == a.norm()
 
 
+def _cyclotomic_fields(K64, K180):
+    """Fresh copies of x^32 + 1, Phi_180 and Q as x - 1 and x + 1, so each
+    root table starts cold."""
+    return [NumberField(poly) for poly in (K64.poly, K180.poly, [-1, 1], [1, 1])]
+
+
+def test_norm_quotient_by_evaluation_matches_bareiss(monkeypatch, K64, K180):
+    # Bareiss elimination stays the general path and the reference here
+    reference = nf._bareiss_quotient
+    bareiss = nf.bareiss
+
+    def refuse(a):
+        raise AssertionError("Bareiss ran in a cyclotomic field")
+
+    rng = random.Random(8)
+    big = 2**200
+    for K in _cyclotomic_fields(K64, K180):
+        d = K.degree
+        theta = K.gen()
+        elems = [K.one(), theta, -theta, theta + 1]
+        elems += [K.element([rng.randint(-3, 3) for _ in range(d)]) for _ in range(3)]
+        elems = [a for a in elems if not a.is_zero()]
+        for a in elems:
+            a.norm()
+        # a table prime l: l * theta vanishes mod l at every root
+        ell = K._roots.primes[0]
+        elems.append(K.rational(ell) * theta)
+        # coefficients near +-2^200 make the table grow
+        bits = K._roots.bits
+        elems.append(K.element([rng.choice((1, -1)) * (big - rng.randint(0, 99)) for _ in range(d)]))
+        expected = [reference(a) for a in elems]
+        monkeypatch.setattr(nf, "bareiss", refuse)
+        for a, (beta, n) in zip(elems, expected):
+            assert norm_quotient(a) == (beta, n), a
+            assert n == a.norm()
+        for c in (1, -1, 2, -3, 7, -big):
+            beta, n = norm_quotient(K.rational(c))
+            assert beta == K.rational(c ** (d - 1)) and n == c**d
+        monkeypatch.setattr(nf, "bareiss", bareiss)
+        assert K._roots.bits > bits
+
+
+def test_norm_quotient_grows_the_table_when_its_check_fails(monkeypatch, K180):
+    # a table too small for beta gives residues that are right mod M only;
+    # the exact check catches them and the table grows past the limit
+    K = NumberField(K180.poly)
+    rng = random.Random(9)
+    u = K.element([rng.randint(-3, 3) for _ in range(K.degree)])
+    u.norm()
+    first = K._roots
+    cofactor = nf._RootTable.cofactor
+
+    def short(table, g, bound, above):
+        out = cofactor(table, g, bound, above)
+        return [out[0] + table.modulus] + out[1:] if table is first else out
+
+    monkeypatch.setattr(nf._RootTable, "cofactor", short)
+    monkeypatch.setattr(nf, "_adjugate_limit", lambda K, g: 2**300 * first.modulus)
+    assert norm_quotient(u) == nf._bareiss_quotient(u)
+    assert K._roots.modulus > 2**300 * first.modulus
+    assert K._roots.primes[: len(first.primes)] == first.primes
+    # the leading primes are the same, so their Lagrange columns carry over
+    assert first._lagrange
+    assert all(K._roots._lagrange[c] is v for c, v in first._lagrange.items())
+
+
+def test_norm_quotient_gives_up_past_the_hadamard_bound(monkeypatch, K180):
+    # once M is above twice the Hadamard bound, a failed check is an error
+    K = NumberField(K180.poly)
+    rng = random.Random(9)
+    u = K.element([rng.randint(-3, 3) for _ in range(K.degree)])
+    u.norm()
+    assert K._roots.modulus > nf._adjugate_limit(K, u.coords)
+    cofactor = nf._RootTable.cofactor
+    monkeypatch.setattr(
+        nf._RootTable, "cofactor", lambda t, g, b, a: [x + 1 for x in cofactor(t, g, b, a)]
+    )
+    with pytest.raises(DpipError, match="exact check"):
+        norm_quotient(u)
+
+
+def test_norm_quotient_of_non_cyclotomic_fields_uses_bareiss(monkeypatch, K5, K21):
+    calls = []
+    bareiss = nf.bareiss
+    monkeypatch.setattr(nf, "bareiss", lambda a: calls.append(1) or bareiss(a))
+    for K, x, y in ((K5, 3, 2), (K21, 3, -2)):
+        beta, n = norm_quotient(K.element([x, y]))
+        assert beta == K.element([x, -y]) and n == K.element([x, y]).norm()
+    assert len(calls) == 2
+    assert K5._roots is None and K21._roots is None
+
+
+def test_inverse_round_trips_on_phi180(K180):
+    # the inverse takes beta = N(a)/a from the root table
+    rng = random.Random(10)
+    elems = [K180.element([rng.randint(-3, 3) for _ in range(48)]) for _ in range(2)]
+    elems += [
+        K180.element([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(48)])
+        for _ in range(2)
+    ]
+    for a, b in zip(elems, elems[1:] + elems[:1]):
+        assert a * a.inverse() == K180.one()
+        assert a / b * b == a
+
+
 def test_int_back_substitution():
     rows = [[2, 1, 5], [0, 3, 7], [0, 0, 4]]
     assert int_back_substitution(rows, [8, 10, 4]) == [1, 1, 1]
