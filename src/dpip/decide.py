@@ -109,9 +109,22 @@ def decide_prime_ideal(prime, advice):
 
 
 def draw_coefficients(rng, bound, count):
-    """count integers uniform on [-bound, bound], not all zero."""
+    """count integers uniform on [-bound, bound], not all zero.
+
+    Each is drawn the way rng.randrange(-bound, bound + 1) draws it: k-bit
+    values from getrandbits, k the bit length of 2*bound + 1, redrawn until
+    one is below 2*bound + 1, then shifted by -bound. The stream is the
+    same, without randrange's per-call argument checks."""
+    width = 2 * bound + 1
+    k = width.bit_length()
+    bits = rng.getrandbits
     while True:
-        coeffs = [rng.randrange(-bound, bound + 1) for _ in range(count)]
+        coeffs = []
+        for _ in range(count):
+            r = bits(k)
+            while r >= width:
+                r = bits(k)
+            coeffs.append(r - bound)
         if any(coeffs):
             return coeffs
 

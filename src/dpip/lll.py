@@ -31,6 +31,18 @@ form: |sigma(theta)| = 1 makes <u theta^i, u theta^j> depend on i - j
 only, so d inner products give a Toeplitz matrix T, and B_J^T T B_J
 follows (start_gram). Every other ideal pays b_i^T G b_j per pair.
 
+The reduction starts from the lambda/d tables, the minors of the Gram
+matrix. gram_schmidt takes them from any Gram matrix in O(d^3) steps. For
+u*O_K in a cyclotomic field the Gram matrix is T itself, and a symmetric
+Toeplitz matrix gives them in O(d^2) (toeplitz_gram_schmidt): two vectors
+of minors, A_j(i) = det T[{0..j-1, i}, {0..j}], which is lambda_{i,j}, and
+B_j(i) = det T[{1..j, i}, {0..j}], advance one column at a time by the
+Desnanot-Jacobi identity, since shifting both index sets by one leaves a
+minor of T unchanged. Each division is exact because its quotient is again
+a minor of T (Bareiss, Numer. Math. 13, 1969). integral_lll takes that
+route whenever its Gram matrix is Toeplitz; the minors, and so every swap
+and size reduction, are the same either way.
+
 DELTA is 3/4, the parameter of Lenstra, Lenstra and Lovasz (1982); the
 algorithm accepts any 1/4 < delta < 1. Since the span check makes the
 output exact at every such delta, delta only sets how short the reduced
@@ -167,31 +179,89 @@ def start_gram(ideal):
     return toeplitz if J is None else form_gram(J._basis or J.cols, toeplitz)
 
 
+def gram_schmidt(ips):
+    """The lambda/d tables of Cohen's all-integer LLL (GTM 138, 2.6.7) from a
+    Gram matrix: d[j] is the leading j x j minor and, for i > j, lam[i][j] the
+    minor on rows 0..j-1, i and columns 0..j. A nonpositive d raises
+    DpipError."""
+    n = len(ips)
+    lam = [[0] * n for _ in range(n)]
+    big_d = [1] * (n + 1)
+    for i in range(n):
+        for j in range(i + 1):
+            u = ips[i][j]
+            for t in range(j):
+                u = (big_d[t + 1] * u - lam[i][t] * lam[j][t]) // big_d[t]
+            if j < i:
+                lam[i][j] = u
+            else:
+                if u <= 0:
+                    raise DpipError("form is not positive definite on the basis")
+                big_d[i + 1] = u
+    return lam, big_d
+
+
+def toeplitz_gram_schmidt(t):
+    """gram_schmidt of the symmetric Toeplitz matrix T[r][c] = t[|r - c|],
+    by two vectors in O(d^2) steps instead of O(d^3).
+
+    A_j(i) = det T[{0..j-1, i}, {0..j}] is lam[i][j] (and d[j+1] at i = j);
+    B_j(i) = det T[{1..j, i}, {0..j}]. Both start as t, and the
+    Desnanot-Jacobi identity on a (j+2)-minor, with T[r+1][c+1] = T[r][c]
+    and T^T = T, gives for i > j
+
+        A_{j+1}(i) = (d[j+1] A_j(i-1) - B_j(i) B_j(j+1)) / d[j]
+        B_{j+1}(i) = (A_j(i-1) B_j(j+1) - B_j(i) d[j+1]) / d[j],
+
+    both exact because each quotient is a minor of T: the fraction-free
+    Toeplitz elimination of Bareiss (Numer. Math. 13, 1969)."""
+    n = len(t)
+    lam = [[0] * n for _ in range(n)]
+    big_d = [1] * (n + 1)
+    a, b = list(t), list(t)
+    for j in range(n):
+        dj, dj1 = big_d[j], a[j]
+        if dj1 <= 0:
+            raise DpipError("form is not positive definite on the basis")
+        big_d[j + 1] = dj1
+        if j + 1 == n:
+            break
+        bj1 = b[j + 1]
+        # downwards, so a[i - 1] is still A_j when A_{j+1}(i) reads it
+        for i in range(n - 1, j, -1):
+            lam[i][j] = a[i]
+            ai, bi = a[i - 1], b[i]
+            a[i] = (dj1 * ai - bi * bj1) // dj
+            b[i] = (ai * bj1 - bi * dj1) // dj
+    return lam, big_d
+
+
+def _toeplitz_row(ips):
+    """The first row t of ips when ips[i][j] = t[|i - j|] throughout, else
+    None; stops at the first mismatch."""
+    if not ips or [row[0] for row in ips] != list(ips[0]):
+        return None
+    if any(ips[i][1:] != ips[i - 1][:-1] for i in range(1, len(ips))):
+        return None
+    return ips[0]
+
+
 def integral_lll(vectors, ips, delta=DELTA):
     """All-integer LLL on coordinate vectors, given their Gram matrix
     ips[i][j] = <b_i, b_j> under an integral positive definite form.
 
     Returns a new list of vectors spanning the same lattice, size-reduced
-    and satisfying the Lovasz condition at delta (a num/den pair).
+    and satisfying the Lovasz condition at delta (a num/den pair). The
+    lambda/d tables start from toeplitz_gram_schmidt when ips is symmetric
+    Toeplitz (the Gram matrix of u x O_K in a cyclotomic field), else from
+    gram_schmidt; both give the same minors, so every later step is the
+    same. A form that is not positive definite raises DpipError.
     """
     n = len(vectors)
     b = [list(v) for v in vectors]
     dnum, dden = delta
-    lam = [[0] * n for _ in range(n)]
-    big_d = [1] * (n + 1)
-
-    def init_gs():
-        for i in range(n):
-            for j in range(i + 1):
-                u = ips[i][j]
-                for t in range(j):
-                    u = (big_d[t + 1] * u - lam[i][t] * lam[j][t]) // big_d[t]
-                if j < i:
-                    lam[i][j] = u
-                else:
-                    if u <= 0:
-                        raise ArithmeticError("form is not positive definite on the basis")
-                    big_d[i + 1] = u
+    row = _toeplitz_row(ips)
+    lam, big_d = gram_schmidt(ips) if row is None else toeplitz_gram_schmidt(row)
 
     def redi(k, l):
         dl = big_d[l + 1]
@@ -218,7 +288,6 @@ def integral_lll(vectors, ips, delta=DELTA):
             li[k - 1] = (new_d * t + lam_ * u) // dk1
         big_d[k] = new_d
 
-    init_gs()
     k = 1
     while k < n:
         redi(k, k - 1)

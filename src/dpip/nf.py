@@ -72,7 +72,10 @@ def prime_power(n):
 
     One gcd with the product of the primes below 1000 screens n: if it is
     some g > 1, n is a prime power only when g is one of those primes and n
-    is a power of g, so no primality test runs."""
+    is a power of g, so no primality test runs. Otherwise a base-2 Fermat
+    test screens it: x = 2^(n-1) mod n is 1 for a prime n, and a prime
+    power q^e has 2^n = 2 (mod q), so q divides both 2x - 2 and n. When
+    x != 1 and gcd(2x - 2, n) = 1, n is neither."""
     if n < 2:
         return None
     g = gcd(n, _SMALL_PRIMORIAL)
@@ -84,6 +87,9 @@ def prime_power(n):
             n //= g
             k += 1
         return (g, k) if n == 1 else None
+    x = pow(2, n - 1, n)
+    if x != 1 and gcd(2 * x - 2, n) == 1:
+        return None
     if isprime(n):
         return n, 1
     pp = perfect_power(n)

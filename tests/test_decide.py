@@ -124,6 +124,32 @@ def _sample_switch(ideal, basis, cfg, rng):
     return r, Ideal.principal(K, r) * ideal.inverse()
 
 
+def _draw_by_randrange(rng, bound, count):
+    """The plain draw: (coefficients, tries), redrawing an all-zero vector."""
+    tries = 0
+    while True:
+        tries += 1
+        coeffs = [rng.randrange(-bound, bound + 1) for _ in range(count)]
+        if any(coeffs):
+            return coeffs, tries
+
+
+@pytest.mark.parametrize("bound", [1, 5, 20, 2**70 + 3])
+def test_draw_coefficients_matches_randrange(bound):
+    # getrandbits with randrange's rejection step: the same stream, the same
+    # all-zero redraws, and the generator left in the same state
+    redraws = 0
+    for count in (1, 32, 48):
+        for seed in range(20):
+            fast, plain = random.Random(seed), random.Random(seed)
+            for _ in range(5):
+                coeffs, tries = _draw_by_randrange(plain, bound, count)
+                assert draw_coefficients(fast, bound, count) == coeffs
+                redraws += tries - 1
+            assert fast.getstate() == plain.getstate()
+    assert redraws > 0 or bound > 1
+
+
 def test_sample_switch_unit_ideal(K5, advice20):
     ring = Ideal.ring(K5)
     cfg = default_switch_config(K5, bound_B=5, seed=11)

@@ -40,6 +40,80 @@ def test_integral_lll_against_fraction_reference():
         checked += 1
 
 
+@pytest.mark.parametrize("gram", [[[1, 2], [2, 1]], [[2, 3], [3, 1]], [[1, 0], [0, 0]]])
+def test_indefinite_form_is_refused(gram):
+    # a Toeplitz t = (1, 2), a non-Toeplitz Gram and a singular one: both
+    # set-ups raise the package's error, which the CLI maps to exit 2
+    with pytest.raises(DpipError, match="positive definite"):
+        integral_lll([[1, 0], [0, 1]], gram)
+    with pytest.raises(DpipError, match="positive definite"):
+        lll.gram_schmidt(gram)
+    if lll._toeplitz_row(gram) is not None:
+        with pytest.raises(DpipError, match="positive definite"):
+            lll.toeplitz_gram_schmidt(gram[0])
+
+
+def test_toeplitz_row_needs_every_diagonal_constant():
+    t = [5, 2, 1, 0]
+    gram = [[t[abs(i - j)] for j in range(4)] for i in range(4)]
+    assert lll._toeplitz_row(gram) == t
+    for i, j in ((3, 3), (2, 0), (0, 3)):
+        bent = [list(row) for row in gram]
+        bent[i][j] += 1
+        assert lll._toeplitz_row(bent) is None
+    assert lll._toeplitz_row([]) is None
+
+
+@pytest.mark.parametrize(
+    "field",
+    [[-1, 1], [1, 1, 1], [1] + [0] * 7 + [1], "K64", "K180"],
+    ids=["x-1", "x^2+x+1", "x^8+1", "x^32+1", "phi180"],
+)
+def test_toeplitz_set_up_matches_generic_on_principal_ideals(request, field):
+    # the start Gram of u*O_K in a cyclotomic field is Toeplitz, and its
+    # two-vector minors are Cohen's lambda/d tables
+    K = request.getfixturevalue(field) if isinstance(field, str) else NumberField(field)
+    rng = random.Random(K.degree)
+    for _ in range(3 if K.degree > 32 else 10):
+        coords = [0] * K.degree
+        while not any(coords):
+            coords = [rng.randint(-9, 9) for _ in range(K.degree)]
+        gram = lll.start_gram(Ideal.principal(K, K.element(coords)))
+        t = lll._toeplitz_row(gram)
+        assert t == gram[0]
+        assert lll.toeplitz_gram_schmidt(t) == lll.gram_schmidt(gram)
+
+
+def test_toeplitz_set_up_matches_generic_on_autocorrelations():
+    # t_k = sum_j w_j w_{j+k} for a nonzero w is the Gram matrix of the
+    # shifts of w, so positive definite, with entries up to 2^100 here
+    rng = random.Random(14)
+    for n in range(1, 13):
+        for _ in range(6):
+            w = [0]
+            while not any(w):
+                w = [rng.randint(-(2**48), 2**48) for _ in range(rng.randint(1, 16))]
+            t = [sum(x * y for x, y in zip(w, w[k:])) for k in range(n)]
+            gram = [[t[abs(i - j)] for j in range(n)] for i in range(n)]
+            assert lll._toeplitz_row(gram) == t
+            assert lll.toeplitz_gram_schmidt(t) == lll.gram_schmidt(gram)
+
+
+def test_principal_ideal_skips_the_generic_set_up(monkeypatch, K180):
+    # (alpha) in Q(zeta_180) reduces from the Toeplitz route alone; an HNF
+    # ideal still takes the generic one
+    def refuse(ips):
+        raise AssertionError("generic Gram-Schmidt set-up")
+
+    monkeypatch.setattr(lll, "gram_schmidt", refuse)
+    rng = random.Random(180)
+    alpha = K180.element([rng.randint(-3, 3) for _ in range(48)])
+    assert _basis_digest(lll_reduce(Ideal.principal(K180, alpha))) == "c66531891a5df380"
+    P, Q = (F.to_ideal() for F in kummer_dedekind(181, K180)[:2])
+    with pytest.raises(AssertionError, match="generic"):
+        lll_reduce(P * Q)
+
+
 def test_minkowski_gram_quadratic(K5):
     # embeddings a + b*sqrt(-5): <1,1> = 2, <t,t> = 10, <1,t> = 0
     assert minkowski_gram(K5) == ((2, 0), (0, 10))

@@ -191,6 +191,20 @@ def test_prime_power_matches_factorint():
     assert prime_power(997**3 * 1009) is None
     assert prime_power(2**127 - 1) == (2**127 - 1, 1)
     assert prime_power((2**61 - 1) ** 3) == (2**61 - 1, 3)
+    # squares of the Wieferich primes pass the base-2 Fermat test
+    for q in (1093, 3511):
+        assert pow(2, q * q - 1, q * q) == 1
+        assert prime_power(q * q) == (q, 2)
+    # base-2 pseudoprimes with no factor below 1000
+    for p, q in ((1013, 1657), (1009, 2017)):
+        assert pow(2, p * q - 1, p * q) == 1
+        assert prime_power(p * q) is None
+    # prime powers that fail the Fermat test keep 2x - 2 divisible by q
+    for q in (1009, 7919, 2**31 - 1, 10**9 + 7):
+        for e in range(2, 6):
+            assert pow(2, q**e - 1, q**e) != 1
+            assert prime_power(q**e) == (q, e)
+            assert prime_power(q**e * 1013) is None
     for n in (-8, 0, 1):
         assert prime_power(n) is None
 
