@@ -101,6 +101,55 @@ def prime_power(n):
 
 
 # ---------------------------------------------------------------------------
+# Coordinates modulo a monic integer polynomial (little-endian tuples)
+
+def _reduce(poly, c):
+    """The first d coefficients of c mod the monic poly of degree d, for a
+    coefficient list c, which is reduced in place from the top."""
+    d = len(poly) - 1
+    f = [(j, x) for j, x in enumerate(poly[:d]) if x]
+    for i in range(len(c) - 1, d - 1, -1):
+        x = c[i]
+        if x:
+            base = i - d
+            for j, fj in f:
+                c[base + j] -= x * fj
+    return c[:d]
+
+
+def _mul_mod(poly, a, b):
+    """Coordinates of a * b mod the monic poly."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] += ai * bj
+    return _reduce(poly, out)
+
+
+def _theta_shift(poly, v):
+    """Coordinates of theta * v mod the monic poly."""
+    d = len(poly) - 1
+    top = v[d - 1]
+    out = [0, *v[: d - 1]]
+    if top:
+        for i in range(d):
+            if poly[i]:
+                out[i] -= top * poly[i]
+    return out
+
+
+def _mul_columns(poly, coords):
+    """Columns of multiplication by coords mod the monic poly: the
+    coordinates of coords * theta^j for j < deg poly."""
+    cols = [list(coords)]
+    for _ in range(len(poly) - 2):
+        cols.append(_theta_shift(poly, cols[-1]))
+    return cols
+
+
+# ---------------------------------------------------------------------------
 # Number field
 
 class NumberField:
@@ -145,7 +194,7 @@ class NumberField:
         self._ring = None
         self._gram = None
         self._cyclo = None  # cyclotomic_order: m, 0 for none, None if unknown
-        self._roots = None  # the _RootTable of the cyclotomic norm
+        self._roots = None  # the _RootTable at the foot of the cyclotomic tower
 
     # -- basic API -----------------------------------------------------------
 
@@ -182,46 +231,15 @@ class NumberField:
 
     def theta_shift(self, v):
         """Coordinates of theta * v (v a length-d coordinate list)."""
-        d = self.degree
-        top = v[d - 1]
-        out = [0] * d
-        for i in range(1, d):
-            out[i] = v[i - 1]
-        if top:
-            f = self.poly
-            for i in range(d):
-                if f[i]:
-                    out[i] -= top * f[i]
-        return out
+        return _theta_shift(self.poly, v)
 
     def mul_coords(self, a, b):
         """Coordinates of the product of two elements."""
-        d = self.degree
-        if d == 1:
-            return [a[0] * b[0]]
-        out = [0] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] += ai * bj
-        f = self.poly
-        for i in range(2 * d - 2, d - 1, -1):
-            c = out[i]
-            if c:
-                out[i] = 0
-                base = i - d
-                for j in range(d):
-                    if f[j]:
-                        out[base + j] -= c * f[j]
-        return out[:d]
+        return _mul_mod(self.poly, a, b)
 
     def mul_matrix_columns(self, coords):
         """Columns of the multiplication-by-x matrix: x*theta^j for j < d."""
-        cols = [list(coords)]
-        for _ in range(self.degree - 1):
-            cols.append(self.theta_shift(cols[-1]))
-        return cols
+        return _mul_columns(self.poly, coords)
 
     def mul_vectors(self, coords, vecs):
         """Coordinates of x*v for every integer vector v in vecs, x given by
@@ -366,12 +384,13 @@ class FieldElement:
         """Field norm N(self) = Res(f, g) / den^d for self = g(theta) / den.
 
         In a field certified cyclotomic of order m by `cyclotomic_order`,
-        the roots of f are m-th roots of unity, so Parseval bounds
-        |Res(f, g)| by (m * sum g_j^2 / d)^(d/2); the resultant is then the
-        product of g over the roots of f modulo a product M of split primes
-        above twice that bound, read as the residue of least absolute value
-        (`_RootTable`). Every other field takes sympy's subresultant PRS
-        over Z (`int_poly_resultant`; Cohen, GTM 138, 3.3).
+        the norm halves the degree while 4 | m: N(g) is the norm of g(x)
+        g(-x) in the field of order m/2 (`_tower`). At degree one that is
+        the norm; otherwise it is the product of the element over the roots
+        of the last field modulo split primes above twice its Parseval
+        bound, read as the residue of least absolute value (`_RootTable`).
+        Every other field takes sympy's subresultant PRS over Z
+        (`int_poly_resultant`; Cohen, GTM 138, 3.3).
         """
         if self._norm is None:
             K = self.K
@@ -496,104 +515,137 @@ def _slots(acc, width, n):
 
 
 class _RootTable:
-    """The roots of the m-th cyclotomic f modulo a product M of split primes,
-    with their powers packed for evaluating a polynomial at all of them.
+    """The roots of the m-th cyclotomic polynomial f (`poly`, of degree d)
+    modulo products of split primes, with their powers packed for evaluating
+    a polynomial at all of them.
 
     Each prime l = 1 (mod m) is below 2^64, so `isprime` decides it
     exactly, and has an element z of order m; the d roots of f mod l are
     z^k for gcd(k, m) = 1, and each is checked to be a root, and all to be
     distinct, so f = prod (x - z^k) mod l and Res(f, g) = prod g(z^k) mod l.
-    The CRT lifts them to roots a_i of f mod M.
+    The primes are taken downwards from 2^64 and added when a caller needs
+    a larger modulus; every modulus M is the product of the fewest leading
+    primes above what its caller needs, so a large element lengthens the
+    list but a later small one still works modulo its own short prefix. For
+    a prefix, the CRT lifts z to one of order m mod M, whose powers z^k
+    (k < m, `_powers`) are then the roots a_i of f mod M and their powers.
 
-    Row i holds a_i^0, ..., a_i^(d-1) mod M and the offset -sum_j a_i^j mod
-    M, packed by `_pack` into d + 1 columns of slots of `width` bytes. With
-    C = max |g_j|, every coefficient of (g_0 + C, ..., g_(d-1) + C, C) is
-    nonnegative, so their combination of the columns holds in slot i a
-    number congruent to g(a_i) mod M, below (2d + 1) C M. The caller
-    guarantees M > 2 (m * sum g_j^2 / d)^(d/2) (`_cyclotomic_resultant`),
-    and C^2 <= sum g_j^2 <= m * sum g_j^2 / d as m >= d, so C^d < M and C <
-    2^(bits(M) // d + 1): the slot stays below 2^(8 * width) when 8 * width
-    >= bits(M) + bits(M) // d + bits(d) + 2.
-
-    The powers z^e mod M of the lifted z (`powers`, e < m) give every a_i^e;
-    `lagrange` builds from them the interpolation columns through the a_i
-    modulo a product of leading primes, so that a polynomial of degree < d
-    is read back from its values (`cofactor`).
+    Per prefix, `evaluation` packs a_i^0, ..., a_i^(d-1) and the offset
+    -sum_j a_i^j mod M into d + 1 columns with row i in slot i, and
+    `lagrange` the interpolation columns through the a_i; both are built
+    once per prefix.
     """
 
-    __slots__ = (
-        "poly", "primes", "roots", "modulus", "bits", "width", "cols", "exps", "powers", "_lagrange"
-    )
+    __slots__ = ("poly", "m", "exps", "primes", "roots", "_evaluation", "_lagrange")
 
-    def __init__(self, K, m, bits, old=None):
-        """A table whose modulus has at least `bits` bits. It keeps the
-        checked primes and roots of `old`, if given, and adds the next ones."""
-        d = K.degree
-        exps = [k for k in range(m) if gcd(k, m) == 1]
-        f = [(j, c) for j, c in enumerate(K.poly) if c]
-        primes, roots = (list(old.primes), list(old.roots)) if old else ([], [])
-        M = prod(primes)
-        q = (primes[-1] - 1) // m - 1 if primes else (2**64 - 2) // m
-        while M.bit_length() < bits:
+    def __init__(self, poly, m):
+        self.poly = tuple(poly)
+        self.m = m
+        self.exps = tuple(k for k in range(m) if gcd(k, m) == 1)
+        self.primes = []
+        self.roots = []
+        self._evaluation = {}
+        self._lagrange = {}
+
+    def _prefix(self, above):
+        """(count, M) for the product M > above of the fewest leading
+        primes, adding primes as needed."""
+        count, M = 0, 1
+        while M <= above:
+            if count == len(self.primes):
+                self._add_prime()
+            M *= self.primes[count]
+            count += 1
+        return count, M
+
+    def _add_prime(self):
+        """Append the next prime l = 1 (mod m) below the last, checked to
+        split f into distinct roots z^k, with its z."""
+        m, d = self.m, len(self.poly) - 1
+        f = [(j, c) for j, c in enumerate(self.poly) if c]
+        q = (self.primes[-1] - 1) // m - 1 if self.primes else (2**64 - 2) // m
+        while True:
             ell = q * m + 1
             q -= 1
-            if not isprime(ell):
-                continue
-            z = _root_of_unity(m, ell)
-            powers = [1]
-            for _ in range(m - 1):
-                powers.append(powers[-1] * z % ell)
-            if len({powers[k] for k in exps}) != d or any(
-                sum(c * powers[k * j % m] for j, c in f) % ell for k in exps
-            ):
-                raise DpipError(f"f does not split into distinct roots mod {ell}")
-            primes.append(ell)
-            roots.append(z)
-            M *= ell
+            if isprime(ell):
+                break
+        z = _root_of_unity(m, ell)
+        powers = [1]
+        for _ in range(m - 1):
+            powers.append(powers[-1] * z % ell)
+        if len({powers[k] for k in self.exps}) != d or any(
+            sum(c * powers[k * j % m] for j, c in f) % ell for k in self.exps
+        ):
+            raise DpipError(f"f does not split into distinct roots mod {ell}")
+        self.primes.append(ell)
+        self.roots.append(z)
+
+    def _powers(self, count, M):
+        """z^e mod M for e < m, z the CRT lift of the first count roots."""
         z = 0
-        for ell, root in zip(primes, roots):
+        for ell, root in zip(self.primes[:count], self.roots):
             cofactor = M // ell
             z += root * cofactor * pow(cofactor, -1, ell)
         powers = [1]
-        for _ in range(m - 1):
+        for _ in range(self.m - 1):
             powers.append(powers[-1] * z % M)
-        rows = [[powers[k * j % m] for j in range(d)] for k in exps]
-        for row in rows:
-            row.append(-sum(row) % M)
-        self.poly = K.poly
-        self.primes = tuple(primes)
-        self.roots = tuple(roots)
-        self.modulus = M
-        self.bits = M.bit_length()
-        self.width = (self.bits + self.bits // d + d.bit_length() + 9) // 8
-        self.cols = _pack(rows, self.width)
-        self.exps = tuple(exps)
-        self.powers = tuple(powers)
-        self._lagrange = dict(old._lagrange) if old else {}
+        return powers
 
-    def values(self, g, bound):
-        """Numbers congruent to g(a_i) mod M, for integer coordinates g with
-        max |g_j| = bound."""
-        acc = sum(map(mul, [x + bound for x in g] + [bound], self.cols))
-        return _slots(acc, self.width, len(g))
+    def evaluation(self, above):
+        """(M, width, columns) for the fewest leading primes with M > above:
+        the d + 1 columns of `values`, packed by `_pack` in slots of `width`
+        bytes, 8 * width >= bits(M) + bits(M) // d + bits(d) + 2."""
+        count, M = self._prefix(above)
+        if count not in self._evaluation:
+            pw, d = self._powers(count, M), len(self.poly) - 1
+            rows = [[pw[k * j % self.m] for j in range(d)] for k in self.exps]
+            for row in rows:
+                row.append(-sum(row) % M)
+            bits = M.bit_length()
+            width = (bits + bits // d + d.bit_length() + 9) // 8
+            self._evaluation[count] = (M, width, _pack(rows, width))
+        return self._evaluation[count]
+
+    def values(self, g, bound, above=0):
+        """(M, values): numbers congruent to g(a_i) mod M, for integer
+        coordinates g with max |g_j| = bound, and M > above.
+
+        For deg g < m, Parseval over the m-th roots of unity w gives sum
+        |g(w)|^2 = m * sum g_j^2; the d roots of f are among them, so by
+        AM-GM |Res(f, g)|^2 <= (m * sum g_j^2 / d)^d <= t^d for t =
+        ceil(m * sum g_j^2 / d), and |Res(f, g)| < 2^e with e = ceil(d *
+        bits(t) / 2). M is also taken above 2^(e + 1) > 2 |Res(f, g)|. With
+        C = bound, every coefficient of (g_0 + C, ..., g_(d-1) + C, C) is
+        nonnegative, so their combination of the columns holds in slot i a
+        number congruent to g(a_i) mod M, below (2d + 1) C M; and C^2 <= sum
+        g_j^2 <= m * sum g_j^2 / d as m >= d, so C^d < M and C < 2^(bits(M)
+        // d + 1), which keeps the slot within its width.
+        """
+        d = len(g)
+        t = -(-self.m * sum(map(mul, g, g)) // d)
+        M, width, cols = self.evaluation(max(above, 1 << ((d * t.bit_length() + 1) // 2 + 1)))
+        acc = sum(map(mul, [x + bound for x in g] + [bound], cols))
+        return M, _slots(acc, width, d)
 
     def resultant(self, g, bound):
-        """Res(f, g) for integer coordinates g with max |g_j| = bound."""
-        M = self.modulus
+        """Res(f, g) for integer coordinates g with max |g_j| = bound: the
+        product of the values, read as the residue of least absolute value
+        modulo M > 2 |Res(f, g)|."""
+        M, vals = self.values(g, bound)
         r = 1
-        for s in self.values(g, bound):
+        for s in vals:
             r = r * s % M
         return r - M if 2 * r > M else r
 
     def cofactor(self, g, bound, above):
         """Coordinates, as residues of least absolute value, of the
         polynomial of degree < d taking the value prod_{l != i} g(a_l) at
-        each a_i, modulo the product M' of the fewest leading primes of the
-        table with M' > above (the caller makes M > above): products of
-        prefixes and suffixes, so no inverse is taken, then one packed
-        Lagrange interpolation (`lagrange`)."""
+        each a_i, modulo the product M' of the fewest leading primes with
+        M' > above: products of prefixes and suffixes, so no inverse is
+        taken, then one packed Lagrange interpolation (`lagrange`). The
+        values come modulo a multiple of M'."""
+        _, vals = self.values(g, bound, above)
         M, cols, scales, width = self.lagrange(above)
-        vals = self.values(g, bound)
         suffix = [1]
         for v in reversed(vals):
             suffix.append(suffix[-1] * v % M)
@@ -614,20 +666,15 @@ class _RootTable:
 
         The coefficient of x^j in q_i is sum_{e > j} f_e a_i^(e - j - 1) and
         f'(a_i) = sum_e e f_e a_i^(e - 1): sums over the nonzero f_e of
-        entries of `powers`, with no product of residues. Column i packs q_i
+        powers of z mod M', with no product of residues. Column i packs q_i
         mod M', coefficient j in slot j, and scales[i] = f'(a_i)^-1 mod M'
         comes from one inversion (Montgomery's trick). A combination sum c_i
         q_i with 0 <= c_i < M' leaves every slot below d M'^2, within width.
-        Built once per prefix of primes; a grown table keeps them, since its
-        leading primes and their roots are the same.
         """
-        count, M = 0, 1
-        while M <= above:
-            M *= self.primes[count]
-            count += 1
+        count, M = self._prefix(above)
         if count not in self._lagrange:
-            pw = [x % M for x in self.powers]
-            m, d = len(pw), len(self.poly) - 1
+            pw = self._powers(count, M)
+            m, d = self.m, len(self.poly) - 1
             f = [(e, c) for e, c in enumerate(self.poly) if c]
             cols, derivs = [], []
             for k in self.exps:
@@ -662,26 +709,99 @@ def _root_of_unity(m, ell):
         a += 1
 
 
-def _cyclotomic_resultant(K, m, g):
-    """Res(f, g) for the m-th cyclotomic f of K, from K's root table.
+def _digits(g, W):
+    """g packed with 2^(W-1) added to each slot of W bits: sum_j (g_j +
+    2^(W-1)) 2^(W j), whose slots are digits in [0, 2^W) when every |g_j| <
+    2^(W-1)."""
+    c, acc = 1 << (W - 1), 0
+    for x in reversed(g):
+        acc = (acc << W) + x + c
+    return acc
 
-    For deg g < m, Parseval over the m-th roots of unity w gives sum |g(w)|^2
-    = m * sum g_j^2; the d roots of f are among them, so by AM-GM |Res(f,
-    g)|^2 <= (m * sum g_j^2 / d)^d <= t^d for t = ceil(m * sum g_j^2 / d).
-    A modulus of bits(M) >= ceil((d * bits(t) + 2) / 2) + 1 bits has M^2 >=
-    2^(d * bits(t) + 2) > 4 t^d, so M > 2 |Res(f, g)|. The table is built on
-    first use and extended by more primes when g needs more bits.
+
+def _undigits(digits, W, n):
+    """The n slots of `digits` (`_digits`), for W a multiple of 8."""
+    c = 1 << (W - 1)
+    return [x - c for x in _slots(digits, W // 8, n)]
+
+
+def _tower(poly, m, g, levels=None):
+    """(poly', m', h) with N(g) = N'(h): g walked down the cyclotomic tower
+    while 4 | m; each level's (poly, h) is appended to `levels` if given.
+
+    For 4 | m, f = Phi_m(x) = Phi_{m/2}(x^2), so Phi_{m/2} has the even
+    coefficients of f, and x -> -x is the automorphism of K = Q[x]/(f) over
+    K' = Q[y]/(Phi_{m/2}), y = x^2. So N_K(g) = N_K'(w) for w(y) = g(x)
+    g(-x) = g_e(y)^2 - y g_o(y)^2, where g = g_e(x^2) + x g_o(x^2).
+
+    Each step is one Kronecker computation on the digits of g (`_digits`) at
+    width W: masks on every other slot give g_e and g_o packed at width 2W,
+    and two squarings give w there, in n = deg f slots. By Cauchy-Schwarz a
+    coefficient of g_e^2 is at most ||g_e||^2, and of g_o^2 at most
+    ||g_o||^2, so |w_k| <= ||g||^2. When Phi_{m/2} = y^(n/2) + 1, w mod
+    Phi_{m/2} is the difference of w's packed halves, which are read as
+    digits of width 2W again; its coefficients are those of g(x) g(-x) mod
+    x^n + 1, each a sum of +-g_i g_j over a permutation, so again at most
+    ||g||^2. Otherwise the n coefficients of w are unpacked and reduced.
+
+    The widths hold every level: digits are packed at W_0 > (bits(s) +
+    bits(n_0)) / 2 from an exact list h_0 of n_0 coefficients with s = sum
+    h_j^2, and W doubles with each fold. The squared norms are bounded by
+    L_0 = s and L_(t+1) = n_(t+1) L_t^2, and log2 L_t = 2^t (log2 s + sum_(k
+    <= t) log2(n_k) / 2^k) < 2^t (bits(s) + bits(n_0) - 1) <= 2 W_t - 1.
+    So every coefficient of level t + 1, at most L_t, lies below
+    2^(W_(t+1) - 1), and its slot of W_(t+1) = 2 W_t bits is a digit. The foot is
+    reached at m' with 4 not dividing m'; at degree one (m' = 1, 2) h is
+    [N(g)].
     """
-    bound = max(map(abs, g))
+    h, digits = list(g), None
+    while m % 4 == 0:
+        n = len(poly) - 1
+        half = n // 2
+        if digits is None:
+            s = sum(map(mul, h, h))
+            W = 8 * ((s.bit_length() + n.bit_length()) // 16 + 1)
+            digits = _digits(h, W)
+        elif levels is not None:
+            h = _undigits(digits, W, n)
+        if levels is not None:
+            levels.append((poly, h))
+        U = ((1 << W * n) - 1) // ((1 << 2 * W) - 1)  # 1 in each slot of 2W bits
+        low, mask = U << (W - 1), (U << W) - U
+        ge = (digits & mask) - low
+        go = ((digits >> W) & mask) - low
+        poly, m, W = poly[::2], m // 2, 2 * W
+        w = ge * ge - (go * go << W) + (U << (W - 1))
+        if poly[0] == 1 and not any(poly[1:half]):
+            # y^half + 1: the lower half keeps its offsets, the digits of w mod poly
+            digits = (w & ((1 << W * half) - 1)) - (w >> W * half)
+        else:
+            # offset the upper slots too, then reduce the n coefficients of w
+            h = _reduce(poly, _undigits(w + (U << (W * half + W - 1)), W, n))
+            digits = None
+    if digits is not None:
+        h = _undigits(digits, W, len(poly) - 1)
+    return poly, m, h
+
+
+def _base_table(K, poly, m):
+    """K's root table, for the cyclotomic field at the foot of its tower."""
+    if K._roots is None:
+        K._roots = _RootTable(poly, m)
+    return K._roots
+
+
+def _cyclotomic_resultant(K, m, g):
+    """Res(f, g) for the m-th cyclotomic f of K: the norm of the foot h of
+    g's tower (`_tower`), which is h itself at degree one and otherwise
+    comes from K's root table for that foot (`_RootTable.resultant`)."""
+    poly, m, h = _tower(K.poly, m, g)
+    if len(h) == 1:
+        return h[0]
+    bound = max(map(abs, h))
     if not bound:
         return 0
-    d = K.degree
-    t = -(-m * sum(map(mul, g, g)) // d)
-    bits = (d * t.bit_length() + 3) // 2 + 1
-    table = K._roots
-    if table is None or table.bits < bits:
-        table = K._roots = _RootTable(K, m, bits, table)
-    return table.resultant(g, bound)
+    return _base_table(K, poly, m).resultant(h, bound)
 
 
 def norm_quotient(alpha):
@@ -689,8 +809,8 @@ def norm_quotient(alpha):
 
     beta is the first column of the adjugate of the multiplication matrix,
     so it always has integer coordinates. In a field certified cyclotomic it
-    comes from K's root table (`_cyclotomic_quotient`); every other field
-    solves the multiplication matrix by Bareiss elimination.
+    comes down its tower of fields (`_cyclotomic_quotient`); every other
+    field solves the multiplication matrix by Bareiss elimination.
     """
     K = alpha.K
     if not alpha.is_integral():
@@ -717,42 +837,49 @@ def _bareiss_quotient(alpha):
 
 
 def _cyclotomic_quotient(alpha, m):
-    """norm_quotient(alpha) by evaluation at the roots a_i of K's table.
+    """norm_quotient(alpha) down the tower (`_tower`) of alpha = h_0.
 
-    K is Galois, so beta = N(alpha) / alpha is the product of the other
-    conjugates of alpha, and beta(a_i) = prod_{l != i} alpha(a_l) mod M;
-    the table interpolates beta (`_RootTable.cofactor`), first modulo
-    primes above 2 |N(alpha)|, which bounds |beta_j| in practice. beta is
-    returned only once alpha * beta == N(alpha) holds exactly. Otherwise the
-    modulus, and the table if need be, grows past twice the Hadamard bound
-    H of the adjugate, where every |beta_j| <= H makes the residues exact; a
-    check that fails there raises DpipError.
+    Each h_t has the norm n of alpha, and beta(h_t) = n / h_t is h_t(-x)
+    beta(h_(t+1))(x^2), since h_(t+1)(x^2) = h_t(x) h_t(-x). At the foot,
+    beta(h_T) is 1 at degree one. Otherwise K is Galois, so beta(h_T) is the
+    product of the other conjugates of h_T, and the table interpolates it
+    from the values of h_T at its roots (`_RootTable.cofactor`), first
+    modulo primes above 2 |n|, which bounds its coefficients in practice.
+    beta is returned only once alpha * beta == n holds exactly in K, which
+    holds exactly when h_T beta(h_T) = n at the foot. Otherwise the modulus
+    grows past twice the Hadamard bound H of the adjugate at the foot, where
+    every coefficient is at most H and the residues are exact; a check that
+    fails there raises DpipError.
     """
     K = alpha.K
-    g = alpha.coords
-    n = alpha.norm_int()  # fills K._roots
+    n = alpha.norm_int()
     if n == 0:
         raise ZeroDivisionError("singular multiplication matrix")
+    levels = []
+    poly, m, h = _tower(K.poly, m, alpha.coords, levels)
     target = [n] + [0] * (K.degree - 1)
-    bound = max(map(abs, g))
     for above in (2 * abs(n), None):
-        # the Hadamard limit is computed only when the first modulus failed
-        above = above or _adjugate_limit(K, g)
-        table = K._roots
-        if table.modulus <= above:
-            table = K._roots = _RootTable(K, m, above.bit_length() + 1, table)
-        beta = table.cofactor(g, bound, above)
-        if K.mul_coords(g, beta) == target:
+        if len(h) == 1:
+            beta = [1]
+        else:
+            # the Hadamard limit is computed only when the first modulus failed
+            above = above or _adjugate_limit(poly, h)
+            beta = _base_table(K, poly, m).cofactor(h, max(map(abs, h)), above)
+        for f, g in reversed(levels):
+            up = [0] * len(g)
+            up[::2] = beta
+            beta = _mul_mod(f, [-c if j & 1 else c for j, c in enumerate(g)], up)
+        if K.mul_coords(alpha.coords, beta) == target:
             return FieldElement(K, beta), n
     raise DpipError("N(alpha)/alpha by evaluation failed its exact check")
 
 
-def _adjugate_limit(K, g):
+def _adjugate_limit(poly, g):
     """Twice an upper bound H on every entry of the adjugate of
-    multiplication by g: by Hadamard, a (d-1)-minor is at most the product
-    of the norms of its d - 1 columns, so H^2 <= prod_j |c_j|^2 / min_j
-    |c_j|^2 over the columns c_j of that matrix."""
-    norms = [sum(x * x for x in c) for c in K.mul_matrix_columns(g)]
+    multiplication by g mod the monic poly: by Hadamard, a (d-1)-minor is at
+    most the product of the norms of its d - 1 columns, so H^2 <= prod_j
+    |c_j|^2 / min_j |c_j|^2 over the columns c_j of that matrix."""
+    norms = [sum(x * x for x in c) for c in _mul_columns(poly, g)]
     return 2 * (isqrt(-(-prod(norms) // min(norms))) + 1)
 
 

@@ -1,11 +1,11 @@
 import random
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import factorint
+from sympy import Poly, Symbol, cyclotomic_poly, factorint
 
 from dpip import nf
 from dpip.errors import DefiningPolyError, DpipError, FieldMismatchError
@@ -85,9 +85,29 @@ def _resultant_norm(a):
     return Fraction(int_poly_resultant(a.K.poly, g), den**a.K.degree)
 
 
+def _foot(a):
+    """(poly, m, h): the foot of the tower of the integral element a."""
+    return nf._tower(a.K.poly, cyclotomic_order(a.K), a.coords)
+
+
+def _record_moduli(monkeypatch):
+    """The moduli of the table evaluations from here on, in order."""
+    seen = []
+    evaluation = nf._RootTable.evaluation
+
+    def recorded(table, above):
+        out = evaluation(table, above)
+        seen.append(out[0])
+        return out
+
+    monkeypatch.setattr(nf._RootTable, "evaluation", recorded)
+    return seen
+
+
 def test_cyclotomic_norm_matches_resultant(K64, K180):
     rng = random.Random(6)
-    for K in (K64, K180):
+    fields = [NumberField(K.poly) for K in (K64, K180)]  # fresh: +-300 grows a table
+    for K in fields:
         d = K.degree
         theta = K.gen()
         elems = [K.zero(), K.one(), -K.one(), theta, -theta, theta + 1]
@@ -99,7 +119,9 @@ def test_cyclotomic_norm_matches_resultant(K64, K180):
         assert K.zero().norm() == 0
         assert K.one().norm() == (-K.one()).norm() == theta.norm() == 1
         assert not elems[-1].is_integral()
-        assert K._roots is not None
+    # x^32 + 1 halves down to degree one; Phi_180 once, to Phi_90
+    assert fields[0]._roots is None
+    assert fields[1]._roots.m == 90 and fields[1]._roots.poly == K180.poly[::2]
 
 
 def test_cyclotomic_norm_of_rationals_in_degree_one():
@@ -110,29 +132,40 @@ def test_cyclotomic_norm_of_rationals_in_degree_one():
         assert cyclotomic_order(K) == m
         for q in (-7, -1, 1, 12, Fraction(-5, 3), 0):
             assert K.rational(q).norm() == q
-        assert K._roots is not None
+        assert K._roots is None
 
 
-def _assert_parseval_table(K, g):
-    """K's root table proves |N(g)| < M / 2: M^2 > 4 (m * sum g_j^2 / d)^d."""
-    m, d, M = cyclotomic_order(K), K.degree, K._roots.modulus
-    assert M**2 * d**d > 4 * (m * sum(c * c for c in g.coords)) ** d
-    assert M > 2 * abs(g.norm())
+def _assert_parseval_table(a, seen):
+    """The norm of the integral a came from the foot h of its tower: h is
+    the norm at degree one, with no table; otherwise the last table modulus
+    M proves |N(h)| < M / 2: M^2 > 4 (m' * sum h_j^2 / d')^d'."""
+    poly, m, h = _foot(a)
+    if len(h) == 1:
+        assert h[0] == a.norm() and a.K._roots is None
+        return
+    M, d = seen[-1], len(h)
+    assert a.K._roots.poly == poly and a.K._roots.m == m
+    assert M**2 * d**d > 4 * (m * sum(c * c for c in h)) ** d
+    assert M > 2 * abs(a.norm())
 
 
-def test_cyclotomic_norm_table_grows_for_large_elements(K64, K180):
+def test_cyclotomic_norm_table_grows_for_large_elements(monkeypatch, K64, K180):
     # coefficients of about 2^200, as drawn under the conjectural bound
+    seen = _record_moduli(monkeypatch)
     rng = random.Random(7)
     for fixture in (K64, K180):
         K = NumberField(fixture.poly)  # a fresh field, so its table starts cold
         d = K.degree
         small = K.element([rng.randint(-3, 3) for _ in range(d)])
         assert small.norm() == _resultant_norm(small)
-        primes = K._roots.primes
         big = K.element([rng.randint(-(2**200), 2**200) for _ in range(d)])
-        assert big.norm() == _resultant_norm(big)
+        if K._roots is None:  # x^32 + 1 never builds one
+            assert big.norm() == _resultant_norm(big) and K._roots is None
+            continue
         table = K._roots
-        _assert_parseval_table(K, big)
+        primes = list(table.primes)
+        assert big.norm() == _resultant_norm(big)
+        _assert_parseval_table(big, seen)
         # growth extends the checked primes rather than starting over
         assert len(table.primes) > len(primes)
         assert table.primes[: len(primes)] == primes
@@ -142,9 +175,25 @@ def test_cyclotomic_norm_table_grows_for_large_elements(K64, K180):
         assert K._roots is table
 
 
-def test_cyclotomic_norm_parseval_edge_cases(K64, K180):
+def test_small_norms_keep_their_prefix_after_a_large_one(monkeypatch, K180):
+    # each norm takes the fewest leading primes its own bound needs
+    seen = _record_moduli(monkeypatch)
+    K = NumberField(K180.poly)
+    rng = random.Random(11)
+    small = [rng.randint(-9, 9) for _ in range(K.degree)]
+    K.element(small).norm()
+    short, count = seen[-1], len(K._roots.primes)
+    big = K.element([rng.choice((1, -1)) * 2**300 for _ in range(K.degree)])
+    assert big.norm() == _resultant_norm(big)
+    assert len(K._roots.primes) > 4 * count and seen[-1] > short**4
+    assert K.element(small).norm() == _resultant_norm(K.element(small))
+    assert seen[-1] == short
+
+
+def test_cyclotomic_norm_parseval_edge_cases(monkeypatch, K64, K180):
     # constants and monomials have |g(w)| = |c| at every root, where AM-GM
     # is an equality; Q as x - 1 and x + 1 has d = 1 with m = 1 and m = 2
+    seen = _record_moduli(monkeypatch)
     big = 2**200
     for poly in (K64.poly, K180.poly, [-1, 1], [1, 1]):
         K = NumberField(poly)
@@ -158,7 +207,50 @@ def test_cyclotomic_norm_parseval_edge_cases(K64, K180):
         elems.append(K.element([big if j % 2 else -big for j in range(d)]))
         for a in elems:
             assert a.norm() == _resultant_norm(a), a
-            _assert_parseval_table(K, a)
+            _assert_parseval_table(a, seen)
+
+
+def _phi(m):
+    """The m-th cyclotomic polynomial, little-endian."""
+    x = Symbol("x")
+    return [int(c) for c in reversed(Poly(cyclotomic_poly(m, x), x).all_coeffs())]
+
+
+def test_tower_norms_and_quotients_match_the_references(monkeypatch):
+    # PRS and Bareiss stay the general paths; here they are the references,
+    # and they raise while the tower computes the same norms and quotients
+    def refuse(*args):
+        raise AssertionError("a general path ran in a cyclotomic field")
+
+    rng = random.Random(12)
+    big = 2**300
+    for m, foot in (
+        (4, 2), (8, 2), (16, 2), (64, 2), (12, 6), (36, 18), (180, 90),
+        (1, 1), (2, 2), (15, 15), (30, 30),
+    ):
+        K = NumberField(_phi(m))
+        d = K.degree
+        theta = K.gen()
+        elems = [K.one(), -K.one(), theta, -theta, K.rational(2**200), K.rational(-(2**200))]
+        elems += [K.element([big] * d), K.element([big if j % 2 else -big for j in range(d)])]
+        elems += [K.element([rng.randint(-(2**64), 2**64) for _ in range(d)]) for _ in range(2)]
+        fractional = K.element([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(d)])
+        norms = [_resultant_norm(a) for a in [K.zero(), fractional] + elems]
+        quotients = [nf._bareiss_quotient(a) for a in elems]
+        monkeypatch.setattr(nf, "int_poly_resultant", refuse)
+        monkeypatch.setattr(nf, "bareiss", refuse)
+        for a, n in zip([K.zero(), fractional] + elems, norms):
+            assert a.norm() == n, (m, a)
+        for a, q in zip(elems, quotients):
+            assert norm_quotient(a) == q, (m, a)
+        with pytest.raises(ZeroDivisionError):
+            norm_quotient(K.zero())
+        monkeypatch.undo()
+        assert nf._tower(K.poly, m, theta.coords)[1] == foot
+        if foot <= 2:
+            assert K._roots is None, m
+        else:
+            assert (K._roots.m, K._roots.poly) == (foot, tuple(_phi(foot))), m
 
 
 def test_non_cyclotomic_norms_use_the_resultant(monkeypatch, K5, K21):
@@ -275,11 +367,12 @@ def test_norm_quotient_by_evaluation_matches_bareiss(monkeypatch, K64, K180):
         elems = [a for a in elems if not a.is_zero()]
         for a in elems:
             a.norm()
-        # a table prime l: l * theta vanishes mod l at every root
-        ell = K._roots.primes[0]
-        elems.append(K.rational(ell) * theta)
+        table = K._roots
+        if table is not None:
+            # a table prime l: l * theta vanishes mod l at every root of the foot
+            elems.append(K.rational(table.primes[0]) * theta)
+            count = len(table.primes)
         # coefficients near +-2^200 make the table grow
-        bits = K._roots.bits
         elems.append(K.element([rng.choice((1, -1)) * (big - rng.randint(0, 99)) for _ in range(d)]))
         expected = [reference(a) for a in elems]
         monkeypatch.setattr(nf, "bareiss", refuse)
@@ -290,31 +383,40 @@ def test_norm_quotient_by_evaluation_matches_bareiss(monkeypatch, K64, K180):
             beta, n = norm_quotient(K.rational(c))
             assert beta == K.rational(c ** (d - 1)) and n == c**d
         monkeypatch.setattr(nf, "bareiss", bareiss)
-        assert K._roots.bits > bits
+        if table is None:  # x^32 + 1 and x -+ 1 end at degree one
+            assert K._roots is None
+        else:
+            assert K._roots is table and len(table.primes) > count
 
 
 def test_norm_quotient_grows_the_table_when_its_check_fails(monkeypatch, K180):
-    # a table too small for beta gives residues that are right mod M only;
+    # a modulus too small for beta gives residues that are right mod M only;
     # the exact check catches them and the table grows past the limit
     K = NumberField(K180.poly)
     rng = random.Random(9)
     u = K.element([rng.randint(-3, 3) for _ in range(K.degree)])
-    u.norm()
-    first = K._roots
+    n = u.norm_int()
+    table = K._roots
+    first_primes, first_modulus = list(table.primes), prod(table.primes)
+    first_lagrange = {}
     cofactor = nf._RootTable.cofactor
 
     def short(table, g, bound, above):
         out = cofactor(table, g, bound, above)
-        return [out[0] + table.modulus] + out[1:] if table is first else out
+        if above != 2 * abs(n):
+            return out
+        first_lagrange.update(table._lagrange)
+        return [out[0] + table.lagrange(above)[0]] + out[1:]
 
     monkeypatch.setattr(nf._RootTable, "cofactor", short)
-    monkeypatch.setattr(nf, "_adjugate_limit", lambda K, g: 2**300 * first.modulus)
+    monkeypatch.setattr(nf, "_adjugate_limit", lambda poly, g: 2**300 * first_modulus)
     assert norm_quotient(u) == nf._bareiss_quotient(u)
-    assert K._roots.modulus > 2**300 * first.modulus
-    assert K._roots.primes[: len(first.primes)] == first.primes
+    assert K._roots is table
+    assert prod(table.primes) > 2**300 * first_modulus
+    assert table.primes[: len(first_primes)] == first_primes
     # the leading primes are the same, so their Lagrange columns carry over
-    assert first._lagrange
-    assert all(K._roots._lagrange[c] is v for c, v in first._lagrange.items())
+    assert first_lagrange
+    assert all(table._lagrange[c] is v for c, v in first_lagrange.items())
 
 
 def test_norm_quotient_gives_up_past_the_hadamard_bound(monkeypatch, K180):
@@ -323,13 +425,14 @@ def test_norm_quotient_gives_up_past_the_hadamard_bound(monkeypatch, K180):
     rng = random.Random(9)
     u = K.element([rng.randint(-3, 3) for _ in range(K.degree)])
     u.norm()
-    assert K._roots.modulus > nf._adjugate_limit(K, u.coords)
     cofactor = nf._RootTable.cofactor
     monkeypatch.setattr(
         nf._RootTable, "cofactor", lambda t, g, b, a: [x + 1 for x in cofactor(t, g, b, a)]
     )
     with pytest.raises(DpipError, match="exact check"):
         norm_quotient(u)
+    poly, _, h = _foot(u)
+    assert prod(K._roots.primes) > nf._adjugate_limit(poly, h)
 
 
 def test_norm_quotient_of_non_cyclotomic_fields_uses_bareiss(monkeypatch, K5, K21):
