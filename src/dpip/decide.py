@@ -4,10 +4,12 @@ A prime ideal is decided directly from the advice: primes dividing some
 subfield-polynomial discriminant are answered by membership in the
 exceptional set S, every other prime is principal exactly when each
 subfield polynomial splits completely in its residue field. A general
-ideal is first switched to a prime: draw r = sum r_i b_i with uniform
-coefficients over an LLL-reduced basis of I and replace I by (r)/I, which
-lies in the inverse ideal class (so shares the answer), until the cofactor
-is prime.
+ideal is first switched to a prime: draw r in I with uniform coefficients
+over an LLL-reduced basis and replace I by (r)/I, which lies in the inverse
+ideal class (so shares the answer), until the cofactor is prime. For I =
+u*J the draw is r = u*w with w over J's reduced basis W (`lll_reduce`), and
+(r)/I = (w)/J with N(r)/N(I) = N(w)/N(J), so the decision switches J by w
+and never forms r or N(u)/u.
 
 All randomness is drawn from per-run substreams derived by hashing
 (seed, labels), so decisions are reproducible bit for bit and independent
@@ -34,6 +36,11 @@ REASON_ALL_SPLIT = "all-split"
 
 @dataclass(frozen=True)
 class Decision:
+    """A verdict, its reason, the switching draws it took and the prime it
+    was read from. The witness is prime by `prime_power`, which accepts a p
+    above 2^64 on sympy's BPSW test: no counterexample is known, but it is
+    not a proof, so such a verdict rests on BPSW."""
+
     verdict: str
     reason: str
     switches_used: int = 0
@@ -130,9 +137,9 @@ def draw_coefficients(rng, bound, count):
 
 
 def _combiner(K, basis, bound):
-    """r(c) = sum c_j basis_j for integer c with max |c_j| <= bound, as one
-    packed product (`nf._matvec`)."""
-    apply = _matvec([v.coords for v in basis], bound)
+    """w(c) = sum c_j basis_j for coordinate vectors basis_j and integer c
+    with max |c_j| <= bound, as one packed product (`nf._matvec`)."""
+    apply = _matvec(basis, bound)
     return lambda coeffs: K.element(apply(coeffs))
 
 
@@ -180,8 +187,9 @@ def prime_cofactor(ideal, r):
 
 def first_prime_cofactor(ideal, basis, bound, rng, limit):
     """The switching loop: (draws, prime cofactor) for the first of at most
-    `limit` draws r = sum c_i basis_i, c uniform on [-bound, bound]^d, whose
-    cofactor (r)/I is prime, or (limit, None) when none is."""
+    `limit` draws r = sum c_i basis_i, c uniform on [-bound, bound]^d and
+    basis the coordinate vectors of a basis of I, whose cofactor (r)/I is
+    prime, or (limit, None) when none is."""
     combine = _combiner(ideal.K, basis, bound)
     for draw in range(1, limit + 1):
         witness = prime_cofactor(ideal, combine(draw_coefficients(rng, bound, ideal.K.degree)))
@@ -194,8 +202,10 @@ def decide_ideal(ideal, advice, cfg):
     """Decide a general integral ideal, switching to a prime if needed.
 
     Prime inputs take the direct path with zero switches. Otherwise the
-    cofactor (r)/I is redrawn until prime — it lies in the inverse class,
-    so its verdict is the input's verdict — and the prime path finishes.
+    cofactor is redrawn until prime — it lies in the inverse class, so its
+    verdict is the input's verdict — and the prime path finishes. The draws
+    run on the cofactor side (J, W) of `lll_reduce`: w over W, with
+    cofactor (w)/J, which for I = u*J is (u*w)/I.
     Raises MaxTrialsExceededError after cfg.max_trials fruitless draws.
     """
     if ideal.K != advice.field:
@@ -207,9 +217,7 @@ def decide_ideal(ideal, advice, cfg):
         base = decide_prime_ideal(direct, advice)
         return replace(base, witness_prime=direct, switches_used=0)
     rng = substream(cfg.seed, "decide")
-    draws, witness = first_prime_cofactor(
-        ideal, lll_reduce(ideal), cfg.bound_B, rng, cfg.max_trials
-    )
+    draws, witness = first_prime_cofactor(*lll_reduce(ideal), cfg.bound_B, rng, cfg.max_trials)
     if witness is None:
         raise MaxTrialsExceededError(cfg.max_trials, cfg.bound_B)
     base = decide_prime_ideal(witness, advice)

@@ -25,11 +25,12 @@ alone, so it may be given any vectors together with the Gram matrix of
 other vectors they map to linearly. An ideal u*J is reduced that way on
 its cofactor side: the vectors are J's basis B_J (the identity for O_K),
 the Gram matrix is that of u x B_J, and the transform W of B_J is checked
-against J, which needs neither u*J's Hermite form nor N(u)/u, before u x W
-is formed. In a cyclotomic field that Gram matrix comes from u's weight
-form: |sigma(theta)| = 1 makes <u theta^i, u theta^j> depend on i - j
-only, so d inner products give a Toeplitz matrix T, and B_J^T T B_J
-follows (start_gram). Every other ideal pays b_i^T G b_j per pair.
+against J and returned with it. The switching step draws on J's side, so
+neither u*J's Hermite form nor u x W is formed. In a cyclotomic field that
+Gram matrix comes from u's weight form: |sigma(theta)| = 1 makes <u
+theta^i, u theta^j> depend on i - j only, so d inner products give a
+Toeplitz matrix T, and B_J^T T B_J follows (start_gram). Every other ideal
+pays b_i^T G b_j per pair.
 
 The reduction starts from the lambda/d tables, the minors of the Gram
 matrix. gram_schmidt takes them from any Gram matrix in O(d^3) steps. For
@@ -56,7 +57,7 @@ import mpmath
 
 from .errors import DpipError, ZeroIdealError
 from .intlattice import bareiss_det
-from .nf import cyclotomic_order
+from .nf import Ideal, cyclotomic_order
 
 _PREC_BITS = 192
 _SCALE_BITS = 32
@@ -303,40 +304,34 @@ def integral_lll(vectors, ips, delta=DELTA):
 
 
 def lll_reduce(ideal, delta=DELTA):
-    """LLL-reduced Z-basis of an integral ideal, as field elements.
+    """(J, W): an LLL-reduced basis W of the cofactor side J of an integral
+    ideal, W as coordinate vectors. J is O_K for (u), J for u*J, and the
+    ideal itself for an HNF lattice; the result is cached on the ideal.
 
-    The output is reduced at the given delta with respect to the
-    canonical-embedding Gram matrix of the field. An ideal u*J is reduced
-    on its cofactor side: the reduction runs on B_J (the identity for J =
-    O_K, else J's recorded basis or its columns) under the Gram matrix of
-    u x B_J (`start_gram`). Every swap and size reduction is read from that
-    Gram matrix, so the result W is the transform of B_J, and u x W is the
-    basis a reduction of u x B_J would return. W spans J exactly when it
-    lies in J and |det W| = det J, and then u x W spans u*J; any other ideal
-    checks its reduced HNF columns the same way. A failed check raises
-    DpipError.
+    u*J is reduced on its cofactor side: the reduction runs on B_J (the
+    identity for O_K, else J's recorded basis or its columns) under the Gram
+    matrix of u x B_J (`start_gram`). Every swap and size reduction is read
+    from that Gram matrix, so u x W is the basis a reduction of u x B_J
+    would return, reduced at delta under the canonical-embedding form; a
+    draw w over W stands for u*w over u x W, with cofactor (u*w)/(u*J) =
+    (w)/J. W spans J exactly when it lies in J and |det W| = det J; a
+    failed check raises DpipError.
     """
-    field = ideal.K
     if ideal.denom != 1:
         raise ValueError("LLL reduction expects an integral ideal")
     if ideal.det() == 0:
         raise ZeroIdealError("zero ideal")
-    if ideal._lll is not None:
-        return list(ideal._lll)
-    if ideal._factors is None:
-        u, J, start = None, ideal, ideal.cols
-    else:
-        u, J = ideal._factors
-        d = field.degree
-        start = (J._basis or J.cols) if J else [[int(i == j) for j in range(d)] for i in range(d)]
-    w = integral_lll(start, start_gram(ideal), delta)
-    # lattice equality: every vector lies in J and the determinants agree,
-    # which pins the same Hermite form; J = O_K holds every integer vector
-    if J is not None and not J.contains_vectors(w):
-        raise DpipError("LLL output left the input ideal")
-    if abs(bareiss_det(w)) != (J.det() if J else 1):
-        raise DpipError("LLL output does not span the input ideal")
-    reduced = w if u is None else field.mul_vectors(u.coords, w)
-    out = [field.element(v) for v in reduced]
-    ideal._lll = tuple(out)
-    return list(out)
+    if ideal._lll is None:
+        if ideal._factors is None:
+            J = ideal
+        else:
+            J = ideal._factors[1] or Ideal.ring(ideal.K)
+        w = integral_lll(J._basis or J.cols, start_gram(ideal), delta)
+        # lattice equality: every vector lies in J and the determinants agree,
+        # which pins the same Hermite form; O_K (det 1) holds every integer vector
+        if J.det() != 1 and not J.contains_vectors(w):
+            raise DpipError("LLL output left the input ideal")
+        if abs(bareiss_det(w)) != J.det():
+            raise DpipError("LLL output does not span the input ideal")
+        ideal._lll = (J, tuple(map(tuple, w)))
+    return ideal._lll

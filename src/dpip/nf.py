@@ -10,7 +10,7 @@ module.
 """
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm, prod
+from math import gcd, lcm, prod
 from operator import mul
 
 from sympy import Poly, Symbol, isprime, primefactors, primerange
@@ -75,7 +75,11 @@ def prime_power(n):
     is a power of g, so no primality test runs. Otherwise a base-2 Fermat
     test screens it: x = 2^(n-1) mod n is 1 for a prime n, and a prime
     power q^e has 2^n = 2 (mod q), so q divides both 2x - 2 and n. When
-    x != 1 and gcd(2x - 2, n) = 1, n is neither."""
+    x != 1 and gcd(2x - 2, n) = 1, n is neither.
+
+    Primality is sympy's `isprime`: exact below 2^64, the BPSW test above.
+    BPSW has no known counterexample but is not a proof, so a p above 2^64
+    is accepted on BPSW alone."""
     if n < 2:
         return None
     g = gcd(n, _SMALL_PRIMORIAL)
@@ -115,38 +119,6 @@ def _reduce(poly, c):
             for j, fj in f:
                 c[base + j] -= x * fj
     return c[:d]
-
-
-def _mul_mod(poly, a, b):
-    """Coordinates of a * b mod the monic poly."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return _reduce(poly, out)
-
-
-def _theta_shift(poly, v):
-    """Coordinates of theta * v mod the monic poly."""
-    d = len(poly) - 1
-    top = v[d - 1]
-    out = [0, *v[: d - 1]]
-    if top:
-        for i in range(d):
-            if poly[i]:
-                out[i] -= top * poly[i]
-    return out
-
-
-def _mul_columns(poly, coords):
-    """Columns of multiplication by coords mod the monic poly: the
-    coordinates of coords * theta^j for j < deg poly."""
-    cols = [list(coords)]
-    for _ in range(len(poly) - 2):
-        cols.append(_theta_shift(poly, cols[-1]))
-    return cols
 
 
 # ---------------------------------------------------------------------------
@@ -231,15 +203,31 @@ class NumberField:
 
     def theta_shift(self, v):
         """Coordinates of theta * v (v a length-d coordinate list)."""
-        return _theta_shift(self.poly, v)
+        poly, d = self.poly, self.degree
+        top = v[d - 1]
+        out = [0, *v[: d - 1]]
+        if top:
+            for i in range(d):
+                if poly[i]:
+                    out[i] -= top * poly[i]
+        return out
 
     def mul_coords(self, a, b):
         """Coordinates of the product of two elements."""
-        return _mul_mod(self.poly, a, b)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    if bj:
+                        out[i + j] += ai * bj
+        return _reduce(self.poly, out)
 
     def mul_matrix_columns(self, coords):
         """Columns of the multiplication-by-x matrix: x*theta^j for j < d."""
-        return _mul_columns(self.poly, coords)
+        cols = [list(coords)]
+        for _ in range(self.degree - 1):
+            cols.append(self.theta_shift(cols[-1]))
+        return cols
 
     def mul_vectors(self, coords, vecs):
         """Coordinates of x*v for every integer vector v in vecs, x given by
@@ -531,12 +519,11 @@ class _RootTable:
     (k < m, `_powers`) are then the roots a_i of f mod M and their powers.
 
     Per prefix, `evaluation` packs a_i^0, ..., a_i^(d-1) and the offset
-    -sum_j a_i^j mod M into d + 1 columns with row i in slot i, and
-    `lagrange` the interpolation columns through the a_i; both are built
-    once per prefix.
+    -sum_j a_i^j mod M into d + 1 columns with row i in slot i, built once
+    per prefix.
     """
 
-    __slots__ = ("poly", "m", "exps", "primes", "roots", "_evaluation", "_lagrange")
+    __slots__ = ("poly", "m", "exps", "primes", "roots", "_evaluation")
 
     def __init__(self, poly, m):
         self.poly = tuple(poly)
@@ -545,7 +532,6 @@ class _RootTable:
         self.primes = []
         self.roots = []
         self._evaluation = {}
-        self._lagrange = {}
 
     def _prefix(self, above):
         """(count, M) for the product M > above of the fewest leading
@@ -606,9 +592,9 @@ class _RootTable:
             self._evaluation[count] = (M, width, _pack(rows, width))
         return self._evaluation[count]
 
-    def values(self, g, bound, above=0):
+    def values(self, g, bound):
         """(M, values): numbers congruent to g(a_i) mod M, for integer
-        coordinates g with max |g_j| = bound, and M > above.
+        coordinates g with max |g_j| = bound.
 
         For deg g < m, Parseval over the m-th roots of unity w gives sum
         |g(w)|^2 = m * sum g_j^2; the d roots of f are among them, so by
@@ -623,7 +609,7 @@ class _RootTable:
         """
         d = len(g)
         t = -(-self.m * sum(map(mul, g, g)) // d)
-        M, width, cols = self.evaluation(max(above, 1 << ((d * t.bit_length() + 1) // 2 + 1)))
+        M, width, cols = self.evaluation(1 << ((d * t.bit_length() + 1) // 2 + 1))
         acc = sum(map(mul, [x + bound for x in g] + [bound], cols))
         return M, _slots(acc, width, d)
 
@@ -637,64 +623,6 @@ class _RootTable:
             r = r * s % M
         return r - M if 2 * r > M else r
 
-    def cofactor(self, g, bound, above):
-        """Coordinates, as residues of least absolute value, of the
-        polynomial of degree < d taking the value prod_{l != i} g(a_l) at
-        each a_i, modulo the product M' of the fewest leading primes with
-        M' > above: products of prefixes and suffixes, so no inverse is
-        taken, then one packed Lagrange interpolation (`lagrange`). The
-        values come modulo a multiple of M'."""
-        _, vals = self.values(g, bound, above)
-        M, cols, scales, width = self.lagrange(above)
-        suffix = [1]
-        for v in reversed(vals):
-            suffix.append(suffix[-1] * v % M)
-        suffix.reverse()
-        acc, prefix = 0, 1
-        for v, after, scale, col in zip(vals, suffix[1:], scales, cols):
-            acc += prefix * after % M * scale % M * col
-            prefix = prefix * v % M
-        out = []
-        for s in _slots(acc, width, len(vals)):
-            s %= M
-            out.append(s - M if 2 * s > M else s)
-        return out
-
-    def lagrange(self, above):
-        """(M', columns, scales, width) for the Lagrange polynomials L_i =
-        q_i / f'(a_i), q_i = f / (x - a_i), modulo the M' of `cofactor`.
-
-        The coefficient of x^j in q_i is sum_{e > j} f_e a_i^(e - j - 1) and
-        f'(a_i) = sum_e e f_e a_i^(e - 1): sums over the nonzero f_e of
-        powers of z mod M', with no product of residues. Column i packs q_i
-        mod M', coefficient j in slot j, and scales[i] = f'(a_i)^-1 mod M'
-        comes from one inversion (Montgomery's trick). A combination sum c_i
-        q_i with 0 <= c_i < M' leaves every slot below d M'^2, within width.
-        """
-        count, M = self._prefix(above)
-        if count not in self._lagrange:
-            pw = self._powers(count, M)
-            m, d = self.m, len(self.poly) - 1
-            f = [(e, c) for e, c in enumerate(self.poly) if c]
-            cols, derivs = [], []
-            for k in self.exps:
-                q = [0] * d
-                for e, c in f:
-                    for j in range(e):
-                        q[j] += c * pw[k * (e - j - 1) % m]
-                cols.append([x % M for x in q])
-                derivs.append(sum(e * c * pw[k * (e - 1) % m] for e, c in f) % M)
-            prefix = [1]
-            for x in derivs:
-                prefix.append(prefix[-1] * x % M)
-            inv = pow(prefix[-1], -1, M)
-            scales = [0] * d
-            for i in range(d - 1, -1, -1):
-                scales[i] = inv * prefix[i] % M
-                inv = inv * derivs[i] % M
-            width = (2 * M.bit_length() + d.bit_length()) // 8 + 1
-            self._lagrange[count] = (M, _pack(list(zip(*cols)), width), scales, width)
-        return self._lagrange[count]
 
 
 def _root_of_unity(m, ell):
@@ -725,9 +653,9 @@ def _undigits(digits, W, n):
     return [x - c for x in _slots(digits, W // 8, n)]
 
 
-def _tower(poly, m, g, levels=None):
+def _tower(poly, m, g):
     """(poly', m', h) with N(g) = N'(h): g walked down the cyclotomic tower
-    while 4 | m; each level's (poly, h) is appended to `levels` if given.
+    while 4 | m.
 
     For 4 | m, f = Phi_m(x) = Phi_{m/2}(x^2), so Phi_{m/2} has the even
     coefficients of f, and x -> -x is the automorphism of K = Q[x]/(f) over
@@ -762,10 +690,6 @@ def _tower(poly, m, g, levels=None):
             s = sum(map(mul, h, h))
             W = 8 * ((s.bit_length() + n.bit_length()) // 16 + 1)
             digits = _digits(h, W)
-        elif levels is not None:
-            h = _undigits(digits, W, n)
-        if levels is not None:
-            levels.append((poly, h))
         U = ((1 << W * n) - 1) // ((1 << 2 * W) - 1)  # 1 in each slot of 2W bits
         low, mask = U << (W - 1), (U << W) - U
         ge = (digits & mask) - low
@@ -807,80 +731,21 @@ def _cyclotomic_resultant(K, m, g):
 def norm_quotient(alpha):
     """(beta, n) with alpha * beta == n == N(alpha), beta in Z[theta].
 
-    beta is the first column of the adjugate of the multiplication matrix,
-    so it always has integer coordinates. In a field certified cyclotomic it
-    comes down its tower of fields (`_cyclotomic_quotient`); every other
-    field solves the multiplication matrix by Bareiss elimination.
+    beta = n * M_alpha^-1 e_0 is the first column of the adjugate of the
+    multiplication matrix, so it always has integer coordinates: Bareiss
+    elimination on [M_alpha | e_0], then back-substitution.
     """
     K = alpha.K
     if not alpha.is_integral():
         raise ValueError("norm_quotient needs an integral element")
-    m = cyclotomic_order(K)
-    if m is not None:
-        return _cyclotomic_quotient(alpha, m)
-    return _bareiss_quotient(alpha)
-
-
-def _bareiss_quotient(alpha):
-    """norm_quotient(alpha) by Bareiss elimination on [M_alpha | e_0], then
-    back-substitution for the adjugate column det * M_alpha^-1 e_0."""
-    K = alpha.K
     d = K.degree
     cols = K.mul_matrix_columns(alpha.coords)
     a = [[cols[j][i] for j in range(d)] + [int(i == 0)] for i in range(d)]
     det = bareiss(a)
     if det == 0:
         raise ZeroDivisionError("singular multiplication matrix")
-    # beta = det * M^-1 e_0, a column of the adjugate, is integral
     beta = int_back_substitution(a, [det * row[d] for row in a])
     return FieldElement(K, beta), det
-
-
-def _cyclotomic_quotient(alpha, m):
-    """norm_quotient(alpha) down the tower (`_tower`) of alpha = h_0.
-
-    Each h_t has the norm n of alpha, and beta(h_t) = n / h_t is h_t(-x)
-    beta(h_(t+1))(x^2), since h_(t+1)(x^2) = h_t(x) h_t(-x). At the foot,
-    beta(h_T) is 1 at degree one. Otherwise K is Galois, so beta(h_T) is the
-    product of the other conjugates of h_T, and the table interpolates it
-    from the values of h_T at its roots (`_RootTable.cofactor`), first
-    modulo primes above 2 |n|, which bounds its coefficients in practice.
-    beta is returned only once alpha * beta == n holds exactly in K, which
-    holds exactly when h_T beta(h_T) = n at the foot. Otherwise the modulus
-    grows past twice the Hadamard bound H of the adjugate at the foot, where
-    every coefficient is at most H and the residues are exact; a check that
-    fails there raises DpipError.
-    """
-    K = alpha.K
-    n = alpha.norm_int()
-    if n == 0:
-        raise ZeroDivisionError("singular multiplication matrix")
-    levels = []
-    poly, m, h = _tower(K.poly, m, alpha.coords, levels)
-    target = [n] + [0] * (K.degree - 1)
-    for above in (2 * abs(n), None):
-        if len(h) == 1:
-            beta = [1]
-        else:
-            # the Hadamard limit is computed only when the first modulus failed
-            above = above or _adjugate_limit(poly, h)
-            beta = _base_table(K, poly, m).cofactor(h, max(map(abs, h)), above)
-        for f, g in reversed(levels):
-            up = [0] * len(g)
-            up[::2] = beta
-            beta = _mul_mod(f, [-c if j & 1 else c for j, c in enumerate(g)], up)
-        if K.mul_coords(alpha.coords, beta) == target:
-            return FieldElement(K, beta), n
-    raise DpipError("N(alpha)/alpha by evaluation failed its exact check")
-
-
-def _adjugate_limit(poly, g):
-    """Twice an upper bound H on every entry of the adjugate of
-    multiplication by g mod the monic poly: by Hadamard, a (d-1)-minor is at
-    most the product of the norms of its d - 1 columns, so H^2 <= prod_j
-    |c_j|^2 / min_j |c_j|^2 over the columns c_j of that matrix."""
-    norms = [sum(x * x for x in c) for c in _mul_columns(poly, g)]
-    return 2 * (isqrt(-(-prod(norms) // min(norms))) + 1)
 
 
 def int_back_substitution(rows, rhs):
@@ -978,10 +843,11 @@ class Ideal:
 
     An integral u*J (u a nonzero integral element, J an integral ideal or
     None for O_K), built from one generator or as a product by one, keeps
-    `_factors` = (u, J) and the Z-basis `_basis` = u x basis(J), whose Gram
-    matrix LLL reduces on J's side. Its determinant is |N(u)| * det(J),
-    membership divides by u (`contains_vectors`), and the HNF is built only
-    when `cols` is read.
+    `_factors` = (u, J) and the Z-basis `_basis` = u x basis(J). LLL reduces
+    J's basis under the Gram matrix of `_basis`, and the decision switches J
+    (`lll_reduce`), so it needs neither the HNF of u*J nor N(u)/u. Its
+    determinant is |N(u)| * det(J), membership divides by u
+    (`contains_vectors`), and the HNF is built only when `cols` is read.
     Every other ideal is built as an HNF lattice.
     """
 
@@ -1162,8 +1028,8 @@ class Ideal:
         u*J, with (beta, n) = norm_quotient(u) and beta in Z[theta], v is in
         u*J exactly when n divides beta*v and v/u = beta*v/n lies in J, in
         any order; each beta*v is one packed mat-vec (`K.mul_vectors`), and
-        beta is computed once per ideal, from the root table in a cyclotomic
-        field. lll_reduce needs no beta: it checks its basis on J's side."""
+        beta is computed once per ideal. `lll_reduce` checks its basis
+        against J and the decision draws on J's side, so neither asks u*J."""
         if self._factors is None:
             return all(not any(self.reduce_vector(v)) for v in vecs)
         J = self._factors[1]
@@ -1313,10 +1179,8 @@ class Ideal:
 
     def _principal_inverse(self):
         """Inverse of the integral part via a known single generator g:
-        (beta)/|n| for (beta, n) = norm_quotient(g), by evaluation at the
-        root table in a cyclotomic field and by Bareiss elimination in any
-        other. For u*O_K, g is u and the membership test's quotient is
-        reused, so one beta serves both."""
+        (beta)/|n| for (beta, n) = norm_quotient(g). For u*O_K, g is u and
+        the membership test's quotient is reused, so one beta serves both."""
         if self._factors and self._factors[1] is None:
             beta, det = self._quotient()
         elif self._gens and len(self._gens) == 1:

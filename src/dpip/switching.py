@@ -34,12 +34,12 @@ class SwitchStats:
         return self.capped_trials > 0
 
 
-def _run_trials(ideal, basis, bound, seed, trial_range, cap):
+def _run_trials(cofactor_side, bound, seed, trial_range, cap):
     counts = []
     capped = 0
     for t in trial_range:
         rng = substream(seed, "stats", bound, t)
-        draws, witness = first_prime_cofactor(ideal, basis, bound, rng, cap)
+        draws, witness = first_prime_cofactor(*cofactor_side, bound, rng, cap)
         counts.append(draws)
         capped += witness is None
     return counts, capped
@@ -52,8 +52,9 @@ def switch_stats(ideal, bounds, trials, seed, field=None, cap=TRIAL_CAP, jobs=1)
     by (seed, bound, trial index), so results do not depend on scheduling
     and identical seeds reproduce identical counts. A trial that exceeds
     `cap` draws records the cap and flags the run. The ideal is reduced
-    once; with jobs > 1 one process pool runs the trial ranges of every
-    bound, each task receiving the pickled ideal and its reduced basis.
+    once, and every draw runs on its cofactor side (J, W) (`lll_reduce`);
+    with jobs > 1 one process pool runs the trial ranges of every bound,
+    each task receiving the pickled J and W.
     """
     if field is not None and field != ideal.K:
         raise ValueError("ideal does not belong to the given field")
@@ -63,10 +64,10 @@ def switch_stats(ideal, bounds, trials, seed, field=None, cap=TRIAL_CAP, jobs=1)
         raise ValueError("jobs must be at least 1")
     if any(bound < 1 for bound in bounds):
         raise ValueError("bounds must be positive")
-    basis = lll_reduce(ideal)
+    cofactor_side = lll_reduce(ideal)
     chunk = -(-trials // jobs)
     ranges = [range(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
-    tasks = [(ideal, basis, bound, seed, r, cap) for bound in bounds for r in ranges]
+    tasks = [(cofactor_side, bound, seed, r, cap) for bound in bounds for r in ranges]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_run_trials, *task) for task in tasks]
@@ -113,10 +114,11 @@ def prime_switch_density(ideal, bound, mode="exhaustive", budget=10**6, seed=0):
         raise ValueError("bound must be nonnegative")
     d = ideal.K.degree
     grid = (2 * bound + 1) ** d
-    combine = _combiner(ideal.K, lll_reduce(ideal), bound)
+    J, W = lll_reduce(ideal)
+    combine = _combiner(ideal.K, W, bound)
 
     def hit(coeffs):
-        return any(coeffs) and prime_cofactor(ideal, combine(coeffs)) is not None
+        return any(coeffs) and prime_cofactor(J, combine(coeffs)) is not None
 
     if mode == "exhaustive":
         if grid > budget:

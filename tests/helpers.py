@@ -9,7 +9,7 @@ implementations they are checking.
 from fractions import Fraction
 from itertools import product
 
-from dpip.lll import DELTA
+from dpip.lll import DELTA, lll_reduce
 
 
 def naive_lattice_basis(vectors):
@@ -233,3 +233,14 @@ def principal_by_representation(K, ideal):
                 if Ideal.principal(K, cand) == ideal:
                     return True
     return False
+
+
+def lll_basis(ideal):
+    """The reduced basis of the ideal itself, as field elements: u x W for
+    u*J and W for any other ideal, from the cofactor side (J, W) of
+    lll_reduce. It is the basis a reduction of u x B_J returns."""
+    K = ideal.K
+    _, W = lll_reduce(ideal)
+    if ideal._factors is not None:
+        W = K.mul_vectors(ideal._factors[0].coords, W)
+    return [K.element(v) for v in W]

@@ -8,6 +8,7 @@ invariant suite, the prime-ideal-count sanity ratio, and exhaustive vs
 sampled switching density.
 """
 
+import hashlib
 import random
 
 from sympy import primerange
@@ -95,6 +96,7 @@ def test_criterion_4_degree48_principal(fixtures_dir, K180):
     cfg = default_switch_config(K180, bound_B=5, seed=480)
     yes = 0
     switch_counts = []
+    witnesses = []
     for _ in range(25):
         while True:
             alpha = K180.element([rng.randint(-3, 3) for _ in range(48)])
@@ -103,12 +105,21 @@ def test_criterion_4_degree48_principal(fixtures_dir, K180):
         decision = decide_ideal(Ideal.principal(K180, alpha), advice, cfg)
         yes += decision.verdict == YES
         switch_counts.append(decision.switches_used)
+        w = decision.witness_prime
+        witnesses.append(f"{w.p}:{','.join(map(str, w.gen_poly))}")
     _report(
         4,
         yes == 25,
         f"{yes}/25 principal degree-48 ideals verdict Yes "
         f"(switches: min {min(switch_counts)}, max {max(switch_counts)})",
     )
+    # the seeded draws are pinned: a change to the reduction, the draw or
+    # the cofactor test that moves a count or a witness shows here
+    assert switch_counts == [
+        2, 8, 18, 12, 27, 2, 7, 13, 9, 17, 11, 3, 8, 22, 5, 35, 4, 8, 43, 56, 5, 5, 39, 1, 10
+    ]
+    digest = hashlib.sha256("|".join(witnesses).encode()).hexdigest()[:16]
+    assert digest == "df61db519f3d569a"
 
 
 def test_criterion_5_advice_equivalence(K5):

@@ -40,6 +40,7 @@ from dpip.quadforms import genus_advice, is_principal_quad
 from dpip.residue import element_in_prime
 from dpip.serialize import load_ideal
 from dpip.switching import switch_stats
+from helpers import lll_basis
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +118,11 @@ def test_conjectural_bound(K5):
     assert conjectural_bound(K5) == 4 * 20
 
 
+def _basis(ideal):
+    """Coordinates of the reduced basis of the ideal itself (u x W for u*J)."""
+    return [b.coords for b in lll_basis(ideal)]
+
+
 def _sample_switch(ideal, basis, cfg, rng):
     """One switching draw: r uniform on the box over basis, and (r)/I."""
     K = ideal.K
@@ -154,7 +160,8 @@ def test_sample_switch_unit_ideal(K5, advice20):
     ring = Ideal.ring(K5)
     cfg = default_switch_config(K5, bound_B=5, seed=11)
     rng = substream(cfg.seed, "test")
-    basis = lll_reduce(ring)
+    J, basis = lll_reduce(ring)
+    assert J is ring
     r, cof = _sample_switch(ring, basis, cfg, rng)
     assert not r.is_zero()
     assert cof == Ideal.principal(K5, r)
@@ -164,7 +171,7 @@ def test_sample_switch_matches_exact_division(K5):
     I = Ideal.from_generators(K5, [K5.rational(2), K5.element([1, 1])])
     cfg = default_switch_config(K5, bound_B=4, seed=3)
     rng = substream(cfg.seed, "test")
-    basis = lll_reduce(I)
+    _, basis = lll_reduce(I)
     for _ in range(20):
         r, cof = _sample_switch(I, basis, cfg, rng)
         assert I.contains_element(r)
@@ -193,9 +200,9 @@ def _reference_prime(C):
 
 
 def _plain_combination(basis, coeffs):
-    out = [0] * len(basis[0].coords)
+    out = [0] * len(basis[0])
     for c, b in zip(coeffs, basis):
-        for i, x in enumerate(b.coords):
+        for i, x in enumerate(b):
             out[i] += c * x
     return out
 
@@ -211,11 +218,11 @@ def test_packed_combination_matches_the_plain_sum(K5, K21, K64, K180):
         (Q, Ideal.principal(Q, Q.rational(-6))),
     ]
     for K, ideal in cases:
-        basis = lll_reduce(ideal)
+        basis = _basis(ideal)
         d = K.degree
         # the coordinate with the largest sum_j |b_j[i]| reaches the slot bound
-        top = max(range(d), key=lambda i: sum(abs(b.coords[i]) for b in basis))
-        sign = [(b.coords[top] > 0) - (b.coords[top] < 0) for b in basis]
+        top = max(range(d), key=lambda i: sum(abs(b[i]) for b in basis))
+        sign = [(b[top] > 0) - (b[top] < 0) for b in basis]
         for B in (1, 5, 20, 2**200):
             draws = [[B] * d, [-B] * d, [B * s for s in sign], [-B * s for s in sign]]
             draws += [[rng.randint(-B, B) for _ in range(d)] for _ in range(4)]
@@ -224,7 +231,7 @@ def test_packed_combination_matches_the_plain_sum(K5, K21, K64, K180):
                 assert list(r.coords) == _plain_combination(basis, c)
                 assert all(type(x) is int for x in r.coords)
             # the same kernel multiplies vectors by an element
-            x = basis[-1].coords
+            x = basis[-1]
             assert K.mul_vectors(x, draws) == [K.mul_coords(x, c) for c in draws]
         assert _combine(K, basis, [0] * d) == K.zero()
 
@@ -243,7 +250,7 @@ def test_prime_cofactor_matches_kummer_dedekind(K5, K21):
                 Q = P.to_ideal()
                 ideals += [Q, Q * Q, Ideal.principal(K, alpha) * Q]
         for I in ideals:
-            basis = lll_reduce(I)
+            basis = _basis(I)
             for _ in range(20):
                 r = _combine(K, basis, draw_coefficients(rng, 6, K.degree))
                 C = Ideal.principal(K, r) * I.inverse()
@@ -258,29 +265,34 @@ def test_prime_cofactor_matches_kummer_dedekind(K5, K21):
     assert all(kinds.values()), kinds
 
 
-def test_prime_cofactor_witness_is_the_cofactor(K64, K180, fixtures_dir):
-    # large fields: every witness generates exactly (r)/I
-    rng = random.Random(180)
-    alpha = K180.element([rng.randint(-3, 3) for _ in range(K180.degree)])
-    P181 = kummer_dedekind(181, K180)[0].to_ideal()
-    ideals = [
-        load_ideal(fixtures_dir / "ideal_zeta64_switch.json", K64),
-        Ideal.principal(K180, alpha),
-        Ideal.principal(K180, alpha) * P181,
-    ]
+def test_prime_cofactor_witness_is_the_cofactor(K5, K64, K180, fixtures_dir):
+    # a draw w over the cofactor side (J, W) of I = u*J stands for r = u*w in
+    # I: (w)/J is (r)/I, and every witness generates exactly that cofactor
+    ideals = [load_ideal(fixtures_dir / "ideal_zeta64_switch.json", K64)]
+    for K, p in ((K5, 3), (K64, 193), (K180, 181)):
+        rng = random.Random(180)
+        alpha = K.element([rng.randint(-3, 3) for _ in range(K.degree)])
+        beta = K.element([1, -2] + [0] * (K.degree - 2))
+        principal = Ideal.principal(K, alpha)
+        times_prime = principal * kummer_dedekind(p, K)[0].to_ideal()
+        ideals += [principal, times_prime, Ideal.principal(K, beta) * times_prime]
     for I in ideals:
-        basis = lll_reduce(I)
+        K = I.K
+        u, cofactor = I._factors or (K.one(), I)
+        J, W = lll_reduce(I)
+        assert J is (cofactor or Ideal.ring(K))
         draws = substream(7, "witness")
-        hits = 0
-        for _ in range(200):
-            r = _combine(I.K, basis, draw_coefficients(draws, 5, I.K.degree))
-            witness = prime_cofactor(I, r)
+        count = hits = 0
+        while count < 30 or not hits:
+            w = _combine(K, W, draw_coefficients(draws, 5, K.degree))
+            r = u * w
+            witness = prime_cofactor(J, w)
+            assert witness == prime_cofactor(I, r), (K.degree, I, count)
             if witness is not None:
-                assert witness.to_ideal() == Ideal.principal(I.K, r) * I.inverse()
+                assert witness.to_ideal() == Ideal.principal(K, r) * I.inverse()
                 hits += 1
-                if hits == 2:
-                    break
-        assert hits == 2
+            count += 1
+            assert count < 400
 
 
 def test_prime_cofactor_builds_no_lattice(monkeypatch, K180):
@@ -289,7 +301,7 @@ def test_prime_cofactor_builds_no_lattice(monkeypatch, K180):
     alpha = K180.element([rng.randint(-3, 3) for _ in range(K180.degree)])
     I = Ideal.principal(K180, alpha)
     I.inverse()
-    basis = lll_reduce(I)
+    basis = _basis(I)
 
     def refuse(self, vec):
         raise AssertionError("prime_cofactor inserted a lattice vector")
@@ -309,7 +321,7 @@ def test_prime_cofactor_needs_no_inverse_when_p_is_coprime(monkeypatch, K180):
     rng = random.Random(180)
     alpha = K180.element([rng.randint(-3, 3) for _ in range(K180.degree)])
     I = Ideal.principal(K180, alpha)
-    basis = lll_reduce(I)
+    basis = _basis(I)
 
     def refuse(self):
         raise AssertionError("prime_cofactor computed an inverse")
@@ -353,7 +365,7 @@ def test_decide_refuses_non_invertible_ideal():
 
 def test_prime_cofactor_agrees_with_as_prime(K5):
     I = Ideal.from_generators(K5, [K5.rational(2), K5.element([1, 1])])
-    basis = lll_reduce(I)
+    _, basis = lll_reduce(I)
     rng = substream(5, "check")
     cfg = default_switch_config(K5, bound_B=6, seed=5)
     for _ in range(50):
@@ -610,13 +622,13 @@ def test_decide_factored_ideals_builds_no_lattice(monkeypatch, K180, fixtures_di
 
 
 def test_decide_factored_ideals_runs_one_bareiss(monkeypatch, K180, fixtures_dir):
-    # the span check takes det W on J's side, and beta = N(alpha)/alpha for
-    # the membership test comes from the root table, not from elimination
+    # the span check takes det W on J's side, and the draws switch J, so no
+    # beta = N(alpha)/alpha is computed: the one elimination is det W
     advice = load_advice(fixtures_dir / "advice_zeta180.json")
     rng = random.Random(181)
     alpha = K180.element([rng.randint(-3, 3) for _ in range(K180.degree)])
     P = kummer_dedekind(181, K180)[1].to_ideal()
-    calls = {"det": 0, "quotient": 0}
+    calls = {"det": 0, "quotient": 0, "norm_quotient": 0}
     det, quotient = intlattice.bareiss, nf.bareiss
 
     def counted(name, fn):
@@ -628,16 +640,18 @@ def test_decide_factored_ideals_runs_one_bareiss(monkeypatch, K180, fixtures_dir
 
     monkeypatch.setattr(intlattice, "bareiss", counted("det", det))
     monkeypatch.setattr(nf, "bareiss", counted("quotient", quotient))
+    monkeypatch.setattr(nf, "norm_quotient", counted("norm_quotient", nf.norm_quotient))
     cfg = default_switch_config(K180, bound_B=5, seed=480)
     for ideal in (Ideal.principal(K180, alpha), Ideal.principal(K180, alpha) * P):
         decision = decide_ideal(ideal, advice, cfg)
-        assert decision.switches_used > 0 and ideal._quot is not None
-        assert calls == {"det": 1, "quotient": 0}
+        assert decision.switches_used > 0 and ideal._quot is None
+        assert calls == {"det": 1, "quotient": 0, "norm_quotient": 0}
         calls["det"] = 0
 
 
 def test_decide_then_inverse_computes_one_norm_quotient(monkeypatch, K180, fixtures_dir):
-    # the membership test of (alpha) and its inverse share beta = N(alpha)/alpha
+    # the decision computes no beta = N(alpha)/alpha; the inverse computes
+    # it once, and caches it for membership in (alpha)
     advice = load_advice(fixtures_dir / "advice_zeta180.json")
     rng = random.Random(180)
     alpha = K180.element([rng.randint(-3, 3) for _ in range(K180.degree)])
@@ -659,7 +673,7 @@ def test_ideal_norm_reads_the_pivots_once(K64, fixtures_dir):
     # N(I) screens every draw; the d pivots of an HNF ideal are read once
     J = load_ideal(fixtures_dir / "ideal_zeta64_switch.json", K64)
     n = J.norm_int()
-    basis = lll_reduce(J)
+    _, basis = lll_reduce(J)
     draws = substream(5, "pivots")
     rs = []
     while len(rs) < 40:

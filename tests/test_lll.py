@@ -9,7 +9,7 @@ from dpip.intlattice import IntLattice, bareiss_det
 from dpip.lll import cyclotomic_order, integral_lll, lll_reduce, minkowski_gram
 from dpip.nf import Ideal, NumberField, kummer_dedekind
 from dpip.serialize import load_field, load_ideal
-from helpers import gram_of, is_lll_reduced, lll_reference
+from helpers import gram_of, is_lll_reduced, lll_basis, lll_reference
 
 
 def test_integral_lll_against_fraction_reference():
@@ -108,7 +108,7 @@ def test_principal_ideal_skips_the_generic_set_up(monkeypatch, K180):
     monkeypatch.setattr(lll, "gram_schmidt", refuse)
     rng = random.Random(180)
     alpha = K180.element([rng.randint(-3, 3) for _ in range(48)])
-    assert _basis_digest(lll_reduce(Ideal.principal(K180, alpha))) == "c66531891a5df380"
+    assert _basis_digest(lll_basis(Ideal.principal(K180, alpha))) == "c66531891a5df380"
     P, Q = (F.to_ideal() for F in kummer_dedekind(181, K180)[:2])
     with pytest.raises(AssertionError, match="generic"):
         lll_reduce(P * Q)
@@ -127,9 +127,9 @@ def test_minkowski_gram_cyclotomic(K64):
 
 
 def test_ring_basis_already_reduced(K5):
-    basis = lll_reduce(Ideal.ring(K5))
-    vecs = sorted(tuple(b.coords) for b in basis)
-    assert vecs == [(0, 1), (1, 0)]
+    ring = Ideal.ring(K5)
+    J, W = lll_reduce(ring)
+    assert J is ring and sorted(W) == [(0, 1), (1, 0)]
 
 
 def test_reduce_prime_ideals(K5, K21):
@@ -138,23 +138,22 @@ def test_reduce_prime_ideals(K5, K21):
         for p in (2, 3, 5, 7, 11, 13):
             for P in kummer_dedekind(p, K):
                 ideal = P.to_ideal()
-                basis = lll_reduce(ideal)
-                coords = [list(b.coords) for b in basis]
-                assert is_lll_reduced(coords, gram)
-                for b in basis:
-                    assert ideal.contains_element(b)
+                J, W = lll_reduce(ideal)
+                assert J is ideal
+                assert is_lll_reduced([list(w) for w in W], gram)
+                assert ideal.contains_vectors(W)
 
 
 def test_reduce_table_basis_spans_ideal(K64):
     g = [0] * 32
     g[0], g[4], g[8], g[16] = 54, -33, -85, 34
     ideal = Ideal.from_generators(K64, [K64.rational(187), K64.element(g)])
-    basis = lll_reduce(ideal)
+    _, basis = lll_reduce(ideal)
     lat = IntLattice(32)
     for b in basis:
-        lat.add(list(b.coords))
+        lat.add(list(b))
     assert lat.hnf_matrix() == ideal.hnf_matrix()
-    assert is_lll_reduced([list(b.coords) for b in basis], minkowski_gram(K64))
+    assert is_lll_reduced([list(b) for b in basis], minkowski_gram(K64))
 
 
 def test_reduce_rejects_fractional(K5):
@@ -168,9 +167,7 @@ def test_lll_deterministic(K64):
     g[0], g[4], g[8], g[16] = 54, -33, -85, 34
     i1 = Ideal.from_generators(K64, [K64.rational(187), K64.element(g)])
     i2 = Ideal.from_generators(K64, [K64.rational(187), K64.element(g)])
-    b1 = [b.coords for b in lll_reduce(i1)]
-    b2 = [b.coords for b in lll_reduce(i2)]
-    assert b1 == b2
+    assert lll_reduce(i1)[1] == lll_reduce(i2)[1]
 
 
 def _basis_digest(basis):
@@ -178,14 +175,14 @@ def _basis_digest(basis):
 
 
 def test_lll_output_pinned(K64, K180, fixtures_dir):
-    # taken at delta = 3/4; the Toeplitz start Gram of (alpha) leaves the
-    # basis bit-identical to the generic b_i^T G b_j
+    # taken at delta = 3/4 on u x W; the Toeplitz start Gram of (alpha)
+    # leaves the basis bit-identical to the generic b_i^T G b_j
     switch = load_ideal(fixtures_dir / "ideal_zeta64_switch.json", K64)
-    assert _basis_digest(lll_reduce(switch)) == "056a2018dcfe50d5"
+    assert _basis_digest(lll_basis(switch)) == "056a2018dcfe50d5"
     rng = random.Random(180)
     alpha = K180.element([rng.randint(-3, 3) for _ in range(48)])
     principal = Ideal.principal(K180, alpha)
-    assert _basis_digest(lll_reduce(principal)) == "c66531891a5df380"
+    assert _basis_digest(lll_basis(principal)) == "c66531891a5df380"
 
 
 def _principal_times_prime(K, p):
@@ -202,7 +199,7 @@ def test_product_by_principal_records_a_short_basis(request, field, p):
     alpha, P, J = _principal_times_prime(K, p)
     assert P._basis is None
     assert J._basis == tuple(map(tuple, K.mul_vectors(alpha.coords, P.cols)))
-    basis = [list(b.coords) for b in lll_reduce(J)]
+    basis = [list(b.coords) for b in lll_basis(J)]
     # |det| times Z^d lies in the span of the basis, so the modulus is exact
     lat = IntLattice(K.degree, modulus=abs(bareiss_det(basis)))
     lat.extend(basis)
@@ -219,7 +216,7 @@ def test_product_of_non_principal_ideals_records_no_basis(K5, K180):
 def test_product_lll_output_pinned(K180):
     # taken at delta = 3/4, from the start alpha x (basis of P)
     _, _, J = _principal_times_prime(K180, 181)
-    assert _basis_digest(lll_reduce(J)) == "2f48f51ef1b15211"
+    assert _basis_digest(lll_basis(J)) == "2f48f51ef1b15211"
 
 
 @pytest.mark.parametrize("field, p", [("K5", 3), ("K21", 5), ("K64", 193), ("K180", 181)])
@@ -230,9 +227,10 @@ def test_cofactor_side_reduction_returns_the_product_basis(request, field, p):
     alpha, _, J = _principal_times_prime(K, p)
     beta = K.element([1, -2] + [0] * (K.degree - 2))
     for ideal in (Ideal.principal(K, alpha), J, Ideal.principal(K, beta) * J):
-        assert ideal._factors is not None
+        _, cofactor = ideal._factors
+        assert lll_reduce(ideal)[0] is (cofactor or Ideal.ring(K))
         expected = integral_lll(ideal._basis, lll.start_gram(ideal))
-        assert [list(b.coords) for b in lll_reduce(ideal)] == expected
+        assert [list(b.coords) for b in lll_basis(ideal)] == expected
 
 
 def _start_gram_cases(K, p):
@@ -259,12 +257,12 @@ def test_toeplitz_start_gram_equals_generic(request, monkeypatch, field, p):
     for name, ideal in cases.items():
         start = ideal._basis or ideal.cols
         assert lll.start_gram(ideal) == lll.form_gram(start, form), name
-        fast[name] = lll_reduce(ideal)
+        fast[name] = lll_reduce(ideal)[1]
     monkeypatch.setattr(
         lll, "start_gram", lambda I: lll.form_gram(I._basis or I.cols, minkowski_gram(I.K))
     )
     for name, ideal in _start_gram_cases(K, p).items():
-        assert lll_reduce(ideal) == fast[name], name
+        assert lll_reduce(ideal)[1] == fast[name], name
 
 
 def test_start_gram_of_non_cyclotomic_fields_is_generic(monkeypatch, K5, K21):
@@ -277,7 +275,7 @@ def test_start_gram_of_non_cyclotomic_fields_is_generic(monkeypatch, K5, K21):
         for ideal in (J, Ideal.principal(K, J._factors[0])):
             lll.start_gram(ideal)
             assert calls == [(ideal._basis, minkowski_gram(K))]
-            assert is_lll_reduced([list(b.coords) for b in lll_reduce(ideal)], minkowski_gram(K))
+            assert is_lll_reduced([list(b.coords) for b in lll_basis(ideal)], minkowski_gram(K))
             calls.clear()
 
 

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import lcm, prod
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -216,9 +216,9 @@ def _phi(m):
     return [int(c) for c in reversed(Poly(cyclotomic_poly(m, x), x).all_coeffs())]
 
 
-def test_tower_norms_and_quotients_match_the_references(monkeypatch):
-    # PRS and Bareiss stay the general paths; here they are the references,
-    # and they raise while the tower computes the same norms and quotients
+def test_tower_norms_match_the_resultant(monkeypatch):
+    # the PRS stays the general path; here it is the reference, and it
+    # raises while the tower computes the same norms
     def refuse(*args):
         raise AssertionError("a general path ran in a cyclotomic field")
 
@@ -236,15 +236,9 @@ def test_tower_norms_and_quotients_match_the_references(monkeypatch):
         elems += [K.element([rng.randint(-(2**64), 2**64) for _ in range(d)]) for _ in range(2)]
         fractional = K.element([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(d)])
         norms = [_resultant_norm(a) for a in [K.zero(), fractional] + elems]
-        quotients = [nf._bareiss_quotient(a) for a in elems]
         monkeypatch.setattr(nf, "int_poly_resultant", refuse)
-        monkeypatch.setattr(nf, "bareiss", refuse)
         for a, n in zip([K.zero(), fractional] + elems, norms):
             assert a.norm() == n, (m, a)
-        for a, q in zip(elems, quotients):
-            assert norm_quotient(a) == q, (m, a)
-        with pytest.raises(ZeroDivisionError):
-            norm_quotient(K.zero())
         monkeypatch.undo()
         assert nf._tower(K.poly, m, theta.coords)[1] == foot
         if foot <= 2:
@@ -330,9 +324,10 @@ def test_inverse(K5):
         K5.zero().inverse()
 
 
-def test_norm_quotient_identity(K5, K180):
+def test_norm_quotient_identity(K5, K64, K180):
+    # Bareiss elimination in every field, cyclotomic or not
     rng = random.Random(4)
-    for K, span in ((K5, 30), (K180, 3)):
+    for K, span in ((K5, 30), (K64, 3), (K180, 3)):
         for _ in range(8):
             a = K.element([rng.randint(-span, span) for _ in range(K.degree)])
             if a.is_zero():
@@ -341,98 +336,8 @@ def test_norm_quotient_identity(K5, K180):
             assert beta.is_integral()
             assert a * beta == K.rational(det)
             assert det == a.norm()
-
-
-def _cyclotomic_fields(K64, K180):
-    """Fresh copies of x^32 + 1, Phi_180 and Q as x - 1 and x + 1, so each
-    root table starts cold."""
-    return [NumberField(poly) for poly in (K64.poly, K180.poly, [-1, 1], [1, 1])]
-
-
-def test_norm_quotient_by_evaluation_matches_bareiss(monkeypatch, K64, K180):
-    # Bareiss elimination stays the general path and the reference here
-    reference = nf._bareiss_quotient
-    bareiss = nf.bareiss
-
-    def refuse(a):
-        raise AssertionError("Bareiss ran in a cyclotomic field")
-
-    rng = random.Random(8)
-    big = 2**200
-    for K in _cyclotomic_fields(K64, K180):
-        d = K.degree
-        theta = K.gen()
-        elems = [K.one(), theta, -theta, theta + 1]
-        elems += [K.element([rng.randint(-3, 3) for _ in range(d)]) for _ in range(3)]
-        elems = [a for a in elems if not a.is_zero()]
-        for a in elems:
-            a.norm()
-        table = K._roots
-        if table is not None:
-            # a table prime l: l * theta vanishes mod l at every root of the foot
-            elems.append(K.rational(table.primes[0]) * theta)
-            count = len(table.primes)
-        # coefficients near +-2^200 make the table grow
-        elems.append(K.element([rng.choice((1, -1)) * (big - rng.randint(0, 99)) for _ in range(d)]))
-        expected = [reference(a) for a in elems]
-        monkeypatch.setattr(nf, "bareiss", refuse)
-        for a, (beta, n) in zip(elems, expected):
-            assert norm_quotient(a) == (beta, n), a
-            assert n == a.norm()
-        for c in (1, -1, 2, -3, 7, -big):
-            beta, n = norm_quotient(K.rational(c))
-            assert beta == K.rational(c ** (d - 1)) and n == c**d
-        monkeypatch.setattr(nf, "bareiss", bareiss)
-        if table is None:  # x^32 + 1 and x -+ 1 end at degree one
-            assert K._roots is None
-        else:
-            assert K._roots is table and len(table.primes) > count
-
-
-def test_norm_quotient_grows_the_table_when_its_check_fails(monkeypatch, K180):
-    # a modulus too small for beta gives residues that are right mod M only;
-    # the exact check catches them and the table grows past the limit
-    K = NumberField(K180.poly)
-    rng = random.Random(9)
-    u = K.element([rng.randint(-3, 3) for _ in range(K.degree)])
-    n = u.norm_int()
-    table = K._roots
-    first_primes, first_modulus = list(table.primes), prod(table.primes)
-    first_lagrange = {}
-    cofactor = nf._RootTable.cofactor
-
-    def short(table, g, bound, above):
-        out = cofactor(table, g, bound, above)
-        if above != 2 * abs(n):
-            return out
-        first_lagrange.update(table._lagrange)
-        return [out[0] + table.lagrange(above)[0]] + out[1:]
-
-    monkeypatch.setattr(nf._RootTable, "cofactor", short)
-    monkeypatch.setattr(nf, "_adjugate_limit", lambda poly, g: 2**300 * first_modulus)
-    assert norm_quotient(u) == nf._bareiss_quotient(u)
-    assert K._roots is table
-    assert prod(table.primes) > 2**300 * first_modulus
-    assert table.primes[: len(first_primes)] == first_primes
-    # the leading primes are the same, so their Lagrange columns carry over
-    assert first_lagrange
-    assert all(table._lagrange[c] is v for c, v in first_lagrange.items())
-
-
-def test_norm_quotient_gives_up_past_the_hadamard_bound(monkeypatch, K180):
-    # once M is above twice the Hadamard bound, a failed check is an error
-    K = NumberField(K180.poly)
-    rng = random.Random(9)
-    u = K.element([rng.randint(-3, 3) for _ in range(K.degree)])
-    u.norm()
-    cofactor = nf._RootTable.cofactor
-    monkeypatch.setattr(
-        nf._RootTable, "cofactor", lambda t, g, b, a: [x + 1 for x in cofactor(t, g, b, a)]
-    )
-    with pytest.raises(DpipError, match="exact check"):
-        norm_quotient(u)
-    poly, _, h = _foot(u)
-    assert prod(K._roots.primes) > nf._adjugate_limit(poly, h)
+        with pytest.raises(ZeroDivisionError):
+            norm_quotient(K.zero())
 
 
 def test_norm_quotient_of_non_cyclotomic_fields_uses_bareiss(monkeypatch, K5, K21):
@@ -447,7 +352,7 @@ def test_norm_quotient_of_non_cyclotomic_fields_uses_bareiss(monkeypatch, K5, K2
 
 
 def test_inverse_round_trips_on_phi180(K180):
-    # the inverse takes beta = N(a)/a from the root table
+    # the inverse takes beta = N(a)/a from Bareiss elimination
     rng = random.Random(10)
     elems = [K180.element([rng.randint(-3, 3) for _ in range(48)]) for _ in range(2)]
     elems += [

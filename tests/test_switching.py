@@ -127,16 +127,17 @@ def test_grid_monotone_under_basis_change(K5):
     """Cofactors reachable from one basis are reachable from another at
     a bound scaled by the transform's max column sum."""
     I = Ideal.from_generators(K5, [K5.rational(2), K5.element([1, 1])])
-    lll_basis = lll_reduce(I)
-    hnf_basis = I.basis_elements()
+    J, lll_basis = lll_reduce(I)
+    assert J is I
+    hnf_basis = I.cols
     # write each hnf vector over the lll basis to get the transform bound
     from fractions import Fraction as F
 
-    cols = [list(b.coords) for b in lll_basis]
+    cols = [list(b) for b in lll_basis]
     det = cols[0][0] * cols[1][1] - cols[1][0] * cols[0][1]
     scale = 0
     for target in hnf_basis:
-        a0, a1 = target.coords
+        a0, a1 = target
         u = F(a0 * cols[1][1] - cols[1][0] * a1, det)
         v = F(cols[0][0] * a1 - a0 * cols[0][1], det)
         assert u.denominator == 1 and v.denominator == 1
