@@ -152,9 +152,11 @@ def prime_cofactor(ideal, r):
 
     Non-prime-power norms N(C) = |N(r)| / N(I) = p^k are rejected from the
     norms alone. Otherwise `prime_from_generators` reads C from
-    Z[theta]-generators of C = r * I^-1, and no lattice is built: r alone
-    when p does not divide N(I), since then I + (p) = (1) and C + (p) =
-    (r) + (p); else r * gamma / den for the generators gamma / den of I^-1.
+    Z[theta]-generators of C + (p), and no lattice is built: r alone when p
+    does not divide N(I), since then I + (p) = (1) and C + (p) = (r) + (p);
+    else r * gamma / den for the generators gamma / den of I^-1. A cofactor
+    of norm p (k = 1) is prime by its norm, so no gcd runs here: its form
+    (p, theta - a) is taken when a decision first reads it.
     Raises NonDivisibleError when r is not in I (N(I) not dividing N(r)
     proves it from the norms alone), and NonInvertibleIdealError when I
     has no inverse. Only the p | N(I) branch needs the inverse, and a

@@ -88,6 +88,18 @@ class IntLattice:
                 self.rows[j] = v
             self.rank = dim
 
+    @classmethod
+    def from_echelon(cls, rows, modulus):
+        """The lattice with the echelon basis `rows` (rows[j] zero before
+        index j, with a positive pivot at j); it must contain modulus*Z^d."""
+        if any(r[j] <= 0 for j, r in enumerate(rows)):
+            raise ValueError("echelon pivots must be positive")
+        lat = cls(len(rows))
+        lat.modulus = modulus
+        lat.rows = [list(r) for r in rows]
+        lat.rank = lat.dim
+        return lat
+
     def add(self, vec):
         """Insert a vector, keeping the echelon (pivot-per-row) structure."""
         d = self.dim
@@ -169,20 +181,29 @@ class IntLattice:
         return out
 
     def canonicalize(self):
-        """Reduce sub-pivot entries so the basis is the unique HNF."""
+        """Reduce sub-pivot entries so the basis is the unique HNF.
+
+        Rows are reduced from the last one up, each against the rows below
+        it, which are canonical by then. With a modulus m an entry is first
+        taken mod m (m*e_i lies in the lattice, and the pivots stay), so
+        every quotient is below m and the entries stay small.
+        """
         if self._canonical:
             return
         if not self.is_full_rank():
             raise ValueError("canonical form requires full rank")
         d = self.dim
+        m = self.modulus
         rows = self.rows
-        for j in range(d):
+        for j in range(d - 2, -1, -1):
             v = rows[j]
             for i in range(j + 1, d):
-                q = v[i] // rows[i][i]
+                ri = rows[i]
+                x = v[i] % m if m else v[i]
+                q = x // ri[i]
+                v[i] = x - q * ri[i]
                 if q:
-                    ri = rows[i]
-                    for k in range(i, d):
+                    for k in range(i + 1, d):
                         v[k] -= q * ri[k]
         self._canonical = True
 

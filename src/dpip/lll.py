@@ -303,16 +303,17 @@ def integral_lll(vectors, ips, delta=DELTA):
     return b
 
 
-def lll_reduce(ideal, delta=DELTA):
+def lll_reduce(ideal):
     """(J, W): an LLL-reduced basis W of the cofactor side J of an integral
     ideal, W as coordinate vectors. J is O_K for (u), J for u*J, and the
-    ideal itself for an HNF lattice; the result is cached on the ideal.
+    ideal itself for an HNF lattice. The reduction always runs at DELTA,
+    so the result cached on the ideal is the only one it can have.
 
     u*J is reduced on its cofactor side: the reduction runs on B_J (the
     identity for O_K, else J's recorded basis or its columns) under the Gram
     matrix of u x B_J (`start_gram`). Every swap and size reduction is read
     from that Gram matrix, so u x W is the basis a reduction of u x B_J
-    would return, reduced at delta under the canonical-embedding form; a
+    would return, reduced under the canonical-embedding form; a
     draw w over W stands for u*w over u x W, with cofactor (u*w)/(u*J) =
     (w)/J. W spans J exactly when it lies in J and |det W| = det J; a
     failed check raises DpipError.
@@ -326,7 +327,7 @@ def lll_reduce(ideal, delta=DELTA):
             J = ideal
         else:
             J = ideal._factors[1] or Ideal.ring(ideal.K)
-        w = integral_lll(J._basis or J.cols, start_gram(ideal), delta)
+        w = integral_lll(J._basis or J.cols, start_gram(ideal), DELTA)
         # lattice equality: every vector lies in J and the determinants agree,
         # which pins the same Hermite form; O_K (det 1) holds every integer vector
         if J.det() != 1 and not J.contains_vectors(w):

@@ -1234,30 +1234,35 @@ def _saturate_kernel(K, vecs, n):
 
     vecs are the coordinates of O_K-module generators of the integral
     ideal I (its HNF columns are one such set). The congruences
-    M_b y = 0 (mod n) are collected as functionals; the solution lattice is
-    n times the dual of the lattice they span together with n*Z^d.
+    M_b y = 0 (mod n) are collected as functionals, in reversed coordinate
+    order; the solution lattice is n times the dual of the lattice they
+    span together with n*Z^d.
     """
     d = K.degree
     r = IntLattice(d, modulus=n)
     for c in vecs:
         mcols = K.mul_matrix_columns(list(c))
         for i in range(d):
-            r.add([mcols[j][i] for j in range(d)])
+            r.add([mcols[j][i] for j in range(d - 1, -1, -1)])
     return _scaled_dual(r, n)
 
 
 def _scaled_dual(r, n):
-    """n * (dual of r) for a full-rank lattice r containing n*Z^d."""
+    """n * (dual of R) for a full-rank lattice R containing n*Z^d, given as
+    the lattice r of R with its coordinates reversed.
+
+    Read back in order, r's HNF is an upper triangular basis of R, so n
+    times its dual basis is lower triangular: column k is z reversed, for
+    the solution z of U z = n*e_{d-1-k} (U[i][j] = cols[i][j]), which is
+    zero past index d-1-k. That echelon basis only needs canonicalizing.
+    """
     d = r.dim
     cols = r.basis_columns()
-    # Solve U * x = n*e_k for each k, U = transpose of the basis matrix
-    # (upper triangular): U[i][j] = cols[i][j].
-    out = IntLattice(d, modulus=n)
+    rows = []
     for k in range(d):
-        out.add(int_back_substitution(cols, [n * (i == k) for i in range(d)]))
-    if not out.is_full_rank():
-        raise DpipError("dual lattice is not full rank")
-    return out
+        z = int_back_substitution(cols, [0] * (d - 1 - k) + [n])
+        rows.append([0] * k + z[::-1])
+    return IntLattice.from_echelon(rows, n)
 
 
 # ---------------------------------------------------------------------------
@@ -1269,19 +1274,57 @@ class PrimeIdeal:
     gen_poly is the monic irreducible factor of the defining polynomial
     mod p that cuts out this prime, with coefficients canonically in [0, p);
     a given polynomial is divided by its leading coefficient mod p.
+
+    A prime of norm p from `prime_from_generators` is prime by its norm
+    alone, so it keeps its generators instead of its form: gen_poly =
+    gcd(f, generators) mod p and ram_index, its multiplicity in f, are
+    taken on the first read of either, or of ==, hash, to_ideal or label.
     """
 
-    __slots__ = ("K", "p", "gen_poly", "res_degree", "ram_index", "_ideal")
+    __slots__ = ("K", "p", "res_degree", "_gen_poly", "_ram_index", "_gens", "_ideal")
 
     def __init__(self, K, p, gen_poly, res_degree, ram_index):
         self.K = K
         self.p = int(p)
-        self.gen_poly = tuple(fppoly.monic(fppoly.from_ints(gen_poly, self.p), self.p))
+        self._gen_poly = tuple(fppoly.monic(fppoly.from_ints(gen_poly, self.p), self.p))
         self.res_degree = int(res_degree)
-        self.ram_index = int(ram_index)
-        self._ideal = None
-        if len(self.gen_poly) - 1 != self.res_degree:
+        self._ram_index = int(ram_index)
+        self._gens = self._ideal = None
+        if len(self._gen_poly) - 1 != self.res_degree:
             raise ValueError("gen_poly degree must equal the residue degree")
+
+    @classmethod
+    def _of_norm_p(cls, K, p, gens):
+        """The prime of norm p that `gens` generate modulo p, its form unread."""
+        P = cls.__new__(cls)
+        P.K, P.p, P.res_degree = K, p, 1
+        P._gen_poly = P._ram_index = P._ideal = None
+        P._gens = gens
+        return P
+
+    def _read_form(self):
+        p = self.p
+        f = fppoly.from_ints(self.K.poly, p)
+        G = _generated_gcd(f, p, self._gens)
+        if fppoly.deg(G) != 1:
+            raise DpipError(
+                f"generators of a norm-{p} prime cut out a factor of degree {fppoly.deg(G)}"
+            )
+        self._gen_poly = tuple(G)
+        self._ram_index = fppoly.multiplicity(G, f, p)
+        self._gens = None
+
+    @property
+    def gen_poly(self):
+        if self._gens is not None:
+            self._read_form()
+        return self._gen_poly
+
+    @property
+    def ram_index(self):
+        if self._gens is not None:
+            self._read_form()
+        return self._ram_index
 
     def norm(self):
         return self.p**self.res_degree
@@ -1364,8 +1407,8 @@ def as_prime_ideal(ideal):
 
 
 def prime_from_generators(K, p, k, gens):
-    """The prime (p, G(theta)) equal to the ideal J of norm p^k that the
-    integer coordinate vectors `gens` generate over Z[theta], or None.
+    """The prime (p, G(theta)) equal to the ideal J of norm p^k, or None;
+    the integer coordinate vectors `gens` generate J + (p) over Z[theta].
 
     Z[theta]/(p) = F_p[x]/(f), so J + (p) = (p, G(theta)) for G = gcd(f,
     g for g in gens) mod p, an ideal of index p^deg G containing J. Hence
@@ -1373,16 +1416,29 @@ def prime_from_generators(K, p, k, gens):
     contains p, J is prime exactly when also G is irreducible mod p
     (Kummer-Dedekind, Cohen GTM 138, 4.8). No maximality at p is needed.
     The ramification index is the multiplicity of G in f mod p.
+
+    For k = 1 no gcd runs: Z[theta]/J has p elements, so it is F_p and J is
+    prime by its norm, and G (of degree 1, since p is in J) is taken when
+    the prime's form is first read (`PrimeIdeal`).
     """
+    if k == 1:
+        return PrimeIdeal._of_norm_p(K, p, gens)
     f = fppoly.from_ints(K.poly, p)
-    G = f
-    for g in gens:
-        G = fppoly.gcd(G, fppoly.from_ints(g, p), p)
-        if fppoly.deg(G) < k:
-            return None
+    G = _generated_gcd(f, p, gens, k)
     if fppoly.deg(G) != k or not fppoly.is_irreducible(G, p):
         return None
     return PrimeIdeal(K, p, G, k, fppoly.multiplicity(G, f, p))
+
+
+def _generated_gcd(f, p, gens, least=0):
+    """gcd(f, g for g in gens) mod p, stopping once its degree is below
+    `least`."""
+    G = f
+    for g in gens:
+        G = fppoly.gcd(G, fppoly.from_ints(g, p), p)
+        if fppoly.deg(G) < least:
+            break
+    return G
 
 
 def order_is_maximal_at(p, K):

@@ -170,6 +170,17 @@ def test_lll_deterministic(K64):
     assert lll_reduce(i1)[1] == lll_reduce(i2)[1]
 
 
+def test_lll_reduce_runs_at_one_delta(K64):
+    # the cache on the ideal holds the one reduction there is, at DELTA
+    g = [0] * 32
+    g[0], g[4], g[8], g[16] = 54, -33, -85, 34
+    I = Ideal.from_generators(K64, [K64.rational(187), K64.element(g)])
+    with pytest.raises(TypeError):
+        lll_reduce(I, delta=(99, 100))
+    J, W = lll_reduce(I)
+    assert W == tuple(map(tuple, integral_lll(I.cols, lll.start_gram(I), lll.DELTA)))
+
+
 def _basis_digest(basis):
     return hashlib.sha256(repr([b.coords for b in basis]).encode()).hexdigest()[:16]
 

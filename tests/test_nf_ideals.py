@@ -8,7 +8,14 @@ from sympy import primefactors
 
 from dpip.errors import NonDivisibleError, NonInvertibleIdealError, ZeroIdealError
 from dpip.intlattice import IntLattice
-from dpip.nf import FieldElement, Ideal, NumberField, kummer_dedekind
+from dpip.nf import (
+    FieldElement,
+    Ideal,
+    NumberField,
+    _saturate_kernel,
+    int_back_substitution,
+    kummer_dedekind,
+)
 from dpip.serialize import load_ideal, read_json
 from helpers import naive_lattice_basis
 
@@ -153,13 +160,53 @@ def test_inverse_from_generators_matches_hnf_inverse(request, monkeypatch, field
     inv, rows = _inverse_rows(monkeypatch, J)
     bare_inv, bare_rows = _inverse_rows(monkeypatch, bare)
     assert inv == bare_inv
-    # 2d congruences and d dual vectors, against d*d + d from the columns
-    assert rows == 3 * K.degree
-    assert bare_rows == K.degree**2 + K.degree
+    # 2d congruences against d*d from the columns; the dual basis is
+    # solved in echelon form, with no insertion
+    assert rows == 2 * K.degree
+    assert bare_rows == K.degree**2
     # the exact identities, not only the norms: at d = 48 the product takes
     # 2 x 48 generator products modulo l(J) * l(n*J^-1)
     assert J * inv == Ideal.ring(K)
     assert (J * P).divide(P) == J
+
+
+def _dual_by_insertion(K, vecs, n):
+    """n*I^-1 as a reference: the functionals in their own coordinate order,
+    and the d upper triangular dual vectors inserted one at a time."""
+    d = K.degree
+    r = IntLattice(d, modulus=n)
+    for c in vecs:
+        mcols = K.mul_matrix_columns(list(c))
+        for i in range(d):
+            r.add([mcols[j][i] for j in range(d)])
+    cols = r.basis_columns()
+    out = IntLattice(d, modulus=n)
+    for k in range(d):
+        out.add(int_back_substitution(cols, [n * (i == k) for i in range(d)]))
+    return out.basis_columns()
+
+
+def test_scaled_dual_matches_the_dual_by_insertion(K5, K21, K64, K180, fixtures_dir):
+    # the echelon dual basis has the same canonical HNF, bit for bit, on
+    # ideals given by their HNF columns
+    rng = random.Random(12)
+    ideals = []
+    for K in (K5, K21):
+        for _ in range(30):
+            I = _random_small_ideal(K, rng) * _random_small_ideal(K, rng)
+            ideals.append(Ideal(K, I.cols))
+    ideals.append(load_ideal(fixtures_dir / "ideal_zeta64_switch.json", K64))
+    ideals.append(kummer_dedekind(193, K64)[1].to_ideal())
+    P = kummer_dedekind(181, K180)[2].to_ideal()
+    ideals.append(P)
+    cases = [(I.K, I.cols, I.det()) for I in ideals]
+    # (alpha) * P from its two generators: its columns would take d*d rows
+    alpha = K180.element([rng.randint(-3, 3) for _ in range(K180.degree)])
+    J = Ideal.principal(K180, alpha) * P
+    cases.append((K180, J._generators(), J.det()))
+    for K, vecs, n in cases:
+        got = _saturate_kernel(K, vecs, n).basis_columns()
+        assert got == _dual_by_insertion(K, vecs, n), K.degree
 
 
 def test_product_from_generators_matches_product_from_columns(K5, K21, K180):

@@ -3,6 +3,10 @@ import random
 import pytest
 from sympy import primerange
 
+from dpip import fppoly
+from dpip.decide import _combine, draw_coefficients, prime_cofactor, substream
+from dpip.errors import DpipError
+from dpip.lll import lll_reduce
 from dpip.nf import (
     Ideal,
     NumberField,
@@ -11,6 +15,7 @@ from dpip.nf import (
     kummer_dedekind,
     order_is_maximal_at,
     poly_discriminant,
+    prime_from_generators,
 )
 
 
@@ -109,6 +114,114 @@ def test_prime_gen_poly_is_divided_by_its_leading_coefficient(K5):
     # 5x + 3 = 3 mod 5 has degree 0, not the residue degree 1
     with pytest.raises(ValueError):
         PrimeIdeal(K5, 5, (3, 5), 1, 1)
+
+
+def _eager_prime(K, p, gens):
+    """The form of a norm-p prime as `prime_from_generators` built it for
+    every k: G = gcd(f, gens) mod p and its multiplicity in f."""
+    f = fppoly.from_ints(K.poly, p)
+    G = f
+    for g in gens:
+        G = fppoly.gcd(G, fppoly.from_ints(g, p), p)
+    return PrimeIdeal(K, p, G, 1, fppoly.multiplicity(G, f, p))
+
+
+_READS = {
+    "gen_poly": lambda P, Q: P.gen_poly == Q.gen_poly,
+    "ram_index": lambda P, Q: P.ram_index == Q.ram_index,
+    "eq": lambda P, Q: P == Q,
+    "hash": lambda P, Q: hash(P) == hash(Q),
+    "to_ideal": lambda P, Q: P.to_ideal() == Q.to_ideal(),
+    "label": lambda P, Q: P.label() == Q.label(),
+}
+
+
+def _norm_p_cofactors(K, ideals, want):
+    """(J, w) for the first `want` draws w over the cofactor side (J, W) of
+    each ideal whose cofactor (w)/J has prime norm."""
+    out = []
+    for I in ideals:
+        J, W = lll_reduce(I)
+        draws = substream(17, "deferred", K.degree)
+        found = 0
+        for _ in range(2000):
+            r = _combine(K, W, draw_coefficients(draws, 5, K.degree))
+            P = prime_cofactor(J, r)
+            if P is not None and P.res_degree == 1:
+                out.append((J, r))
+                found += 1
+                if found == want:
+                    break
+        assert found == want, (K.degree, I)
+    return out
+
+
+@pytest.mark.parametrize("field, p", [("K5", 3), ("K64", 193), ("K180", 181)])
+def test_deferred_prime_matches_the_eager_form(request, field, p):
+    # a norm-p cofactor keeps its generators until its form is read, and
+    # every read gives the form the eager gcd gives
+    K = request.getfixturevalue(field)
+    rng = random.Random(180)
+    alpha = K.element([rng.randint(-3, 3) for _ in range(K.degree)])
+    P = kummer_dedekind(p, K)[0].to_ideal()
+    ideals = [Ideal.principal(K, alpha), P, Ideal.principal(K, alpha) * P]
+    cofactors = _norm_p_cofactors(K, ideals, 2 if K.degree > 2 else 6)
+    if K.degree == 2:
+        # K5 draws reach the branch p | N(I) too
+        assert any(J.norm_int() % prime_cofactor(J, r).p == 0 for J, r in cofactors)
+    builds = [lambda J=J, r=r: prime_cofactor(J, r) for J, r in cofactors]
+    # a prime read from the generators (p, g(theta)) of its own ideal
+    for Q in kummer_dedekind(p, K)[:3]:
+        gens = Q.to_ideal()._generators()
+        builds.append(lambda gens=gens: prime_from_generators(K, p, 1, gens))
+    for build in builds:
+        for name, same in _READS.items():
+            deferred = build()
+            assert deferred._gens is not None
+            eager = _eager_prime(K, deferred.p, deferred._gens)
+            assert same(deferred, eager), (K.degree, name)
+            assert deferred._gens is None
+            assert deferred.gen_poly == eager.gen_poly
+            assert deferred.ram_index == eager.ram_index
+            assert deferred.to_ideal() == eager.to_ideal()
+    assert build() in kummer_dedekind(p, K)
+
+
+def test_deferred_ramified_prime(K5):
+    # (2, 1 + theta) has norm 2, and x + 1 divides x^2 + 5 twice mod 2
+    P = prime_from_generators(K5, 2, 1, [[2, 0], [1, 1]])
+    assert P._gens is not None and P.norm() == 2
+    assert P.ram_index == 2 and P.gen_poly == (1, 1)
+    assert P == kummer_dedekind(2, K5)[0] == _eager_prime(K5, 2, [[2, 0], [1, 1]])
+    back = as_prime_ideal(Ideal.from_generators(K5, [K5.rational(2), K5.element([1, 1])]))
+    assert hash(back) == hash(P) and back.to_ideal() == P.to_ideal()
+    assert back.ram_index == 2
+
+
+def test_inert_prime_runs_its_gcd(monkeypatch, K5):
+    # (11) has norm 11^2: k = 2 needs the gcd and the irreducibility test
+    calls = []
+    gcd = fppoly.gcd
+
+    def counted(a, b, p):
+        calls.append(p)
+        return gcd(a, b, p)
+
+    monkeypatch.setattr(fppoly, "gcd", counted)
+    P = as_prime_ideal(Ideal.principal(K5, K5.rational(11)))
+    assert calls == [11]
+    assert P._gens is None and P.gen_poly == (5, 0, 1) and P.res_degree == 2
+
+
+@pytest.mark.parametrize("gens", [[[3, 0]], [[1, 0]], []])
+def test_deferred_prime_with_a_wrong_form_is_an_error(K5, gens):
+    # generators that do not cut out a degree-one factor mod 3 break the
+    # precondition, and the first read says so
+    P = prime_from_generators(K5, 3, 1, gens)
+    with pytest.raises(DpipError, match="degree"):
+        P.gen_poly
+    with pytest.raises(DpipError):
+        hash(P)
 
 
 def test_poly_discriminant_examples(K5):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from sympy import primerange
 
+from dpip import fppoly
 from dpip.decide import _combine
 from dpip.lll import lll_reduce
 from dpip.nf import Ideal, kummer_dedekind, prime_power
@@ -65,6 +66,21 @@ def test_switch_counts_are_pinned(K64, fixtures_dir):
         (9, 127, 4, 11, 70, 27, 17, 6),
     ]
     assert not any(s.capped for s in stats)
+
+
+def test_switch_stats_runs_no_gcd_on_prime_norm_cofactors(monkeypatch, K64, fixtures_dir):
+    # every hit on the criterion-2 ideal has prime norm, so it is prime by
+    # its norm and no trial needs its form (p, theta - a)
+    J = load_ideal(fixtures_dir / "ideal_zeta64_switch.json", K64)
+    plain = switch_stats(J, [5, 10, 20], trials=4, seed=17)
+
+    def refuse(a, b, p):
+        raise AssertionError("fppoly.gcd ran during switch_stats")
+
+    monkeypatch.setattr(fppoly, "gcd", refuse)
+    J = load_ideal(fixtures_dir / "ideal_zeta64_switch.json", K64)
+    assert switch_stats(J, [5, 10, 20], trials=4, seed=17) == plain
+    assert not any(s.capped for s in plain)
 
 
 def test_exhaustive_density_unit_ideal(K5):
