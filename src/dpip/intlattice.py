@@ -68,6 +68,26 @@ def bareiss_det(vectors):
     return bareiss(a)
 
 
+def echelon_remainder(rows, vec):
+    """Remainder of vec after reduction against an echelon basis: rows[j] is
+    zero before index j with a positive pivot at j, or None.
+
+    The result is zero exactly when vec lies in the lattice the rows span;
+    otherwise the nonzero entries sit at rows whose pivot does not divide
+    them (or rows with no pivot).
+    """
+    v = [int(x) for x in vec]
+    d = len(v)
+    for j, r in enumerate(rows):
+        x = v[j]
+        if x and r is not None:
+            q = x // r[j]
+            if q:
+                for i in range(j, d):
+                    v[i] -= q * r[i]
+    return v
+
+
 class IntLattice:
     __slots__ = ("dim", "modulus", "rows", "rank", "_canonical")
 
@@ -143,30 +163,11 @@ class IntLattice:
             self.add(v)
 
     def reduce(self, vec):
-        """Remainder of vec after reduction against the current pivots.
-
-        The result is zero exactly when vec lies in the lattice; otherwise
-        the nonzero entries sit at rows whose pivot does not divide them
-        (or rows with no pivot).
-        """
-        d = self.dim
-        v = [int(x) for x in vec]
-        for j in range(d):
-            x = v[j]
-            if x == 0:
-                continue
-            r = self.rows[j]
-            if r is None:
-                continue
-            q = x // r[j]
-            if q:
-                for i in range(j, d):
-                    v[i] -= q * r[i]
-        return v
+        """Remainder of vec after reduction against the current pivots."""
+        return echelon_remainder(self.rows, vec)
 
     def __contains__(self, vec):
-        v = self.reduce(vec)
-        return all(x == 0 for x in v)
+        return not any(self.reduce(vec))
 
     def is_full_rank(self):
         return self.rank == self.dim

@@ -7,7 +7,8 @@ power-basis coordinates that is computed once per field and cached on it:
 * Cyclotomic fields get the exact Gram matrix. cyclotomic_order certifies
   f | x^m - 1 with phi(m) = deg f, so every root lies on the unit circle
   and the (j, k) entry is the power sum s_|j-k| of the roots, computed over
-  Z by Newton's identities. No floating point is involved.
+  Z by Newton's identities (`nf.power_sums`, which also gives discriminants
+  over O_K). No floating point is involved.
 * Every other field falls back to mpmath roots at fixed precision. If each
   entry lies within 2^-40 of an integer it is rounded (a tolerance test,
   not a proof); otherwise the form is scaled by 2^32, rounded and
@@ -57,7 +58,7 @@ import mpmath
 
 from .errors import DpipError, ZeroIdealError
 from .intlattice import bareiss_det
-from .nf import Ideal, cyclotomic_order
+from .nf import Ideal, cyclotomic_order, power_sums
 
 _PREC_BITS = 192
 _SCALE_BITS = 32
@@ -78,30 +79,15 @@ def minkowski_gram(K):
     return K._gram
 
 
-def _power_sums(poly):
-    """s_k = sum of the k-th powers of the roots of a monic f, for k < deg f.
-
-    Newton's identities over Z: s_k = -(k c_{d-k} + sum_{0<i<k} c_{d-i} s_{k-i}),
-    with c_j the coefficient of x^j.
-    """
-    d = len(poly) - 1
-    s = [d]
-    for k in range(1, d):
-        acc = k * poly[d - k]
-        for i in range(1, k):
-            acc += poly[d - i] * s[k - i]
-        s.append(-acc)
-    return s
-
-
 def _cyclotomic_gram(K):
     """Exact Gram matrix for a field whose roots all lie on the unit circle.
 
     There conj(sigma(theta)) = sigma(theta)^-1, so the (j, k) entry is the
-    power sum s_{j-k}, and s_{-k} = s_k because s_k is a real integer.
+    power sum s_{j-k} (`power_sums`, over Z), and s_{-k} = s_k because s_k
+    is a real integer.
     """
     d = K.degree
-    s = _power_sums(K.poly)
+    s = power_sums(K.poly, d)
     return tuple(tuple(s[abs(j - k)] for k in range(d)) for j in range(d))
 
 

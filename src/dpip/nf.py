@@ -28,7 +28,7 @@ from .errors import (
     NonInvertibleIdealError,
     ZeroIdealError,
 )
-from .intlattice import IntLattice, bareiss
+from .intlattice import IntLattice, bareiss, echelon_remainder
 
 
 # ---------------------------------------------------------------------------
@@ -317,19 +317,7 @@ class FieldElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        a, b = self.coords, o.coords
-        # scalar fast paths keep resultant/determinant work over O_K cheap
-        if self.is_rational():
-            s = a[0]
-            if s == 0:
-                return self.K.zero()
-            return FieldElement(self.K, [s * c for c in b])
-        if o.is_rational():
-            s = b[0]
-            if s == 0:
-                return self.K.zero()
-            return FieldElement(self.K, [s * c for c in a])
-        return FieldElement(self.K, self.K.mul_coords(a, b))
+        return FieldElement(self.K, self.K.mul_coords(self.coords, o.coords))
 
     __rmul__ = __mul__
 
@@ -952,6 +940,8 @@ class Ideal:
                 if not 0 <= cols[j][i] < cols[i][i]:
                     raise ValueError("HNF entries are not reduced")
         ideal = Ideal(K, cols, denom)
+        if gcd(ideal.denom, *(x for c in cols for x in c)) != 1:
+            raise ValueError("HNF content is not coprime to the denominator")
         if not ideal.contains_vectors(K.theta_shift(c) for c in cols):
             raise ValueError("lattice is not closed under multiplication by theta")
         return ideal
@@ -963,9 +953,6 @@ class Ideal:
         return tuple(
             tuple(self.cols[j][i] for j in range(d)) for i in range(d)
         )
-
-    def basis_elements(self):
-        return [self.K.element(list(c)) for c in self.cols]
 
     def det(self):
         if self._det is None:
@@ -1004,22 +991,6 @@ class Ideal:
 
     # -- membership ------------------------------------------------------------------
 
-    def reduce_vector(self, vec):
-        """Reduce an integer vector against the basis columns."""
-        d = self.K.degree
-        v = [int(x) for x in vec]
-        cols = self.cols
-        for j in range(d):
-            x = v[j]
-            if x == 0:
-                continue
-            q = x // cols[j][j]
-            if q:
-                cj = cols[j]
-                for i in range(j, d):
-                    v[i] -= q * cj[i]
-        return v
-
     def contains_vector(self, vec):
         return self.contains_vectors([vec])
 
@@ -1031,7 +1002,8 @@ class Ideal:
         beta is computed once per ideal. `lll_reduce` checks its basis
         against J and the decision draws on J's side, so neither asks u*J."""
         if self._factors is None:
-            return all(not any(self.reduce_vector(v)) for v in vecs)
+            cols = self.cols
+            return all(not any(echelon_remainder(cols, v)) for v in vecs)
         J = self._factors[1]
         beta, n = self._quotient()
         quots = []
@@ -1104,21 +1076,14 @@ class Ideal:
         """The least m > 0 with m*e_0 in the numerator lattice.
 
         With H[i][j] = cols[j][i] lower triangular, y = det * H^-1 e_0 is the
-        integral first adjugate column, found by forward substitution; m*e_0 =
-        H (m*y/det) is in the lattice exactly when det / gcd(det, y) divides m.
+        integral first adjugate column; m*e_0 = H (m*y/det) is in the lattice
+        exactly when det / gcd(det, y) divides m. Both index orders reversed,
+        H is upper triangular and y reversed is found by back-substitution.
         """
         cols = self.cols
-        det = self.det()
-        y = [det // cols[0][0]] + [0] * (len(cols) - 1)
-        g = gcd(det, y[0])
-        for i in range(1, len(cols)):
-            s = 0
-            for j in range(i):
-                if cols[j][i]:
-                    s += cols[j][i] * y[j]
-            y[i] = -s // cols[i][i]
-            g = gcd(g, y[i])
-        return det // g
+        d, det = len(cols), self.det()
+        upper = list(zip(*(c[::-1] for c in reversed(cols))))
+        return det // gcd(det, *int_back_substitution(upper, [0] * (d - 1) + [det]))
 
     def _generators(self):
         """Coordinates of O_K-module generators of the numerator lattice: the
@@ -1475,14 +1440,32 @@ def _dedekind_criterion(p, K):
 
 
 # ---------------------------------------------------------------------------
-# Polynomials over O_K: discriminant via Sylvester + Berkowitz
+# Polynomials over O_K: discriminant as a Hankel determinant of power sums
+
+def power_sums(coeffs, count):
+    """s_0, ..., s_{count-1}: the sums of the k-th powers of the roots of a
+    monic polynomial, coefficients (ints or FieldElements) from x^0 up.
+
+    Newton's identities, with no division: s_0 = n and s_k = -(k c_{n-k} +
+    sum_{i=1}^{min(k-1, n)} c_{n-i} s_{k-i}), the first term only for k <= n.
+    """
+    n = len(coeffs) - 1
+    s = [coeffs[n] * n]
+    for k in range(1, count):
+        terms = [coeffs[n - i] * s[k - i] for i in range(1, min(k - 1, n) + 1)]
+        if k <= n:
+            terms.append(coeffs[n - k] * k)
+        s.append(-sum(terms[1:], terms[0]))
+    return s
+
 
 def poly_discriminant(coeffs):
     """Discriminant of a monic polynomial with FieldElement coefficients.
 
-    Computed as the Sylvester resultant of g and g' with a division-free
-    (Berkowitz) determinant, valid over the ring O_K, with the usual sign
-    (-1)^(n(n-1)/2).
+    With V the Vandermonde matrix of the roots, disc = det(V)^2 = det(V V^T),
+    and V V^T is the Hankel matrix (s_{i+j}) of the roots' power sums, which
+    lie in the ring O_K (`power_sums`); its determinant is taken with no
+    division (`division_free_det`).
     """
     coeffs = list(coeffs)
     if len(coeffs) < 2:
@@ -1491,68 +1474,27 @@ def poly_discriminant(coeffs):
     if coeffs[-1] != K.one():
         raise ValueError("polynomial must be monic")
     n = len(coeffs) - 1
-    if n == 1:
-        return K.one()
-    deriv = [coeffs[i] * i for i in range(1, n + 1)]
-    res = _sylvester_resultant(coeffs, deriv, K)
-    if (n * (n - 1) // 2) % 2:
-        return -res
-    return res
+    s = power_sums(coeffs, 2 * n - 1)
+    return division_free_det([s[i : i + n] for i in range(n)], K.zero())
 
 
-def _sylvester_resultant(a, b, K):
-    m, n = len(a) - 1, len(b) - 1
-    size = m + n
-    zero, one = K.zero(), K.one()
-    rows = []
-    ahigh = list(reversed(a))
-    bhigh = list(reversed(b))
-    for i in range(n):
-        rows.append([zero] * i + ahigh + [zero] * (n - 1 - i))
-    for i in range(m):
-        rows.append([zero] * i + bhigh + [zero] * (m - 1 - i))
-    if any(len(r) != size for r in rows):
-        raise DpipError("Sylvester matrix is not square")
-    return berkowitz_det(rows, zero, one)
+def division_free_det(a, zero):
+    """Determinant of a square matrix over a commutative ring, with no
+    division (Bird, Inform. Process. Lett. 111, 2011, 1072-1074).
 
-
-def berkowitz_det(matrix, zero, one):
-    """Division-free determinant over a commutative ring."""
-    n = len(matrix)
-    if n == 0:
-        return one
-    poly = [one, -matrix[0][0]]
-    for i in range(1, n):
-        a = matrix[i][i]
-        row = matrix[i][:i]
-        col = [matrix[k][i] for k in range(i)]
-        block = [matrix[k][:i] for k in range(i)]
-        items = []
-        v = col
-        items.append(_ring_dot(row, v, zero))
-        for _ in range(i - 1):
-            v = _ring_matvec(block, v, zero)
-            items.append(_ring_dot(row, v, zero))
-        toep = [one, -a] + [-x for x in items]
-        m = len(poly)
-        new = []
-        for k in range(m + 1):
-            acc = zero
-            lo = max(0, k - len(toep) + 1)
-            for j in range(lo, min(k, m - 1) + 1):
-                acc = acc + toep[k - j] * poly[j]
-            new.append(acc)
-        poly = new
-    c = poly[-1]
-    return c if n % 2 == 0 else -c
-
-
-def _ring_dot(a, b, zero):
-    acc = zero
-    for x, y in zip(a, b):
-        acc = acc + x * y
-    return acc
-
-
-def _ring_matvec(m, v, zero):
-    return [_ring_dot(row, v, zero) for row in m]
+    From X = A, n - 1 times X <- mu(X) A, where mu(X) keeps the strict upper
+    triangle of X, has minus the sum of X's diagonal entries below row i at
+    (i, i) and is zero below the diagonal; then det A = (-1)^(n-1) X[0][0],
+    so the last product needs only that entry.
+    """
+    n = len(a)
+    acols = [[row[j] for row in a] for j in range(n)]
+    x = a
+    for step in range(n - 1, 0, -1):
+        mu, t = [None] * n, zero
+        for i in range(n - 1, -1, -1):
+            mu[i] = [t, *x[i][i + 1 :]]
+            t = t - x[i][i]
+        size = n if step > 1 else 1
+        x = [[sum(map(mul, mu[i], acols[j][i:]), zero) for j in range(size)] for i in range(size)]
+    return x[0][0] if n % 2 else -x[0][0]

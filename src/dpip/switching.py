@@ -7,6 +7,7 @@ and sanity-checks prime-ideal counts against T/log T.
 """
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,8 +54,9 @@ def switch_stats(ideal, bounds, trials, seed, field=None, cap=TRIAL_CAP, jobs=1)
     and identical seeds reproduce identical counts. A trial that exceeds
     `cap` draws records the cap and flags the run. The ideal is reduced
     once, and every draw runs on its cofactor side (J, W) (`lll_reduce`);
-    with jobs > 1 one process pool runs the trial ranges of every bound,
-    each task receiving the pickled J and W.
+    with jobs > 1 one process pool, of no more workers than tasks or CPUs,
+    runs the trial ranges of every bound, each task receiving the pickled J
+    and W.
     """
     if field is not None and field != ideal.K:
         raise ValueError("ideal does not belong to the given field")
@@ -69,7 +71,9 @@ def switch_stats(ideal, bounds, trials, seed, field=None, cap=TRIAL_CAP, jobs=1)
     ranges = [range(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
     tasks = [(cofactor_side, bound, seed, r, cap) for bound in bounds for r in ranges]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the pool starts all its workers at the first submit
+        workers = min(jobs, len(tasks), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_trials, *task) for task in tasks]
             parts = [f.result() for f in futures]
     else:

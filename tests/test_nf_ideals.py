@@ -367,6 +367,15 @@ def test_from_hnf_matrix_validation(K5):
         Ideal.from_hnf_matrix(K5, ((1, 0), (0, 2)))
 
 
+def test_from_hnf_matrix_content_coprime_to_denom(K5):
+    # 2*Z^2 over 2 is O_K, which has no canonical form with denominator 2
+    with pytest.raises(ValueError, match="coprime"):
+        Ideal.from_hnf_matrix(K5, ((2, 0), (0, 2)), denom=2)
+    half = Ideal.from_hnf_matrix(K5, ((1, 0), (0, 1)), denom=2)
+    assert half.denom == 2 and not half.is_integral()
+    assert half * Ideal.principal(K5, K5.rational(2)) == Ideal.ring(K5)
+
+
 def test_ideal_equality_and_hash(K5):
     I = Ideal.from_generators(K5, [K5.rational(2), K5.element([1, 1])])
     J = Ideal.from_generators(K5, [K5.element([1, 1]), K5.rational(2)])

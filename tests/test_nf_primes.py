@@ -6,15 +6,19 @@ from sympy import primerange
 from dpip import fppoly
 from dpip.decide import _combine, draw_coefficients, prime_cofactor, substream
 from dpip.errors import DpipError
+from dpip.intlattice import bareiss_det
 from dpip.lll import lll_reduce
 from dpip.nf import (
     Ideal,
     NumberField,
     PrimeIdeal,
     as_prime_ideal,
+    division_free_det,
+    int_poly_discriminant,
     kummer_dedekind,
     order_is_maximal_at,
     poly_discriminant,
+    power_sums,
     prime_from_generators,
 )
 
@@ -254,6 +258,48 @@ def test_poly_discriminant_matches_integer_disc(K5):
         ints = [rng.randint(-9, 9) for _ in range(n)] + [1]
         elems = [K5.rational(c) for c in ints]
         assert poly_discriminant(elems) == K5.rational(int_poly_discriminant(ints))
+
+
+def test_poly_discriminant_reduces_at_degree_one_primes(K5, K64, K180):
+    # at a prime (p, theta - a), reducing mod it commutes with the
+    # discriminant, whose value there is the F_p discriminant of g's image
+    rng = random.Random(18)
+    for K, p in ((K5, 3), (K64, 193), (K180, 181)):
+        d = K.degree
+        roots = [-P.gen_poly[0] % p for P in kummer_dedekind(p, K) if P.res_degree == 1]
+        assert roots
+        for n in range(1, 7):
+            g = [K.element([rng.randint(-(2**40), 2**40) for _ in range(d)]) for _ in range(n)]
+            g.append(K.one())
+            disc = poly_discriminant(g)
+            for a in roots:
+                image = [_value_at(c, a, p) for c in g]
+                assert _value_at(disc, a, p) == int_poly_discriminant(image) % p
+
+
+def _value_at(elem, a, p):
+    """The image of an element of Z[theta] under theta -> a mod p."""
+    return sum(c * pow(a, i, p) for i, c in enumerate(elem.coords)) % p
+
+
+def test_division_free_det_matches_bareiss():
+    rng = random.Random(19)
+    for n in range(1, 8):
+        for shape in ("dense", "singular", "zero pivot"):
+            a = [[rng.randint(-50, 50) for _ in range(n)] for _ in range(n)]
+            if shape == "singular":
+                coef = [rng.randint(-3, 3) for _ in range(n - 1)]
+                a[-1] = [sum(c * row[j] for c, row in zip(coef, a)) for j in range(n)]
+                assert bareiss_det(a) == 0
+            if shape == "zero pivot":
+                a[0][0] = 0
+            assert division_free_det(a, 0) == bareiss_det(a)
+
+
+def test_power_sums():
+    # x^2 - 5: roots +-sqrt(5); x^3 - x - 1 against its roots' powers
+    assert power_sums([-5, 0, 1], 6) == [2, 0, 10, 0, 50, 0]
+    assert power_sums([-1, -1, 0, 1], 7) == [3, 0, 2, 3, 2, 5, 5]
 
 
 def test_dedekind_criterion(K5):

@@ -1,11 +1,12 @@
 import itertools
 import math
+from concurrent.futures import Future
 from fractions import Fraction
 
 import pytest
 from sympy import primerange
 
-from dpip import fppoly
+from dpip import fppoly, switching
 from dpip.decide import _combine
 from dpip.lll import lll_reduce
 from dpip.nf import Ideal, kummer_dedekind, prime_power
@@ -52,6 +53,33 @@ def test_stats_jobs_match_serial(K5, K64, fixtures_dir):
         serial = switch_stats(ideal, bounds, trials=trials, seed=3, jobs=1)
         parallel = switch_stats(ideal, bounds, trials=trials, seed=3, jobs=2)
         assert serial == parallel
+
+
+def test_stats_pool_is_no_larger_than_the_tasks(K5, monkeypatch):
+    # a fake pool records its size and runs each task inline, so no
+    # process starts
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            done = Future()
+            done.set_result(fn(*args))
+            return done
+
+    monkeypatch.setattr(switching, "ProcessPoolExecutor", InlinePool)
+    ring = Ideal.ring(K5)
+    wide = switch_stats(ring, [5], trials=3, seed=11, jobs=10**6)
+    assert len(sizes) == 1 and 1 <= sizes[0] <= 3
+    assert wide == switch_stats(ring, [5], trials=3, seed=11, jobs=1)
 
 
 def test_switch_counts_are_pinned(K64, fixtures_dir):
