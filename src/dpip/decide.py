@@ -19,10 +19,17 @@ trials can run concurrently.
 import hashlib
 import random
 from dataclasses import dataclass, replace
+from operator import mul
 
 from .errors import FieldMismatchError, MaxTrialsExceededError, NonDivisibleError
 from .lll import lll_reduce
-from .nf import _matvec, as_prime_ideal, prime_from_generators, prime_power
+from .nf import (
+    _PackedElement,
+    _packed_basis,
+    as_prime_ideal,
+    prime_from_generators,
+    prime_power,
+)
 from .residue import element_in_prime, reduce_poly_mod_prime, splits_completely
 
 YES = "Yes"
@@ -38,8 +45,9 @@ REASON_ALL_SPLIT = "all-split"
 class Decision:
     """A verdict, its reason, the switching draws it took and the prime it
     was read from. The witness is prime by `prime_power`, which accepts a p
-    above 2^64 on sympy's BPSW test: no counterexample is known, but it is
-    not a proof, so such a verdict rests on BPSW."""
+    from `nf._MR_EXACT` (about 3.3 * 10^24) up on the BPSW test: no
+    counterexample is known, but it is not a proof, so such a verdict rests
+    on BPSW."""
 
     verdict: str
     reason: str
@@ -136,15 +144,42 @@ def draw_coefficients(rng, bound, count):
             return coeffs
 
 
-def _combiner(K, basis, bound):
-    """w(c) = sum c_j basis_j for coordinate vectors basis_j and integer c
-    with max |c_j| <= bound, as one packed product (`nf._matvec`)."""
-    apply = _matvec(basis, bound)
-    return lambda coeffs: K.element(apply(coeffs))
+def _combiner(K, packed):
+    """c -> w = sum c_j basis_j for a basis packed by `nf._packed_basis`, as
+    one sum of products. w is a `nf._PackedElement`: its norm reads these
+    digits as they are, and its coordinates are unpacked only if something
+    reads them."""
+    cols, offset, W = packed
+    return lambda coeffs: _PackedElement(K, sum(map(mul, coeffs, cols), offset), W)
 
 
 def _combine(K, basis, coeffs):
-    return _combiner(K, basis, max(map(abs, coeffs)))(coeffs)
+    return _combiner(K, _packed_basis(basis, max(map(abs, coeffs))))(coeffs)
+
+
+class CofactorSide:
+    """The cofactor side (J, W) of an ideal (`lll_reduce`), with W packed
+    once per bound for the draws over it (`nf._packed_basis`). It holds J
+    and plain integers, so it pickles with its packings."""
+
+    __slots__ = ("J", "W", "_packed")
+
+    def __init__(self, J, W):
+        self.J, self.W, self._packed = J, W, {}
+
+    def combiner(self, bound):
+        """`_combiner` for draws over W with coefficients in [-bound, bound]."""
+        if bound not in self._packed:
+            self._packed[bound] = _packed_basis(self.W, bound)
+        return _combiner(self.J.K, self._packed[bound])
+
+
+def cofactor_side(ideal):
+    """The CofactorSide of `lll_reduce(ideal)`, cached on the ideal, so that
+    every switching loop on it at one bound shares one packed basis."""
+    if ideal._side is None:
+        ideal._side = CofactorSide(*lll_reduce(ideal))
+    return ideal._side
 
 
 def prime_cofactor(ideal, r):
@@ -187,14 +222,16 @@ def prime_cofactor(ideal, r):
     return prime_from_generators(K, p, k, gens)
 
 
-def first_prime_cofactor(ideal, basis, bound, rng, limit):
+def first_prime_cofactor(side, bound, rng, limit):
     """The switching loop: (draws, prime cofactor) for the first of at most
-    `limit` draws r = sum c_i basis_i, c uniform on [-bound, bound]^d and
-    basis the coordinate vectors of a basis of I, whose cofactor (r)/I is
-    prime, or (limit, None) when none is."""
-    combine = _combiner(ideal.K, basis, bound)
+    `limit` draws w = sum c_i W_i, c uniform on [-bound, bound]^d and W the
+    coordinate vectors of a basis of J, the cofactor side (J, W), whose
+    cofactor (w)/J is prime, or (limit, None) when none is."""
+    J = side.J
+    combine = side.combiner(bound)
+    d = J.K.degree
     for draw in range(1, limit + 1):
-        witness = prime_cofactor(ideal, combine(draw_coefficients(rng, bound, ideal.K.degree)))
+        witness = prime_cofactor(J, combine(draw_coefficients(rng, bound, d)))
         if witness is not None:
             return draw, witness
     return limit, None
@@ -206,8 +243,8 @@ def decide_ideal(ideal, advice, cfg):
     Prime inputs take the direct path with zero switches. Otherwise the
     cofactor is redrawn until prime — it lies in the inverse class, so its
     verdict is the input's verdict — and the prime path finishes. The draws
-    run on the cofactor side (J, W) of `lll_reduce`: w over W, with
-    cofactor (w)/J, which for I = u*J is (u*w)/I.
+    run on the cofactor side (J, W) of `lll_reduce` (`cofactor_side`): w
+    over W, with cofactor (w)/J, which for I = u*J is (u*w)/I.
     Raises MaxTrialsExceededError after cfg.max_trials fruitless draws.
     """
     if ideal.K != advice.field:
@@ -219,7 +256,7 @@ def decide_ideal(ideal, advice, cfg):
         base = decide_prime_ideal(direct, advice)
         return replace(base, witness_prime=direct, switches_used=0)
     rng = substream(cfg.seed, "decide")
-    draws, witness = first_prime_cofactor(*lll_reduce(ideal), cfg.bound_B, rng, cfg.max_trials)
+    draws, witness = first_prime_cofactor(cofactor_side(ideal), cfg.bound_B, rng, cfg.max_trials)
     if witness is None:
         raise MaxTrialsExceededError(cfg.max_trials, cfg.bound_B)
     base = decide_prime_ideal(witness, advice)

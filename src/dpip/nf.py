@@ -15,6 +15,7 @@ from operator import mul
 
 from sympy import Poly, Symbol, isprime, primefactors, primerange
 from sympy.ntheory import perfect_power
+from sympy.ntheory.primetest import is_strong_lucas_prp
 from sympy.polys.densebasic import dup_strip
 from sympy.polys.domains import ZZ
 from sympy.polys.euclidtools import dup_discriminant, dup_resultant
@@ -65,6 +66,10 @@ def int_poly_discriminant(f):
 
 _SMALL_PRIMES = frozenset(primerange(2, 1000))
 _SMALL_PRIMORIAL = prod(_SMALL_PRIMES)
+# isprime runs a Miller-Rabin test on the first 13 prime bases below this,
+# which is exact there (Sorenson and Webster, Math. Comp. 86, 2017), and BPSW
+# at and above it
+_MR_EXACT = 3317044064679887385961981
 
 
 def prime_power(n):
@@ -72,14 +77,18 @@ def prime_power(n):
 
     One gcd with the product of the primes below 1000 screens n: if it is
     some g > 1, n is a prime power only when g is one of those primes and n
-    is a power of g, so no primality test runs. Otherwise a base-2 Fermat
-    test screens it: x = 2^(n-1) mod n is 1 for a prime n, and a prime
-    power q^e has 2^n = 2 (mod q), so q divides both 2x - 2 and n. When
-    x != 1 and gcd(2x - 2, n) = 1, n is neither.
+    is a power of g, so no primality test runs. Otherwise one base-2
+    exponentiation screens it: with n - 1 = 2^s t, x = 2^t mod n squared s
+    times is the strong base-2 test, which every prime passes, and ends at
+    the Fermat value 2^(n-1) mod n. A prime power q^e has 2^n = 2 (mod q),
+    so q divides both 2x - 2 and n for that last x; when n fails the strong
+    test, x != 1 and gcd(2x - 2, n) = 1, n is neither.
 
-    Primality is sympy's `isprime`: exact below 2^64, the BPSW test above.
-    BPSW has no known counterexample but is not a proof, so a p above 2^64
-    is accepted on BPSW alone."""
+    Primality is that of sympy's `isprime`. Below _MR_EXACT it is
+    `isprime` itself, which is exact there. At and above it, `isprime` is
+    the BPSW test: the strong base-2 test above, then sympy's strong Lucas
+    test, which is all that runs here. BPSW has no known counterexample but
+    is not a proof, so such a p is accepted on BPSW alone."""
     if n < 2:
         return None
     g = gcd(n, _SMALL_PRIMORIAL)
@@ -91,11 +100,18 @@ def prime_power(n):
             n //= g
             k += 1
         return (g, k) if n == 1 else None
-    x = pow(2, n - 1, n)
-    if x != 1 and gcd(2 * x - 2, n) == 1:
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    x = pow(2, (n - 1) >> s, n)
+    strong = x == 1
+    for _ in range(s):
+        strong = strong or x == n - 1
+        x = x * x % n
+    if strong:
+        prime = isprime(n) if n < _MR_EXACT else is_strong_lucas_prp(n)
+        if prime:
+            return n, 1
+    elif x != 1 and gcd(2 * x - 2, n) == 1:
         return None
-    if isprime(n):
-        return n, 1
     pp = perfect_power(n)
     if pp:
         base, e = int(pp[0]), int(pp[1])
@@ -243,6 +259,8 @@ class FieldElement:
     Coordinates are ints where possible and Fractions otherwise; arithmetic
     keeps representatives fully reduced modulo the defining polynomial.
     The coordinates never change, so the norm is computed once and cached.
+    A switching draw is the subclass `_PackedElement`, which holds its
+    coordinates packed as the digits that the norm reads.
     """
 
     __slots__ = ("K", "coords", "_norm")
@@ -337,8 +355,8 @@ class FieldElement:
         """Multiplicative inverse den*beta/N(den*self), from norm_quotient."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        den = self._denominator()
-        beta, n = norm_quotient(FieldElement(self.K, [int(c * den) for c in self.coords]))
+        den, g = self._integral()
+        beta, n = norm_quotient(FieldElement(self.K, g))
         return FieldElement(self.K, [Fraction(den * c, n) for c in beta.coords])
 
     def __truediv__(self, other):
@@ -349,34 +367,42 @@ class FieldElement:
 
     # -- norm ------------------------------------------------------------------
 
-    def _denominator(self):
+    def _integral(self):
+        """(den, g) with self = g(theta) / den and g integral."""
         den = 1
         for c in self.coords:
             if type(c) is not int and isinstance(c, Fraction):
                 den = lcm(den, c.denominator)
-        return den
+        return den, (self.coords if den == 1 else [int(c * den) for c in self.coords])
+
+    def _packed(self):
+        """(den, digits, W) for self = g(theta) / den: g as its digits
+        (`_digits`) at the least width W that `_tower` reads for g."""
+        den, g = self._integral()
+        W = _digit_width(sum(map(mul, g, g)), len(g))
+        return den, _digits(g, W), W
 
     def norm(self):
         """Field norm N(self) = Res(f, g) / den^d for self = g(theta) / den.
 
         In a field certified cyclotomic of order m by `cyclotomic_order`,
-        the norm halves the degree while 4 | m: N(g) is the norm of g(x)
-        g(-x) in the field of order m/2 (`_tower`). At degree one that is
-        the norm; otherwise it is the product of the element over the roots
-        of the last field modulo split primes above twice its Parseval
-        bound, read as the residue of least absolute value (`_RootTable`).
-        Every other field takes sympy's subresultant PRS over Z
-        (`int_poly_resultant`; Cohen, GTM 138, 3.3).
+        the norm is read from g's digits (`_packed`): it halves the degree
+        while 4 | m, as N(g) is the norm of g(x) g(-x) in the field of order
+        m/2 (`_tower`). At degree one that is the norm; otherwise it is the
+        product of the element over the roots of the last field modulo split
+        primes above twice its Parseval bound, read as the residue of least
+        absolute value (`_RootTable`). Every other field takes sympy's
+        subresultant PRS over Z (`int_poly_resultant`; Cohen, GTM 138, 3.3).
         """
         if self._norm is None:
             K = self.K
-            den = self._denominator()
-            g = self.coords if den == 1 else [int(c * den) for c in self.coords]
             m = cyclotomic_order(K)
             if m is None:
+                den, g = self._integral()
                 r = int_poly_resultant(K.poly, g)
             else:
-                r = _cyclotomic_resultant(K, m, g)
+                den, digits, W = self._packed()
+                r = _cyclotomic_resultant(K, m, digits, W)
             self._norm = Fraction(r, den**K.degree)
         return self._norm
 
@@ -404,6 +430,31 @@ class FieldElement:
         return f"FieldElement({poly_str(self.coords)})"
 
 
+class _PackedElement(FieldElement):
+    """An integral element held as its digits at width W (`_digits`), the
+    form in which a switching draw is made (`decide._combiner`). W must be
+    one that `_tower` reads, so the norm takes the digits as they are; the
+    coordinates are unpacked when something first reads them."""
+
+    __slots__ = ("_form", "_coords")
+
+    def __init__(self, K, digits, W):
+        self.K = K
+        self._form = (digits, W)
+        self._coords = None
+        self._norm = None
+
+    @property
+    def coords(self):
+        if self._coords is None:
+            digits, W = self._form
+            self._coords = tuple(_undigits(digits, W, self.K.degree))
+        return self._coords
+
+    def _packed(self):
+        return (1, *self._form)
+
+
 def _totients(n):
     """Euler's phi(m) for 0 <= m <= n, by a sieve."""
     phi = list(range(n + 1))
@@ -415,13 +466,18 @@ def _totients(n):
 
 
 def cyclotomic_order(K):
-    """The m with f | x^m - 1 and phi(m) = deg f, or None if there is none
+    """The order m of theta, if theta^m = 1 and phi(m) = deg f, else None
     (cached on K).
 
-    Such an m certifies that every root of f is a root of unity, and f is
-    then the m-th cyclotomic polynomial. Since phi(m) >= sqrt(m/2), only
-    m <= 2d^2 can qualify; x^m mod f is computed exactly by repeated
-    multiplication by theta, up to the largest candidate.
+    theta is then a primitive m-th root of unity, whose minimal polynomial
+    is Phi_m. That f is Phi_m rests on f being irreducible, which
+    `NumberField` has proved: f is then theta's minimal polynomial. The
+    order and the degree alone prove nothing: for the reducible Phi_3 Phi_4
+    = x^4 + x^3 + 2x^2 + x + 1, theta has order 12 and phi(12) = 4. The
+    norm's tower Phi_m(x) = Phi_(m/2)(x^2) depends on f being Phi_m. Since
+    phi(m) >= sqrt(m/2), only m <= 2d^2 can qualify; theta^k mod f is
+    computed exactly by repeated multiplication by theta, up to the largest
+    candidate.
     """
     if K._cyclo is None:
         K._cyclo = _theta_order(K) or 0
@@ -461,19 +517,29 @@ def _pack(rows, width):
     return cols
 
 
+def _packed_basis(cols, bound):
+    """(packed, offset, W): integer columns packed for the combinations
+    sum_j v_j cols[j] with max |v_j| <= bound, at the width W at which
+    `_tower` reads every such combination.
+
+    Entry i of a combination is at most R_i = bound * sum_j |cols[j][i]| in
+    absolute value, so its squares sum to at most sum_i R_i^2, and W is
+    `_digit_width` of that bound: every entry is below 2^(W-1) in absolute
+    value. Column j holds its entry i in slot i of W bits (`_pack`), and
+    offset holds 2^(W-1) in each slot, so sum_j v_j packed_j + offset is
+    exactly `_digits` of the combination at width W."""
+    rows = list(zip(*cols))
+    sq = sum((bound * sum(map(abs, row))) ** 2 for row in rows)
+    W = _digit_width(sq, len(rows))
+    return _pack(rows, W // 8), _digits([0] * len(rows), W), W
+
+
 def _matvec(cols, bound):
     """v -> sum_j v_j * cols[j] for integer vectors v with max |v_j| <= bound,
-    as one packed product: column j is one integer with its entry i in slot
-    i (`_pack`). Every entry of the result is at most R = bound * max_i
-    sum_j |cols[j][i]| in absolute value, so with R added to each slot by
-    one offset, every slot lies in [0, 2R] and is read back exactly."""
-    rows = list(zip(*cols))
-    n = len(rows)
-    R = bound * max(sum(map(abs, row)) for row in rows)
-    w = (2 * R).bit_length() // 8 + 1
-    packed = _pack(rows, w)
-    (off,) = _pack([[R]] * n, w)
-    return lambda v: [x - R for x in _slots(sum(map(mul, v, packed), off), w, n)]
+    as one packed product (`_packed_basis`) read back from its digits."""
+    packed, offset, W = _packed_basis(cols, bound)
+    n = len(cols[0])
+    return lambda v: _undigits(sum(map(mul, v, packed), offset), W, n)
 
 
 def _slots(acc, width, n):
@@ -625,6 +691,14 @@ def _root_of_unity(m, ell):
         a += 1
 
 
+def _digit_width(sq, n):
+    """The least width W, a multiple of 8, with 2W > bits(sq) + bits(n): the
+    width at which `_tower` reads n coefficients whose squares sum to at most
+    sq. Each such coefficient has bits(g_j^2) <= bits(sq) <= 2W - 2, so
+    |g_j| < 2^(W-1)."""
+    return 8 * ((sq.bit_length() + n.bit_length()) // 16 + 1)
+
+
 def _digits(g, W):
     """g packed with 2^(W-1) added to each slot of W bits: sum_j (g_j +
     2^(W-1)) 2^(W j), whose slots are digits in [0, 2^W) when every |g_j| <
@@ -641,9 +715,9 @@ def _undigits(digits, W, n):
     return [x - c for x in _slots(digits, W // 8, n)]
 
 
-def _tower(poly, m, g):
-    """(poly', m', h) with N(g) = N'(h): g walked down the cyclotomic tower
-    while 4 | m.
+def _tower(poly, m, digits, W):
+    """(poly', m', h) with N(g) = N'(h): g, given by its digits at width W
+    (`_digits`), walked down the cyclotomic tower while 4 | m.
 
     For 4 | m, f = Phi_m(x) = Phi_{m/2}(x^2), so Phi_{m/2} has the even
     coefficients of f, and x -> -x is the automorphism of K = Q[x]/(f) over
@@ -660,23 +734,21 @@ def _tower(poly, m, g):
     x^n + 1, each a sum of +-g_i g_j over a permutation, so again at most
     ||g||^2. Otherwise the n coefficients of w are unpacked and reduced.
 
-    The widths hold every level: digits are packed at W_0 > (bits(s) +
-    bits(n_0)) / 2 from an exact list h_0 of n_0 coefficients with s = sum
-    h_j^2, and W doubles with each fold. The squared norms are bounded by
-    L_0 = s and L_(t+1) = n_(t+1) L_t^2, and log2 L_t = 2^t (log2 s + sum_(k
-    <= t) log2(n_k) / 2^k) < 2^t (bits(s) + bits(n_0) - 1) <= 2 W_t - 1.
-    So every coefficient of level t + 1, at most L_t, lies below
-    2^(W_(t+1) - 1), and its slot of W_(t+1) = 2 W_t bits is a digit. The foot is
-    reached at m' with 4 not dividing m'; at degree one (m' = 1, 2) h is
-    [N(g)].
+    The widths hold every level: the digits of a list h_0 of n_0
+    coefficients come at a width W_0 with 2 W_0 > bits(s) + bits(n_0) for
+    some s >= sum h_j^2 (`_digit_width`), and W doubles with each fold.
+    The squared norms are bounded by L_0 = s and L_(t+1) = n_(t+1) L_t^2,
+    and log2 L_t = 2^t (log2 s + sum_(k <= t) log2(n_k) / 2^k) < 2^t
+    (bits(s) + bits(n_0) - 1) <= 2 W_t - 1. So every coefficient of level
+    t + 1, at most L_t, lies below 2^(W_(t+1) - 1), and its slot of W_(t+1)
+    = 2 W_t bits is a digit. The foot is reached at m' with 4 not dividing
+    m'; at degree one (m' = 1, 2) h is [N(g)].
     """
-    h, digits = list(g), None
     while m % 4 == 0:
         n = len(poly) - 1
         half = n // 2
         if digits is None:
-            s = sum(map(mul, h, h))
-            W = 8 * ((s.bit_length() + n.bit_length()) // 16 + 1)
+            W = _digit_width(sum(map(mul, h, h)), n)
             digits = _digits(h, W)
         U = ((1 << W * n) - 1) // ((1 << 2 * W) - 1)  # 1 in each slot of 2W bits
         low, mask = U << (W - 1), (U << W) - U
@@ -703,11 +775,12 @@ def _base_table(K, poly, m):
     return K._roots
 
 
-def _cyclotomic_resultant(K, m, g):
-    """Res(f, g) for the m-th cyclotomic f of K: the norm of the foot h of
-    g's tower (`_tower`), which is h itself at degree one and otherwise
-    comes from K's root table for that foot (`_RootTable.resultant`)."""
-    poly, m, h = _tower(K.poly, m, g)
+def _cyclotomic_resultant(K, m, digits, W):
+    """Res(f, g) for the m-th cyclotomic f of K and g given by its digits at
+    a width W that `_tower` reads: the norm of the foot h of g's tower,
+    which is h itself at degree one and otherwise comes from K's root table
+    for that foot (`_RootTable.resultant`)."""
+    poly, m, h = _tower(K.poly, m, digits, W)
     if len(h) == 1:
         return h[0]
     bound = max(map(abs, h))
@@ -837,10 +910,13 @@ class Ideal:
     determinant is |N(u)| * det(J), membership divides by u
     (`contains_vectors`), and the HNF is built only when `cols` is read.
     Every other ideal is built as an HNF lattice.
+    `_lll` caches the cofactor side (J, W) of `lll_reduce`, `_side` its
+    `decide.CofactorSide`.
     """
 
     __slots__ = (
-        "K", "_cols", "denom", "_gens", "_basis", "_factors", "_quot", "_det", "_inv", "_lll"
+        "K", "_cols", "denom", "_gens", "_basis", "_factors", "_quot", "_det", "_inv", "_lll",
+        "_side",
     )
 
     def __init__(self, K, cols, denom=1, gens=None):
@@ -849,6 +925,7 @@ class Ideal:
         self.denom = int(denom)
         self._gens = gens
         self._basis = self._factors = self._quot = self._det = self._inv = self._lll = None
+        self._side = None
         if self.denom < 1:
             raise ValueError("denominator must be positive")
 

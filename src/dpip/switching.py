@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .decide import _combiner, first_prime_cofactor, prime_cofactor, substream
-from .lll import lll_reduce
+from .decide import cofactor_side, first_prime_cofactor, prime_cofactor, substream
 from .nf import kummer_dedekind
 
 TRIAL_CAP = 10**5
@@ -35,12 +34,12 @@ class SwitchStats:
         return self.capped_trials > 0
 
 
-def _run_trials(cofactor_side, bound, seed, trial_range, cap):
+def _run_trials(side, bound, seed, trial_range, cap):
     counts = []
     capped = 0
     for t in trial_range:
         rng = substream(seed, "stats", bound, t)
-        draws, witness = first_prime_cofactor(*cofactor_side, bound, rng, cap)
+        draws, witness = first_prime_cofactor(side, bound, rng, cap)
         counts.append(draws)
         capped += witness is None
     return counts, capped
@@ -53,10 +52,11 @@ def switch_stats(ideal, bounds, trials, seed, field=None, cap=TRIAL_CAP, jobs=1)
     by (seed, bound, trial index), so results do not depend on scheduling
     and identical seeds reproduce identical counts. A trial that exceeds
     `cap` draws records the cap and flags the run. The ideal is reduced
-    once, and every draw runs on its cofactor side (J, W) (`lll_reduce`);
-    with jobs > 1 one process pool, of no more workers than tasks or CPUs,
-    runs the trial ranges of every bound, each task receiving the pickled J
-    and W.
+    once, and every draw runs on its cofactor side (J, W) (`lll_reduce`),
+    with W packed once per bound; both stay cached on the ideal for later
+    calls (`cofactor_side`). With jobs > 1 one process pool, of no more
+    workers than tasks or CPUs, runs the trial ranges of every bound, each
+    task receiving the pickled cofactor side.
     """
     if field is not None and field != ideal.K:
         raise ValueError("ideal does not belong to the given field")
@@ -64,12 +64,14 @@ def switch_stats(ideal, bounds, trials, seed, field=None, cap=TRIAL_CAP, jobs=1)
         raise ValueError("at least one trial is required")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
     if any(bound < 1 for bound in bounds):
         raise ValueError("bounds must be positive")
-    cofactor_side = lll_reduce(ideal)
+    side = cofactor_side(ideal)
     chunk = -(-trials // jobs)
     ranges = [range(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
-    tasks = [(cofactor_side, bound, seed, r, cap) for bound in bounds for r in ranges]
+    tasks = [(side, bound, seed, r, cap) for bound in bounds for r in ranges]
     if jobs > 1:
         # the pool starts all its workers at the first submit
         workers = min(jobs, len(tasks), os.cpu_count() or 1)
@@ -118,8 +120,8 @@ def prime_switch_density(ideal, bound, mode="exhaustive", budget=10**6, seed=0):
         raise ValueError("bound must be nonnegative")
     d = ideal.K.degree
     grid = (2 * bound + 1) ** d
-    J, W = lll_reduce(ideal)
-    combine = _combiner(ideal.K, W, bound)
+    side = cofactor_side(ideal)
+    J, combine = side.J, side.combiner(bound)
 
     def hit(coeffs):
         return any(coeffs) and prime_cofactor(J, combine(coeffs)) is not None

@@ -8,8 +8,10 @@ implementations they are checking.
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from dpip.lll import DELTA, lll_reduce
+from dpip.nf import int_poly_resultant
 
 
 def naive_lattice_basis(vectors):
@@ -60,6 +62,23 @@ def naive_lattice_basis(vectors):
                     v = basis[j]
                     changed = True
     return [basis[j] for j in sorted(basis)]
+
+
+def plain_combination(basis, coeffs):
+    """sum_j coeffs_j * basis_j, coordinate by coordinate."""
+    out = [0] * len(basis[0])
+    for c, b in zip(coeffs, basis):
+        for i, x in enumerate(b):
+            out[i] += c * x
+    return out
+
+
+def resultant_norm(a):
+    """N(a) = Res(f, g) / den^d for a = g(theta) / den, by the subresultant
+    PRS: the reference for every other norm path."""
+    den = lcm(*(Fraction(c).denominator for c in a.coords))
+    g = [int(c * den) for c in a.coords]
+    return Fraction(int_poly_resultant(a.K.poly, g), den**a.K.degree)
 
 
 def naive_det(rows):

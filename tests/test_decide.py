@@ -15,6 +15,7 @@ from dpip.advice import build_advice, load_advice
 from dpip.decide import (
     NO,
     YES,
+    CofactorSide,
     Decision,
     SwitchConfig,
     conjectural_bound,
@@ -40,7 +41,7 @@ from dpip.quadforms import genus_advice, is_principal_quad
 from dpip.residue import element_in_prime
 from dpip.serialize import load_ideal
 from dpip.switching import switch_stats
-from helpers import lll_basis
+from helpers import lll_basis, plain_combination, resultant_norm
 
 
 @pytest.fixture(scope="module")
@@ -199,22 +200,18 @@ def _reference_prime(C):
     return None
 
 
-def _plain_combination(basis, coeffs):
-    out = [0] * len(basis[0])
-    for c, b in zip(coeffs, basis):
-        for i, x in enumerate(b):
-            out[i] += c * x
-    return out
-
-
 def test_packed_combination_matches_the_plain_sum(K5, K21, K64, K180):
+    # the packed draw has the plain sum's coordinates and, read from its
+    # digits, the subresultant norm of the plain sum
     rng = random.Random(11)
     Q = NumberField([-1, 1])
+    K15 = NumberField([1, -1, 0, 1, -1, 1, 0, -1, 1])  # Phi_15: the tower takes no step
     cases = [
         (K5, Ideal.from_generators(K5, [K5.rational(3), K5.element([1, 1])])),
         (K21, Ideal.principal(K21, K21.element([5, -2]))),
         (K64, Ideal.principal(K64, K64.element([rng.randint(-3, 3) for _ in range(32)]))),
         (K180, Ideal.principal(K180, K180.element([rng.randint(-2, 2) for _ in range(48)]))),
+        (K15, Ideal.principal(K15, K15.element([rng.randint(-3, 3) for _ in range(8)]))),
         (Q, Ideal.principal(Q, Q.rational(-6))),
     ]
     for K, ideal in cases:
@@ -226,9 +223,15 @@ def test_packed_combination_matches_the_plain_sum(K5, K21, K64, K180):
         for B in (1, 5, 20, 2**200):
             draws = [[B] * d, [-B] * d, [B * s for s in sign], [-B * s for s in sign]]
             draws += [[rng.randint(-B, B) for _ in range(d)] for _ in range(4)]
+            # a reference norm at B = 2^200 takes 0.05 s in degree 32 and
+            # 0.3 s in degree 48, so there one extreme-sign draw is normed
+            normed = draws[3:4] if d >= 32 and B > 20 else draws
             for c in draws:
                 r = _combine(K, basis, c)
-                assert list(r.coords) == _plain_combination(basis, c)
+                plain = plain_combination(basis, c)
+                if c in normed:
+                    assert r.norm() == resultant_norm(K.element(plain)), (K, B, c)
+                assert list(r.coords) == plain
                 assert all(type(x) is int for x in r.coords)
             # the same kernel multiplies vectors by an element
             x = basis[-1]
@@ -327,7 +330,7 @@ def test_prime_cofactor_needs_no_inverse_when_p_is_coprime(monkeypatch, K180):
         raise AssertionError("prime_cofactor computed an inverse")
 
     monkeypatch.setattr(Ideal, "inverse", refuse)
-    _, witness = first_prime_cofactor(I, basis, 5, substream(3, "no-inverse"), 200)
+    _, witness = first_prime_cofactor(CofactorSide(I, basis), 5, substream(3, "no-inverse"), 200)
     assert witness is not None
     assert I.norm_int() % witness.p
 

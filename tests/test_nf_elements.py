@@ -1,11 +1,13 @@
+import itertools
 import random
 from fractions import Fraction
-from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import Poly, Symbol, cyclotomic_poly, factorint
+from sympy import Poly, Symbol, cyclotomic_poly, factorint, isprime, nextprime, primerange
+from sympy.ntheory import perfect_power
+from sympy.ntheory.primetest import mr
 
 from dpip import nf
 from dpip.errors import DefiningPolyError, DpipError, FieldMismatchError
@@ -19,6 +21,7 @@ from dpip.nf import (
     norm_quotient,
     prime_power,
 )
+from helpers import resultant_norm
 
 coords5 = st.lists(st.integers(-50, 50), min_size=2, max_size=2)
 
@@ -78,16 +81,10 @@ def test_norm_matches_multiplication_determinant(K64, K180):
             assert a.norm() == bareiss_det(cols)
 
 
-def _resultant_norm(a):
-    """N(a) by the subresultant PRS, the reference for the cyclotomic norm."""
-    den = lcm(*(Fraction(c).denominator for c in a.coords))
-    g = [int(c * den) for c in a.coords]
-    return Fraction(int_poly_resultant(a.K.poly, g), den**a.K.degree)
-
-
 def _foot(a):
     """(poly, m, h): the foot of the tower of the integral element a."""
-    return nf._tower(a.K.poly, cyclotomic_order(a.K), a.coords)
+    _, digits, W = a._packed()
+    return nf._tower(a.K.poly, cyclotomic_order(a.K), digits, W)
 
 
 def _record_moduli(monkeypatch):
@@ -115,13 +112,27 @@ def test_cyclotomic_norm_matches_resultant(K64, K180):
         elems += [K.element([rng.randint(-300, 300) for _ in range(d)]) for _ in range(5)]
         elems.append(K.element([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(d)]))
         for a in elems:
-            assert a.norm() == _resultant_norm(a), a
+            assert a.norm() == resultant_norm(a), a
         assert K.zero().norm() == 0
         assert K.one().norm() == (-K.one()).norm() == theta.norm() == 1
         assert not elems[-1].is_integral()
     # x^32 + 1 halves down to degree one; Phi_180 once, to Phi_90
     assert fields[0]._roots is None
     assert fields[1]._roots.m == 90 and fields[1]._roots.poly == K180.poly[::2]
+
+
+def test_cyclotomic_order_rests_on_irreducibility():
+    # Phi_3 Phi_4: theta has order 12 and phi(12) = 4 = deg f, but f is not
+    # Phi_12, and NumberField refuses it before any norm could take the tower
+    f = [1, 1, 2, 1, 1]
+    x = Symbol("x")
+    F = Poly(list(reversed(f)), x)
+    assert F == Poly(cyclotomic_poly(3, x) * cyclotomic_poly(4, x), x)
+    assert (Poly(x**12 - 1, x) % F).is_zero
+    assert not any((Poly(x**k - 1, x) % F).is_zero for k in (4, 6))
+    assert F != Poly(cyclotomic_poly(12, x), x)
+    with pytest.raises(DefiningPolyError, match="reducible"):
+        NumberField(f)
 
 
 def test_cyclotomic_norm_of_rationals_in_degree_one():
@@ -157,21 +168,21 @@ def test_cyclotomic_norm_table_grows_for_large_elements(monkeypatch, K64, K180):
         K = NumberField(fixture.poly)  # a fresh field, so its table starts cold
         d = K.degree
         small = K.element([rng.randint(-3, 3) for _ in range(d)])
-        assert small.norm() == _resultant_norm(small)
+        assert small.norm() == resultant_norm(small)
         big = K.element([rng.randint(-(2**200), 2**200) for _ in range(d)])
         if K._roots is None:  # x^32 + 1 never builds one
-            assert big.norm() == _resultant_norm(big) and K._roots is None
+            assert big.norm() == resultant_norm(big) and K._roots is None
             continue
         table = K._roots
         primes = list(table.primes)
-        assert big.norm() == _resultant_norm(big)
+        assert big.norm() == resultant_norm(big)
         _assert_parseval_table(big, seen)
         # growth extends the checked primes rather than starting over
         assert len(table.primes) > len(primes)
         assert table.primes[: len(primes)] == primes
         # the grown table still serves small elements
         again = K.element([rng.randint(-3, 3) for _ in range(d)])
-        assert again.norm() == _resultant_norm(again)
+        assert again.norm() == resultant_norm(again)
         assert K._roots is table
 
 
@@ -184,9 +195,9 @@ def test_small_norms_keep_their_prefix_after_a_large_one(monkeypatch, K180):
     K.element(small).norm()
     short, count = seen[-1], len(K._roots.primes)
     big = K.element([rng.choice((1, -1)) * 2**300 for _ in range(K.degree)])
-    assert big.norm() == _resultant_norm(big)
+    assert big.norm() == resultant_norm(big)
     assert len(K._roots.primes) > 4 * count and seen[-1] > short**4
-    assert K.element(small).norm() == _resultant_norm(K.element(small))
+    assert K.element(small).norm() == resultant_norm(K.element(small))
     assert seen[-1] == short
 
 
@@ -206,7 +217,7 @@ def test_cyclotomic_norm_parseval_edge_cases(monkeypatch, K64, K180):
                 elems.append(K.element(coords))
         elems.append(K.element([big if j % 2 else -big for j in range(d)]))
         for a in elems:
-            assert a.norm() == _resultant_norm(a), a
+            assert a.norm() == resultant_norm(a), a
             _assert_parseval_table(a, seen)
 
 
@@ -235,12 +246,12 @@ def test_tower_norms_match_the_resultant(monkeypatch):
         elems += [K.element([big] * d), K.element([big if j % 2 else -big for j in range(d)])]
         elems += [K.element([rng.randint(-(2**64), 2**64) for _ in range(d)]) for _ in range(2)]
         fractional = K.element([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(d)])
-        norms = [_resultant_norm(a) for a in [K.zero(), fractional] + elems]
+        norms = [resultant_norm(a) for a in [K.zero(), fractional] + elems]
         monkeypatch.setattr(nf, "int_poly_resultant", refuse)
         for a, n in zip([K.zero(), fractional] + elems, norms):
             assert a.norm() == n, (m, a)
         monkeypatch.undo()
-        assert nf._tower(K.poly, m, theta.coords)[1] == foot
+        assert nf._tower(K.poly, m, *theta._packed()[1:])[1] == foot
         if foot <= 2:
             assert K._roots is None, m
         else:
@@ -293,6 +304,43 @@ def test_prime_power_matches_factorint():
             assert prime_power(q**e * 1013) is None
     for n in (-8, 0, 1):
         assert prime_power(n) is None
+
+
+def _isprime_power(n):
+    """prime_power's answer from sympy's isprime and perfect_power alone."""
+    if isprime(n):
+        return n, 1
+    pp = perfect_power(n)
+    if pp and isprime(pp[0]):
+        return int(pp[0]), int(pp[1])
+    return None
+
+
+def test_prime_power_agrees_with_isprime_and_perfect_power():
+    rng = random.Random(19)
+    ns = [rng.getrandbits(rng.randint(64, 400)) | 1 | (1 << 63) for _ in range(10**4)]
+    # Chernick's Carmichael numbers (6k + 1)(12k + 1)(18k + 1), none with a
+    # factor below 1000, some above 2^64
+    for k in itertools.chain(range(167, 3000), range(10**7, 10**7 + 3000)):
+        if all(isprime(a * k + 1) for a in (6, 12, 18)):
+            ns.append((6 * k + 1) * (12 * k + 1) * (18 * k + 1))
+    # base-2 strong pseudoprimes p(ap - a + 1) with no factor below 1000
+    # (all below 2^64), and the least strong pseudoprimes to the first 9,
+    # 12 and 13 prime bases, the last at the threshold _MR_EXACT
+    spsp = [3825123056546413051, 318665857834031151167461, nf._MR_EXACT]
+    for p in primerange(1009, 8000):
+        spsp += [p * q for q in (2 * p - 1, 3 * p - 2, 4 * p - 3) if isprime(q) and mr(p * q, [2])]
+    assert len(spsp) >= 40 and all(mr(n, [2]) for n in spsp)
+    # prime powers, and primes times primes
+    for bits in (11, 20, 33, 64, 100, 200):
+        q = nextprime(rng.getrandbits(bits) | (1 << (bits - 1)))
+        ns += [q**e for e in range(1, 6)] + [q * nextprime(q), q * q * 1009]
+    verdicts = []
+    for n in ns + spsp:
+        verdicts.append(_isprime_power(n))
+        assert prime_power(n) == verdicts[-1], n
+    assert sum(v is not None for v in verdicts) > 100
+    assert not any(verdicts[len(ns) :])
 
 
 def test_element_coordinate_types(K5, K64):

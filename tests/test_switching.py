@@ -1,16 +1,17 @@
 import itertools
 import math
+import pickle
 from concurrent.futures import Future
 from fractions import Fraction
 
 import pytest
 from sympy import primerange
 
-from dpip import fppoly, switching
-from dpip.decide import _combine
+from dpip import decide, fppoly, nf, switching
+from dpip.decide import _combine, cofactor_side, first_prime_cofactor, substream
 from dpip.lll import lll_reduce
 from dpip.nf import Ideal, kummer_dedekind, prime_power
-from dpip.serialize import load_ideal
+from dpip.serialize import load_field, load_ideal
 from dpip.switching import (
     landau_ratio,
     prime_ideal_count,
@@ -109,6 +110,76 @@ def test_switch_stats_runs_no_gcd_on_prime_norm_cofactors(monkeypatch, K64, fixt
     J = load_ideal(fixtures_dir / "ideal_zeta64_switch.json", K64)
     assert switch_stats(J, [5, 10, 20], trials=4, seed=17) == plain
     assert not any(s.capped for s in plain)
+
+
+def test_switch_stats_unpacks_only_prime_power_draws(monkeypatch, K64, fixtures_dir):
+    # a draw's norm reads its packed digits; its coordinates are unpacked
+    # only when prime_cofactor goes on to read the cofactor
+    unpacked = []
+    coords = nf._PackedElement.coords
+
+    def counted(r):
+        if r._coords is None:
+            unpacked.append(r)
+        return coords.fget(r)
+
+    hits = []
+    test = decide.prime_power
+
+    def recorded(n):
+        out = test(n)
+        hits.append(out is not None)
+        return out
+
+    monkeypatch.setattr(nf._PackedElement, "coords", property(counted))
+    monkeypatch.setattr(decide, "prime_power", recorded)
+    J = load_ideal(fixtures_dir / "ideal_zeta64_switch.json", K64)
+    stats = switch_stats(J, [5, 10], trials=3, seed=8)
+    draws = sum(sum(s.switch_counts) for s in stats)
+    assert len(hits) == draws and len(unpacked) == sum(hits) == 6
+    n = J.norm_int()
+    assert all(prime_power(abs(r.norm_int()) // n) for r in unpacked)
+
+
+def test_switch_stats_packs_the_basis_once_per_bound(monkeypatch, K64, fixtures_dir):
+    J = load_ideal(fixtures_dir / "ideal_zeta64_switch.json", K64)
+    _, W = lll_reduce(J)
+    rows = [tuple(row) for row in zip(*W)]
+    packs = []
+    pack = nf._pack
+
+    def counted(table, width):
+        if [tuple(row) for row in table] == rows:
+            packs.append(width)
+        return pack(table, width)
+
+    monkeypatch.setattr(nf, "_pack", counted)
+    for bounds in ([5], [10, 20], [5], [20, 10], [5, 10, 20]):
+        switch_stats(J, bounds, trials=2, seed=4)
+    assert len(packs) == 3
+
+
+def test_cofactor_side_pickles_with_its_packed_basis(monkeypatch, K64, fixtures_dir):
+    J = load_ideal(fixtures_dir / "ideal_zeta64_switch.json", K64)
+    side = cofactor_side(J)
+    want = first_prime_cofactor(side, 5, substream(6, "pickle"), 500)
+    copy = pickle.loads(pickle.dumps(side))
+    assert copy.W == side.W and copy.J == side.J
+    assert copy._packed == side._packed and list(copy._packed) == [5]
+
+    def refuse(table, width):
+        raise AssertionError("the unpickled side packed its basis again")
+
+    monkeypatch.setattr(nf, "_pack", refuse)
+    assert first_prime_cofactor(copy, 5, substream(6, "pickle"), 500) == want
+
+
+def test_switch_stats_rejects_a_cap_below_one(fixtures_dir):
+    K = load_field(fixtures_dir / "field_qsqrtm5.json")
+    I = load_ideal(fixtures_dir / "ideal_qsqrtm5_3pt.json", K)
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match="cap"):
+            switch_stats(I, [5], trials=2, seed=1, cap=cap)
 
 
 def test_exhaustive_density_unit_ideal(K5):
