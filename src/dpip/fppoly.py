@@ -2,10 +2,13 @@
 
 Polynomials are lists/tuples of ints indexed by degree (little-endian) with
 entries reduced into [0, p). The zero polynomial is the empty list. Only the
-handful of operations the rest of the package needs live here; factoring
-and the irreducibility test are delegated to sympy's galoistools.
+handful of operations the rest of the package needs live here. A quadratic
+over F_p with p odd is factored from a square root of its discriminant mod
+p; every other factoring and the irreducibility test are delegated to
+sympy's galoistools.
 """
 
+from sympy.ntheory import sqrt_mod
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_factor, gf_irreducible_p
 
@@ -143,13 +146,39 @@ def is_irreducible(a, p):
 def factor(a, p):
     """Factor a over F_p into monic irreducibles with multiplicities.
 
-    Returns [(coeffs, exponent)] sorted by (degree, coefficients).
+    The coefficients are reduced mod p first, so a leading coefficient
+    divisible by p drops; the reduced a must have degree >= 1. Returns
+    [(coeffs, exponent)] sorted by (degree, coefficients).
     """
-    dense_desc = [int(c) % p for c in reversed(a)]
-    _, factors = gf_factor(dense_desc, p, ZZ)
+    a = from_ints(a, p)
+    if deg(a) < 1:
+        raise ValueError(f"nothing to factor: degree {deg(a)} mod {p}")
+    if deg(a) == 2 and p != 2:
+        return _factor_quadratic(monic(a, p), p)
+    _, factors = gf_factor(a[::-1], p, ZZ)
     out = []
     for fac, e in factors:
         low = tuple(int(c) % p for c in reversed(fac))
         out.append((low, int(e)))
     out.sort(key=lambda t: (len(t[0]), t[0]))
     return out
+
+
+def _factor_quadratic(a, p):
+    """`factor` of a monic x^2 + bx + c over F_p, p odd, by its
+    discriminant D = b^2 - 4c: a double root -b/2 when D = 0, irreducible
+    when Euler's criterion D^((p-1)/2) = 1 fails, and otherwise the roots
+    (-b +- s)/2 for a square root s of D mod p (sympy's `sqrt_mod`)."""
+    c, b, _ = a
+    D = (b * b - 4 * c) % p
+    half = (p + 1) // 2  # 1/2 mod p
+    if D == 0:
+        return [((b * half % p, 1), 2)]
+    if pow(D, (p - 1) // 2, p) != 1:
+        return [(tuple(a), 1)]
+    s = sqrt_mod(D, p)
+    if s is None or s * s % p != D:
+        raise ArithmeticError(f"no square root of {D} mod {p} from sqrt_mod")
+    # x - (-b -+ s)/2 = x + (b +- s)/2
+    roots = sorted(((b + s) * half % p, (b - s) * half % p))
+    return [((r, 1), 1) for r in roots]

@@ -382,16 +382,17 @@ class FieldElement:
         W = _digit_width(sum(map(mul, g, g)), len(g))
         return den, _digits(g, W), W
 
-    def norm(self):
-        """Field norm N(self) = Res(f, g) / den^d for self = g(theta) / den.
+    def _norm_parts(self):
+        """(Res(f, g), den^d) for self = g(theta) / den; their quotient is
+        the field norm N(self).
 
         In a field certified cyclotomic of order m by `cyclotomic_order`,
-        the norm is read from g's digits (`_packed`): it halves the degree
-        while 4 | m, as N(g) is the norm of g(x) g(-x) in the field of order
-        m/2 (`_tower`). At degree one that is the norm; otherwise it is the
-        product of the element over the roots of the last field modulo split
-        primes above twice its Parseval bound, read as the residue of least
-        absolute value (`_RootTable`). Every other field takes sympy's
+        the resultant is read from g's digits (`_packed`): it halves the
+        degree while 4 | m, as N(g) is the norm of g(x) g(-x) in the field of
+        order m/2 (`_tower`). At degree one that is the norm; otherwise it is
+        the product of the element over the roots of the last field modulo
+        split primes above twice its Parseval bound, read as the residue of
+        least absolute value (`_RootTable`). Every other field takes sympy's
         subresultant PRS over Z (`int_poly_resultant`; Cohen, GTM 138, 3.3).
         """
         if self._norm is None:
@@ -403,14 +404,22 @@ class FieldElement:
             else:
                 den, digits, W = self._packed()
                 r = _cyclotomic_resultant(K, m, digits, W)
-            self._norm = Fraction(r, den**K.degree)
+            self._norm = (r, den**K.degree)
         return self._norm
 
+    def norm(self):
+        """Field norm N(self), a Fraction."""
+        return Fraction(*self._norm_parts())
+
     def norm_int(self):
-        n = self.norm()
-        if n.denominator != 1:
+        """Field norm N(self) as an int; ValueError if it is not one."""
+        r, dd = self._norm_parts()
+        if dd == 1:
+            return r
+        n, rem = divmod(r, dd)
+        if rem:
             raise ValueError("norm is not an integer")
-        return n.numerator
+        return n
 
     # -- misc -------------------------------------------------------------------
 
@@ -1409,7 +1418,10 @@ class PrimeIdeal:
 
 
 def kummer_dedekind(p, K):
-    """Factor p*O_K by factoring the defining polynomial mod p.
+    """Factor p*O_K by factoring the defining polynomial mod p (Cohen,
+    GTM 138, 4.8.13); `fppoly.factor` does that for a quadratic field at odd
+    p from a square root of the discriminant mod p, and with sympy's
+    factoring otherwise.
 
     Returns the list of PrimeIdeal factors (ram_index carries the exponent),
     sorted by (residue degree, gen_poly). The product with multiplicities

@@ -7,11 +7,26 @@ implementations they are checking.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import lcm
 
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_factor
+
 from dpip.lll import DELTA, lll_reduce
 from dpip.nf import int_poly_resultant
+
+
+@cache
+def sympy_factor(coeffs, p):
+    """Factorization of the integer polynomial `coeffs` (a tuple, low degree
+    first) over F_p by sympy's `gf_factor` alone, in `fppoly.factor`'s form:
+    monic factors low degree first, sorted by (degree, coefficients).
+    Cached, as it is the slow reference of several tests."""
+    _, factors = gf_factor([c % p for c in reversed(coeffs)], p, ZZ)
+    out = [(tuple(int(c) for c in reversed(f)), int(e)) for f, e in factors]
+    return sorted(out, key=lambda t: (len(t[0]), t[0]))
 
 
 def naive_lattice_basis(vectors):

@@ -1,6 +1,8 @@
 import json
+import re
 
 import pytest
+from sympy import legendre_symbol, nextprime
 
 from dpip.cli import main
 
@@ -95,6 +97,30 @@ def test_factor_prime_split(capsys, fixtures_dir):
     )
     assert code == 0
     assert out.strip() == "(3) = (3, 1 + θ) * (3, 2 + θ)"
+
+
+def test_factor_prime_at_a_128_bit_prime(capsys, fixtures_dir):
+    # (-20/p) = 1: two degree-one primes (p, c + θ) with c^2 = -5 mod p;
+    # (-20/p) = -1: p stays prime
+    seen = set()
+    p = 2**127
+    while len(seen) < 2:
+        p = nextprime(p)
+        symbol = legendre_symbol(-20 % p, p)
+        code, out, _ = run(
+            capsys,
+            "factor-prime",
+            "--field", str(fixtures_dir / "field_qsqrtm5.json"),
+            "-p", str(p),
+        )
+        assert code == 0
+        if symbol == 1:
+            split = re.fullmatch(rf"\({p}\) = \({p}, (\d+) \+ θ\) \* \({p}, (\d+) \+ θ\)", out.strip())
+            c1, c2 = map(int, split.groups())
+            assert c1 < c2 < p and (c1 * c1 + 5) % p == (c2 * c2 + 5) % p == 0
+        else:
+            assert out.strip() == f"({p}) = ({p}, 5 + θ^2)"
+        seen.add(symbol)
 
 
 def test_factor_prime_rejects_composites(capsys, fixtures_dir):

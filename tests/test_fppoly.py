@@ -2,8 +2,10 @@ import itertools
 import random
 
 import pytest
+from sympy import isprime, primerange
 
 from dpip import fppoly
+from helpers import sympy_factor
 
 PRIMES = [2, 3, 5, 7, 11, 13, 97]
 
@@ -67,6 +69,58 @@ def test_factor_recomposes_and_is_irreducible():
             for _ in range(e):
                 prod = fppoly.mul(prod, list(fac), p)
         assert prod == a
+
+
+# x^2 + 5, x^2 + 21, x^2 + 105, x^2 + x + 1, x^2 - 2, x^2 + 3x + 7: b != 0,
+# p | D and a real quadratic all occur
+QUADRATICS = [(5, 0, 1), (21, 0, 1), (105, 0, 1), (1, 1, 1), (-2, 0, 1), (7, 3, 1)]
+
+
+def test_quadratic_factor_matches_gf_factor_below_10000():
+    for p in primerange(2, 10**4):
+        for f in QUADRATICS:
+            assert fppoly.factor(f, p) == sympy_factor(f, p), (f, p)
+
+
+def _seeded_primes(rng, count):
+    """count primes of 64-256 bits; every other one is 1 mod 2^8, where
+    Tonelli-Shanks takes the most steps."""
+    out = []
+    for i in range(count):
+        bits = 64 + 192 * i // (count - 1)
+        if i % 2:
+            k = rng.getrandbits(bits - 8) | 1 << (bits - 9)
+            while not isprime(k << 8 | 1):
+                k += 1
+            out.append(k << 8 | 1)
+        else:
+            n = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+            while not isprime(n):
+                n += 2
+            out.append(n)
+    return out
+
+
+def test_quadratic_factor_matches_gf_factor_at_large_primes():
+    split = 0
+    for p in _seeded_primes(random.Random(20), 20):
+        for f in QUADRATICS:
+            got = fppoly.factor(f, p)
+            assert got == sympy_factor(f, p), (f, p)
+            split += p % 256 == 1 and len(got) == 2
+    assert split >= 10  # square roots mod p = 1 (mod 2^8) were taken
+
+
+def test_factor_reduces_and_trims_its_input():
+    # a leading coefficient divisible by p drops before factoring
+    assert fppoly.factor([2, 1, 0, 7], 7) == [((2, 1), 1)]
+    # 3x^2 + x + 1 = 3(x + 3)(x + 4) over F_5
+    assert fppoly.factor([1, 1, 3, 5], 5) == [((3, 1), 1), ((4, 1), 1)]
+    assert fppoly.factor([1, 1, 3, 5], 5) == sympy_factor((1, 1, 3), 5)
+    # nothing of positive degree is left
+    for a, p in (([1, 0, 5], 5), ([7, 14], 7), ([], 5), ([0, 0, 3], 3)):
+        with pytest.raises(ValueError):
+            fppoly.factor(a, p)
 
 
 def _irreducible_by_trial_division(a, p):

@@ -10,6 +10,7 @@ from sympy.ntheory import perfect_power
 from sympy.ntheory.primetest import mr
 
 from dpip import nf
+from dpip.decide import _combine
 from dpip.errors import DefiningPolyError, DpipError, FieldMismatchError
 from dpip.intlattice import bareiss_det
 from dpip.nf import (
@@ -357,6 +358,26 @@ def test_element_coordinate_types(K5, K64):
     assert b.norm() == 4 + Fraction(5, 4)
     c = K64.element([True] * 2 + [0] * 30)
     assert c.norm() == K64.element([1, 1] + [0] * 30).norm() == 2
+
+
+def test_norm_int_is_the_int_numerator_of_the_norm(K5, K64, K180):
+    rng = random.Random(19)
+    for K in (K5, K64, K180):
+        d = K.degree
+        power_basis = [tuple(int(i == j) for i in range(d)) for j in range(d)]
+        elems = [K.element([rng.randint(-30, 30) for _ in range(d)]) for _ in range(5)]
+        # switching draws, held packed
+        elems += [_combine(K, power_basis, [rng.randint(-9, 9) for _ in range(d)]) for _ in range(5)]
+        for a in elems:
+            n = a.norm_int()
+            assert type(n) is int and n == a.norm().numerator and a.norm().denominator == 1
+    # a non-integral element may have an integral norm: N(2/3 + theta/3) = 1
+    a = K5.element([Fraction(2, 3), Fraction(1, 3)])
+    assert a.norm_int() == 1 and type(a.norm_int()) is int
+    for b in (K5.element([Fraction(1, 2), 0]), K64.element([Fraction(1, 3)] + [1] * 31)):
+        assert b.norm().denominator != 1
+        with pytest.raises(ValueError):
+            b.norm_int()
 
 
 def test_inverse(K5):

@@ -21,6 +21,7 @@ from dpip.nf import (
     power_sums,
     prime_from_generators,
 )
+from helpers import sympy_factor
 
 
 def test_ramified_two(K5):
@@ -61,6 +62,28 @@ def test_factor_recompose_all_small_primes(K5, K21, Ki):
             for P in factors:
                 prod = prod * P.to_ideal() ** P.ram_index
             assert prod == Ideal.principal(K, K.rational(p))
+
+
+def test_kummer_dedekind_of_quadratic_fields_matches_sympy():
+    # the square-root route gives the primes that sympy's factoring gives
+    for m in (5, 21, 105):
+        K = NumberField([m, 0, 1])
+        for p in primerange(2, 10**4):
+            want = [(c, len(c) - 1, e) for c, e in sympy_factor(K.poly, p)]
+            got = [(P.gen_poly, P.res_degree, P.ram_index) for P in kummer_dedekind(p, K)]
+            assert got == want, (m, p)
+
+
+def test_kummer_dedekind_of_a_quadratic_field_runs_no_gf_factor(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("gf_factor ran")
+
+    monkeypatch.setattr(fppoly, "gf_factor", refuse)
+    K = NumberField([5, 0, 1])  # fresh, so no prime is cached
+    for p in primerange(3, 10**3):
+        assert sum(P.ram_index * P.res_degree for P in kummer_dedekind(p, K)) == 2
+    with pytest.raises(AssertionError, match="gf_factor ran"):
+        kummer_dedekind(2, K)  # p = 2 stays on sympy
 
 
 def test_kummer_dedekind_rejects_composites(K5):
