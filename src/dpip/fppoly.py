@@ -4,11 +4,10 @@ Polynomials are lists/tuples of ints indexed by degree (little-endian) with
 entries reduced into [0, p). The zero polynomial is the empty list. Only the
 handful of operations the rest of the package needs live here. A quadratic
 over F_p with p odd is factored from a square root of its discriminant mod
-p; every other factoring and the irreducibility test are delegated to
-sympy's galoistools.
+p, taken by Tonelli-Shanks; every other factoring and the irreducibility
+test are delegated to sympy's galoistools.
 """
 
-from sympy.ntheory import sqrt_mod
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_factor, gf_irreducible_p
 
@@ -168,7 +167,7 @@ def _factor_quadratic(a, p):
     """`factor` of a monic x^2 + bx + c over F_p, p odd, by its
     discriminant D = b^2 - 4c: a double root -b/2 when D = 0, irreducible
     when Euler's criterion D^((p-1)/2) = 1 fails, and otherwise the roots
-    (-b +- s)/2 for a square root s of D mod p (sympy's `sqrt_mod`)."""
+    (-b +- s)/2 for a square root s of D mod p (`sqrt_residue`)."""
     c, b, _ = a
     D = (b * b - 4 * c) % p
     half = (p + 1) // 2  # 1/2 mod p
@@ -176,9 +175,37 @@ def _factor_quadratic(a, p):
         return [((b * half % p, 1), 2)]
     if pow(D, (p - 1) // 2, p) != 1:
         return [(tuple(a), 1)]
-    s = sqrt_mod(D, p)
-    if s is None or s * s % p != D:
-        raise ArithmeticError(f"no square root of {D} mod {p} from sqrt_mod")
+    s = sqrt_residue(D, p)
+    if s * s % p != D:
+        raise ArithmeticError(f"no square root of {D} mod {p}")
     # x - (-b -+ s)/2 = x + (b +- s)/2
     roots = sorted(((b + s) * half % p, (b - s) * half % p))
     return [((r, 1), 1) for r in roots]
+
+
+def sqrt_residue(a, p):
+    """A square root of a quadratic residue a mod an odd prime p, by
+    Tonelli-Shanks (Cohen, GTM 138, Algorithm 1.5.1) on p - 1 = 2^e q, q
+    odd: x = a^((q+1)/2) and t = a^q have x^2 = a t, and while t != 1 a
+    power b of c = z^q, z a non-residue, of the order 2^k > 1 of t has
+    b^2 t of lower order, so x b keeps x^2 = a t. It gives 0 for a = 0, and
+    for a non-residue some x with x^2 != a, which the caller must check."""
+    e = ((p - 1) & (1 - p)).bit_length() - 1
+    q = (p - 1) >> e
+    x, t = pow(a, (q + 1) // 2, p), pow(a, q, p)
+    if t != 1:
+        z = 2
+        while pow(z, (p - 1) // 2, p) == 1:
+            z += 1
+        c = pow(z, q, p)
+        while t != 1:
+            k, t2 = 0, t
+            while t2 != 1 and k < e:
+                t2 = t2 * t2 % p
+                k += 1
+            if k == e:  # a = 0, or no residue
+                break
+            b = pow(c, 1 << (e - k - 1), p)
+            x, c = x * b % p, b * b % p
+            t, e = t * c % p, k
+    return x

@@ -5,7 +5,7 @@ sigma(x) * conj(sigma(y)), evaluated through an integer Gram matrix on
 power-basis coordinates that is computed once per field and cached on it:
 
 * Cyclotomic fields get the exact Gram matrix. cyclotomic_order certifies
-  f | x^m - 1 with phi(m) = deg f, so every root lies on the unit circle
+  f = Phi_m, so every root lies on the unit circle
   and the (j, k) entry is the power sum s_|j-k| of the roots, computed over
   Z by Newton's identities (`nf.power_sums`, which also gives discriminants
   over O_K). No floating point is involved.

@@ -10,6 +10,7 @@ module.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm, prod
 from operator import mul
 
@@ -147,6 +148,12 @@ class NumberField:
     polynomial, i.e. the discriminant of the order Z[theta]; callers who
     care whether that order is maximal at a given prime can ask
     order_is_maximal_at.
+
+    f must be irreducible over Q. When theta has some order m with phi(m) =
+    deg f (`_theta_order`) and f equals Phi_m coefficient for coefficient
+    (`_cyclotomic_poly`), it is by theorem (Washington, GTM 83, ch. 2), and m
+    is kept as `cyclotomic_order`; every other f is checked by sympy's
+    `Poly.is_irreducible`.
     """
 
     __slots__ = (
@@ -175,13 +182,14 @@ class NumberField:
         self.disc = int_poly_discriminant(poly)
         if self.disc == 0:
             raise DefiningPolyError("defining polynomial has a repeated factor")
-        if not Poly(list(reversed(poly)), Symbol("x")).is_irreducible:
+        m = _theta_order(self)
+        self._cyclo = m if m and poly == _cyclotomic_poly(m) else 0  # cyclotomic_order
+        if not self._cyclo and not Poly(list(reversed(poly)), Symbol("x")).is_irreducible:
             raise DefiningPolyError("defining polynomial is reducible over Q")
         self._kd_cache = {}
         self._maximal_at = {}
         self._ring = None
         self._gram = None
-        self._cyclo = None  # cyclotomic_order: m, 0 for none, None if unknown
         self._roots = None  # the _RootTable at the foot of the cyclotomic tower
 
     # -- basic API -----------------------------------------------------------
@@ -475,26 +483,28 @@ def _totients(n):
 
 
 def cyclotomic_order(K):
-    """The order m of theta, if theta^m = 1 and phi(m) = deg f, else None
-    (cached on K).
+    """The m with f = Phi_m, or None: read from K, which compared f with
+    Phi_m when it was built (`NumberField`).
 
-    theta is then a primitive m-th root of unity, whose minimal polynomial
-    is Phi_m. That f is Phi_m rests on f being irreducible, which
-    `NumberField` has proved: f is then theta's minimal polynomial. The
-    order and the degree alone prove nothing: for the reducible Phi_3 Phi_4
-    = x^4 + x^3 + 2x^2 + x + 1, theta has order 12 and phi(12) = 4. The
-    norm's tower Phi_m(x) = Phi_(m/2)(x^2) depends on f being Phi_m. Since
-    phi(m) >= sqrt(m/2), only m <= 2d^2 can qualify; theta^k mod f is
-    computed exactly by repeated multiplication by theta, up to the largest
-    candidate.
+    f = Phi_m, coefficient for coefficient, is what every cyclotomic path
+    rests on: the norm's tower Phi_m(x) = Phi_(m/2)(x^2), the split primes
+    of `kummer_dedekind` and the exact Gram matrix. The order of theta and
+    the degree alone prove nothing: for the reducible Phi_3 Phi_4 = x^4 +
+    x^3 + 2x^2 + x + 1, theta has order 12 and phi(12) = 4.
     """
-    if K._cyclo is None:
-        K._cyclo = _theta_order(K) or 0
     return K._cyclo or None
 
 
 def _theta_order(K):
+    """The order m of theta, if theta^m = 1 and phi(m) = deg f, else None.
+
+    A root of unity is a unit, so |f(0)| = 1 is needed first. Since phi(m)
+    >= sqrt(m/2), only m <= 2d^2 can qualify; theta^k mod f is computed
+    exactly by repeated multiplication by theta, up to the largest
+    candidate."""
     d = K.degree
+    if abs(K.poly[0]) != 1:
+        return None
     phi = _totients(2 * d * d)
     candidates = {m for m in range(1, len(phi)) if phi[m] == d}
     if not candidates:
@@ -506,6 +516,30 @@ def _theta_order(K):
         if v == one:
             return m if m in candidates else None
     return None
+
+
+def _cyclotomic_poly(m):
+    """Phi_m, little-endian: the product of (x^(m/k) - 1)^mu(k) over the
+    squarefree k | m, the factors with mu(k) = 1 multiplied out first and
+    those with mu(k) = -1 then divided out exactly."""
+    qs = primefactors(m)
+    c = [1]
+    for r in range(0, len(qs) + 1, 2):
+        for sub in combinations(qs, r):
+            e = m // prod(sub)
+            out = [-x for x in c] + [0] * e
+            for i, x in enumerate(c):
+                out[i + e] += x
+            c = out
+    for r in range(1, len(qs) + 1, 2):
+        for sub in combinations(qs, r):
+            e = m // prod(sub)
+            # c = (x^e - 1) q, so q_i = q_(i-e) - c_i
+            q = []
+            for i in range(len(c) - e):
+                q.append((q[i - e] if i >= e else 0) - c[i])
+            c = q
+    return tuple(c)
 
 
 def _pack(rows, width):
@@ -572,8 +606,9 @@ class _RootTable:
 
     Each prime l = 1 (mod m) is below 2^64, so `isprime` decides it
     exactly, and has an element z of order m; the d roots of f mod l are
-    z^k for gcd(k, m) = 1, and each is checked to be a root, and all to be
-    distinct, so f = prod (x - z^k) mod l and Res(f, g) = prod g(z^k) mod l.
+    z^k for gcd(k, m) = 1, each checked to be a root and all to be distinct
+    by `_split_roots`, which `kummer_dedekind` also reads its split primes
+    from, so f = prod (x - z^k) mod l and Res(f, g) = prod g(z^k) mod l.
     The primes are taken downwards from 2^64 and added when a caller needs
     a larger modulus; every modulus M is the product of the fewest leading
     primes above what its caller needs, so a large element lengthens the
@@ -609,25 +644,16 @@ class _RootTable:
 
     def _add_prime(self):
         """Append the next prime l = 1 (mod m) below the last, checked to
-        split f into distinct roots z^k, with its z."""
-        m, d = self.m, len(self.poly) - 1
-        f = [(j, c) for j, c in enumerate(self.poly) if c]
+        split f into distinct roots z^k (`_split_roots`), with its z."""
+        m = self.m
         q = (self.primes[-1] - 1) // m - 1 if self.primes else (2**64 - 2) // m
         while True:
             ell = q * m + 1
             q -= 1
             if isprime(ell):
                 break
-        z = _root_of_unity(m, ell)
-        powers = [1]
-        for _ in range(m - 1):
-            powers.append(powers[-1] * z % ell)
-        if len({powers[k] for k in self.exps}) != d or any(
-            sum(c * powers[k * j % m] for j, c in f) % ell for k in self.exps
-        ):
-            raise DpipError(f"f does not split into distinct roots mod {ell}")
         self.primes.append(ell)
-        self.roots.append(z)
+        self.roots.append(_split_roots(self.poly, m, ell)[0])
 
     def _powers(self, count, M):
         """z^e mod M for e < m, z the CRT lift of the first count roots."""
@@ -686,6 +712,25 @@ class _RootTable:
             r = r * s % M
         return r - M if 2 * r > M else r
 
+
+
+def _split_roots(poly, m, ell):
+    """(z, roots) for the m-th cyclotomic poly and a prime ell = 1 (mod m):
+    z of order m in F_ell, and its powers z^k for gcd(k, m) = 1, k < m,
+    each checked to be a root of poly mod ell and all to be distinct, so
+    that poly = prod (x - z^k) mod ell (Washington, GTM 83, ch. 2)."""
+    z = _root_of_unity(m, ell)
+    powers = [1]
+    for _ in range(m - 1):
+        powers.append(powers[-1] * z % ell)
+    exps = [k for k in range(m) if gcd(k, m) == 1]
+    roots = [powers[k] for k in exps]
+    f = [(j, c) for j, c in enumerate(poly) if c]
+    if len(set(roots)) != len(poly) - 1 or any(
+        sum(c * powers[k * j % m] for j, c in f) % ell for k in exps
+    ):
+        raise DpipError(f"f does not split into distinct roots mod {ell}")
+    return z, roots
 
 
 def _root_of_unity(m, ell):
@@ -930,7 +975,7 @@ class Ideal:
 
     def __init__(self, K, cols, denom=1, gens=None):
         self.K = K
-        self._cols = None if cols is None else tuple(tuple(int(x) for x in c) for c in cols)
+        self._cols = None if cols is None else tuple(tuple(map(int, c)) for c in cols)
         self.denom = int(denom)
         self._gens = gens
         self._basis = self._factors = self._quot = self._det = self._inv = self._lll = None
@@ -1381,23 +1426,42 @@ class PrimeIdeal:
         return self.p**self.res_degree
 
     def to_ideal(self):
-        """HNF lattice of (p, g(theta))."""
+        """The ideal (p, g(theta)), with its canonical HNF in closed form.
+
+        It is {a : g divides a(x) mod p} (Cohen, GTM 138, 4.8.13), of index
+        p^f for f = deg g. For g = x (p | f(0)) that is a_0 = 0 mod p: the
+        columns p e_0 and e_j for j >= 1. Otherwise x is invertible mod (g,
+        p), and for j < d - f it holds x^j + x^(d-f) r_j, r_j = -x^(j-d+f)
+        mod (g, p) of degree < f: column j is e_j with r_j in the last f
+        slots, column j >= d - f is p e_j (every column, when f = d). The
+        pivots give index p^f, so the columns span the ideal, and with
+        every entry below a pivot in [0, p) they are its canonical HNF.
+        """
         if self._ideal is not None:
             return self._ideal
-        K = self.K
-        d = K.degree
-        if self.res_degree == d:
-            cols = tuple(
-                tuple(self.p if i == j else 0 for i in range(d)) for j in range(d)
-            )
-            ideal = Ideal(K, cols, 1, gens=(K.rational(self.p),))
+        K, p, g = self.K, self.p, self.gen_poly
+        d, f = K.degree, self.res_degree
+        cols = [[0] * d for _ in range(d)]
+        if g == (0, 1):
+            cols[0][0] = p
+            for j in range(1, d):
+                cols[j][j] = 1
         else:
-            g = K.element(list(self.gen_poly) + [0] * (d - self.res_degree - 1))
-            lat = IntLattice(d, modulus=self.p)
-            lat.extend(K.mul_matrix_columns(g.coords))
-            ideal = Ideal(K, lat.basis_columns(), 1, gens=(K.rational(self.p), g))
-        self._ideal = ideal
-        return ideal
+            # x^-1 = -(g - g_0) / (g_0 x) mod (g, p), and r x^-1 = r' + r_0 x^-1
+            # for r = r_0 + x r', so r_j follows from r_(j+1), and r_(d-f) = -1
+            inv = [-c * pow(g[0], -1, p) % p for c in g[1:]]
+            r = [p - 1] + [0] * (f - 1)
+            for j in range(d - f - 1, -1, -1):
+                r = [(a + r[0] * b) % p for a, b in zip(r[1:] + [0], inv)]
+                cols[j][j] = 1
+                cols[j][d - f :] = r
+            for j in range(d - f, d):
+                cols[j][j] = p
+        gens = (K.rational(p),)
+        if f < d:
+            gens += (K.element(list(g) + [0] * (d - f - 1)),)
+        self._ideal = Ideal(K, cols, 1, gens=gens)
+        return self._ideal
 
     def __eq__(self, other):
         return (
@@ -1419,9 +1483,11 @@ class PrimeIdeal:
 
 def kummer_dedekind(p, K):
     """Factor p*O_K by factoring the defining polynomial mod p (Cohen,
-    GTM 138, 4.8.13); `fppoly.factor` does that for a quadratic field at odd
-    p from a square root of the discriminant mod p, and with sympy's
-    factoring otherwise.
+    GTM 138, 4.8.13). In a field with f = Phi_m (`cyclotomic_order`), a
+    prime p = 1 (mod m) splits into the x - z^k for z of order m mod p
+    (`_split_roots`); every other prime goes to `fppoly.factor`, which takes
+    a quadratic at odd p from a square root of its discriminant mod p, and
+    anything else with sympy's factoring.
 
     Returns the list of PrimeIdeal factors (ram_index carries the exponent),
     sorted by (residue degree, gen_poly). The product with multiplicities
@@ -1432,7 +1498,11 @@ def kummer_dedekind(p, K):
         return K._kd_cache[p]
     if p < 2 or not isprime(p):
         raise ValueError(f"{p} is not prime")
-    factors = fppoly.factor(list(K.poly), p)
+    m = cyclotomic_order(K)
+    if m and p % m == 1:
+        factors = [((c, 1), 1) for c in sorted(-z % p for z in _split_roots(K.poly, m, p)[1])]
+    else:
+        factors = fppoly.factor(list(K.poly), p)
     out = []
     total = 0
     for coeffs, e in factors:

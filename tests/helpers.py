@@ -14,6 +14,7 @@ from math import lcm
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_factor
 
+from dpip.intlattice import IntLattice
 from dpip.lll import DELTA, lll_reduce
 from dpip.nf import int_poly_resultant
 
@@ -27,6 +28,18 @@ def sympy_factor(coeffs, p):
     _, factors = gf_factor([c % p for c in reversed(coeffs)], p, ZZ)
     out = [(tuple(int(c) for c in reversed(f)), int(e)) for f, e in factors]
     return sorted(out, key=lambda t: (len(t[0]), t[0]))
+
+
+def prime_ideal_by_insertion(P):
+    """The HNF columns of P = (p, g(theta)) by lattice insertion: p Z^d and
+    the multiples g(theta) theta^j, j < d, inserted into an IntLattice mod
+    p. The reference for the closed form of `PrimeIdeal.to_ideal`."""
+    K, p = P.K, P.p
+    lat = IntLattice(K.degree, modulus=p)
+    if P.res_degree < K.degree:
+        g = list(P.gen_poly) + [0] * (K.degree - P.res_degree - 1)
+        lat.extend(K.mul_matrix_columns(g))
+    return lat.basis_columns()
 
 
 def naive_lattice_basis(vectors):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 from sympy import isprime, primerange
+from sympy.ntheory import sqrt_mod
 
 from dpip import fppoly
 from helpers import sympy_factor
@@ -109,6 +110,32 @@ def test_quadratic_factor_matches_gf_factor_at_large_primes():
             assert got == sympy_factor(f, p), (f, p)
             split += p % 256 == 1 and len(got) == 2
     assert split >= 10  # square roots mod p = 1 (mod 2^8) were taken
+
+
+def _same_roots(a, p):
+    """sqrt_residue(a, p) is a root exactly when sympy's `sqrt_mod` finds
+    one, and then it is one of the same pair +-s."""
+    s, x = sqrt_mod(a, p), fppoly.sqrt_residue(a, p)
+    if s is None:
+        return x * x % p != a
+    return x in (s, (p - s) % p)
+
+
+def test_sqrt_residue_matches_sqrt_mod_below_10000():
+    rng = random.Random(21)
+    for p in primerange(3, 10**4):
+        cases = range(p) if p < 100 else [0, 1, p - 1, *(rng.randrange(p) for _ in range(6))]
+        for a in cases:
+            assert _same_roots(a, p), (a, p)
+
+
+def test_sqrt_residue_matches_sqrt_mod_at_large_primes():
+    rng = random.Random(22)
+    for p in _seeded_primes(random.Random(20), 20):
+        for _ in range(4):
+            r = rng.randrange(1, p)
+            assert _same_roots(r * r % p, p), p
+            assert _same_roots(rng.randrange(p), p), p
 
 
 def test_factor_reduces_and_trims_its_input():

@@ -136,6 +136,36 @@ def test_cyclotomic_order_rests_on_irreducibility():
         NumberField(f)
 
 
+def test_cyclotomic_fields_are_irreducible_by_identity(monkeypatch, K64, K180):
+    # f = Phi_m coefficient for coefficient needs no factoring; anything
+    # else still goes to sympy
+    def refuse(self):
+        raise AssertionError("is_irreducible ran")
+
+    monkeypatch.setattr(Poly, "is_irreducible", property(refuse))
+    fields = [([-1, 1], 1), ([1, 1, 1, 1, 1], 5), (K64.poly, 64), (K180.poly, 180)]
+    for poly, m in fields:
+        assert cyclotomic_order(NumberField(poly)) == m
+    # Phi_3 Phi_4: theta has order 12 and phi(12) = 4, but f is not Phi_12;
+    # x^4 - 1: theta has order 4 and phi(4) = 2
+    reducible = ([1, 1, 2, 1, 1], [-1, 0, 0, 0, 1])
+    for poly in reducible:
+        with pytest.raises(AssertionError, match="is_irreducible ran"):
+            NumberField(poly)
+    monkeypatch.undo()
+    for poly in reducible:
+        with pytest.raises(DefiningPolyError, match="reducible"):
+            NumberField(poly)
+
+
+def test_cyclotomic_poly_matches_sympy():
+    # up to 210 = 2 * 3 * 5 * 7, the least m with four prime factors
+    x = Symbol("x")
+    for m in range(1, 211):
+        want = Poly(cyclotomic_poly(m, x), x).all_coeffs()[::-1]
+        assert nf._cyclotomic_poly(m) == tuple(want), m
+
+
 def test_cyclotomic_norm_of_rationals_in_degree_one():
     # Q as Q[x]/(x - 1) and Q[x]/(x + 1): conductors 1 and 2, and the only
     # cyclotomic fields with negative norms

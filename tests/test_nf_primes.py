@@ -21,7 +21,7 @@ from dpip.nf import (
     power_sums,
     prime_from_generators,
 )
-from helpers import sympy_factor
+from helpers import prime_ideal_by_insertion, sympy_factor
 
 
 def test_ramified_two(K5):
@@ -84,6 +84,58 @@ def test_kummer_dedekind_of_a_quadratic_field_runs_no_gf_factor(monkeypatch):
         assert sum(P.ram_index * P.res_degree for P in kummer_dedekind(p, K)) == 2
     with pytest.raises(AssertionError, match="gf_factor ran"):
         kummer_dedekind(2, K)  # p = 2 stays on sympy
+
+
+PHI5 = [1, 1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("field", ["K5", "K21", "x^3-2", "Phi5", "K64", "K180"])
+def test_closed_form_prime_hnf_matches_insertion(request, field):
+    # every prime above p < 60 and above 181, 193 and 257: split, ramified,
+    # inert and f > 1 primes, and g = x where p | f(0)
+    K = {"x^3-2": lambda: NumberField([-2, 0, 0, 1]), "Phi5": lambda: NumberField(PHI5)}.get(
+        field, lambda: request.getfixturevalue(field)
+    )()
+    kinds = set()
+    for p in [*primerange(2, 60), 181, 193, 257]:
+        for P in kummer_dedekind(p, K):
+            P._ideal = None
+            I = P.to_ideal()
+            assert I.cols == prime_ideal_by_insertion(P), (field, p, P)
+            assert I.det() == P.norm() and I.contains_element(K.rational(p))
+            kinds.add("inert" if P.res_degree == K.degree else "f>1" if P.res_degree > 1 else "f=1")
+            kinds.update(["e>1"] * (P.ram_index > 1) + ["g=x"] * (P.gen_poly == (0, 1)))
+    want = {
+        "K5": {"f=1", "inert", "e>1", "g=x"},
+        "K21": {"f=1", "inert", "e>1", "g=x"},
+        "x^3-2": {"f=1", "f>1", "e>1", "g=x"},
+        "Phi5": {"f=1", "f>1", "inert", "e>1"},
+        "K64": {"f=1", "f>1", "e>1"},
+        "K180": {"f=1", "f>1", "e>1"},
+    }[field]
+    assert want <= kinds, kinds
+
+
+@pytest.mark.parametrize("field, primes", [("K180", (181, 541, 1621)), ("K64", (193, 257, 449, 577))])
+def test_split_primes_of_a_cyclotomic_field_match_gf_factor(request, monkeypatch, field, primes):
+    # p = 1 (mod m) splits into the x - z^k, read with no factoring at all
+    poly = request.getfixturevalue(field).poly
+    want = {p: sympy_factor(poly, p) for p in primes}
+
+    def refuse(*args):
+        raise AssertionError("gf_factor ran")
+
+    monkeypatch.setattr(fppoly, "gf_factor", refuse)
+    K = NumberField(poly)  # fresh, so no prime is cached
+    for p in primes:
+        got = kummer_dedekind(p, K)
+        assert len(got) == K.degree
+        assert [(P.gen_poly, P.res_degree, P.ram_index) for P in got] == [
+            (c, len(c) - 1, e) for c, e in want[p]
+        ]
+        assert got == [PrimeIdeal(K, p, c, len(c) - 1, e) for c, e in want[p]]
+    with pytest.raises(AssertionError, match="gf_factor ran"):
+        kummer_dedekind(7, K)  # not 1 mod m: sympy factors it
 
 
 def test_kummer_dedekind_rejects_composites(K5):
