@@ -21,6 +21,7 @@ from .nf import (
     poly_discriminant,
     prime_power,
 )
+from .ntheory import isprime
 from .residue import element_in_prime
 from .serialize import (
     decode_int,
@@ -128,8 +129,6 @@ def _validate(bundle, discs):
 
 
 def _validate_prime(K, P):
-    from sympy import isprime
-
     if P.K != K:
         raise AdviceError("exceptional prime belongs to a different field")
     if not isprime(P.p):

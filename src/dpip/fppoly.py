@@ -4,12 +4,19 @@ Polynomials are lists/tuples of ints indexed by degree (little-endian) with
 entries reduced into [0, p). The zero polynomial is the empty list. Only the
 handful of operations the rest of the package needs live here. A quadratic
 over F_p with p odd is factored from a square root of its discriminant mod
-p, taken by Tonelli-Shanks; every other factoring and the irreducibility
-test are delegated to sympy's galoistools.
+p, taken by Tonelli-Shanks, and a linear polynomial is irreducible; every
+other factoring and irreducibility test is delegated to sympy's
+galoistools, imported when it first runs.
 """
 
-from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_factor, gf_irreducible_p
+
+def gf_factor(a, p):
+    """sympy's factorization over F_p of a big-endian a: (lead, [(factor,
+    exponent)]), imported on first use."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_factor
+
+    return gf_factor(a, p, ZZ)
 
 
 def trim(a):
@@ -136,9 +143,14 @@ def multiplicity(g, a, p):
 
 def is_irreducible(a, p):
     """Irreducibility over F_p of a monic a of degree >= 1 (sympy's Rabin
-    test); False for anything else, constants included."""
+    test from degree 2 up); False for anything else, constants included."""
     if len(a) < 2 or a[-1] != 1:
         return False
+    if len(a) == 2:
+        return True
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_irreducible_p
+
     return gf_irreducible_p([int(c) % p for c in reversed(a)], p, ZZ)
 
 
@@ -154,7 +166,7 @@ def factor(a, p):
         raise ValueError(f"nothing to factor: degree {deg(a)} mod {p}")
     if deg(a) == 2 and p != 2:
         return _factor_quadratic(monic(a, p), p)
-    _, factors = gf_factor(a[::-1], p, ZZ)
+    _, factors = gf_factor(a[::-1], p)
     out = []
     for fac, e in factors:
         low = tuple(int(c) % p for c in reversed(fac))

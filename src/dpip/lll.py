@@ -54,8 +54,6 @@ slightly shorter vectors for many more swaps.
 
 from operator import mul
 
-import mpmath
-
 from .errors import DpipError, ZeroIdealError
 from .intlattice import bareiss_det
 from .nf import Ideal, cyclotomic_order, power_sums
@@ -99,6 +97,8 @@ def _numerical_gram(K):
     reduction runs on an exact integral form; only its weights are
     approximate.
     """
+    import mpmath
+
     d = K.degree
     with mpmath.workprec(_PREC_BITS + 8 * d):
         coeffs = [mpmath.mpf(c) for c in reversed(K.poly)]

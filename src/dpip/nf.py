@@ -14,13 +14,6 @@ from itertools import combinations
 from math import gcd, lcm, prod
 from operator import mul
 
-from sympy import Poly, Symbol, isprime, primefactors, primerange
-from sympy.ntheory import perfect_power
-from sympy.ntheory.primetest import is_strong_lucas_prp
-from sympy.polys.densebasic import dup_strip
-from sympy.polys.domains import ZZ
-from sympy.polys.euclidtools import dup_discriminant, dup_resultant
-
 from . import fppoly
 from .errors import (
     DefiningPolyError,
@@ -31,15 +24,18 @@ from .errors import (
     ZeroIdealError,
 )
 from .intlattice import IntLattice, bareiss, echelon_remainder
+from .ntheory import MR_EXACT as _MR_EXACT
+from .ntheory import SMALL_PRIMORIAL, isprime, perfect_power, prime_factors, strong_lucas_prp
 
 
 # ---------------------------------------------------------------------------
 # Integer polynomials (little-endian coefficient lists), via sympy's dense
-# big-endian algorithms over ZZ
+# big-endian algorithms over ZZ, imported when a field that is not
+# cyclotomic first needs them
 
 def _ip_dense(a):
     """Big-endian dense form of a little-endian integer polynomial."""
-    return dup_strip([int(c) for c in reversed(a)])
+    return [int(c) for c in reversed(fppoly.trim(list(a)))]
 
 
 def int_poly_resultant(a, b):
@@ -48,6 +44,9 @@ def int_poly_resultant(a, b):
     sympy swaps a shorter first argument without the sign
     (-1)^(deg a * deg b), so the longer polynomial goes first here.
     """
+    from sympy.polys.domains import ZZ
+    from sympy.polys.euclidtools import dup_resultant
+
     a, b = _ip_dense(a), _ip_dense(b)
     if not a or not b:
         return 0
@@ -59,18 +58,13 @@ def int_poly_resultant(a, b):
 
 def int_poly_discriminant(f):
     """Discriminant of an integer polynomial with the standard sign."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.euclidtools import dup_discriminant
+
     f = _ip_dense(f)
     if len(f) < 2:
         raise ValueError("discriminant needs degree >= 1")
     return int(dup_discriminant(f, ZZ))
-
-
-_SMALL_PRIMES = frozenset(primerange(2, 1000))
-_SMALL_PRIMORIAL = prod(_SMALL_PRIMES)
-# isprime runs a Miller-Rabin test on the first 13 prime bases below this,
-# which is exact there (Sorenson and Webster, Math. Comp. 86, 2017), and BPSW
-# at and above it
-_MR_EXACT = 3317044064679887385961981
 
 
 def prime_power(n):
@@ -85,16 +79,17 @@ def prime_power(n):
     so q divides both 2x - 2 and n for that last x; when n fails the strong
     test, x != 1 and gcd(2x - 2, n) = 1, n is neither.
 
-    Primality is that of sympy's `isprime`. Below _MR_EXACT it is
-    `isprime` itself, which is exact there. At and above it, `isprime` is
-    the BPSW test: the strong base-2 test above, then sympy's strong Lucas
-    test, which is all that runs here. BPSW has no known counterexample but
-    is not a proof, so such a p is accepted on BPSW alone."""
+    Primality is that of `ntheory.isprime`, dpip's port of sympy's, which
+    the tests check against sympy's. Below _MR_EXACT it is `isprime`
+    itself, which is exact there. At and above it, `isprime` is the BPSW
+    test: the strong base-2 test above, then the strong Lucas test, which
+    is all that runs here. BPSW has no known counterexample but is not a
+    proof, so such a p is accepted on BPSW alone."""
     if n < 2:
         return None
-    g = gcd(n, _SMALL_PRIMORIAL)
+    g = gcd(n, SMALL_PRIMORIAL)
     if g > 1:
-        if g not in _SMALL_PRIMES:
+        if not isprime(g):
             return None
         k = 0
         while n % g == 0:
@@ -108,16 +103,14 @@ def prime_power(n):
         strong = strong or x == n - 1
         x = x * x % n
     if strong:
-        prime = isprime(n) if n < _MR_EXACT else is_strong_lucas_prp(n)
+        prime = isprime(n) if n < _MR_EXACT else strong_lucas_prp(n)
         if prime:
             return n, 1
     elif x != 1 and gcd(2 * x - 2, n) == 1:
         return None
     pp = perfect_power(n)
-    if pp:
-        base, e = int(pp[0]), int(pp[1])
-        if isprime(base):
-            return base, e
+    if pp and isprime(pp[0]):
+        return pp
     return None
 
 
@@ -147,19 +140,22 @@ class NumberField:
     The discriminant is the polynomial discriminant of the defining
     polynomial, i.e. the discriminant of the order Z[theta]; callers who
     care whether that order is maximal at a given prime can ask
-    order_is_maximal_at.
+    order_is_maximal_at, and `disc_primes` lists the primes dividing it.
 
     f must be irreducible over Q. When theta has some order m with phi(m) =
     deg f (`_theta_order`) and f equals Phi_m coefficient for coefficient
-    (`_cyclotomic_poly`), it is by theorem (Washington, GTM 83, ch. 2), and m
-    is kept as `cyclotomic_order`; every other f is checked by sympy's
-    `Poly.is_irreducible`.
+    (`_cyclotomic_poly`), it is by theorem (Washington, GTM 83, ch. 2), m
+    is kept as `cyclotomic_order`, and the discriminant is read from m
+    (`_cyclotomic_disc`), so such a field needs no sympy. Every other f is
+    checked by sympy's `Poly.is_irreducible`, and its discriminant is
+    sympy's.
     """
 
     __slots__ = (
         "poly",
         "degree",
         "disc",
+        "_disc_primes",
         "_kd_cache",
         "_maximal_at",
         "_ring",
@@ -179,13 +175,19 @@ class NumberField:
                 raise DefiningPolyError("coefficients must be integers")
         self.poly = poly
         self.degree = len(poly) - 1
-        self.disc = int_poly_discriminant(poly)
-        if self.disc == 0:
-            raise DefiningPolyError("defining polynomial has a repeated factor")
         m = _theta_order(self)
         self._cyclo = m if m and poly == _cyclotomic_poly(m) else 0  # cyclotomic_order
-        if not self._cyclo and not Poly(list(reversed(poly)), Symbol("x")).is_irreducible:
-            raise DefiningPolyError("defining polynomial is reducible over Q")
+        if self._cyclo:
+            self.disc = _cyclotomic_disc(m, self.degree)
+        else:
+            from sympy import Poly, Symbol
+
+            self.disc = int_poly_discriminant(poly)
+            if self.disc == 0:
+                raise DefiningPolyError("defining polynomial has a repeated factor")
+            if not Poly(list(reversed(poly)), Symbol("x")).is_irreducible:
+                raise DefiningPolyError("defining polynomial is reducible over Q")
+        self._disc_primes = None
         self._kd_cache = {}
         self._maximal_at = {}
         self._ring = None
@@ -202,6 +204,19 @@ class NumberField:
 
     def __repr__(self):
         return f"NumberField({list(self.poly)})"
+
+    def disc_primes(self):
+        """The primes dividing disc, found once: among those of m for f =
+        Phi_m, by sympy's `factorint` otherwise."""
+        if self._disc_primes is None:
+            if self._cyclo:
+                ps = [p for p in prime_factors(self._cyclo) if self.disc % p == 0]
+            else:
+                from sympy import factorint
+
+                ps = sorted(factorint(abs(self.disc)))
+            self._disc_primes = tuple(ps)
+        return self._disc_primes
 
     def element(self, coords):
         return FieldElement(self, coords)
@@ -522,7 +537,7 @@ def _cyclotomic_poly(m):
     """Phi_m, little-endian: the product of (x^(m/k) - 1)^mu(k) over the
     squarefree k | m, the factors with mu(k) = 1 multiplied out first and
     those with mu(k) = -1 then divided out exactly."""
-    qs = primefactors(m)
+    qs = prime_factors(m)
     c = [1]
     for r in range(0, len(qs) + 1, 2):
         for sub in combinations(qs, r):
@@ -540,6 +555,18 @@ def _cyclotomic_poly(m):
                 q.append((q[i - e] if i >= e else 0) - c[i])
             c = q
     return tuple(c)
+
+
+def _cyclotomic_disc(m, d):
+    """disc(Phi_m) for m with phi(m) = d: (-1)^(d/2) m^d / prod over p | m
+    of p^(d/(p-1)) for m >= 3 (Washington, GTM 83, Prop. 2.7), and 1 for
+    Phi_1 = x - 1 and Phi_2 = x + 1."""
+    if d == 1:
+        return 1
+    out = m**d
+    for p in prime_factors(m):
+        out //= p ** (d // (p - 1))
+    return -out if d % 4 else out
 
 
 def _pack(rows, width):
@@ -736,7 +763,7 @@ def _split_roots(poly, m, ell):
 def _root_of_unity(m, ell):
     """An element of order m in F_ell, for a prime ell = 1 (mod m)."""
     e = (ell - 1) // m
-    qs = primefactors(m)
+    qs = prime_factors(m)
     a = 2
     while True:
         z = pow(a, e, ell)
@@ -954,7 +981,9 @@ class Ideal:
     `cols[j]` is the j-th vector of the lattice's canonical HNF (pivot at
     index j, positive, entries below other pivots reduced), `denom` a
     positive integer with content coprime to the lattice. Integral ideals
-    have denom == 1. Instances are immutable; derived data is cached.
+    have denom == 1. Instances are immutable; derived data is cached. The
+    entries of `cols` are taken as given, so they must be ints; input from
+    outside is converted by `from_hnf_matrix`.
 
     An integral u*J (u a nonzero integral element, J an integral ideal or
     None for O_K), built from one generator or as a product by one, keeps
@@ -975,7 +1004,7 @@ class Ideal:
 
     def __init__(self, K, cols, denom=1, gens=None):
         self.K = K
-        self._cols = None if cols is None else tuple(tuple(map(int, c)) for c in cols)
+        self._cols = None if cols is None else tuple(map(tuple, cols))
         self.denom = int(denom)
         self._gens = gens
         self._basis = self._factors = self._quot = self._det = self._inv = self._lll = None
@@ -1239,8 +1268,9 @@ class Ideal:
         """The fractional inverse, with I * I^-1 = O_K verified.
 
         Where Z[theta] is maximal at every prime dividing both N(I) and
-        disc(f) (Dedekind's criterion; always at primes not dividing disc(f)),
-        the norm check proves the inverse; otherwise the product is checked.
+        disc(f) (`order_is_maximal_at`; always at primes not dividing
+        disc(f), and at every prime when f = Phi_m), the norm check proves
+        the inverse; otherwise the product is checked.
         Raises NonInvertibleIdealError when I has no inverse.
         """
         if self._inv is not None:
@@ -1250,8 +1280,9 @@ class Ideal:
         if n == 0:
             raise ZeroIdealError("zero ideal has no inverse")
         inv = self._principal_inverse()
+        g = gcd(n, K.disc)
         verified = inv is not None or all(
-            order_is_maximal_at(p, K) for p in primefactors(gcd(n, K.disc))
+            order_is_maximal_at(p, K) for p in K.disc_primes() if g % p == 0
         )
         if inv is None:
             # n*I^-1 is cut out by one congruence per O_K-module generator
@@ -1566,12 +1597,14 @@ def _generated_gcd(f, p, gens, least=0):
 
 
 def order_is_maximal_at(p, K):
-    """Dedekind's criterion: is Z[theta] maximal at p? (cached on K)"""
+    """Is Z[theta] maximal at p? (cached on K) Always when f = Phi_m, as
+    Z[zeta_m] is the ring of integers of Q(zeta_m) (Washington, GTM 83,
+    Thm. 2.6); otherwise by Dedekind's criterion."""
     p = int(p)
     if p not in K._maximal_at:
         if not isprime(p):
             raise ValueError(f"{p} is not prime")
-        K._maximal_at[p] = _dedekind_criterion(p, K)
+        K._maximal_at[p] = bool(K._cyclo) or _dedekind_criterion(p, K)
     return K._maximal_at[p]
 
 

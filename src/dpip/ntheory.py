@@ -1,0 +1,193 @@
+"""Primality and perfect powers of integers, ported from sympy with its
+semantics; the tests check each function against sympy's.
+
+`isprime` is exact below psi13 = MR_EXACT ~ 3.3 * 10^24: a strong test on
+bases with no strong pseudoprime below the tier's bound (Jaeschke, Math.
+Comp. 61, 1993; Sinclair's seven bases below 2^64; Sorenson and Webster,
+Math. Comp. 86, 2017). From psi13 up it is the strong BPSW test (Baillie
+and Wagstaff, Math. Comp. 35, 1980), which has no known counterexample but
+is no proof.
+"""
+
+from math import gcd, isqrt, log2, prod
+
+SMALL_PRIMES = tuple(p for p in range(2, 1000) if all(p % q for q in range(2, isqrt(p) + 1)))
+SMALL_PRIMORIAL = prod(SMALL_PRIMES)
+_SMALL_SET = frozenset(SMALL_PRIMES)
+# (bound, bases): the strong test on the bases is exact below the bound
+_MR_TIERS = (
+    (1373653, (2, 3)),
+    (3215031751, (2, 3, 5, 7)),
+    (1 << 64, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
+    (318665857834031151167461, SMALL_PRIMES[:12]),
+    (3317044064679887385961981, SMALL_PRIMES[:13]),
+)
+MR_EXACT = _MR_TIERS[-1][0]
+
+
+def prime_factors(m):
+    """The primes dividing m > 0 in increasing order, by trial division (for
+    a small m such as a cyclotomic order)."""
+    out, p = [], 2
+    while p * p <= m:
+        if m % p == 0:
+            out.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1 + (p > 2)
+    return out + [m] * (m > 1)
+
+
+def isprime(n):
+    """Whether n is prime: no factor below 1000 proves n < 1009^2 prime,
+    then the strong test on the tier's bases, or BPSW from MR_EXACT up."""
+    if n < 1000:
+        return n in _SMALL_SET
+    if gcd(n, SMALL_PRIMORIAL) != 1:
+        return False
+    if n < 1018081:
+        return True
+    for bound, bases in _MR_TIERS:
+        if n < bound:
+            return strong_prp(n, bases)
+    return strong_prp(n, (2,)) and strong_lucas_prp(n)
+
+
+def strong_prp(n, bases):
+    """The strong (Miller-Rabin) test of an odd n > 2 to every base; a base
+    divisible by n passes."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    t = (n - 1) >> s
+    for a in bases:
+        x = pow(a, t, n)
+        if x == 1 or x == n - 1 or a % n == 0:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def jacobi(a, n):
+    """The Jacobi symbol (a/n) for an odd n > 0."""
+    a %= n
+    j = 1
+    while a:
+        while not a & 1:
+            a >>= 1
+            if n & 7 in (3, 5):
+                j = -j
+        a, n = n, a
+        if a & 3 == 3 and n & 3 == 3:
+            j = -j
+        a %= n
+    return j if n == 1 else 0
+
+
+def strong_lucas_prp(n):
+    """The strong Lucas test with Selfridge's parameters, as sympy's
+    `is_strong_lucas_prp`: D the first of 5, -7, 9, -11, ... with (D/n) =
+    -1, P = 1 and Q = (1 - D)/4; with n + 1 = 2^s k, k odd, n passes when
+    U_k = 0 or V_(2^r k) = 0 (mod n) for some r < s. A square n has no such
+    D, and is caught at D = 13."""
+    if n < 3 or not n & 1:
+        return n == 2
+    D = 5
+    while (j := jacobi(D, n)) != -1:
+        if (j == 0 and D % n) or (D == 13 and isqrt(n) ** 2 == n):
+            return False
+        D = -D - 2 if D > 0 else 2 - D
+    s = ((n + 1) & (-n - 1)).bit_length() - 1
+    U, V, Qk = _lucas_ladder(n, (1 - D) // 4, (n + 1) >> s)
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V = (V * V - 2 * Qk) % n
+        if V == 0:
+            return True
+        Qk = Qk * Qk % n
+    return False
+
+
+def _lucas_ladder(n, Q, k):
+    """(U_k, V_k, Q^k) mod n for P = 1, by sympy's ladder: U_2i = U_i V_i,
+    V_2i = V_i^2 - 2Q^i, and per set bit U_(i+1) = (U_i + V_i)/2 and
+    V_(i+1) = U_(i+1) - 2Q U_i. For Q = -1, Q^i = +-1 needs no product."""
+    U, V, Qk = 1, 1, Q % n
+    if Q == -1:
+        for b in bin(k)[3:]:
+            U = U * V % n
+            if Qk == 1:
+                V = (V * V - 2) % n
+            else:
+                V = (V * V + 2) % n
+                Qk = 1
+            if b == "1":
+                U, V = U + V, U << 1
+                if U & 1:
+                    U += n
+                U >>= 1
+                V += U
+                Qk = -1
+        return U % n, V % n, Qk % n
+    Q2 = 2 * Q
+    for b in bin(k)[3:]:
+        U = U * V % n
+        V = (V * V - 2 * Qk) % n
+        Qk = Qk * Qk % n
+        if b == "1":
+            U, V = U + V, Q2 * U
+            if U & 1:
+                U += n
+            U >>= 1
+            V = U - V
+            Qk = Qk * Q % n
+    return U % n, V % n, Qk
+
+
+def iroot(n, k):
+    """floor(n^(1/k)) for n >= 0, k >= 1: Newton's method from a float
+    guess; one step from any x > 0 reaches at least the root (AM-GM), and
+    the steps then fall until the next one would not."""
+    if k == 1 or n < 2:
+        return n
+    if k == 2:
+        return isqrt(n)
+    s = max(n.bit_length() - 64, 0)
+    e = (log2(n >> s) + s) / k
+    sh = max(int(e) - 50, 0)
+    x = (int(2.0 ** (e - sh)) + 1) << sh
+    y = ((k - 1) * x + n // x ** (k - 1)) // k
+    while True:
+        x = y
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+
+
+def perfect_power(n):
+    """(b, e) with n = b^e for the largest e >= 2, or None, for n >= 2, as
+    sympy's `perfect_power`. Each prime exponent q takes roots while it
+    can, so the exponents taken multiply to the largest. A prime p < 1000
+    dividing n leaves only the q | v_p(n); with none, b > 1000 and q <
+    bits(n) / 9.96. An odd square is 1 mod 8."""
+    g = gcd(n, SMALL_PRIMORIAL)
+    if g > 1:
+        p = next(q for q in SMALL_PRIMES if g % q == 0)
+        v, m = 0, n
+        while m % p == 0:
+            m //= p
+            v += 1
+        exps = prime_factors(v)
+    else:
+        exps = [q for q in range(2, n.bit_length() // 9 + 1) if isprime(q)]
+    b, e = n, 1
+    for q in exps:
+        if q == 2 and b & 7 in (3, 5, 7):
+            continue
+        while (r := iroot(b, q)) ** q == b:
+            b, e = r, e * q
+    return (b, e) if e > 1 else None

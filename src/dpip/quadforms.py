@@ -12,8 +12,6 @@ package can build for itself (anything else is ingested from files).
 from dataclasses import dataclass
 from math import isqrt
 
-from sympy import factorint
-
 from .advice import build_advice
 from .errors import (
     ClassGroupNotElementary2Error,
@@ -81,6 +79,8 @@ class FormClassGroup:
 
 
 def _check_fundamental(disc):
+    from sympy import factorint
+
     if disc >= 0:
         raise NotFundamentalError("discriminant must be negative")
     m = disc % 4
@@ -169,6 +169,8 @@ def prime_discriminants(disc):
     Odd primes contribute (-1)^((p-1)/2) * p; whatever remains is the
     2-part, one of 1, -4, +-8.
     """
+    from sympy import factorint
+
     _check_fundamental(disc)
     out = []
     rem = disc

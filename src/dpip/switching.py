@@ -8,7 +8,6 @@ and sanity-checks prime-ideal counts against T/log T.
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -32,6 +31,13 @@ class SwitchStats:
     @property
     def capped(self):
         return self.capped_trials > 0
+
+
+def ProcessPoolExecutor(max_workers):
+    """concurrent.futures' process pool, imported only when jobs > 1."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=max_workers)
 
 
 def _run_trials(side, bound, seed, trial_range, cap):

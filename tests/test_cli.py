@@ -1,9 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from sympy import legendre_symbol, nextprime
 
+import dpip
 from dpip.cli import main
 
 
@@ -50,6 +55,65 @@ def test_decide_zeta180_unit(capsys, fixtures_dir):
     )
     assert code == 0
     assert "verdict: Yes" in out
+
+
+# a fresh interpreter runs `dpip decide` and reports which of these it imported
+_COLD_DECIDE = (
+    "import sys\n"
+    "from dpip.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "heavy = ('sympy', 'mpmath', 'concurrent.futures')\n"
+    "print(*[m for m in heavy if m in sys.modules], file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+def _cold_decide(fixtures_dir, field, advice, ideal, *extra):
+    src = str(Path(dpip.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = [
+        "decide",
+        "--field", str(fixtures_dir / field),
+        "--advice", str(fixtures_dir / advice),
+        "--ideal", str(fixtures_dir / ideal),
+        *extra,
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_DECIDE, *argv],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr.split()
+
+
+def test_cold_decide_in_a_cyclotomic_field_imports_no_sympy(fixtures_dir):
+    # the output is the one recorded before the decision path left sympy
+    code, out, heavy = _cold_decide(
+        fixtures_dir, "field_zeta180.json", "advice_zeta180.json", "ideal_zeta180_onepz.json"
+    )
+    assert (code, heavy) == (0, [])
+    assert out == (
+        "verdict: Yes\n"
+        "reason: all-split\n"
+        "switches_used: 15\n"
+        "witness_prime: (147776366078658529705218417195345244976976114609761814095622921117"
+        "656005527893112335281, 7646555733569761599203503686986438397238082180135683365289144"
+        "8584875158821199303150980 + θ)\n"
+    )
+
+
+def test_cold_decide_in_a_quadratic_field_still_imports_sympy(fixtures_dir):
+    code, out, heavy = _cold_decide(
+        fixtures_dir,
+        "field_qsqrtm5.json",
+        "advice_qsqrtm5.json",
+        "ideal_qsqrtm5_3pt.json",
+        "--seed", "7",
+    )
+    assert code == 0 and "sympy" in heavy
+    assert out == "verdict: Yes\nreason: all-split\nswitches_used: 22\nwitness_prime: (1321, 1232 + θ)\n"
 
 
 def test_decide_field_advice_mismatch(capsys, fixtures_dir):

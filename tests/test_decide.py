@@ -579,6 +579,34 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+def test_no_sympy_mpmath_or_process_pool_import_at_module_level():
+    # they are imported inside the functions that need them, so importing the
+    # package, and a decision in a cyclotomic field, loads none of them; a
+    # function body is not module level, a class body or an `if` block is
+    paths = sorted((Path(__file__).resolve().parents[1] / "src" / "dpip").glob("*.py"))
+    assert {"nf.py", "fppoly.py", "lll.py", "switching.py"} <= {path.name for path in paths}
+    found = []
+    for path in paths:
+        stack = list(ast.parse(path.read_text(), filename=str(path)).body)
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                names = []
+            found += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.split(".")[0] in ("sympy", "mpmath", "concurrent")
+            ]
+            stack.extend(ast.iter_child_nodes(node))
+    assert found == []
+
+
 def test_prime_cofactor_refuses_elements_outside_a_factored_ideal_under_O():
     # (3 + theta) keeps its factors; 1 fails the norm screen, and 6 - 2*theta
     # (norm 56 = 14 * 2^2, in the conjugate prime above 7) reaches membership

@@ -6,6 +6,7 @@ import pytest
 
 from sympy import primefactors
 
+from dpip import fppoly
 from dpip.errors import NonDivisibleError, NonInvertibleIdealError, ZeroIdealError
 from dpip.intlattice import IntLattice
 from dpip.nf import (
@@ -277,6 +278,28 @@ def test_inverse_skips_product_check_where_the_order_is_maximal(monkeypatch, K18
     inv = J.inverse()
     monkeypatch.undo()
     assert J * inv == Ideal.ring(K180)
+
+
+def test_inverse_in_a_cyclotomic_field_runs_no_dedekind_criterion(monkeypatch, K180):
+    # Z[zeta_180] is maximal by theorem, so an HNF-given ideal whose norm
+    # shares the prime 3 with disc f is inverted without factoring f mod 3
+    rng = random.Random(7)
+    alpha = K180.element([rng.randint(-3, 3) for _ in range(48)])
+    J = Ideal.principal(K180, alpha) * kummer_dedekind(181, K180)[0].to_ideal()
+    want = J.inverse()
+
+    def refuse(*args):
+        raise AssertionError("gf_factor ran")
+
+    monkeypatch.setattr(fppoly, "gf_factor", refuse)
+    K = NumberField(K180.poly)  # fresh, so no maximality is cached
+    bare = Ideal.from_hnf_matrix(K, J.hnf_matrix())
+    assert gcd(bare.norm_int(), K.disc) == 81
+    inv = bare.inverse()
+    assert inv.cols == want.cols and inv.denom == want.denom
+    assert K._maximal_at == {3: True}
+    with pytest.raises(AssertionError, match="gf_factor ran"):
+        kummer_dedekind(3, K)
 
 
 def test_divide_examples(K5):
