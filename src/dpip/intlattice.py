@@ -11,6 +11,12 @@ m a multiple of the ideal norm); entries can then be reduced mod m
 throughout, which keeps coefficient growth bounded during insertion.
 """
 
+from math import isqrt
+from operator import mul
+
+from .errors import DpipError
+from .ntheory import isprime
+
 
 def xgcd(a, b):
     """Return (g, s, t) with s*a + t*b = g = gcd(a, b), g >= 0."""
@@ -60,12 +66,66 @@ def bareiss(a):
     return a[n - 1][n - 1]
 
 
-def bareiss_det(vectors):
-    """Exact determinant of a square integer matrix (given as rows)."""
-    a = [list(map(int, row)) for row in vectors]
-    if any(len(row) != len(a) for row in a):
+def modular_det(rows):
+    """Exact determinant of a square integer matrix (given as rows).
+
+    |det| is at most the Hadamard bound H, the product of the rows'
+    Euclidean lengths, here each rounded up to an integer, so det is the
+    residue of least absolute value modulo the first prime q > 2H. The
+    result does not rest on q being prime: `det_mod` is exact over any Z/q
+    or raises, and a prime q only makes every nonzero pivot invertible.
+    """
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")
-    return bareiss(a)
+    bound = 1
+    for row in rows:
+        s = sum(map(mul, row, row))
+        r = isqrt(s)
+        bound *= r + (r * r < s)
+    q = 2 * bound + 1
+    while not isprime(q):
+        q += 2
+    d = det_mod(rows, q)
+    return d - q if 2 * d > q else d
+
+
+def det_mod(rows, q):
+    """det mod q of a square integer matrix, by elimination on sparse rows.
+
+    Each column is cleared below a pivot row holding it with the fewest
+    nonzeros, by multiples of that row over the pivot. With invertible pivots
+    the elimination is exact over Z/q for any q; a pivot with no inverse,
+    which a prime q cannot give, raises DpipError.
+    """
+    a = [{j: x % q for j, x in enumerate(row) if x % q} for row in rows]
+    n = len(a)
+    det = 1
+    for k in range(n):
+        live = [i for i in range(k, n) if k in a[i]]
+        if not live:
+            return 0
+        i = min(live, key=lambda i: len(a[i]))
+        top = a[i]
+        others = [a[r] for r in live if r != i]
+        if i != k:
+            a[k], a[i] = top, a[k]
+            det = -det
+        pivot = top.pop(k)
+        try:
+            inv = pow(pivot, -1, q)
+        except ValueError:
+            raise DpipError(f"pivot {pivot} is not invertible modulo {q}") from None
+        det = det * pivot % q
+        for row in others:
+            c = row.pop(k) * inv % q
+            for j, x in top.items():
+                y = (row.get(j, 0) - c * x) % q
+                if y:
+                    row[j] = y
+                else:
+                    row.pop(j, None)
+    return det % q
 
 
 def echelon_remainder(rows, vec):

@@ -55,7 +55,7 @@ slightly shorter vectors for many more swaps.
 from operator import mul
 
 from .errors import DpipError, ZeroIdealError
-from .intlattice import bareiss_det
+from .intlattice import modular_det
 from .nf import Ideal, cyclotomic_order, power_sums
 
 _PREC_BITS = 192
@@ -283,8 +283,10 @@ def integral_lll(vectors, ips, delta=DELTA):
             swapi(k)
             k = max(k - 1, 1)
         else:
+            lk = lam[k]
             for l in range(k - 2, -1, -1):
-                redi(k, l)
+                if 2 * abs(lk[l]) > big_d[l + 1]:
+                    redi(k, l)
             k += 1
     return b
 
@@ -302,7 +304,11 @@ def lll_reduce(ideal):
     would return, reduced under the canonical-embedding form; a
     draw w over W stands for u*w over u x W, with cofactor (u*w)/(u*J) =
     (w)/J. W spans J exactly when it lies in J and |det W| = det J; a
-    failed check raises DpipError.
+    failed check raises DpipError. det W is exact: W's rows bound it by
+    Hadamard's inequality, |det W| <= H, and one elimination modulo a prime
+    q > 2H gives it as the residue of least absolute value
+    (`intlattice.modular_det`); a pivot with no inverse mod q raises rather
+    than give a value, so no verdict rests on q's primality test.
     """
     if ideal.denom != 1:
         raise ValueError("LLL reduction expects an integral ideal")
@@ -318,7 +324,7 @@ def lll_reduce(ideal):
         # which pins the same Hermite form; O_K (det 1) holds every integer vector
         if J.det() != 1 and not J.contains_vectors(w):
             raise DpipError("LLL output left the input ideal")
-        if abs(bareiss_det(w)) != J.det():
+        if abs(modular_det(w)) != J.det():
             raise DpipError("LLL output does not span the input ideal")
         ideal._lll = (J, tuple(map(tuple, w)))
     return ideal._lll

@@ -1640,14 +1640,21 @@ def power_sums(coeffs, count):
 
     Newton's identities, with no division: s_0 = n and s_k = -(k c_{n-k} +
     sum_{i=1}^{min(k-1, n)} c_{n-i} s_{k-i}), the first term only for k <= n.
+    Products with a zero factor are skipped (`== zero` tests ints and
+    FieldElements alike): x^q - beta has one nonzero power sum in q.
     """
     n = len(coeffs) - 1
+    zero = coeffs[n] * 0
     s = [coeffs[n] * n]
     for k in range(1, count):
-        terms = [coeffs[n - i] * s[k - i] for i in range(1, min(k - 1, n) + 1)]
-        if k <= n:
+        terms = [
+            coeffs[n - i] * s[k - i]
+            for i in range(1, min(k - 1, n) + 1)
+            if not (coeffs[n - i] == zero or s[k - i] == zero)
+        ]
+        if k <= n and not coeffs[n - k] == zero:
             terms.append(coeffs[n - k] * k)
-        s.append(-sum(terms[1:], terms[0]))
+        s.append(-sum(terms, zero))
     return s
 
 
@@ -1677,7 +1684,8 @@ def division_free_det(a, zero):
     From X = A, n - 1 times X <- mu(X) A, where mu(X) keeps the strict upper
     triangle of X, has minus the sum of X's diagonal entries below row i at
     (i, i) and is zero below the diagonal; then det A = (-1)^(n-1) X[0][0],
-    so the last product needs only that entry.
+    so the last product needs only that entry. Products with a zero factor
+    are skipped, as the Hankel matrix of a binomial is mostly zeros.
     """
     n = len(a)
     acols = [[row[j] for row in a] for j in range(n)]
@@ -1685,8 +1693,12 @@ def division_free_det(a, zero):
     for step in range(n - 1, 0, -1):
         mu, t = [None] * n, zero
         for i in range(n - 1, -1, -1):
-            mu[i] = [t, *x[i][i + 1 :]]
+            row = [t, *x[i][i + 1 :]]
+            mu[i] = [(i + k, v) for k, v in enumerate(row) if not v == zero]
             t = t - x[i][i]
         size = n if step > 1 else 1
-        x = [[sum(map(mul, mu[i], acols[j][i:]), zero) for j in range(size)] for i in range(size)]
+        x = [
+            [sum((v * col[k] for k, v in mu[i] if not col[k] == zero), zero) for col in acols[:size]]
+            for i in range(size)
+        ]
     return x[0][0] if n % 2 else -x[0][0]

@@ -4,8 +4,9 @@ Residue field elements are tuples of ints (coefficients of a polynomial in
 the class of theta, reduced mod the prime's gen_poly and p). The key
 operation is the complete-splitting predicate: a monic squarefree g of
 degree n splits into n distinct linear factors over F_q exactly when
-x^q = x (mod g), with the Frobenius power built from f successive p-th
-powers so exponent sizes stay at log p.
+x^q = x (mod g). The power x^q is taken left to right over the bits of q:
+each step squares, and a set bit multiplies by x, which shifts the
+coefficients and needs one reduction step, as deg(x h) <= deg g.
 """
 
 from . import fppoly
@@ -143,17 +144,6 @@ def _rp_gcd(F, a, b):
     return a
 
 
-def _rp_pow_mod(F, base, e, m):
-    result = [F.one()]
-    base = _rp_mod(F, list(base), m)
-    while e > 0:
-        if e & 1:
-            result = _rp_mod(F, _rp_mul(F, result, base), m)
-        base = _rp_mod(F, _rp_mul(F, base, base), m)
-        e >>= 1
-    return result
-
-
 def reduce_poly_mod_prime(coeffs, prime):
     """Reduce a monic polynomial over O_K modulo a prime ideal.
 
@@ -202,8 +192,10 @@ def splits_completely(g):
         raise SquarefreeViolationError(
             "polynomial shares a factor with its derivative"
         )
-    x = [F.zero(), F.one()]
-    h = _rp_mod(F, x, coeffs)
-    for _ in range(F.f):
-        h = _rp_pow_mod(F, h, F.p, coeffs)
-    return h == _rp_mod(F, x, coeffs)
+    x = _rp_mod(F, [F.zero(), F.one()], coeffs)
+    h = x
+    for bit in bin(F.q)[3:]:
+        h = _rp_mod(F, _rp_mul(F, h, h), coeffs)
+        if bit == "1" and h:
+            h = _rp_mod(F, [F.zero(), *h], coeffs)
+    return h == x

@@ -14,9 +14,10 @@ from math import lcm
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_factor
 
-from dpip.intlattice import IntLattice
+from dpip.intlattice import IntLattice, bareiss
 from dpip.lll import DELTA, lll_reduce
 from dpip.nf import int_poly_resultant
+from dpip.residue import _rp_mod, _rp_mul
 
 
 @cache
@@ -130,6 +131,12 @@ def naive_det(rows):
     return det
 
 
+def bareiss_det(rows):
+    """Exact determinant of a square integer matrix by fraction-free
+    Bareiss elimination: the reference for `intlattice.modular_det`."""
+    return bareiss([list(map(int, row)) for row in rows])
+
+
 def form_ip(gram, u, v):
     """u^T gram v, skipping zero coordinates."""
     acc = 0
@@ -233,6 +240,30 @@ def residue_evaluate(g, x):
     for c in reversed(g.coeffs):
         acc = F.add(F.mul(acc, x), c)
     return acc
+
+
+def splits_reference(g):
+    """x^q == x mod g for a monic ResiduePoly g over F_q, q = p^f, with x^q
+    taken as f successive p-th powers, each by right-to-left
+    square-and-multiply with a full product per set bit: the reference for
+    `residue.splits_completely`, which also checks that g is squarefree."""
+    F, m = g.field, list(g.coeffs)
+
+    def pow_mod(base, e):
+        result = [F.one()]
+        base = _rp_mod(F, list(base), m)
+        while e > 0:
+            if e & 1:
+                result = _rp_mod(F, _rp_mul(F, result, base), m)
+            base = _rp_mod(F, _rp_mul(F, base, base), m)
+            e >>= 1
+        return result
+
+    x = _rp_mod(F, [F.zero(), F.one()], m)
+    h = x
+    for _ in range(F.f):
+        h = pow_mod(h, F.p)
+    return h == x
 
 
 def represents(m, target, bound=None):

@@ -9,7 +9,7 @@ import pytest
 from sympy import primerange
 
 import dpip
-from dpip import intlattice, nf
+from dpip import intlattice, lll, nf
 
 from dpip.advice import build_advice, load_advice
 from dpip.decide import (
@@ -658,15 +658,15 @@ def test_decide_factored_ideals_builds_no_lattice(monkeypatch, K180, fixtures_di
         assert ideal._cols is None and ideal._inv is None
 
 
-def test_decide_factored_ideals_runs_one_bareiss(monkeypatch, K180, fixtures_dir):
-    # the span check takes det W on J's side, and the draws switch J, so no
-    # beta = N(alpha)/alpha is computed: the one elimination is det W
+def test_decide_factored_ideals_run_no_bareiss(monkeypatch, K180, fixtures_dir):
+    # the span check takes det W on J's side by one modular elimination,
+    # and the draws switch J, so no beta = N(alpha)/alpha is computed: a
+    # decision runs no Bareiss elimination and one span-check determinant
     advice = load_advice(fixtures_dir / "advice_zeta180.json")
     rng = random.Random(181)
     alpha = K180.element([rng.randint(-3, 3) for _ in range(K180.degree)])
     P = kummer_dedekind(181, K180)[1].to_ideal()
-    calls = {"det": 0, "quotient": 0, "norm_quotient": 0}
-    det, quotient = intlattice.bareiss, nf.bareiss
+    calls = {"bareiss": 0, "quotient": 0, "norm_quotient": 0, "span_det": 0}
 
     def counted(name, fn):
         def run(a):
@@ -675,15 +675,16 @@ def test_decide_factored_ideals_runs_one_bareiss(monkeypatch, K180, fixtures_dir
 
         return run
 
-    monkeypatch.setattr(intlattice, "bareiss", counted("det", det))
-    monkeypatch.setattr(nf, "bareiss", counted("quotient", quotient))
+    monkeypatch.setattr(intlattice, "bareiss", counted("bareiss", intlattice.bareiss))
+    monkeypatch.setattr(nf, "bareiss", counted("quotient", nf.bareiss))
     monkeypatch.setattr(nf, "norm_quotient", counted("norm_quotient", nf.norm_quotient))
+    monkeypatch.setattr(lll, "modular_det", counted("span_det", lll.modular_det))
     cfg = default_switch_config(K180, bound_B=5, seed=480)
     for ideal in (Ideal.principal(K180, alpha), Ideal.principal(K180, alpha) * P):
         decision = decide_ideal(ideal, advice, cfg)
         assert decision.switches_used > 0 and ideal._quot is None
-        assert calls == {"det": 1, "quotient": 0, "norm_quotient": 0}
-        calls["det"] = 0
+        assert calls == {"bareiss": 0, "quotient": 0, "norm_quotient": 0, "span_det": 1}
+        calls["span_det"] = 0
 
 
 def test_decide_then_inverse_computes_one_norm_quotient(monkeypatch, K180, fixtures_dir):

@@ -1,9 +1,13 @@
+import math
 import random
 
 import pytest
 
-from dpip.intlattice import IntLattice, bareiss_det, xgcd
-from helpers import naive_det, naive_lattice_basis
+from dpip import intlattice
+from dpip.errors import DpipError
+from dpip.intlattice import IntLattice, det_mod, modular_det, xgcd
+from dpip.ntheory import MR_EXACT
+from helpers import bareiss_det, naive_det, naive_lattice_basis
 
 
 def test_xgcd_identity():
@@ -24,6 +28,85 @@ def test_bareiss_det_vs_fraction_gaussian():
         n = rng.randint(1, 6)
         m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
         assert bareiss_det(m) == naive_det(m)
+
+
+def _hadamard(rows):
+    bound = 1
+    for row in rows:
+        s = sum(x * x for x in row)
+        bound *= math.isqrt(s) + (math.isqrt(s) ** 2 < s)
+    return bound
+
+
+def _test_matrices(rng):
+    """Random, sparse, singular and big-entry square matrices, with the
+    0 x 0 and 1 x 1 cases."""
+    yield []
+    yield [[0]]
+    yield [[-7]]
+    yield [[2**200 - 3]]
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        yield a
+        yield [[x if rng.random() < 0.25 else 0 for x in row] for row in a]
+        if n > 1:
+            b = [list(row) for row in a]
+            b[-1] = [x - 3 * y for x, y in zip(b[0], b[1])]  # rank n - 1
+            rng.shuffle(b)
+            yield b
+    for _ in range(10):
+        n = rng.randint(2, 5)
+        yield [[rng.choice((1, -1)) * (2**200 - rng.randint(0, 5)) for _ in range(n)] for _ in range(n)]
+
+
+def test_modular_det_matches_bareiss():
+    rng = random.Random(7)
+    for a in _test_matrices(rng):
+        assert modular_det(a) == bareiss_det(a), a
+
+
+def test_modular_det_above_psi13():
+    # q > 2H lies above psi13, where isprime is BPSW: the value is still
+    # exact, since no step of the elimination rests on q being prime
+    rng = random.Random(8)
+    for n in (3, 6):
+        a = [[rng.randint(-(2**30), 2**30) for _ in range(n)] for _ in range(n)]
+        assert 2 * _hadamard(a) > MR_EXACT
+        assert modular_det(a) == bareiss_det(a)
+
+
+def test_modular_det_rejects_non_square():
+    with pytest.raises(ValueError):
+        modular_det([[1, 2]])
+
+
+def test_det_mod_composite_modulus_raises_or_is_exact(monkeypatch):
+    # a pivot with no inverse mod a composite q raises; every value
+    # returned is det mod q, so the symmetric residue is exact
+    with pytest.raises(DpipError, match="not invertible"):
+        det_mod([[2, 1], [1, 1]], 4)
+    rng = random.Random(9)
+    raised = exact = 0
+    for a in _test_matrices(rng):
+        for q in (15, 2**64 + 1, 3 * 5 * 7 * 11 * 13):
+            try:
+                d = det_mod(a, q)
+            except DpipError:
+                raised += 1
+                continue
+            assert d == bareiss_det(a) % q
+            exact += 1
+    assert raised and exact
+    # every q taken as prime: a composite q > 2H may raise, never lie
+    monkeypatch.setattr(intlattice, "isprime", lambda n: True)
+    for a in _test_matrices(random.Random(10)):
+        try:
+            d = modular_det(a)
+        except DpipError:
+            raised += 1
+            continue
+        assert d == bareiss_det(a)
 
 
 def test_add_and_membership():

@@ -5,11 +5,11 @@ import pytest
 
 from dpip import lll, nf
 from dpip.errors import DpipError
-from dpip.intlattice import IntLattice, bareiss_det
+from dpip.intlattice import IntLattice
 from dpip.lll import cyclotomic_order, integral_lll, lll_reduce, minkowski_gram
 from dpip.nf import Ideal, NumberField, kummer_dedekind
 from dpip.serialize import load_field, load_ideal
-from helpers import gram_of, is_lll_reduced, lll_basis, lll_reference
+from helpers import bareiss_det, gram_of, is_lll_reduced, lll_basis, lll_reference
 
 
 def test_integral_lll_against_fraction_reference():

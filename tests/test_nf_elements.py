@@ -12,7 +12,6 @@ from sympy.ntheory.primetest import mr
 from dpip import nf
 from dpip.decide import _combine
 from dpip.errors import DefiningPolyError, DpipError, FieldMismatchError
-from dpip.intlattice import bareiss_det
 from dpip.nf import (
     NumberField,
     cyclotomic_order,
@@ -22,7 +21,7 @@ from dpip.nf import (
     norm_quotient,
     prime_power,
 )
-from helpers import resultant_norm
+from helpers import bareiss_det, resultant_norm
 
 coords5 = st.lists(st.integers(-50, 50), min_size=2, max_size=2)
 

@@ -6,7 +6,6 @@ from sympy import primerange
 from dpip import fppoly
 from dpip.decide import _combine, draw_coefficients, prime_cofactor, substream
 from dpip.errors import DpipError
-from dpip.intlattice import bareiss_det
 from dpip.lll import lll_reduce
 from dpip.nf import (
     Ideal,
@@ -21,7 +20,7 @@ from dpip.nf import (
     power_sums,
     prime_from_generators,
 )
-from helpers import prime_ideal_by_insertion, sympy_factor
+from helpers import bareiss_det, prime_ideal_by_insertion, sympy_factor
 
 
 def test_ramified_two(K5):

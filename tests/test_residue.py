@@ -4,8 +4,11 @@ import random
 import pytest
 
 from dpip import fppoly
+from dpip.advice import load_advice
+from dpip.decide import NO, YES, decide_ideal, decide_prime_ideal, default_switch_config
 from dpip.errors import SquarefreeViolationError
-from dpip.nf import kummer_dedekind
+from dpip.nf import Ideal, kummer_dedekind
+from dpip.ntheory import isprime
 from dpip.residue import (
     ResidueField,
     ResiduePoly,
@@ -14,7 +17,7 @@ from dpip.residue import (
     residue_field,
     splits_completely,
 )
-from helpers import residue_elements, residue_evaluate
+from helpers import residue_elements, residue_evaluate, splits_reference
 
 
 def _irreducible_modulus(p, f):
@@ -157,3 +160,107 @@ def test_reduction_is_ring_hom(K5):
                 assert F.mul(ia, ib) == iab
                 isum = F.from_poly(list((a + b).coords))
                 assert F.add(ia, ib) == isum
+
+
+def _random_monic(rng, F, n):
+    """A random monic ResiduePoly of degree n over F, from coefficient
+    tuples of length f (trimmed by ResiduePoly)."""
+    def element():
+        c = [rng.randrange(F.p) for _ in range(F.f)]
+        while c and not c[-1]:
+            c.pop()
+        return tuple(c)
+
+    return ResiduePoly(F, [element() for _ in range(n)] + [F.one()])
+
+
+def _agrees_with_reference(g):
+    """splits_completely(g) equals the reference verdict; False when g is
+    not squarefree, which splits_completely reports by raising."""
+    try:
+        verdict = splits_completely(g)
+    except SquarefreeViolationError:
+        return False
+    assert verdict == splits_reference(g), (g.field, g.coeffs)
+    return True
+
+
+def _random_irreducible(rng, p, f):
+    while True:
+        cand = [rng.randrange(p) for _ in range(f)] + [1]
+        if fppoly.is_irreducible(cand, p):
+            return cand
+
+
+@pytest.mark.parametrize("f", [1, 2, 3])
+def test_frobenius_power_matches_reference(f):
+    # small fields, where the reference is also checked by brute force
+    # above, and primes of 14 to 61 bits, where q has many set bits
+    rng = random.Random(10 + f)
+    for p in (2, 3, 7, 10007, 2**61 - 1 if f == 1 else 2**31 - 1):
+        F = ResidueField(p, _random_irreducible(rng, p, f))
+        checked = 0
+        while checked < 8:
+            checked += _agrees_with_reference(_random_monic(rng, F, rng.randint(1, 5)))
+
+
+@pytest.mark.parametrize("p", [2, 3, 10007])
+def test_frobenius_power_edge_cases(p):
+    # g = x and every degree-one g split; the zero remainder x mod x must
+    # stay the zero polynomial through the shifts by x
+    rng = random.Random(p)
+    for f in (1, 2):
+        F = ResidueField(p, _random_irreducible(rng, p, f))
+        x = ResiduePoly(F, [F.zero(), F.one()])
+        assert splits_completely(x) is True and splits_reference(x) is True
+        for c in range(min(p, 5)):
+            g = ResiduePoly(F, [F.from_poly([c, 1]), F.one()])
+            assert g.degree() == 1
+            assert splits_completely(g) is True and splits_reference(g) is True
+        g = ResiduePoly(F, [F.zero(), F.one(), F.one()])  # x (x + 1)
+        assert splits_completely(g) is True and splits_reference(g) is True
+
+
+def test_frobenius_power_on_every_prime_of_qsqrtm5(K5):
+    # inert primes give f = 2, the rest f = 1; the ramified ones and those
+    # dividing a discriminant raise for the polynomials with a double root
+    one, zero, theta = K5.one(), K5.zero(), K5.gen()
+    polys = [
+        [one, zero, one],
+        [-theta, zero, one],
+        [one + theta, theta, zero, one],
+        [K5.rational(2), -theta, one, one],
+    ]
+    degrees = set()
+    for p in filter(isprime, range(100)):
+        for P in kummer_dedekind(p, K5):
+            degrees.add(P.res_degree)
+            for poly in polys:
+                _agrees_with_reference(reduce_poly_mod_prime(poly, P))
+    assert degrees == {1, 2}
+
+
+def test_frobenius_power_on_the_degree48_witnesses(K180, fixtures_dir):
+    # the witness primes of decide_ideal on the 24 inputs of the degree-48
+    # bench pool: 21 (alpha) and 3 (alpha) * P for a non-principal P above
+    # 181, drawn as the pool draws them; every subfield of every witness
+    advice = load_advice(fixtures_dir / "advice_zeta180.json")
+    non_principal = [P for P in kummer_dedekind(181, K180) if decide_prime_ideal(P, advice).verdict == NO]
+    rng = random.Random(180)
+    cfg = default_switch_config(K180, bound_B=5, seed=480)
+    verdicts = []
+    for j in range(24):
+        while True:
+            alpha = [rng.randint(-3, 3) for _ in range(K180.degree)]
+            if any(alpha):
+                break
+        ideal = Ideal.principal(K180, K180.element(alpha))
+        if j % 8 == 7:
+            ideal = ideal * non_principal[rng.randrange(len(non_principal))].to_ideal()
+        decision = decide_ideal(ideal, advice, cfg)
+        verdicts.append(decision.verdict)
+        W = decision.witness_prime
+        assert W.res_degree == 1 and W.p.bit_length() > 150
+        for _, poly in advice.subfields:
+            assert _agrees_with_reference(reduce_poly_mod_prime(list(poly), W))
+    assert verdicts.count(YES) == 21 and verdicts.count(NO) == 3
