@@ -76,13 +76,10 @@ def build_advice(K, polys, S=(), principal_test=None):
 
 def _primes_dividing(K, disc_elem):
     """Prime ideals containing a nonzero integral element."""
-    n = abs(disc_elem.norm_int())
-    if n == 0:
-        raise AdviceError("subfield polynomial has vanishing discriminant")
     from sympy import factorint
 
     out = []
-    for p in sorted(factorint(n)):
+    for p in sorted(factorint(abs(disc_elem.norm_int()))):
         for P in kummer_dedekind(p, K):
             if element_in_prime(disc_elem, P):
                 out.append(P)
@@ -95,7 +92,9 @@ def validate_advice(bundle):
 
 
 def _discriminants(K, subfields):
-    """Check each (degree, polynomial) pair and return the discriminants."""
+    """Check each (degree, polynomial) pair and return the discriminants,
+    none of them 0: every prime ideal contains 0, so a repeated root would
+    send every prime to S or to No."""
     discs = []
     for idx, (q, poly) in enumerate(subfields):
         if len(poly) - 1 != q:
@@ -111,7 +110,10 @@ def _discriminants(K, subfields):
                 raise AdviceError(f"subfield {idx}: coefficients must be integral")
         if poly[-1] != K.one():
             raise AdviceError(f"subfield {idx}: polynomial must be monic")
-        discs.append(poly_discriminant(list(poly)))
+        disc = poly_discriminant(list(poly))
+        if disc.is_zero():
+            raise AdviceError(f"subfield {idx}: polynomial has vanishing discriminant")
+        discs.append(disc)
     return tuple(discs)
 
 

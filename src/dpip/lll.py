@@ -233,12 +233,12 @@ def _toeplitz_row(ips):
     return ips[0]
 
 
-def integral_lll(vectors, ips, delta=DELTA):
+def integral_lll(vectors, ips):
     """All-integer LLL on coordinate vectors, given their Gram matrix
     ips[i][j] = <b_i, b_j> under an integral positive definite form.
 
     Returns a new list of vectors spanning the same lattice, size-reduced
-    and satisfying the Lovasz condition at delta (a num/den pair). The
+    and satisfying the Lovasz condition at DELTA (a num/den pair). The
     lambda/d tables start from toeplitz_gram_schmidt when ips is symmetric
     Toeplitz (the Gram matrix of u x O_K in a cyclotomic field), else from
     gram_schmidt; both give the same minors, so every later step is the
@@ -246,7 +246,7 @@ def integral_lll(vectors, ips, delta=DELTA):
     """
     n = len(vectors)
     b = [list(v) for v in vectors]
-    dnum, dden = delta
+    dnum, dden = DELTA
     row = _toeplitz_row(ips)
     lam, big_d = gram_schmidt(ips) if row is None else toeplitz_gram_schmidt(row)
 
@@ -295,7 +295,7 @@ def lll_reduce(ideal):
     """(J, W): an LLL-reduced basis W of the cofactor side J of an integral
     ideal, W as coordinate vectors. J is O_K for (u), J for u*J, and the
     ideal itself for an HNF lattice. The reduction always runs at DELTA,
-    so the result cached on the ideal is the only one it can have.
+    so it has one result; `decide.cofactor_side` caches it on the ideal.
 
     u*J is reduced on its cofactor side: the reduction runs on B_J (the
     identity for O_K, else J's recorded basis or its columns) under the Gram
@@ -314,17 +314,12 @@ def lll_reduce(ideal):
         raise ValueError("LLL reduction expects an integral ideal")
     if ideal.det() == 0:
         raise ZeroIdealError("zero ideal")
-    if ideal._lll is None:
-        if ideal._factors is None:
-            J = ideal
-        else:
-            J = ideal._factors[1] or Ideal.ring(ideal.K)
-        w = integral_lll(J._basis or J.cols, start_gram(ideal), DELTA)
-        # lattice equality: every vector lies in J and the determinants agree,
-        # which pins the same Hermite form; O_K (det 1) holds every integer vector
-        if J.det() != 1 and not J.contains_vectors(w):
-            raise DpipError("LLL output left the input ideal")
-        if abs(modular_det(w)) != J.det():
-            raise DpipError("LLL output does not span the input ideal")
-        ideal._lll = (J, tuple(map(tuple, w)))
-    return ideal._lll
+    J = ideal if ideal._factors is None else ideal._factors[1] or Ideal.ring(ideal.K)
+    w =integral_lll(J._basis or J.cols, start_gram(ideal))
+    # lattice equality: every vector lies in J and the determinants agree,
+    # which pins the same Hermite form; O_K (det 1) holds every integer vector
+    if J.det() != 1 and not J.contains_vectors(w):
+        raise DpipError("LLL output left the input ideal")
+    if abs(modular_det(w)) != J.det():
+        raise DpipError("LLL output does not span the input ideal")
+    return J, tuple(map(tuple, w))

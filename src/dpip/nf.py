@@ -142,13 +142,12 @@ class NumberField:
     care whether that order is maximal at a given prime can ask
     order_is_maximal_at, and `disc_primes` lists the primes dividing it.
 
-    f must be irreducible over Q. When theta has some order m with phi(m) =
-    deg f (`_theta_order`) and f equals Phi_m coefficient for coefficient
-    (`_cyclotomic_poly`), it is by theorem (Washington, GTM 83, ch. 2), m
-    is kept as `cyclotomic_order`, and the discriminant is read from m
-    (`_cyclotomic_disc`), so such a field needs no sympy. Every other f is
-    checked by sympy's `Poly.is_irreducible`, and its discriminant is
-    sympy's.
+    f must be irreducible over Q. When f equals Phi_m coefficient for
+    coefficient for some m (`_cyclotomic_index`), it is by theorem
+    (Washington, GTM 83, ch. 2), m is kept as `cyclotomic_order`, and the
+    discriminant is read from m (`_cyclotomic_disc`), so such a field needs
+    no sympy. Every other f is checked by sympy's `Poly.is_irreducible`,
+    and its discriminant is sympy's.
     """
 
     __slots__ = (
@@ -175,10 +174,9 @@ class NumberField:
                 raise DefiningPolyError("coefficients must be integers")
         self.poly = poly
         self.degree = len(poly) - 1
-        m = _theta_order(self)
-        self._cyclo = m if m and poly == _cyclotomic_poly(m) else 0  # cyclotomic_order
+        self._cyclo = _cyclotomic_index(poly)  # cyclotomic_order
         if self._cyclo:
-            self.disc = _cyclotomic_disc(m, self.degree)
+            self.disc = _cyclotomic_disc(self._cyclo, self.degree)
         else:
             from sympy import Poly, Symbol
 
@@ -510,51 +508,44 @@ def cyclotomic_order(K):
     return K._cyclo or None
 
 
-def _theta_order(K):
-    """The order m of theta, if theta^m = 1 and phi(m) = deg f, else None.
-
-    A root of unity is a unit, so |f(0)| = 1 is needed first. Since phi(m)
-    >= sqrt(m/2), only m <= 2d^2 can qualify; theta^k mod f is computed
-    exactly by repeated multiplication by theta, up to the largest
-    candidate."""
-    d = K.degree
-    if abs(K.poly[0]) != 1:
-        return None
+def _cyclotomic_index(poly):
+    """The m with poly = Phi_m (little-endian), else 0. Phi_m(0) = +-1, and
+    since phi(m) >= sqrt(m/2), only m <= 2d^2 with phi(m) = d qualify; at
+    most one Phi_m equals poly, and it is compared coefficient for
+    coefficient."""
+    d = len(poly) - 1
+    if abs(poly[0]) != 1:
+        return 0
     phi = _totients(2 * d * d)
-    candidates = {m for m in range(1, len(phi)) if phi[m] == d}
-    if not candidates:
-        return None
-    one = [1] + [0] * (d - 1)
-    v = one
-    for m in range(1, max(candidates) + 1):
-        v = K.theta_shift(v)
-        if v == one:
-            return m if m in candidates else None
-    return None
+    return next((m for m in range(1, len(phi)) if phi[m] == d and poly == _cyclotomic_poly(m)), 0)
 
 
 def _cyclotomic_poly(m):
-    """Phi_m, little-endian: the product of (x^(m/k) - 1)^mu(k) over the
-    squarefree k | m, the factors with mu(k) = 1 multiplied out first and
-    those with mu(k) = -1 then divided out exactly."""
+    """Phi_m, little-endian: Phi_r(x^(m/r)) for r the product of the primes
+    dividing m, and Phi_r the product of (x^(r/k) - 1)^mu(k) over the k | r,
+    the factors with mu(k) = 1 multiplied out first and those with mu(k) =
+    -1 then divided out exactly."""
     qs = prime_factors(m)
+    r = prod(qs)
     c = [1]
-    for r in range(0, len(qs) + 1, 2):
-        for sub in combinations(qs, r):
-            e = m // prod(sub)
+    for n in range(0, len(qs) + 1, 2):
+        for sub in combinations(qs, n):
+            e = r // prod(sub)
             out = [-x for x in c] + [0] * e
             for i, x in enumerate(c):
                 out[i + e] += x
             c = out
-    for r in range(1, len(qs) + 1, 2):
-        for sub in combinations(qs, r):
-            e = m // prod(sub)
+    for n in range(1, len(qs) + 1, 2):
+        for sub in combinations(qs, n):
+            e = r // prod(sub)
             # c = (x^e - 1) q, so q_i = q_(i-e) - c_i
             q = []
             for i in range(len(c) - e):
                 q.append((q[i - e] if i >= e else 0) - c[i])
             c = q
-    return tuple(c)
+    out = [0] * ((len(c) - 1) * (m // r) + 1)
+    out[:: m // r] = c
+    return tuple(out)
 
 
 def _cyclotomic_disc(m, d):
@@ -993,13 +984,11 @@ class Ideal:
     determinant is |N(u)| * det(J), membership divides by u
     (`contains_vectors`), and the HNF is built only when `cols` is read.
     Every other ideal is built as an HNF lattice.
-    `_lll` caches the cofactor side (J, W) of `lll_reduce`, `_side` its
-    `decide.CofactorSide`.
+    `_side` caches its `decide.CofactorSide`, the reduced cofactor side.
     """
 
     __slots__ = (
-        "K", "_cols", "denom", "_gens", "_basis", "_factors", "_quot", "_det", "_inv", "_lll",
-        "_side",
+        "K", "_cols", "denom", "_gens", "_basis", "_factors", "_quot", "_det", "_inv", "_side",
     )
 
     def __init__(self, K, cols, denom=1, gens=None):
@@ -1007,8 +996,7 @@ class Ideal:
         self._cols = None if cols is None else tuple(map(tuple, cols))
         self.denom = int(denom)
         self._gens = gens
-        self._basis = self._factors = self._quot = self._det = self._inv = self._lll = None
-        self._side = None
+        self._basis = self._factors = self._quot = self._det = self._inv = self._side = None
         if self.denom < 1:
             raise ValueError("denominator must be positive")
 

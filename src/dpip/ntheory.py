@@ -1,28 +1,19 @@
 """Primality and perfect powers of integers, ported from sympy with its
 semantics; the tests check each function against sympy's.
 
-`isprime` is exact below psi13 = MR_EXACT ~ 3.3 * 10^24: a strong test on
-bases with no strong pseudoprime below the tier's bound (Jaeschke, Math.
-Comp. 61, 1993; Sinclair's seven bases below 2^64; Sorenson and Webster,
-Math. Comp. 86, 2017). From psi13 up it is the strong BPSW test (Baillie
-and Wagstaff, Math. Comp. 35, 1980), which has no known counterexample but
-is no proof.
+`isprime` is exact below psi13 = MR_EXACT ~ 3.3 * 10^24: there it is the
+strong test on the first 13 prime bases, which no composite below psi13
+passes (Sorenson and Webster, Math. Comp. 86, 2017). From psi13 up it is
+the strong BPSW test (Baillie and Wagstaff, Math. Comp. 35, 1980), which
+has no known counterexample but is no proof.
 """
 
-from math import gcd, isqrt, log2, prod
+from math import gcd, isqrt, prod
 
 SMALL_PRIMES = tuple(p for p in range(2, 1000) if all(p % q for q in range(2, isqrt(p) + 1)))
 SMALL_PRIMORIAL = prod(SMALL_PRIMES)
 _SMALL_SET = frozenset(SMALL_PRIMES)
-# (bound, bases): the strong test on the bases is exact below the bound
-_MR_TIERS = (
-    (1373653, (2, 3)),
-    (3215031751, (2, 3, 5, 7)),
-    (1 << 64, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
-    (318665857834031151167461, SMALL_PRIMES[:12]),
-    (3317044064679887385961981, SMALL_PRIMES[:13]),
-)
-MR_EXACT = _MR_TIERS[-1][0]
+MR_EXACT = 3317044064679887385961981  # psi13
 
 
 def prime_factors(m):
@@ -40,27 +31,26 @@ def prime_factors(m):
 
 def isprime(n):
     """Whether n is prime: no factor below 1000 proves n < 1009^2 prime,
-    then the strong test on the tier's bases, or BPSW from MR_EXACT up."""
+    then the strong test on the first 13 prime bases, or BPSW from
+    MR_EXACT up."""
     if n < 1000:
         return n in _SMALL_SET
     if gcd(n, SMALL_PRIMORIAL) != 1:
         return False
     if n < 1018081:
         return True
-    for bound, bases in _MR_TIERS:
-        if n < bound:
-            return strong_prp(n, bases)
+    if n < MR_EXACT:
+        return strong_prp(n, SMALL_PRIMES[:13])
     return strong_prp(n, (2,)) and strong_lucas_prp(n)
 
 
 def strong_prp(n, bases):
-    """The strong (Miller-Rabin) test of an odd n > 2 to every base; a base
-    divisible by n passes."""
+    """The strong (Miller-Rabin) test of an odd n to every base 1 < a < n."""
     s = ((n - 1) & (1 - n)).bit_length() - 1
     t = (n - 1) >> s
     for a in bases:
         x = pow(a, t, n)
-        if x == 1 or x == n - 1 or a % n == 0:
+        if x == 1 or x == n - 1:
             continue
         for _ in range(s - 1):
             x = x * x % n
@@ -115,24 +105,8 @@ def strong_lucas_prp(n):
 def _lucas_ladder(n, Q, k):
     """(U_k, V_k, Q^k) mod n for P = 1, by sympy's ladder: U_2i = U_i V_i,
     V_2i = V_i^2 - 2Q^i, and per set bit U_(i+1) = (U_i + V_i)/2 and
-    V_(i+1) = U_(i+1) - 2Q U_i. For Q = -1, Q^i = +-1 needs no product."""
+    V_(i+1) = U_(i+1) - 2Q U_i."""
     U, V, Qk = 1, 1, Q % n
-    if Q == -1:
-        for b in bin(k)[3:]:
-            U = U * V % n
-            if Qk == 1:
-                V = (V * V - 2) % n
-            else:
-                V = (V * V + 2) % n
-                Qk = 1
-            if b == "1":
-                U, V = U + V, U << 1
-                if U & 1:
-                    U += n
-                U >>= 1
-                V += U
-                Qk = -1
-        return U % n, V % n, Qk % n
     Q2 = 2 * Q
     for b in bin(k)[3:]:
         U = U * V % n
@@ -149,23 +123,17 @@ def _lucas_ladder(n, Q, k):
 
 
 def iroot(n, k):
-    """floor(n^(1/k)) for n >= 0, k >= 1: Newton's method from a float
-    guess; one step from any x > 0 reaches at least the root (AM-GM), and
-    the steps then fall until the next one would not."""
+    """floor(n^(1/k)) for n >= 0, k >= 1: integer Newton from 2^ceil(bits/k),
+    which is above the root; each step from above the root falls and stays
+    at or above it (AM-GM), until the next one would not fall."""
     if k == 1 or n < 2:
         return n
     if k == 2:
         return isqrt(n)
-    s = max(n.bit_length() - 64, 0)
-    e = (log2(n >> s) + s) / k
-    sh = max(int(e) - 50, 0)
-    x = (int(2.0 ** (e - sh)) + 1) << sh
-    y = ((k - 1) * x + n // x ** (k - 1)) // k
-    while True:
+    x = 1 << -(-n.bit_length() // k)
+    while (y := ((k - 1) * x + n // x ** (k - 1)) // k) < x:
         x = y
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            return x
+    return x
 
 
 def perfect_power(n):

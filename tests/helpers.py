@@ -16,7 +16,7 @@ from sympy.polys.galoistools import gf_factor
 
 from dpip.intlattice import IntLattice, bareiss
 from dpip.lll import DELTA, lll_reduce
-from dpip.nf import int_poly_resultant
+from dpip.nf import _cyclotomic_poly, _totients, int_poly_resultant
 from dpip.residue import _rp_mod, _rp_mul
 
 
@@ -311,6 +311,35 @@ def principal_by_representation(K, ideal):
                 if Ideal.principal(K, cand) == ideal:
                     return True
     return False
+
+
+@cache
+def _totient_preimage(d):
+    """The m <= 2d^2 with phi(m) = d."""
+    phi = _totients(2 * d * d)
+    return frozenset(m for m in range(1, len(phi)) if phi[m] == d)
+
+
+def theta_order_rule(poly):
+    """The m with poly = Phi_m, else 0, by the order of theta: a unit
+    (|f(0)| = 1) theta of some order m with phi(m) = d, found by repeated
+    multiplication by theta mod f up to the largest such m <= 2d^2, and f
+    equal to Phi_m (coefficients little-endian)."""
+    d = len(poly) - 1
+    if abs(poly[0]) != 1:
+        return 0
+    candidates = _totient_preimage(d)
+    if not candidates:
+        return 0
+    one = [1] + [0] * (d - 1)
+    v = one
+    for m in range(1, max(candidates) + 1):
+        # theta * v: shift up, then theta^d = -(f_0 + ... + f_(d-1) theta^(d-1))
+        top = v[-1]
+        v = [x - top * c for x, c in zip([0, *v[:-1]], poly)]
+        if v == one:
+            return m if m in candidates and tuple(poly) == _cyclotomic_poly(m) else 0
+    return 0
 
 
 def lll_basis(ideal):

@@ -151,3 +151,28 @@ def test_degenerate_exceptional_prime_rejected(p, gen):
     data["S"] = [{"p": p, "gen_poly": gen}]
     with pytest.raises(AdviceError):
         advice_from_dict(data)
+
+
+def test_zero_discriminant_subfield_rejected(K5):
+    # x^2 - 2x + 1 has discriminant 0, which lies in every prime ideal, so
+    # every prime would hit the discriminant gate and answer No
+    poly = [K5.one(), K5.rational(-2), K5.one()]
+    data = advice_to_dict(genus_advice(-20))
+    data["subfields"][0]["poly"] = [["1", "0"], ["-2", "0"], ["1", "0"]]
+    data["disc_cache"] = [["0", "0"]]
+    with pytest.raises(AdviceError, match="vanishing discriminant"):
+        advice_from_dict(data)
+    del data["disc_cache"]
+    with pytest.raises(AdviceError, match="vanishing discriminant"):
+        advice_from_dict(data)
+    with pytest.raises(AdviceError, match="vanishing discriminant"):
+        build_advice(K5, [poly], S=())
+    with pytest.raises(AdviceError, match="vanishing discriminant"):
+        build_advice(K5, [poly], principal_test=lambda P: True)
+
+
+def test_every_advice_fixture_loads(fixtures_dir):
+    paths = sorted(fixtures_dir.glob("advice_*.json"))
+    assert len(paths) == 3
+    for path in paths:
+        validate_advice(load_advice(path))

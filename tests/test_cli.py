@@ -236,6 +236,29 @@ def test_advice_check_tampered(capsys, tmp_path, fixtures_dir):
     assert "disc_cache" in err
 
 
+def test_zero_discriminant_advice_is_refused(capsys, tmp_path, fixtures_dir):
+    # x^2 - 2x + 1 used to pass advice-check and then answer No on (3 + 2θ),
+    # of prime norm 29, which the genuine advice answers Yes
+    data = json.loads((fixtures_dir / "advice_qsqrtm5.json").read_text())
+    data["subfields"][0]["poly"] = [["1", "0"], ["-2", "0"], ["1", "0"]]
+    data["disc_cache"] = [["0", "0"]]
+    bad = tmp_path / "zero_disc.json"
+    bad.write_text(json.dumps(data))
+    ideal = tmp_path / "ideal.json"
+    ideal.write_text(json.dumps({"generators": [["3", "2"]]}))
+    code, _, err = run(capsys, "advice-check", "--advice", str(bad))
+    assert code == 2
+    assert "vanishing discriminant" in err
+    field = str(fixtures_dir / "field_qsqrtm5.json")
+    code, out, err = run(capsys, "decide", "--field", field, "--advice", str(bad), "--ideal", str(ideal))
+    assert code == 2
+    assert "verdict" not in out and "vanishing discriminant" in err
+    good = str(fixtures_dir / "advice_qsqrtm5.json")
+    code, out, _ = run(capsys, "decide", "--field", field, "--advice", good, "--ideal", str(ideal))
+    assert code == 0
+    assert "verdict: Yes" in out
+
+
 def test_oracle_quad(capsys, fixtures_dir):
     code, out, _ = run(
         capsys,
@@ -386,7 +409,7 @@ def test_decide_bad_lll_output_is_an_error(
 ):
     # a wrong reduced basis used to escape main() as an AssertionError
     monkeypatch.setattr(
-        "dpip.lll.integral_lll", lambda vecs, gram, delta: wrong([list(v) for v in vecs])
+        "dpip.lll.integral_lll", lambda vecs, gram: wrong([list(v) for v in vecs])
     )
     (tmp_path / "ideal.json").write_text(json.dumps({"generators": generators}))
     code, out, err = run(

@@ -171,14 +171,17 @@ def test_lll_deterministic(K64):
 
 
 def test_lll_reduce_runs_at_one_delta(K64):
-    # the cache on the ideal holds the one reduction there is, at DELTA
+    # neither lll_reduce nor integral_lll takes a delta: there is one
+    # reduction, at DELTA
     g = [0] * 32
     g[0], g[4], g[8], g[16] = 54, -33, -85, 34
     I = Ideal.from_generators(K64, [K64.rational(187), K64.element(g)])
     with pytest.raises(TypeError):
         lll_reduce(I, delta=(99, 100))
+    with pytest.raises(TypeError):
+        integral_lll(I.cols, lll.start_gram(I), lll.DELTA)
     J, W = lll_reduce(I)
-    assert W == tuple(map(tuple, integral_lll(I.cols, lll.start_gram(I), lll.DELTA)))
+    assert W == tuple(map(tuple, integral_lll(I.cols, lll.start_gram(I))))
 
 
 def _basis_digest(basis):
@@ -375,7 +378,7 @@ def test_span_check_on_factored_ideals(request, monkeypatch, case, corruption):
     # HNF lattice checks its own columns
     ideal = _span_check_ideal(request, case)
     wrong, message = _SPAN_CORRUPTIONS[corruption]
-    monkeypatch.setattr(lll, "integral_lll", lambda vecs, gram, delta: wrong([list(v) for v in vecs]))
+    monkeypatch.setattr(lll, "integral_lll", lambda vecs, gram: wrong([list(v) for v in vecs]))
     with pytest.raises(DpipError, match=message):
         lll_reduce(ideal)
     assert (ideal._factors is None) == (case == "K5-hnf")

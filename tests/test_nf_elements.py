@@ -21,7 +21,7 @@ from dpip.nf import (
     norm_quotient,
     prime_power,
 )
-from helpers import bareiss_det, resultant_norm
+from helpers import bareiss_det, resultant_norm, theta_order_rule
 
 coords5 = st.lists(st.integers(-50, 50), min_size=2, max_size=2)
 
@@ -155,6 +155,18 @@ def test_cyclotomic_fields_are_irreducible_by_identity(monkeypatch, K64, K180):
     for poly in reducible:
         with pytest.raises(DefiningPolyError, match="reducible"):
             NumberField(poly)
+
+
+def test_cyclotomic_index_matches_the_theta_order_rule():
+    # every monic f of degree 1-6 with coefficients in {-1, 0, 1}, every
+    # Phi_m up to m = 210, and the reducible Phi_3 Phi_4, on coefficient
+    # tuples: a NumberField would spend its time on sympy's irreducibility
+    polys = [(*c, 1) for d in range(1, 7) for c in itertools.product((-1, 0, 1), repeat=d)]
+    polys += [nf._cyclotomic_poly(m) for m in range(1, 211)]
+    polys.append((1, 1, 2, 1, 1))
+    got = [nf._cyclotomic_index(f) for f in polys]
+    assert got == [theta_order_rule(f) for f in polys]
+    assert got[-211:] == [*range(1, 211), 0]
 
 
 def test_cyclotomic_poly_matches_sympy():

@@ -5,8 +5,9 @@ import functools
 import itertools
 import random
 
-from sympy import Poly, Symbol, cyclotomic_poly, nextprime
+from sympy import Poly, Symbol, cyclotomic_poly, nextprime, totient
 from sympy import isprime as sympy_isprime
+from sympy import integer_nthroot
 from sympy import perfect_power as sympy_perfect_power
 from sympy.ntheory.primetest import is_strong_lucas_prp
 from sympy.polys.domains import ZZ
@@ -17,8 +18,18 @@ from dpip.nf import NumberField, _cyclotomic_disc, _cyclotomic_poly, _totients
 
 LUCAS_PSEUDOPRIMES = [5459, 5777, 10877, 16109, 18971]  # strong, Selfridge's D
 BASE2_PSEUDOPRIMES = [2047, 3277, 4033]  # strong base-2
-# the least strong pseudoprimes to the first 9 and 12 prime bases (psi9, psi12)
-PSI = [3825123056546413051, 318665857834031151167461]
+# the least strong pseudoprimes to the first k prime bases, psi_k, for k = 2
+# to 7, 9 and 12 (psi13 is MR_EXACT)
+PSI = [
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    3825123056546413051,
+    318665857834031151167461,
+]
 
 
 @functools.cache
@@ -55,6 +66,18 @@ def test_isprime_agrees_with_sympy():
     assert sum(map(ntheory.isprime, ns)) > 2000
 
 
+def test_psi_k_are_strong_pseudoprimes_to_the_first_k_bases():
+    # each psi_k fools the strong test on the first k prime bases, and the
+    # 13 bases isprime uses below MR_EXACT catch it
+    for k, n in zip((2, 3, 4, 5, 6, 7, 9, 12), PSI):
+        assert ntheory.strong_prp(n, ntheory.SMALL_PRIMES[:k]), n
+        assert not ntheory.strong_prp(n, ntheory.SMALL_PRIMES[:13]), n
+        assert not ntheory.isprime(n) and not sympy_isprime(n)
+    # psi13 itself passes all 13, and BPSW catches it
+    assert ntheory.strong_prp(ntheory.MR_EXACT, ntheory.SMALL_PRIMES[:13])
+    assert not ntheory.isprime(ntheory.MR_EXACT)
+
+
 def test_strong_lucas_agrees_with_sympy():
     ns = [*range(1, 20000), *(n for n in _corpus() if n > 0)]
     got = [ntheory.strong_lucas_prp(n) for n in ns]
@@ -73,6 +96,18 @@ def test_perfect_power_agrees_with_sympy():
     assert ntheory.perfect_power(2**10 * 3**5) == (12, 5)
 
 
+def test_iroot_agrees_with_sympy():
+    rng = random.Random(24)
+    for _ in range(400):
+        n, k = rng.getrandbits(rng.randint(1, 3000)), rng.randint(2, 40)
+        r = integer_nthroot(n, k)[0]
+        cases = [(n, r), (r**k - 1, r - 1), (r**k, r), (r**k + 1, r)] if r else [(n, r)]
+        for m, want in cases:
+            assert ntheory.iroot(m, k) == want == integer_nthroot(m, k)[0], (m, k)
+    assert [ntheory.iroot(n, 1) for n in (0, 1, 7)] == [0, 1, 7]
+    assert [ntheory.iroot(n, 5) for n in (0, 1, 31, 32, 33)] == [0, 1, 1, 2, 2]
+
+
 def test_small_primes_and_prime_factors():
     assert ntheory.SMALL_PRIMES == tuple(n for n in range(1000) if sympy_isprime(n))
     assert ntheory.prime_factors(1) == []
@@ -83,6 +118,7 @@ def test_small_primes_and_prime_factors():
 def test_cyclotomic_discriminant_matches_the_polynomial_discriminant():
     x = Symbol("x")
     phi = _totients(300)
+    assert phi[1:] == [totient(m) for m in range(1, 301)]
     for m in range(1, 301):
         f = _cyclotomic_poly(m)
         assert list(f) == [int(c) for c in Poly(cyclotomic_poly(m, x), x).all_coeffs()[::-1]]
