@@ -179,12 +179,8 @@ def advice_from_dict(data):
             subfields.append((q, poly))
         S = []
         for entry in data.get("S", []):
-            p = decode_int(entry["p"])
             gen = [decode_int(c) for c in entry["gen_poly"]]
-            e = fppoly.multiplicity(
-                fppoly.from_ints(gen, p), fppoly.from_ints(K.poly, p), p
-            )
-            S.append(PrimeIdeal(K, p, gen, len(gen) - 1, e))
+            S.append(PrimeIdeal(K, decode_int(entry["p"]), gen))
         cached = None
         if "disc_cache" in data:
             cached = tuple(

@@ -28,45 +28,6 @@ from .ntheory import MR_EXACT as _MR_EXACT
 from .ntheory import SMALL_PRIMORIAL, isprime, perfect_power, prime_factors, strong_lucas_prp
 
 
-# ---------------------------------------------------------------------------
-# Integer polynomials (little-endian coefficient lists), via sympy's dense
-# big-endian algorithms over ZZ, imported when a field that is not
-# cyclotomic first needs them
-
-def _ip_dense(a):
-    """Big-endian dense form of a little-endian integer polynomial."""
-    return [int(c) for c in reversed(fppoly.trim(list(a)))]
-
-
-def int_poly_resultant(a, b):
-    """Resultant of two integer polynomials (sympy's subresultant PRS).
-
-    sympy swaps a shorter first argument without the sign
-    (-1)^(deg a * deg b), so the longer polynomial goes first here.
-    """
-    from sympy.polys.domains import ZZ
-    from sympy.polys.euclidtools import dup_resultant
-
-    a, b = _ip_dense(a), _ip_dense(b)
-    if not a or not b:
-        return 0
-    if len(a) >= len(b):
-        return int(dup_resultant(a, b, ZZ))
-    sign = -1 if (len(a) - 1) * (len(b) - 1) % 2 else 1
-    return sign * int(dup_resultant(b, a, ZZ))
-
-
-def int_poly_discriminant(f):
-    """Discriminant of an integer polynomial with the standard sign."""
-    from sympy.polys.domains import ZZ
-    from sympy.polys.euclidtools import dup_discriminant
-
-    f = _ip_dense(f)
-    if len(f) < 2:
-        raise ValueError("discriminant needs degree >= 1")
-    return int(dup_discriminant(f, ZZ))
-
-
 def prime_power(n):
     """(p, k) with n = p^k and p prime, or None.
 
@@ -147,7 +108,8 @@ class NumberField:
     (Washington, GTM 83, ch. 2), m is kept as `cyclotomic_order`, and the
     discriminant is read from m (`_cyclotomic_disc`), so such a field needs
     no sympy. Every other f is checked by sympy's `Poly.is_irreducible`,
-    and its discriminant is sympy's.
+    and its discriminant is the Hankel determinant of its roots' power sums
+    (`poly_discriminant`).
     """
 
     __slots__ = (
@@ -180,7 +142,7 @@ class NumberField:
         else:
             from sympy import Poly, Symbol
 
-            self.disc = int_poly_discriminant(poly)
+            self.disc = poly_discriminant(poly)
             if self.disc == 0:
                 raise DefiningPolyError("defining polynomial has a repeated factor")
             if not Poly(list(reversed(poly)), Symbol("x")).is_irreducible:
@@ -404,24 +366,25 @@ class FieldElement:
         return den, _digits(g, W), W
 
     def _norm_parts(self):
-        """(Res(f, g), den^d) for self = g(theta) / den; their quotient is
-        the field norm N(self).
+        """(N(g), den^d) for self = g(theta) / den; their quotient is the
+        field norm N(self). N(g) = Res(f, g), as f is monic.
 
         In a field certified cyclotomic of order m by `cyclotomic_order`,
-        the resultant is read from g's digits (`_packed`): it halves the
-        degree while 4 | m, as N(g) is the norm of g(x) g(-x) in the field of
-        order m/2 (`_tower`). At degree one that is the norm; otherwise it is
-        the product of the element over the roots of the last field modulo
+        N(g) is read from g's digits (`_packed`): it halves the degree while
+        4 | m, as N(g) is the norm of g(x) g(-x) in the field of order m/2
+        (`_tower`). At degree one that is the norm; otherwise it is the
+        product of the element over the roots of the last field modulo
         split primes above twice its Parseval bound, read as the residue of
-        least absolute value (`_RootTable`). Every other field takes sympy's
-        subresultant PRS over Z (`int_poly_resultant`; Cohen, GTM 138, 3.3).
+        least absolute value (`_RootTable`). Every other field takes the
+        determinant of g's multiplication matrix by Bareiss elimination, the
+        elimination `norm_quotient` runs.
         """
         if self._norm is None:
             K = self.K
             m = cyclotomic_order(K)
             if m is None:
                 den, g = self._integral()
-                r = int_poly_resultant(K.poly, g)
+                r = bareiss([list(row) for row in zip(*K.mul_matrix_columns(g))])
             else:
                 den, digits, W = self._packed()
                 r = _cyclotomic_resultant(K, m, digits, W)
@@ -454,6 +417,9 @@ class FieldElement:
         )
 
     def __hash__(self):
+        # a rational element equals its value, so it hashes as that value
+        if self.is_rational():
+            return hash(self.coords[0])
         return hash((self.K.poly, self.coords))
 
     def __repr__(self):
@@ -872,8 +838,7 @@ def norm_quotient(alpha):
     if not alpha.is_integral():
         raise ValueError("norm_quotient needs an integral element")
     d = K.degree
-    cols = K.mul_matrix_columns(alpha.coords)
-    a = [[cols[j][i] for j in range(d)] + [int(i == 0)] for i in range(d)]
+    a = [[*row, int(i == 0)] for i, row in enumerate(zip(*K.mul_matrix_columns(alpha.coords)))]
     det = bareiss(a)
     if det == 0:
         raise ZeroDivisionError("singular multiplication matrix")
@@ -924,14 +889,14 @@ def decimal_str(x):
 
 
 def parse_decimal(text):
-    """int(text, 10) for a decimal string of any length."""
-    text = text.strip()
-    if len(text) <= _CHUNK_DIGITS:
-        return int(text, 10)
-    sign = -1 if text[0] == "-" else 1
-    digits = text[1:] if text[0] in "+-" else text
+    """The int written in text, of any length: an optional sign, then ASCII
+    digits, nothing else (no spaces or underscores); ValueError otherwise."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
     if not (digits.isascii() and digits.isdigit()):
-        raise ValueError("invalid decimal integer string")
+        raise ValueError(f"invalid decimal integer string {text[:20]!r}")
+    if len(text) <= _CHUNK_DIGITS:
+        return int(text)
+    sign = -1 if text[0] == "-" else 1
     out = 0
     for i in range(0, len(digits), _CHUNK_DIGITS):
         chunk = digits[i : i + _CHUNK_DIGITS]
@@ -981,14 +946,14 @@ class Ideal:
     `_factors` = (u, J) and the Z-basis `_basis` = u x basis(J). LLL reduces
     J's basis under the Gram matrix of `_basis`, and the decision switches J
     (`lll_reduce`), so it needs neither the HNF of u*J nor N(u)/u. Its
-    determinant is |N(u)| * det(J), membership divides by u
-    (`contains_vectors`), and the HNF is built only when `cols` is read.
-    Every other ideal is built as an HNF lattice.
+    determinant is |N(u)| * det(J), and the HNF is built from `_basis` when
+    `cols` is first read: by membership, equality, hashing, I/O or a
+    general product. Every other ideal is built as an HNF lattice.
     `_side` caches its `decide.CofactorSide`, the reduced cofactor side.
     """
 
     __slots__ = (
-        "K", "_cols", "denom", "_gens", "_basis", "_factors", "_quot", "_det", "_inv", "_side",
+        "K", "_cols", "denom", "_gens", "_basis", "_factors", "_det", "_inv", "_side",
     )
 
     def __init__(self, K, cols, denom=1, gens=None):
@@ -996,7 +961,7 @@ class Ideal:
         self._cols = None if cols is None else tuple(map(tuple, cols))
         self.denom = int(denom)
         self._gens = gens
-        self._basis = self._factors = self._quot = self._det = self._inv = self._side = None
+        self._basis = self._factors = self._det = self._inv = self._side = None
         if self.denom < 1:
             raise ValueError("denominator must be positive")
 
@@ -1143,29 +1108,12 @@ class Ideal:
         return self.contains_vectors([vec])
 
     def contains_vectors(self, vecs):
-        """Whether every integer vector lies in the numerator lattice. For
-        u*J, with (beta, n) = norm_quotient(u) and beta in Z[theta], v is in
-        u*J exactly when n divides beta*v and v/u = beta*v/n lies in J, in
-        any order; each beta*v is one packed mat-vec (`K.mul_vectors`), and
-        beta is computed once per ideal. `lll_reduce` checks its basis
-        against J and the decision draws on J's side, so neither asks u*J."""
-        if self._factors is None:
-            cols = self.cols
-            return all(not any(echelon_remainder(cols, v)) for v in vecs)
-        J = self._factors[1]
-        beta, n = self._quotient()
-        quots = []
-        for w in self.K.mul_vectors(beta.coords, vecs):
-            if any(x % n for x in w):
-                return False
-            quots.append([x // n for x in w])
-        return J is None or J.contains_vectors(quots)
-
-    def _quotient(self):
-        """norm_quotient(u) for the factor u of u*J, computed once."""
-        if self._quot is None:
-            self._quot = norm_quotient(self._factors[0])
-        return self._quot
+        """Whether every integer vector lies in the numerator lattice: its
+        remainder against the HNF (`cols`, built for u*J on first read) is
+        zero. `lll_reduce` checks its basis against J and the decision
+        draws on J's side, so neither asks u*J."""
+        cols = self.cols
+        return all(not any(echelon_remainder(cols, v)) for v in vecs)
 
     def contains_element(self, elem):
         if elem.K != self.K:
@@ -1255,10 +1203,14 @@ class Ideal:
     def inverse(self):
         """The fractional inverse, with I * I^-1 = O_K verified.
 
-        Where Z[theta] is maximal at every prime dividing both N(I) and
-        disc(f) (`order_is_maximal_at`; always at primes not dividing
-        disc(f), and at every prime when f = Phi_m), the norm check proves
-        the inverse; otherwise the product is checked.
+        For n = det(I), n*I^-1 is cut out by one congruence per O_K-module
+        generator of the numerator lattice (`_saturate_kernel` on
+        `_generators`: one generator for (u)). A lattice with one generator
+        u is invertible, its inverse (1/u). For any other, where Z[theta] is
+        maximal at every prime dividing both N(I) and disc(f)
+        (`order_is_maximal_at`; always at primes not dividing disc(f), and
+        at every prime when f = Phi_m), the norm check proves the inverse;
+        otherwise the product is checked.
         Raises NonInvertibleIdealError when I has no inverse.
         """
         if self._inv is not None:
@@ -1267,19 +1219,15 @@ class Ideal:
         n = self.det()
         if n == 0:
             raise ZeroIdealError("zero ideal has no inverse")
-        inv = self._principal_inverse()
+        gens = self._generators()
         g = gcd(n, K.disc)
-        verified = inv is not None or all(
+        verified = len(gens) == 1 or all(
             order_is_maximal_at(p, K) for p in K.disc_primes() if g % p == 0
         )
-        if inv is None:
-            # n*I^-1 is cut out by one congruence per O_K-module generator
-            lat = _saturate_kernel(K, self._generators(), n)
-            if lat.det() * n != n**K.degree:
-                raise NonInvertibleIdealError(
-                    "lattice is not invertible over this order"
-                )
-            inv = _normalized(K, lat.basis_columns(), n)
+        lat = _saturate_kernel(K, gens, n)
+        if lat.det() * n != n**K.degree:
+            raise NonInvertibleIdealError("lattice is not invertible over this order")
+        inv = _normalized(K, lat.basis_columns(), n)
         if self.denom != 1:
             inv = _normalized(
                 K, [[self.denom * x for x in c] for c in inv.cols], inv.denom
@@ -1291,22 +1239,6 @@ class Ideal:
         self._inv = inv
         inv._inv = self
         return inv
-
-    def _principal_inverse(self):
-        """Inverse of the integral part via a known single generator g:
-        (beta)/|n| for (beta, n) = norm_quotient(g). For u*O_K, g is u and
-        the membership test's quotient is reused, so one beta serves both."""
-        if self._factors and self._factors[1] is None:
-            beta, det = self._quotient()
-        elif self._gens and len(self._gens) == 1:
-            beta, det = norm_quotient(self._gens[0])
-        else:
-            return None
-        n = abs(det)
-        # beta divides n (n/beta = ±alpha), so n*Z^d sits inside (beta)
-        lat = IntLattice(self.K.degree, modulus=n)
-        lat.extend(self.K.mul_matrix_columns(beta.coords))
-        return _normalized(self.K, lat.basis_columns(), n, gens=(beta,))
 
     def divide(self, other):
         """Exact quotient self / other = self * other^-1.
@@ -1388,25 +1320,26 @@ class PrimeIdeal:
 
     gen_poly is the monic irreducible factor of the defining polynomial
     mod p that cuts out this prime, with coefficients canonically in [0, p);
-    a given polynomial is divided by its leading coefficient mod p.
+    a given polynomial is divided by its leading coefficient mod p, and its
+    degree, at least 1, is the residue degree. The ramification index, the
+    multiplicity of gen_poly in f mod p, is taken when it is first read.
 
     A prime of norm p from `prime_from_generators` is prime by its norm
     alone, so it keeps its generators instead of its form: gen_poly =
-    gcd(f, generators) mod p and ram_index, its multiplicity in f, are
-    taken on the first read of either, or of ==, hash, to_ideal or label.
+    gcd(f, generators) mod p is taken on the first read of it, or of
+    ram_index, ==, hash, to_ideal or label.
     """
 
     __slots__ = ("K", "p", "res_degree", "_gen_poly", "_ram_index", "_gens", "_ideal")
 
-    def __init__(self, K, p, gen_poly, res_degree, ram_index):
+    def __init__(self, K, p, gen_poly):
         self.K = K
         self.p = int(p)
         self._gen_poly = tuple(fppoly.monic(fppoly.from_ints(gen_poly, self.p), self.p))
-        self.res_degree = int(res_degree)
-        self._ram_index = int(ram_index)
-        self._gens = self._ideal = None
-        if len(self._gen_poly) - 1 != self.res_degree:
-            raise ValueError("gen_poly degree must equal the residue degree")
+        self.res_degree = len(self._gen_poly) - 1
+        self._ram_index = self._gens = self._ideal = None
+        if self.res_degree < 1:
+            raise ValueError("gen_poly must have degree at least 1 mod p")
 
     @classmethod
     def _of_norm_p(cls, K, p, gens):
@@ -1417,28 +1350,25 @@ class PrimeIdeal:
         P._gens = gens
         return P
 
-    def _read_form(self):
-        p = self.p
-        f = fppoly.from_ints(self.K.poly, p)
-        G = _generated_gcd(f, p, self._gens)
-        if fppoly.deg(G) != 1:
-            raise DpipError(
-                f"generators of a norm-{p} prime cut out a factor of degree {fppoly.deg(G)}"
-            )
-        self._gen_poly = tuple(G)
-        self._ram_index = fppoly.multiplicity(G, f, p)
-        self._gens = None
-
     @property
     def gen_poly(self):
         if self._gens is not None:
-            self._read_form()
+            p = self.p
+            G = _generated_gcd(fppoly.from_ints(self.K.poly, p), p, self._gens)
+            if fppoly.deg(G) != 1:
+                raise DpipError(
+                    f"generators of a norm-{p} prime cut out a factor of degree {fppoly.deg(G)}"
+                )
+            self._gen_poly = tuple(G)
+            self._gens = None
         return self._gen_poly
 
     @property
     def ram_index(self):
-        if self._gens is not None:
-            self._read_form()
+        if self._ram_index is None:
+            p = self.p
+            f = fppoly.from_ints(self.K.poly, p)
+            self._ram_index = fppoly.multiplicity(list(self.gen_poly), f, p)
         return self._ram_index
 
     def norm(self):
@@ -1508,9 +1438,10 @@ def kummer_dedekind(p, K):
     a quadratic at odd p from a square root of its discriminant mod p, and
     anything else with sympy's factoring.
 
-    Returns the list of PrimeIdeal factors (ram_index carries the exponent),
-    sorted by (residue degree, gen_poly). The product with multiplicities
-    recomposes (p); the exponent-weighted degrees sum to d.
+    Returns the list of PrimeIdeal factors, sorted by (residue degree,
+    gen_poly); each one's ram_index is the exponent of its factor. The
+    product with multiplicities recomposes (p); the exponent-weighted
+    degrees sum to d.
     """
     p = int(p)
     if p in K._kd_cache:
@@ -1522,14 +1453,9 @@ def kummer_dedekind(p, K):
         factors = [((c, 1), 1) for c in sorted(-z % p for z in _split_roots(K.poly, m, p)[1])]
     else:
         factors = fppoly.factor(list(K.poly), p)
-    out = []
-    total = 0
-    for coeffs, e in factors:
-        deg = len(coeffs) - 1
-        total += e * deg
-        out.append(PrimeIdeal(K, p, coeffs, deg, e))
-    if total != K.degree:
+    if sum(e * (len(coeffs) - 1) for coeffs, e in factors) != K.degree:
         raise DpipError("Kummer-Dedekind degree bookkeeping failed")
+    out = [PrimeIdeal(K, p, coeffs) for coeffs, _ in factors]
     K._kd_cache[p] = out
     return out
 
@@ -1558,7 +1484,6 @@ def prime_from_generators(K, p, k, gens):
     J = (p, G(theta)) exactly when deg G = k, and as a prime of norm p^k
     contains p, J is prime exactly when also G is irreducible mod p
     (Kummer-Dedekind, Cohen GTM 138, 4.8). No maximality at p is needed.
-    The ramification index is the multiplicity of G in f mod p.
 
     For k = 1 no gcd runs: Z[theta]/J has p elements, so it is F_p and J is
     prime by its norm, and G (of degree 1, since p is in J) is taken when
@@ -1570,7 +1495,7 @@ def prime_from_generators(K, p, k, gens):
     G = _generated_gcd(f, p, gens, k)
     if fppoly.deg(G) != k or not fppoly.is_irreducible(G, p):
         return None
-    return PrimeIdeal(K, p, G, k, fppoly.multiplicity(G, f, p))
+    return PrimeIdeal(K, p, G)
 
 
 def _generated_gcd(f, p, gens, least=0):
@@ -1647,22 +1572,22 @@ def power_sums(coeffs, count):
 
 
 def poly_discriminant(coeffs):
-    """Discriminant of a monic polynomial with FieldElement coefficients.
+    """Discriminant of a monic polynomial with int or FieldElement
+    coefficients, of the type of its coefficients.
 
     With V the Vandermonde matrix of the roots, disc = det(V)^2 = det(V V^T),
     and V V^T is the Hankel matrix (s_{i+j}) of the roots' power sums, which
-    lie in the ring O_K (`power_sums`); its determinant is taken with no
-    division (`division_free_det`).
+    lie in the coefficients' ring, Z or O_K (`power_sums`); its determinant
+    is taken with no division (`division_free_det`).
     """
     coeffs = list(coeffs)
     if len(coeffs) < 2:
         raise ValueError("discriminant needs degree >= 1")
-    K = coeffs[-1].K
-    if coeffs[-1] != K.one():
+    if coeffs[-1] != 1:
         raise ValueError("polynomial must be monic")
     n = len(coeffs) - 1
     s = power_sums(coeffs, 2 * n - 1)
-    return division_free_det([s[i : i + n] for i in range(n)], K.zero())
+    return division_free_det([s[i : i + n] for i in range(n)], coeffs[-1] * 0)
 
 
 def division_free_det(a, zero):

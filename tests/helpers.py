@@ -9,14 +9,15 @@ implementations they are checking.
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 
 from sympy.polys.domains import ZZ
+from sympy.polys.euclidtools import dup_discriminant, dup_resultant
 from sympy.polys.galoistools import gf_factor
 
 from dpip.intlattice import IntLattice, bareiss
 from dpip.lll import DELTA, lll_reduce
-from dpip.nf import _cyclotomic_poly, _totients, int_poly_resultant
+from dpip.nf import Ideal, _cyclotomic_poly, _totients, norm_quotient
 from dpip.residue import _rp_mod, _rp_mul
 
 
@@ -102,12 +103,62 @@ def plain_combination(basis, coeffs):
     return out
 
 
+def sympy_resultant(f, g):
+    """Res(f, g) for integer polynomials (little-endian) with deg f > deg g,
+    by sympy's subresultant PRS (`dup_resultant`, which takes the longer
+    polynomial first)."""
+    g = [int(c) for c in reversed(g)]
+    while g and not g[0]:
+        g.pop(0)
+    if not g:
+        return 0
+    return int(dup_resultant([int(c) for c in reversed(f)], g, ZZ))
+
+
+def sympy_discriminant(f):
+    """disc(f) of an integer polynomial (little-endian), by sympy's
+    `dup_discriminant`."""
+    return int(dup_discriminant([int(c) for c in reversed(f)], ZZ))
+
+
 def resultant_norm(a):
     """N(a) = Res(f, g) / den^d for a = g(theta) / den, by the subresultant
     PRS: the reference for every other norm path."""
     den = lcm(*(Fraction(c).denominator for c in a.coords))
     g = [int(c * den) for c in a.coords]
-    return Fraction(int_poly_resultant(a.K.poly, g), den**a.K.degree)
+    return Fraction(sympy_resultant(a.K.poly, g), den**a.K.degree)
+
+
+def principal_inverse(a):
+    """The ideal (1/a) for a nonzero element a = g(theta) / den: (den *
+    beta) / |n| for (beta, n) = norm_quotient(g), as g * beta = n. Its
+    numerator is spanned by the den * beta * theta^j and den * |n| Z^d
+    (which lies in (den * beta), as beta divides n), inserted into a
+    lattice mod den * |n|, then reduced by the content it shares with |n|."""
+    K = a.K
+    den = lcm(*(Fraction(c).denominator for c in a.coords))
+    beta, n = norm_quotient(K.element([int(c * den) for c in a.coords]))
+    n = abs(n)
+    lat = IntLattice(K.degree, modulus=den * n)
+    lat.extend(K.mul_matrix_columns([den * c for c in beta.coords]))
+    cols = lat.basis_columns()
+    g = gcd(n, *(x for c in cols for x in c))
+    return Ideal(K, [[x // g for x in c] for c in cols], n // g)
+
+
+def in_product(u, J, vecs):
+    """Whether every integer vector lies in u*J (J None for O_K): v is in
+    u*J exactly when n divides beta * v and v/u = beta * v / n lies in J, for
+    (beta, n) = norm_quotient(u), with beta * v by plain multiplication."""
+    K = u.K
+    beta, n = norm_quotient(u)
+    quots = []
+    for v in vecs:
+        w = K.mul_coords(beta.coords, list(v))
+        if any(x % n for x in w):
+            return False
+        quots.append([x // n for x in w])
+    return J is None or J.contains_vectors(quots)
 
 
 def naive_det(rows):
@@ -306,8 +357,6 @@ def principal_by_representation(K, ideal):
                 cand = K.element([sa, sb])
                 if cand.is_zero():
                     continue
-                from dpip.nf import Ideal
-
                 if Ideal.principal(K, cand) == ideal:
                     return True
     return False

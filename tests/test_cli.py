@@ -463,6 +463,21 @@ def test_corrupt_ideal_file(capsys, tmp_path, fixtures_dir):
     assert "diagonal" in err or "error" in err
 
 
+@pytest.mark.parametrize("text", ["1_000", " 3 ", "\u0661\u0662\u0663"])
+def test_ideal_file_with_a_non_decimal_string_is_an_error(capsys, tmp_path, fixtures_dir, text):
+    bad = tmp_path / "ideal.json"
+    bad.write_text(json.dumps({"generators": [[text, "1"]]}))
+    code, _, err = run(
+        capsys,
+        "decide",
+        "--field", str(fixtures_dir / "field_qsqrtm5.json"),
+        "--advice", str(fixtures_dir / "advice_qsqrtm5.json"),
+        "--ideal", str(bad),
+    )
+    assert code == 2
+    assert "invalid decimal integer string" in err
+
+
 def test_decide_reducible_field(capsys, tmp_path, fixtures_dir):
     field = tmp_path / "reducible_field.json"
     field.write_text(json.dumps({"defining_poly": ["2", "0", "3", "0", "1"]}))

@@ -41,7 +41,7 @@ from dpip.quadforms import genus_advice, is_principal_quad
 from dpip.residue import element_in_prime
 from dpip.serialize import load_ideal
 from dpip.switching import switch_stats
-from helpers import lll_basis, plain_combination, resultant_norm
+from helpers import lll_basis, plain_combination, principal_inverse, resultant_norm
 
 
 @pytest.fixture(scope="module")
@@ -299,11 +299,13 @@ def test_prime_cofactor_witness_is_the_cofactor(K5, K64, K180, fixtures_dir):
 
 
 def test_prime_cofactor_builds_no_lattice(monkeypatch, K180):
-    # with the inverse cached, a prime cofactor is read without a lattice
+    # with the inverse and the HNF that membership reads built, a prime
+    # cofactor is read without a lattice
     rng = random.Random(180)
     alpha = K180.element([rng.randint(-3, 3) for _ in range(K180.degree)])
     I = Ideal.principal(K180, alpha)
     I.inverse()
+    I.cols
     basis = _basis(I)
 
     def refuse(self, vec):
@@ -336,15 +338,16 @@ def test_prime_cofactor_needs_no_inverse_when_p_is_coprime(monkeypatch, K180):
 
 
 def test_cyclotomic_switching_computes_no_resultant(monkeypatch, K64, K180, fixtures_dir):
-    # x^32 + 1 and Phi_180 take every norm from their root tables
+    # x^32 + 1 and Phi_180 take every norm from their root tables, never
+    # from the general path, the Bareiss determinant
     advice = load_advice(fixtures_dir / "advice_zeta180.json")
     rng = random.Random(180)
     alpha = K180.element([rng.randint(-3, 3) for _ in range(K180.degree)])
 
-    def refuse(a, b):
-        raise AssertionError("norm computed by the subresultant PRS")
+    def refuse(a):
+        raise AssertionError("norm computed by Bareiss elimination")
 
-    monkeypatch.setattr(nf, "int_poly_resultant", refuse)
+    monkeypatch.setattr(nf, "bareiss", refuse)
     J = load_ideal(fixtures_dir / "ideal_zeta64_switch.json", K64)
     (stats,) = switch_stats(J, [10], trials=1, seed=801, cap=1000)
     assert stats.capped_trials == 0
@@ -553,13 +556,13 @@ def test_prime_cofactor_computes_the_norm_once(monkeypatch, K5):
     I.inverse()
     r = K5.element([1, 1])
     calls = []
-    resultant = nf.int_poly_resultant
+    bareiss = nf.bareiss
 
-    def counted(a, b):
+    def counted(a):
         calls.append(1)
-        return resultant(a, b)
+        return bareiss(a)
 
-    monkeypatch.setattr(nf, "int_poly_resultant", counted)
+    monkeypatch.setattr(nf, "bareiss", counted)
     assert prime_cofactor(I, r) == kummer_dedekind(3, K5)[0]
     assert len(calls) == 1
 
@@ -609,7 +612,8 @@ def test_no_sympy_mpmath_or_process_pool_import_at_module_level():
 
 def test_prime_cofactor_refuses_elements_outside_a_factored_ideal_under_O():
     # (3 + theta) keeps its factors; 1 fails the norm screen, and 6 - 2*theta
-    # (norm 56 = 14 * 2^2, in the conjugate prime above 7) reaches membership
+    # (norm 56 = 14 * 2^2, in the conjugate prime above 7) reaches membership,
+    # which reads the HNF of (3 + theta)
     script = (
         "from dpip.decide import prime_cofactor\n"
         "from dpip.errors import NonDivisibleError\n"
@@ -622,7 +626,7 @@ def test_prime_cofactor_refuses_elements_outside_a_factored_ideal_under_O():
         "    except NonDivisibleError:\n"
         "        continue\n"
         "    raise SystemExit(1)\n"
-        "raise SystemExit(0 if I._cols is None else 2)\n"
+        "raise SystemExit(0 if I._cols == ((1, 5), (0, 14)) else 2)\n"
     )
     src = str(Path(dpip.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -682,14 +686,15 @@ def test_decide_factored_ideals_run_no_bareiss(monkeypatch, K180, fixtures_dir):
     cfg = default_switch_config(K180, bound_B=5, seed=480)
     for ideal in (Ideal.principal(K180, alpha), Ideal.principal(K180, alpha) * P):
         decision = decide_ideal(ideal, advice, cfg)
-        assert decision.switches_used > 0 and ideal._quot is None
+        assert decision.switches_used > 0 and ideal._cols is None
         assert calls == {"bareiss": 0, "quotient": 0, "norm_quotient": 0, "span_det": 1}
         calls["span_det"] = 0
 
 
-def test_decide_then_inverse_computes_one_norm_quotient(monkeypatch, K180, fixtures_dir):
-    # the decision computes no beta = N(alpha)/alpha; the inverse computes
-    # it once, and caches it for membership in (alpha)
+def test_decide_then_inverse_computes_no_norm_quotient(monkeypatch, K180, fixtures_dir):
+    # neither the decision nor the inverse of (alpha), which solves the
+    # congruences of its one generator, computes beta = N(alpha)/alpha;
+    # membership in (alpha) reads its HNF
     advice = load_advice(fixtures_dir / "advice_zeta180.json")
     rng = random.Random(180)
     alpha = K180.element([rng.randint(-3, 3) for _ in range(K180.degree)])
@@ -703,8 +708,12 @@ def test_decide_then_inverse_computes_one_norm_quotient(monkeypatch, K180, fixtu
     monkeypatch.setattr(nf, "norm_quotient", counted)
     I = Ideal.principal(K180, alpha)
     decide_ideal(I, advice, default_switch_config(K180, bound_B=5, seed=480))
-    assert I * I.inverse() == Ideal.ring(K180)
-    assert calls == [alpha]
+    inv = I.inverse()
+    assert I * inv == Ideal.ring(K180)
+    assert I.contains_element(alpha) and not I.contains_element(K180.one())
+    assert calls == []
+    monkeypatch.undo()
+    assert inv == principal_inverse(alpha)
 
 
 def test_ideal_norm_reads_the_pivots_once(K64, fixtures_dir):

@@ -16,12 +16,11 @@ from dpip.nf import (
     NumberField,
     cyclotomic_order,
     int_back_substitution,
-    int_poly_discriminant,
-    int_poly_resultant,
     norm_quotient,
+    poly_discriminant,
     prime_power,
 )
-from helpers import bareiss_det, resultant_norm, theta_order_rule
+from helpers import bareiss_det, resultant_norm, sympy_discriminant, theta_order_rule
 
 coords5 = st.lists(st.integers(-50, 50), min_size=2, max_size=2)
 
@@ -270,8 +269,8 @@ def _phi(m):
 
 
 def test_tower_norms_match_the_resultant(monkeypatch):
-    # the PRS stays the general path; here it is the reference, and it
-    # raises while the tower computes the same norms
+    # the resultant by sympy's PRS is the reference, and the general path,
+    # the Bareiss determinant, raises while the tower computes the same norms
     def refuse(*args):
         raise AssertionError("a general path ran in a cyclotomic field")
 
@@ -289,7 +288,7 @@ def test_tower_norms_match_the_resultant(monkeypatch):
         elems += [K.element([rng.randint(-(2**64), 2**64) for _ in range(d)]) for _ in range(2)]
         fractional = K.element([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(d)])
         norms = [resultant_norm(a) for a in [K.zero(), fractional] + elems]
-        monkeypatch.setattr(nf, "int_poly_resultant", refuse)
+        monkeypatch.setattr(nf, "bareiss", refuse)
         for a, n in zip([K.zero(), fractional] + elems, norms):
             assert a.norm() == n, (m, a)
         monkeypatch.undo()
@@ -301,17 +300,19 @@ def test_tower_norms_match_the_resultant(monkeypatch):
 
 
 def test_non_cyclotomic_norms_use_the_resultant(monkeypatch, K5, K21):
+    # Res(f, g) as the determinant of g's multiplication matrix, by one
+    # Bareiss elimination
     calls = []
-    resultant = nf.int_poly_resultant
+    bareiss = nf.bareiss
 
-    def counted(a, b):
-        calls.append(1)
-        return resultant(a, b)
+    def counted(a):
+        calls.append(len(a))
+        return bareiss(a)
 
-    monkeypatch.setattr(nf, "int_poly_resultant", counted)
+    monkeypatch.setattr(nf, "bareiss", counted)
     assert K5.element([3, 2]).norm() == 9 + 5 * 4
     assert K21.element([3, -2]).norm() == 9 + 21 * 4
-    assert len(calls) == 2
+    assert calls == [2, 2]
     assert K5._roots is None and K21._roots is None
 
 
@@ -456,7 +457,7 @@ def test_norm_quotient_of_non_cyclotomic_fields_uses_bareiss(monkeypatch, K5, K2
     monkeypatch.setattr(nf, "bareiss", lambda a: calls.append(1) or bareiss(a))
     for K, x, y in ((K5, 3, 2), (K21, 3, -2)):
         beta, n = norm_quotient(K.element([x, y]))
-        assert beta == K.element([x, -y]) and n == K.element([x, y]).norm()
+        assert beta == K.element([x, -y]) and n == x * x + K.poly[0] * y * y
     assert len(calls) == 2
     assert K5._roots is None and K21._roots is None
 
@@ -480,6 +481,17 @@ def test_int_back_substitution():
     # 4 x_2 = 2 has no integral solution
     with pytest.raises(DpipError):
         int_back_substitution(rows, [8, 10, 2])
+
+
+def test_rational_elements_hash_as_their_values(K5, K64):
+    # == holds between a rational element and its int or Fraction value, so
+    # their hashes agree, and a set or dict holds them as one key
+    for K in (K5, K64):
+        for q in (0, 3, -7, 2**100, Fraction(1, 2), Fraction(-9, 4)):
+            x = K.rational(q)
+            assert x == q and hash(x) == hash(q)
+            assert len({x, q}) == 1 and {q: 1}[x] == 1
+    assert len({K5.rational(3), K5.gen(), K5.gen() + 0}) == 2
 
 
 def test_fractional_coordinates(K5):
@@ -515,45 +527,56 @@ def test_reducible_without_rational_root_screen():
 
 
 def test_discriminants():
-    assert int_poly_discriminant([5, 0, 1]) == -20
-    assert int_poly_discriminant([-1, -1, 1]) == 5
-    assert int_poly_discriminant([1, 0, 1]) == -4
-    assert int_poly_discriminant([2, 3]) == 1  # linear
+    assert poly_discriminant([5, 0, 1]) == -20
+    assert poly_discriminant([-1, -1, 1]) == 5
+    assert poly_discriminant([1, 0, 1]) == -4
+    assert poly_discriminant([2, 1]) == 1  # linear
     # x^3 - x - 1 has discriminant -23
-    assert int_poly_discriminant([-1, -1, 0, 1]) == -23
+    assert poly_discriminant([-1, -1, 0, 1]) == -23
     # cyclotomic: disc(z^32 + 1) = 2^160
-    assert int_poly_discriminant([1] + [0] * 31 + [1]) == 2**160
+    assert poly_discriminant([1] + [0] * 31 + [1]) == 2**160
+    with pytest.raises(ValueError):
+        poly_discriminant([2, 3])  # not monic
+    # a field that is not cyclotomic takes its discriminant from here
+    for poly in ([5, 0, 1], [-2, 0, 0, 1], [-1, -1, 0, 1], [1, 1, 0, 0, 1]):
+        assert NumberField(poly).disc == poly_discriminant(poly) == sympy_discriminant(poly)
 
 
 def test_resultant_against_sylvester_determinant():
+    # the norm of g(theta) in a field that is not cyclotomic is Res(f, g),
+    # the determinant of the Sylvester matrix of the monic f and g
     from sympy import Matrix
 
     rng = random.Random(5)
     checked = 0
     for _ in range(80):
-        m = rng.randint(1, 6)
-        n = rng.randint(1, 6)
-        f = [rng.randint(-9, 9) for _ in range(m)] + [rng.randint(1, 9)]
-        g = [rng.randint(-9, 9) for _ in range(n)] + [rng.randint(-9, 9)]
-        while g and g[-1] == 0:
-            g.pop()
-        if len(g) < 2:
+        m = rng.randint(2, 6)
+        f = [rng.randint(-9, 9) for _ in range(m)] + [1]
+        try:
+            K = NumberField(f)
+        except DefiningPolyError:
             continue
+        g = [rng.randint(-9, 9) for _ in range(rng.randint(2, m))]
+        while g[-1] == 0:
+            g[-1] = rng.randint(-9, 9)
         dm, dn = len(f) - 1, len(g) - 1
         fh, gh = list(reversed(f)), list(reversed(g))
         rows = [[0] * i + fh + [0] * (dn - 1 - i) for i in range(dn)]
         rows += [[0] * i + gh + [0] * (dm - 1 - i) for i in range(dm)]
         theirs = int(Matrix(rows).det())
-        assert int_poly_resultant(f, g) == theirs, (f, g)
+        assert K.element(g + [0] * (dm - len(g))).norm() == theirs, (f, g)
         checked += 1
     assert checked > 50
 
 
 def test_resultant_constant_cases():
-    # Res(f, c) = c^deg(f); Res with zero polynomial vanishes
-    assert int_poly_resultant([5, 0, 1], [3]) == 9
-    assert int_poly_resultant([5, 0, 1], []) == 0
-    assert int_poly_resultant([2, 1], [7]) == 7
-    # deg a < deg b with deg a * deg b odd: the sign (-1)^(deg a * deg b)
-    assert int_poly_resultant([9, 1], [0, 2, 8, 1]) == -99
-    assert int_poly_resultant([0, 2, 8, 1], [9, 1]) == 99
+    # N(c) = c^d for a rational c, N(0) = 0, and in degree one the element
+    # is its own norm
+    K5 = NumberField([5, 0, 1])
+    assert K5.rational(3).norm() == 9 and K5.rational(-3).norm_int() == 9
+    assert K5.zero().norm() == 0
+    K = NumberField([9, 1])
+    assert K.rational(7).norm() == 7 and K.rational(-99).norm() == -99
+    assert K.gen().norm() == -9
+    # N(theta + 9) = -f(-9) in the cubic field of x^3 + 8x^2 + 2x + 1
+    assert NumberField([1, 2, 8, 1]).element([9, 1, 0]).norm() == 98

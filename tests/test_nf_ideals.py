@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 import pytest
 
@@ -13,12 +13,20 @@ from dpip.nf import (
     FieldElement,
     Ideal,
     NumberField,
+    _normalized,
     _saturate_kernel,
     int_back_substitution,
     kummer_dedekind,
+    poly_discriminant,
 )
 from dpip.serialize import load_ideal, read_json
-from helpers import naive_lattice_basis
+from helpers import (
+    in_product,
+    naive_lattice_basis,
+    principal_inverse,
+    resultant_norm,
+    sympy_discriminant,
+)
 
 
 def _random_small_ideal(K, rng, prime_bound=50):
@@ -446,6 +454,7 @@ def test_factored_ideal_matches_eager_hnf(request, field):
     for lazy, eager, outside, inside_elem in cases:
         assert lazy._factors is not None and eager._factors is None
         assert lazy.det() == eager.det() and lazy.norm_int() == eager.norm_int()
+        assert lazy._cols is None  # the determinant is read from the factors
         inside = []
         for _ in range(6):
             coeffs = [rng.randint(-4, 4) for _ in range(d)]
@@ -461,7 +470,6 @@ def test_factored_ideal_matches_eager_hnf(request, field):
         assert not lazy.contains_element(outside) and not eager.contains_element(outside)
         assert lazy.contains_element(inside_elem) and eager.contains_element(inside_elem)
         assert not lazy.contains_vectors(inside + [[1] + [0] * (d - 1)])
-        assert lazy._cols is None  # none of the above built the HNF
         assert lazy.cols == eager.cols
         assert lazy == eager and eager == lazy and hash(lazy) == hash(eager)
         assert len({lazy, eager}) == 1
@@ -485,3 +493,62 @@ def test_general_product_builds_no_hnf_of_a_factored_operand(request, field, p):
         for got, want in ((lazy * other, bare * other), (other * lazy, other * bare)):
             assert got.cols == want.cols and got.denom == want.denom
         assert lazy._factors is not None and lazy._cols is None
+
+
+_REFERENCE_FIELDS = {
+    "x^2+5": [5, 0, 1],
+    "x^2+21": [21, 0, 1],
+    "x^2-5": [-5, 0, 1],
+    "x^3-2": [-2, 0, 0, 1],
+    "x^3-x-1": [-1, -1, 0, 1],
+    "x^4+x+1": [1, 1, 0, 0, 1],
+    "Phi180": None,
+}
+
+
+@pytest.mark.parametrize("field", list(_REFERENCE_FIELDS))
+def test_norm_disc_inverse_and_membership_match_the_references(request, field):
+    # the norm (Bareiss determinant or tower) against sympy's resultant, disc f
+    # (power sums or read from m) against sympy's discriminant, the inverse
+    # of (a) against (den * beta)/|n| and membership in u*O_K and u*P
+    # against the test through beta = N(u)/u, fractional elements included
+    poly = _REFERENCE_FIELDS[field]
+    K = request.getfixturevalue("K180") if poly is None else NumberField(poly)
+    d = K.degree
+    rng = random.Random(field)
+    assert K.disc == sympy_discriminant(K.poly)
+    if poly is not None:
+        assert poly_discriminant(K.poly) == K.disc
+    span = 3 if d > 4 else 40
+    count = 2 if d > 4 else 12
+    elems = []
+    while len(elems) < 2 * count:
+        a = K.element([rng.randint(-span, span) for _ in range(d)])
+        if not a.is_zero():
+            elems.append(a / rng.randint(1, 6) if len(elems) % 2 else a)
+    for a in elems:
+        assert a.norm() == resultant_norm(a), (field, a)
+        den = lcm(*(Fraction(c).denominator for c in a.coords))
+        g = Ideal.principal(K, a * den)
+        frac = _normalized(K, g.cols, den) if den > 1 else g
+        assert frac.inverse() == principal_inverse(a), (field, a)
+    p = next(p for p in (181, 7, 11, 13) if kummer_dedekind(p, K)[0].res_degree < d)
+    P = kummer_dedekind(p, K)[0].to_ideal()
+    outside = 0
+    for u in elems[::2]:
+        for J in (None, P):
+            lazy = Ideal.principal(K, u) if J is None else Ideal.principal(K, u) * J
+            assert lazy._factors == (u, J)
+            basis = [[int(i == j) for i in range(d)] for j in range(d)] if J is None else J.cols
+            inside = []
+            for _ in range(3):
+                c = [rng.randint(-4, 4) for _ in basis]
+                w = [sum(x * b[i] for x, b in zip(c, basis)) for i in range(d)]
+                inside.append(K.mul_coords(u.coords, w))
+            vecs = inside + [[x + (i == j) for i, x in enumerate(v)] for v in inside for j in (0, d - 1)]
+            for v in vecs:
+                want = in_product(u, J, [v])
+                assert lazy.contains_vector(v) == want, (field, u, v)
+                outside += not want
+            assert lazy.contains_vectors(inside) and in_product(u, J, inside)
+    assert outside > 0

@@ -13,14 +13,13 @@ from dpip.nf import (
     PrimeIdeal,
     as_prime_ideal,
     division_free_det,
-    int_poly_discriminant,
     kummer_dedekind,
     order_is_maximal_at,
     poly_discriminant,
     power_sums,
     prime_from_generators,
 )
-from helpers import bareiss_det, prime_ideal_by_insertion, sympy_factor
+from helpers import bareiss_det, prime_ideal_by_insertion, sympy_discriminant, sympy_factor
 
 
 def test_ramified_two(K5):
@@ -132,7 +131,7 @@ def test_split_primes_of_a_cyclotomic_field_match_gf_factor(request, monkeypatch
         assert [(P.gen_poly, P.res_degree, P.ram_index) for P in got] == [
             (c, len(c) - 1, e) for c, e in want[p]
         ]
-        assert got == [PrimeIdeal(K, p, c, len(c) - 1, e) for c, e in want[p]]
+        assert got == [PrimeIdeal(K, p, c) for c, e in want[p]]
     with pytest.raises(AssertionError, match="gf_factor ran"):
         kummer_dedekind(7, K)  # not 1 mod m: sympy factors it
 
@@ -187,11 +186,18 @@ def test_prime_norm(K5):
 
 
 def test_prime_gen_poly_is_divided_by_its_leading_coefficient(K5):
-    # 2x + 3 = 2(x + 4) mod 5: both cut out theta = 1
-    assert PrimeIdeal(K5, 5, (3, 2), 1, 1).gen_poly == (4, 1)
-    # 5x + 3 = 3 mod 5 has degree 0, not the residue degree 1
-    with pytest.raises(ValueError):
-        PrimeIdeal(K5, 5, (3, 5), 1, 1)
+    # 2x + 3 = 2(x + 4) mod 5: both cut out theta = 1, of residue degree 1
+    P = PrimeIdeal(K5, 5, (3, 2))
+    assert (P.gen_poly, P.res_degree) == ((4, 1), 1)
+    # the residue degree is read from gen_poly, the ramification index is
+    # its multiplicity in f mod p: x^2 + 5 = x^2 mod 5, and 11 is inert
+    assert PrimeIdeal(K5, 5, (0, 1)).ram_index == 2
+    Q = PrimeIdeal(K5, 11, (5, 0, 1))
+    assert (Q.res_degree, Q.ram_index) == (2, 1)
+    # 5x + 3 = 3 mod 5 has degree 0, and 5 = 0 mod 5 is no polynomial
+    for gen_poly in ((3, 5), (5,), ()):
+        with pytest.raises(ValueError):
+            PrimeIdeal(K5, 5, gen_poly)
 
 
 def _eager_prime(K, p, gens):
@@ -201,7 +207,7 @@ def _eager_prime(K, p, gens):
     G = f
     for g in gens:
         G = fppoly.gcd(G, fppoly.from_ints(g, p), p)
-    return PrimeIdeal(K, p, G, 1, fppoly.multiplicity(G, f, p))
+    return PrimeIdeal(K, p, G)
 
 
 _READS = {
@@ -323,15 +329,16 @@ def test_poly_discriminant_binomial_closed_form(K180):
 
 
 def test_poly_discriminant_matches_integer_disc(K5):
-    # rational-coefficient polynomials agree with the Z[x] discriminant
-    from dpip.nf import int_poly_discriminant
-
+    # rational-coefficient polynomials agree with the Z[x] discriminant,
+    # which int coefficients give as an int
     rng = random.Random(2)
     for _ in range(30):
         n = rng.randint(1, 4)
         ints = [rng.randint(-9, 9) for _ in range(n)] + [1]
         elems = [K5.rational(c) for c in ints]
-        assert poly_discriminant(elems) == K5.rational(int_poly_discriminant(ints))
+        disc = poly_discriminant(ints)
+        assert type(disc) is int and disc == sympy_discriminant(ints)
+        assert poly_discriminant(elems) == K5.rational(disc)
 
 
 def test_poly_discriminant_reduces_at_degree_one_primes(K5, K64, K180):
@@ -348,7 +355,7 @@ def test_poly_discriminant_reduces_at_degree_one_primes(K5, K64, K180):
             disc = poly_discriminant(g)
             for a in roots:
                 image = [_value_at(c, a, p) for c in g]
-                assert _value_at(disc, a, p) == int_poly_discriminant(image) % p
+                assert _value_at(disc, a, p) == sympy_discriminant(image) % p
 
 
 def _value_at(elem, a, p):

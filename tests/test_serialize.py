@@ -15,7 +15,7 @@ def test_integers_across_the_str_digit_limit(K5, digits):
     assert decode_int("-" + text) == -value
     assert encode_int(-value) == "-" + text
     # a label of that size (the constructor does not test primality)
-    P = PrimeIdeal(K5, value, (value - 1, 1), 1, 1)
+    P = PrimeIdeal(K5, value, (value - 1, 1))
     assert P.label() == f"({text}, {text[:-1]}0 + θ)"
 
 
@@ -33,3 +33,16 @@ def test_plain_json_integers_past_the_limit_load(tmp_path, K5):
     path.write_text(f'{{"generators": [[-{text}, 0]]}}')
     value = (10**4301 - 1) // 9
     assert load_ideal(path, K5) == Ideal.principal(K5, K5.rational(value))
+
+
+@pytest.mark.parametrize("digits", [3, 4301])
+def test_decimal_strings_have_one_grammar(digits):
+    # an optional sign, then ASCII digits, at every length: int() would take
+    # underscores, surrounding spaces and other scripts' digits
+    text = "1" * digits
+    value = (10**digits - 1) // 9
+    for ok, want in ((text, value), ("+" + text, value), ("-" + text, -value), ("00" + text, value)):
+        assert decode_int(ok) == want
+    for bad in ("1_" + text, " " + text, text + " ", "١٢" + text, "+-" + text, "", "-"):
+        with pytest.raises(ValueError):
+            decode_int(bad)
