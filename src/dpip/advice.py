@@ -10,6 +10,7 @@ in the bundle and recomputed on load, so tampered files are rejected.
 
 import json
 from dataclasses import dataclass
+from math import lcm
 
 from . import fppoly
 from .errors import AdviceError
@@ -17,12 +18,13 @@ from .nf import (
     FieldElement,
     NumberField,
     PrimeIdeal,
+    cyclotomic_order,
     kummer_dedekind,
     poly_discriminant,
     prime_power,
 )
 from .ntheory import isprime
-from .residue import element_in_prime
+from .residue import element_in_prime, residue_field
 from .serialize import (
     decode_int,
     encode_int,
@@ -113,8 +115,40 @@ def _discriminants(K, subfields):
         disc = poly_discriminant(list(poly))
         if disc.is_zero():
             raise AdviceError(f"subfield {idx}: polynomial has vanishing discriminant")
+        if q == prime_power(q)[0] and all(c.is_zero() for c in poly[1:-1]):
+            _check_kummer(K, idx, q, -poly[0])
         discs.append(disc)
     return tuple(discs)
+
+
+_KUMMER_TRIES = 100  # primes p the irreducibility search of x^q - beta tries
+
+
+def _check_kummer(K, idx, q, beta):
+    """Refuse x^q - beta, q prime, unless a degree-one prime (p, theta - a)
+    with p not dividing disc(f), q | p - 1 and b = beta(a) != 0 mod p has
+    b^((p - 1)/q) != 1 mod p. Such a prime proves beta no q-th power in K:
+    were beta = gamma^q, gamma would be integral, and as p does not divide
+    disc(f), Z[theta] is maximal at p, so gamma(a)^q = b mod p and
+    b^((p - 1)/q) = gamma(a)^(p - 1) = 1. Then x^q - beta, q prime, is
+    irreducible over K (Lang, Algebra, VI, Thm. 9.1). The
+    search tries the first _KUMMER_TRIES primes p = 1 (mod q), and for f =
+    Phi_m only p = 1 (mod m), whose primes are read from the roots of
+    unity mod p."""
+    step = lcm(q, cyclotomic_order(K) or 1)
+    p, tries = 1, 0
+    while tries < _KUMMER_TRIES:
+        p += step
+        if not isprime(p) or K.disc % p == 0:
+            continue
+        tries += 1
+        for P in kummer_dedekind(p, K):
+            b = residue_field(P).from_poly(list(beta.coords))
+            if P.res_degree == 1 and b and pow(b[0], (p - 1) // q, p) != 1:
+                return
+    raise AdviceError(
+        f"subfield {idx}: x^{q} - beta is not shown irreducible (beta may lie in K^{q})"
+    )
 
 
 def _validate(bundle, discs):

@@ -101,7 +101,7 @@ class NumberField:
     The discriminant is the polynomial discriminant of the defining
     polynomial, i.e. the discriminant of the order Z[theta]; callers who
     care whether that order is maximal at a given prime can ask
-    order_is_maximal_at, and `disc_primes` lists the primes dividing it.
+    order_is_maximal_at.
 
     f must be irreducible over Q. When f equals Phi_m coefficient for
     coefficient for some m (`_cyclotomic_index`), it is by theorem
@@ -116,7 +116,6 @@ class NumberField:
         "poly",
         "degree",
         "disc",
-        "_disc_primes",
         "_kd_cache",
         "_maximal_at",
         "_ring",
@@ -147,7 +146,6 @@ class NumberField:
                 raise DefiningPolyError("defining polynomial has a repeated factor")
             if not Poly(list(reversed(poly)), Symbol("x")).is_irreducible:
                 raise DefiningPolyError("defining polynomial is reducible over Q")
-        self._disc_primes = None
         self._kd_cache = {}
         self._maximal_at = {}
         self._ring = None
@@ -164,19 +162,6 @@ class NumberField:
 
     def __repr__(self):
         return f"NumberField({list(self.poly)})"
-
-    def disc_primes(self):
-        """The primes dividing disc, found once: among those of m for f =
-        Phi_m, by sympy's `factorint` otherwise."""
-        if self._disc_primes is None:
-            if self._cyclo:
-                ps = [p for p in prime_factors(self._cyclo) if self.disc % p == 0]
-            else:
-                from sympy import factorint
-
-                ps = sorted(factorint(abs(self.disc)))
-            self._disc_primes = tuple(ps)
-        return self._disc_primes
 
     def element(self, coords):
         return FieldElement(self, coords)
@@ -590,9 +575,9 @@ class _RootTable:
 
     Each prime l = 1 (mod m) is below 2^64, so `isprime` decides it
     exactly, and has an element z of order m; the d roots of f mod l are
-    z^k for gcd(k, m) = 1, each checked to be a root and all to be distinct
-    by `_split_roots`, which `kummer_dedekind` also reads its split primes
-    from, so f = prod (x - z^k) mod l and Res(f, g) = prod g(z^k) mod l.
+    z^k for gcd(k, m) = 1, each checked to be a root (`_common_roots`, from
+    which `kummer_dedekind` also reads its split primes), so f = prod (x -
+    z^k) mod l and Res(f, g) = prod g(z^k) mod l.
     The primes are taken downwards from 2^64 and added when a caller needs
     a larger modulus; every modulus M is the product of the fewest leading
     primes above what its caller needs, so a large element lengthens the
@@ -628,7 +613,7 @@ class _RootTable:
 
     def _add_prime(self):
         """Append the next prime l = 1 (mod m) below the last, checked to
-        split f into distinct roots z^k (`_split_roots`), with its z."""
+        split f into distinct roots z^k (`_common_roots`), with its z."""
         m = self.m
         q = (self.primes[-1] - 1) // m - 1 if self.primes else (2**64 - 2) // m
         while True:
@@ -636,8 +621,11 @@ class _RootTable:
             q -= 1
             if isprime(ell):
                 break
+        roots = _common_roots(m, ell, [self.poly])
+        if len(roots) != len(self.poly) - 1:
+            raise DpipError(f"f does not split into distinct roots mod {ell}")
         self.primes.append(ell)
-        self.roots.append(_split_roots(self.poly, m, ell)[0])
+        self.roots.append(roots[0])
 
     def _powers(self, count, M):
         """z^e mod M for e < m, z the CRT lift of the first count roots."""
@@ -698,35 +686,39 @@ class _RootTable:
 
 
 
-def _split_roots(poly, m, ell):
-    """(z, roots) for the m-th cyclotomic poly and a prime ell = 1 (mod m):
-    z of order m in F_ell, and its powers z^k for gcd(k, m) = 1, k < m,
-    each checked to be a root of poly mod ell and all to be distinct, so
-    that poly = prod (x - z^k) mod ell (Washington, GTM 83, ch. 2)."""
+def _common_roots(m, ell, gens):
+    """The z^k (gcd(k, m) = 1, k < m, z = `_root_of_unity(m, ell)`, so z^1
+    first) at which every coordinate vector in gens vanishes mod a prime
+    ell = 1 (mod m). As z has order m they are distinct, and Phi_m = prod
+    (x - z^k) mod ell (Washington, GTM 83, ch. 2): they are the roots of
+    gcd(Phi_m, gens), and for gens = [Phi_m] all d of them."""
     z = _root_of_unity(m, ell)
     powers = [1]
     for _ in range(m - 1):
         powers.append(powers[-1] * z % ell)
-    exps = [k for k in range(m) if gcd(k, m) == 1]
-    roots = [powers[k] for k in exps]
-    f = [(j, c) for j, c in enumerate(poly) if c]
-    if len(set(roots)) != len(poly) - 1 or any(
-        sum(c * powers[k * j % m] for j, c in f) % ell for k in exps
-    ):
-        raise DpipError(f"f does not split into distinct roots mod {ell}")
-    return z, roots
+    ks = [k for k in range(m) if gcd(k, m) == 1]
+    for g in gens:
+        terms = [(j, c) for j, c in enumerate(g) if c]
+        ks = [k for k in ks if not sum(c * powers[k * j % m] for j, c in terms) % ell]
+    return [powers[k] for k in ks]
 
 
 def _root_of_unity(m, ell):
-    """An element of order m in F_ell, for a prime ell = 1 (mod m)."""
-    e = (ell - 1) // m
-    qs = prime_factors(m)
-    a = 2
-    while True:
-        z = pow(a, e, ell)
-        if all(pow(z, m // q, ell) != 1 for q in qs):
-            return z
+    """An element of order m in F_ell, for a prime ell = 1 (mod m): the
+    product, over the primes q | m, of y^r (r the part of m prime to q, so
+    y^r has the order of the power of q in m) for the first y = a^((ell -
+    1)/m), a = 2, 3, ..., with y^(m/q) != 1."""
+    z, todo, a = 1, prime_factors(m), 2
+    while todo:
+        y = pow(a, (ell - 1) // m, ell)
+        for q in [q for q in todo if pow(y, m // q, ell) != 1]:
+            todo.remove(q)
+            r = m
+            while r % q == 0:
+                r //= q
+            z = z * pow(y, r, ell) % ell
         a += 1
+    return z
 
 
 def _digit_width(sq, n):
@@ -1208,9 +1200,10 @@ class Ideal:
         `_generators`: one generator for (u)). A lattice with one generator
         u is invertible, its inverse (1/u). For any other, where Z[theta] is
         maximal at every prime dividing both N(I) and disc(f)
-        (`order_is_maximal_at`; always at primes not dividing disc(f), and
-        at every prime when f = Phi_m), the norm check proves the inverse;
-        otherwise the product is checked.
+        (`_maximal_above`; always when that gcd is 1, and at every prime
+        when f = Phi_m), the norm check proves the inverse; otherwise, or
+        when the gcd keeps a factor that trial division leaves, the product
+        is checked.
         Raises NonInvertibleIdealError when I has no inverse.
         """
         if self._inv is not None:
@@ -1220,10 +1213,7 @@ class Ideal:
         if n == 0:
             raise ZeroIdealError("zero ideal has no inverse")
         gens = self._generators()
-        g = gcd(n, K.disc)
-        verified = len(gens) == 1 or all(
-            order_is_maximal_at(p, K) for p in K.disc_primes() if g % p == 0
-        )
+        verified = len(gens) == 1 or _maximal_above(K, gcd(n, K.disc))
         lat = _saturate_kernel(K, gens, n)
         if lat.det() * n != n**K.degree:
             raise NonInvertibleIdealError("lattice is not invertible over this order")
@@ -1256,6 +1246,25 @@ class Ideal:
         if q.norm() * other.norm() != self.norm():
             raise NonDivisibleError("division is not exact in this order")
         return q
+
+
+_TRIAL_LIMIT = 2**16  # trial division bound of the maximality audit
+
+
+def _maximal_above(K, g):
+    """Is Z[theta] maximal at every prime dividing g > 0
+    (`order_is_maximal_at`)? The primes are found by trial division below
+    `_TRIAL_LIMIT`; a cofactor above it that is not then proven prime
+    answers False, which leaves the caller to check."""
+    p = 2
+    while p * p <= g and p < _TRIAL_LIMIT:
+        if g % p == 0:
+            if not order_is_maximal_at(p, K):
+                return False
+            while g % p == 0:
+                g //= p
+        p += 1 + (p > 2)
+    return g == 1 or (p * p > g and order_is_maximal_at(g, K))
 
 
 def _normalized(K, cols, denom, gens=None):
@@ -1327,7 +1336,9 @@ class PrimeIdeal:
     A prime of norm p from `prime_from_generators` is prime by its norm
     alone, so it keeps its generators instead of its form: gen_poly =
     gcd(f, generators) mod p is taken on the first read of it, or of
-    ram_index, ==, hash, to_ideal or label.
+    ram_index, ==, hash, to_ideal or label. For f = Phi_m and p = 1 (mod m)
+    that gcd is x - a for the one root a of f mod p at which every
+    generator vanishes (`_common_roots`).
     """
 
     __slots__ = ("K", "p", "res_degree", "_gen_poly", "_ram_index", "_gens", "_ideal")
@@ -1353,13 +1364,18 @@ class PrimeIdeal:
     @property
     def gen_poly(self):
         if self._gens is not None:
-            p = self.p
-            G = _generated_gcd(fppoly.from_ints(self.K.poly, p), p, self._gens)
-            if fppoly.deg(G) != 1:
+            K, p, m = self.K, self.p, cyclotomic_order(self.K)
+            if m and p % m == 1:
+                roots = _common_roots(m, p, self._gens)
+                G, degree = ((-roots[0] % p, 1) if roots else ()), len(roots)
+            else:
+                G = tuple(_generated_gcd(fppoly.from_ints(K.poly, p), p, self._gens))
+                degree = len(G) - 1
+            if degree != 1:
                 raise DpipError(
-                    f"generators of a norm-{p} prime cut out a factor of degree {fppoly.deg(G)}"
+                    f"generators of a norm-{p} prime cut out a factor of degree {degree}"
                 )
-            self._gen_poly = tuple(G)
+            self._gen_poly = G
             self._gens = None
         return self._gen_poly
 
@@ -1434,7 +1450,7 @@ def kummer_dedekind(p, K):
     """Factor p*O_K by factoring the defining polynomial mod p (Cohen,
     GTM 138, 4.8.13). In a field with f = Phi_m (`cyclotomic_order`), a
     prime p = 1 (mod m) splits into the x - z^k for z of order m mod p
-    (`_split_roots`); every other prime goes to `fppoly.factor`, which takes
+    (`_common_roots`); every other prime goes to `fppoly.factor`, which takes
     a quadratic at odd p from a square root of its discriminant mod p, and
     anything else with sympy's factoring.
 
@@ -1450,7 +1466,7 @@ def kummer_dedekind(p, K):
         raise ValueError(f"{p} is not prime")
     m = cyclotomic_order(K)
     if m and p % m == 1:
-        factors = [((c, 1), 1) for c in sorted(-z % p for z in _split_roots(K.poly, m, p)[1])]
+        factors = [((c, 1), 1) for c in sorted(-z % p for z in _common_roots(m, p, [K.poly]))]
     else:
         factors = fppoly.factor(list(K.poly), p)
     if sum(e * (len(coeffs) - 1) for coeffs, e in factors) != K.degree:

@@ -6,7 +6,11 @@ operation is the complete-splitting predicate: a monic squarefree g of
 degree n splits into n distinct linear factors over F_q exactly when
 x^q = x (mod g). The power x^q is taken left to right over the bits of q:
 each step squares, and a set bit multiplies by x, which shifts the
-coefficients and needs one reduction step, as deg(x h) <= deg g.
+coefficients; as deg(x h) <= deg g and g is monic, one step in place,
+subtracting the top coefficient times g's nonzero lower terms, reduces it.
+Every other reduction pops the leading term that cancels and subtracts
+only the modulus's nonzero lower terms, so for x^n - b each reduced degree
+costs one multiply-subtract.
 """
 
 from . import fppoly
@@ -127,11 +131,12 @@ def _rp_mod(F, a, m):
     a = list(a)
     dm = len(m) - 1
     lead_inv = F.inv(m[-1])
-    while len(a) - 1 >= dm and a:
-        c = F.mul(a[-1], lead_inv)
-        k = len(a) - 1 - dm
-        for j in range(dm + 1):
-            a[k + j] = F.sub(a[k + j], F.mul(c, m[j]))
+    low = [(j, mj) for j, mj in enumerate(m[:-1]) if mj]
+    while len(a) > dm:
+        c = F.mul(a.pop(), lead_inv)
+        k = len(a) - dm
+        for j, mj in low:
+            a[k + j] = F.sub(a[k + j], F.mul(c, mj))
         while a and not a[-1]:
             a.pop()
     return a
@@ -192,10 +197,18 @@ def splits_completely(g):
         raise SquarefreeViolationError(
             "polynomial shares a factor with its derivative"
         )
+    n = len(coeffs) - 1
+    low = [(j, c) for j, c in enumerate(coeffs[:-1]) if c]
     x = _rp_mod(F, [F.zero(), F.one()], coeffs)
     h = x
     for bit in bin(F.q)[3:]:
         h = _rp_mod(F, _rp_mul(F, h, h), coeffs)
         if bit == "1" and h:
-            h = _rp_mod(F, [F.zero(), *h], coeffs)
+            h.insert(0, F.zero())
+            if len(h) > n:  # x^n = -(g - x^n)
+                top = h.pop()
+                for j, c in low:
+                    h[j] = F.sub(h[j], F.mul(top, c))
+                while h and not h[-1]:
+                    h.pop()
     return h == x

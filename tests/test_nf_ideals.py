@@ -6,7 +6,7 @@ import pytest
 
 from sympy import primefactors
 
-from dpip import fppoly
+from dpip import fppoly, nf
 from dpip.errors import NonDivisibleError, NonInvertibleIdealError, ZeroIdealError
 from dpip.intlattice import IntLattice
 from dpip.nf import (
@@ -286,6 +286,45 @@ def test_inverse_skips_product_check_where_the_order_is_maximal(monkeypatch, K18
     inv = J.inverse()
     monkeypatch.undo()
     assert J * inv == Ideal.ring(K180)
+
+
+def test_inverse_prime_to_disc_factors_nothing(monkeypatch):
+    # gcd(N(I), disc f) = 1 needs no maximality audit, so an HNF-given
+    # prime above 3 of Q(sqrt -5), disc -20, inverts without factorint
+    import sympy
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("factorint ran")
+
+    monkeypatch.setattr(sympy, "factorint", refuse)
+    K = NumberField([5, 0, 1])  # fresh, so nothing is cached
+    P = kummer_dedekind(3, K)[0].to_ideal()
+    bare = Ideal.from_hnf_matrix(K, P.hnf_matrix())
+    assert bare._gens is None and gcd(bare.norm_int(), K.disc) == 1
+    inv = bare.inverse()
+    assert bare * inv == Ideal.ring(K)
+    assert inv == P.inverse()
+
+
+def test_inverse_checks_the_product_when_trial_division_stops(monkeypatch):
+    # with no trial division at all, gcd(N(I), disc f) = 10 stays
+    # unfactored, and I * I^-1 = O_K is checked instead
+    K = NumberField([5, 0, 1])
+    P2, P5 = (kummer_dedekind(p, K)[0].to_ideal() for p in (2, 5))
+    I = Ideal.from_hnf_matrix(K, (P2 * P5).hnf_matrix())
+    assert gcd(I.norm_int(), K.disc) == 10
+    products = []
+    mul = Ideal.__mul__
+
+    def counted(self, other):
+        products.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(nf, "_TRIAL_LIMIT", 2)
+    monkeypatch.setattr(Ideal, "__mul__", counted)
+    inv = I.inverse()
+    assert len(products) == 1 and products[0] is inv
+    assert K._maximal_at == {}
 
 
 def test_inverse_in_a_cyclotomic_field_runs_no_dedekind_criterion(monkeypatch, K180):

@@ -4,7 +4,14 @@ import pytest
 from sympy import primerange
 
 from dpip import fppoly
-from dpip.decide import _combine, draw_coefficients, prime_cofactor, substream
+from dpip.decide import (
+    _combine,
+    cofactor_side,
+    draw_coefficients,
+    first_prime_cofactor,
+    prime_cofactor,
+    substream,
+)
 from dpip.errors import DpipError
 from dpip.lll import lll_reduce
 from dpip.nf import (
@@ -282,8 +289,7 @@ def test_deferred_ramified_prime(K5):
     assert back.ram_index == 2
 
 
-def test_inert_prime_runs_its_gcd(monkeypatch, K5):
-    # (11) has norm 11^2: k = 2 needs the gcd and the irreducibility test
+def _counting_gcd(monkeypatch):
     calls = []
     gcd = fppoly.gcd
 
@@ -292,9 +298,46 @@ def test_inert_prime_runs_its_gcd(monkeypatch, K5):
         return gcd(a, b, p)
 
     monkeypatch.setattr(fppoly, "gcd", counted)
+    return calls
+
+
+def test_inert_prime_runs_its_gcd(monkeypatch, K5):
+    # (11) has norm 11^2: k = 2 needs the gcd and the irreducibility test
+    calls = _counting_gcd(monkeypatch)
     P = as_prime_ideal(Ideal.principal(K5, K5.rational(11)))
     assert calls == [11]
     assert P._gens is None and P.gen_poly == (5, 0, 1) and P.res_degree == 2
+
+
+def test_root_form_matches_the_gcd_on_the_degree48_witnesses(monkeypatch, K180, pool180):
+    # every witness of the degree-48 bench pool has p = 1 (mod 180), so its
+    # form is read from the roots of Phi_180 mod p, with no gcd, and equals
+    # the gcd's; as does that of a prime above 181 given by (p, theta - a)
+    _, ideals = pool180
+    calls = _counting_gcd(monkeypatch)
+    deferred = []
+    for ideal in ideals:
+        _, W = first_prime_cofactor(cofactor_side(ideal), 5, substream(480, "decide"), 10**4)
+        assert W is not None and W._gens is not None and W.p % 180 == 1
+        deferred.append(W)
+    for Q in kummer_dedekind(181, K180)[::12]:
+        gens = Q.to_ideal()._generators()
+        assert len(gens) == 2
+        deferred.append(prime_from_generators(K180, 181, 1, gens))
+    for W in deferred:
+        gens = W._gens
+        assert W.gen_poly[1] == 1 and not calls
+        assert W.gen_poly == _eager_prime(K180, W.p, gens).gen_poly
+        calls.clear()
+    assert len(deferred) == 28
+
+
+@pytest.mark.parametrize("gens", [[[1] + [0] * 47], [[181] + [0] * 47], []])
+def test_root_form_needs_exactly_one_common_root(K180, gens):
+    # no root, or all 48, is no prime of norm 181
+    P = prime_from_generators(K180, 181, 1, gens)
+    with pytest.raises(DpipError, match="degree"):
+        P.gen_poly
 
 
 @pytest.mark.parametrize("gens", [[[3, 0]], [[1, 0]], []])

@@ -4,14 +4,14 @@ import random
 import pytest
 
 from dpip import fppoly
-from dpip.advice import load_advice
-from dpip.decide import NO, YES, decide_ideal, decide_prime_ideal, default_switch_config
+from dpip.decide import NO, YES, decide_ideal, default_switch_config
 from dpip.errors import SquarefreeViolationError
-from dpip.nf import Ideal, kummer_dedekind
+from dpip.nf import kummer_dedekind
 from dpip.ntheory import isprime
 from dpip.residue import (
     ResidueField,
     ResiduePoly,
+    _rp_mul,
     element_in_prime,
     reduce_poly_mod_prime,
     residue_field,
@@ -240,23 +240,14 @@ def test_frobenius_power_on_every_prime_of_qsqrtm5(K5):
     assert degrees == {1, 2}
 
 
-def test_frobenius_power_on_the_degree48_witnesses(K180, fixtures_dir):
+def test_frobenius_power_on_the_degree48_witnesses(K180, pool180):
     # the witness primes of decide_ideal on the 24 inputs of the degree-48
     # bench pool: 21 (alpha) and 3 (alpha) * P for a non-principal P above
-    # 181, drawn as the pool draws them; every subfield of every witness
-    advice = load_advice(fixtures_dir / "advice_zeta180.json")
-    non_principal = [P for P in kummer_dedekind(181, K180) if decide_prime_ideal(P, advice).verdict == NO]
-    rng = random.Random(180)
+    # 181; every subfield of every witness
+    advice, ideals = pool180
     cfg = default_switch_config(K180, bound_B=5, seed=480)
     verdicts = []
-    for j in range(24):
-        while True:
-            alpha = [rng.randint(-3, 3) for _ in range(K180.degree)]
-            if any(alpha):
-                break
-        ideal = Ideal.principal(K180, K180.element(alpha))
-        if j % 8 == 7:
-            ideal = ideal * non_principal[rng.randrange(len(non_principal))].to_ideal()
+    for ideal in ideals:
         decision = decide_ideal(ideal, advice, cfg)
         verdicts.append(decision.verdict)
         W = decision.witness_prime
@@ -264,3 +255,88 @@ def test_frobenius_power_on_the_degree48_witnesses(K180, fixtures_dir):
         for _, poly in advice.subfields:
             assert _agrees_with_reference(reduce_poly_mod_prime(list(poly), W))
     assert verdicts.count(YES) == 21 and verdicts.count(NO) == 3
+
+
+def _residue_power(F, a, e):
+    out = F.one()
+    while e:
+        if e & 1:
+            out = F.mul(out, a)
+        a, e = F.mul(a, a), e >> 1
+    return out
+
+
+def _factors_over_fp(g):
+    """`fppoly.factor` of g over F_p at f = 1, and at f = 2 of its norm
+    g * g^sigma, sigma(c) = c^p, whose roots are those of g and their
+    conjugates."""
+    F = g.field
+    coeffs = list(g.coeffs)
+    if F.f == 2:
+        coeffs = _rp_mul(F, coeffs, [_residue_power(F, c, F.p) for c in coeffs])
+    assert all(len(c) <= 1 for c in coeffs)
+    return fppoly.factor([c[0] if c else 0 for c in coeffs], F.p)
+
+
+def _splits_by_factoring(g):
+    """Reference for `splits_completely`: at f = 1, g splits when it has deg
+    g distinct linear factors; at f = 2, its roots lie in F_(p^2) exactly
+    when every irreducible factor of its norm has degree <= 2."""
+    factors = _factors_over_fp(g)
+    if g.field.f == 1:
+        return all(len(h) == 2 and e == 1 for h, e in factors)
+    return all(len(h) <= 3 for h, _ in factors)
+
+
+def _test_polys(rng, F):
+    """Monic g of degree 2..6 over F: binomials x^n - b (b an n-th power or
+    not), trinomials x^n + a x^k + b, products of distinct linear factors,
+    and random ones."""
+    def el():
+        return tuple(F.from_poly([rng.randrange(F.p) for _ in range(F.f)]))
+
+    out = []
+    for n in range(2, 7):
+        c = el()
+        out.append([F.sub(F.zero(), _residue_power(F, c, n))] + [F.zero()] * (n - 1) + [F.one()])
+        out.append([el()] + [F.zero()] * (n - 1) + [F.one()])
+        k = rng.randrange(1, n)
+        out.append([el()] + [F.zero()] * (k - 1) + [el()] + [F.zero()] * (n - k - 1) + [F.one()])
+        roots = {el() for _ in range(n)}
+        prod_ = [F.one()]
+        for r in roots:
+            prod_ = _rp_mul(F, prod_, [F.sub(F.zero(), r), F.one()])
+        out.append(prod_)
+        out.append([el() for _ in range(n)] + [F.one()])
+    return [ResiduePoly(F, c) for c in out]
+
+
+def _unreduced_shift(q, n):
+    """Does x^q mod x^n - b take a shift by x that needs no reduction? Each
+    power of x stays a monomial c x^r, r = e mod n for the exponent e so
+    far, so a set bit after the squaring to 2e shifts with no reduction
+    when 2e mod n < n - 1."""
+    e, found = 1, False
+    for bit in bin(q)[3:]:
+        e *= 2
+        if bit == "1":
+            found |= e % n < n - 1
+            e += 1
+    return found
+
+
+@pytest.mark.parametrize("p, f", [(3, 1), (101, 1), (10007, 1), (2**61 - 1, 1), (3, 2), (7, 2), (10007, 2)])
+def test_splitting_matches_factoring(p, f):
+    rng = random.Random(p * 10 + f)
+    assert any(_unreduced_shift(p**f, n) for n in range(2, 7))
+    F = ResidueField(p, [0, 1] if f == 1 else _random_irreducible(rng, p, f))
+    verdicts = []
+    for g in _test_polys(rng, F):
+        try:
+            verdict = splits_completely(g)
+        except SquarefreeViolationError:
+            assert any(e > 1 for _, e in _factors_over_fp(g))
+            continue
+        assert verdict == _splits_by_factoring(g), (p, f, g.coeffs)
+        verdicts.append(verdict)
+    assert True in verdicts and False in verdicts

@@ -15,7 +15,6 @@ ALLOWED = {
     "fppoly.is_irreducible",
     "lll._numerical_gram",
     "nf.NumberField.__init__",
-    "nf.NumberField.disc_primes",
     "quadforms._check_fundamental",
     "quadforms.prime_discriminants",
     "switching.prime_ideal_count",
