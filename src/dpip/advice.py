@@ -77,7 +77,7 @@ def build_advice(K, polys, S=(), principal_test=None):
 
 
 def _primes_dividing(K, disc_elem):
-    """Prime ideals containing a nonzero integral element."""
+    """Prime ideals containing a nonzero element."""
     from sympy import factorint
 
     out = []
@@ -108,33 +108,36 @@ def _discriminants(K, subfields):
         for c in poly:
             if not isinstance(c, FieldElement) or c.K != K:
                 raise AdviceError(f"subfield {idx}: coefficient outside the field")
-            if not c.is_integral():
-                raise AdviceError(f"subfield {idx}: coefficients must be integral")
         if poly[-1] != K.one():
             raise AdviceError(f"subfield {idx}: polynomial must be monic")
         disc = poly_discriminant(list(poly))
         if disc.is_zero():
             raise AdviceError(f"subfield {idx}: polynomial has vanishing discriminant")
-        if q == prime_power(q)[0] and all(c.is_zero() for c in poly[1:-1]):
+        if q == 2:
+            # x^2 + bx + c is irreducible exactly when disc = b^2 - 4c is no
+            # square; for x^2 - beta, disc = 4 beta is one exactly when beta is
+            _check_kummer(K, idx, 2, disc)
+        elif q == prime_power(q)[0] and all(c.is_zero() for c in poly[1:-1]):
             _check_kummer(K, idx, q, -poly[0])
         discs.append(disc)
     return tuple(discs)
 
 
-_KUMMER_TRIES = 100  # primes p the irreducibility search of x^q - beta tries
+_KUMMER_TRIES = 100  # primes p the irreducibility search of a subfield tries
 
 
 def _check_kummer(K, idx, q, beta):
-    """Refuse x^q - beta, q prime, unless a degree-one prime (p, theta - a)
-    with p not dividing disc(f), q | p - 1 and b = beta(a) != 0 mod p has
+    """Refuse subfield idx, x^q - beta with q prime or a quadratic of
+    discriminant beta, unless a degree-one prime (p, theta - a) with p not
+    dividing disc(f), q | p - 1 and b = beta(a) != 0 mod p has
     b^((p - 1)/q) != 1 mod p. Such a prime proves beta no q-th power in K:
     were beta = gamma^q, gamma would be integral, and as p does not divide
     disc(f), Z[theta] is maximal at p, so gamma(a)^q = b mod p and
     b^((p - 1)/q) = gamma(a)^(p - 1) = 1. Then x^q - beta, q prime, is
-    irreducible over K (Lang, Algebra, VI, Thm. 9.1). The
-    search tries the first _KUMMER_TRIES primes p = 1 (mod q), and for f =
-    Phi_m only p = 1 (mod m), whose primes are read from the roots of
-    unity mod p."""
+    irreducible over K (Lang, Algebra, VI, Thm. 9.1), and so is a quadratic
+    whose discriminant is no square. The search tries the first
+    _KUMMER_TRIES primes p = 1 (mod q), and for f = Phi_m only p = 1
+    (mod m), whose primes are read from the roots of unity mod p."""
     step = lcm(q, cyclotomic_order(K) or 1)
     p, tries = 1, 0
     while tries < _KUMMER_TRIES:
@@ -147,7 +150,7 @@ def _check_kummer(K, idx, q, beta):
             if P.res_degree == 1 and b and pow(b[0], (p - 1) // q, p) != 1:
                 return
     raise AdviceError(
-        f"subfield {idx}: x^{q} - beta is not shown irreducible (beta may lie in K^{q})"
+        f"subfield {idx}: polynomial is not shown irreducible (beta may lie in K^{q})"
     )
 
 

@@ -122,9 +122,7 @@ def run_switch_stats(args):
     K = load_field(args.field)
     ideal = load_ideal(args.ideal, K)
     bounds = [int(b) for b in args.bounds.split(",") if b]
-    stats = switch_stats(
-        ideal, bounds, args.trials, args.seed, field=K, jobs=args.jobs
-    )
+    stats = switch_stats(ideal, bounds, args.trials, args.seed, jobs=args.jobs)
     _write(stats_csv(stats), args.output)
     return EXIT_YES
 

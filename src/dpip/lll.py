@@ -315,7 +315,7 @@ def lll_reduce(ideal):
     if ideal.det() == 0:
         raise ZeroIdealError("zero ideal")
     J = ideal if ideal._factors is None else ideal._factors[1] or Ideal.ring(ideal.K)
-    w =integral_lll(J._basis or J.cols, start_gram(ideal))
+    w = integral_lll(J._basis or J.cols, start_gram(ideal))
     # lattice equality: every vector lies in J and the determinants agree,
     # which pins the same Hermite form; O_K (det 1) holds every integer vector
     if J.det() != 1 and not J.contains_vectors(w):

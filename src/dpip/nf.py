@@ -1,17 +1,17 @@
 """Exact arithmetic in a monogenic number field K = Q[x]/(f).
 
 Everything is computed in the order Z[theta] for a monic integral defining
-polynomial f. Elements are coordinate vectors over the power basis
-1, theta, ..., theta^(d-1) (ints, or Fractions for non-integral elements);
-ideals are full-rank integer lattices whose canonical column Hermite form
-makes equal ideals bit-identical; an ideal u*J given by its factors builds
-that form only when asked. No floating point is used anywhere in this
-module.
+polynomial f. Elements are elements of Z[theta], integer coordinate vectors
+over the power basis 1, theta, ..., theta^(d-1); ideals are full-rank
+integer lattices, over a positive denominator for a fractional ideal, whose
+canonical column Hermite form makes equal ideals bit-identical; an ideal u*J
+given by its factors builds that form only when asked. No floating point is
+used anywhere in this module.
 """
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm, prod
+from math import gcd, prod
 from operator import mul
 
 from . import fppoly
@@ -222,11 +222,12 @@ class NumberField:
 
 
 class FieldElement:
-    """An element of a NumberField in power-basis coordinates.
+    """An element of Z[theta] in power-basis coordinates.
 
-    Coordinates are ints where possible and Fractions otherwise; arithmetic
-    keeps representatives fully reduced modulo the defining polynomial.
-    The coordinates never change, so the norm is computed once and cached.
+    Coordinates are ints, and anything else raises TypeError; arithmetic
+    keeps representatives fully reduced modulo the defining polynomial, and
+    there is no division. The coordinates never change, so the norm is
+    computed once and cached.
     A switching draw is the subclass `_PackedElement`, which holds its
     coordinates packed as the digits that the norm reads.
     """
@@ -234,33 +235,22 @@ class FieldElement:
     __slots__ = ("K", "coords", "_norm")
 
     def __init__(self, K, coords):
-        coords = list(coords)
+        coords = tuple(coords)
         if len(coords) != K.degree:
             raise FieldMismatchError(
                 f"expected {K.degree} coordinates, got {len(coords)}"
             )
-        norm = []
         for c in coords:
-            # ints first: isinstance(c, Fraction) goes through ABCMeta
-            if type(c) is int:
-                norm.append(c)
-            elif isinstance(c, Fraction):
-                norm.append(int(c) if c.denominator == 1 else c)
-            elif isinstance(c, int):
-                norm.append(c)
-            else:
+            if not isinstance(c, int):
                 raise TypeError(f"bad coordinate type {type(c).__name__}")
         self.K = K
-        self.coords = tuple(norm)
+        self.coords = coords
         self._norm = None
 
     # -- predicates -----------------------------------------------------------
 
     def is_zero(self):
         return all(c == 0 for c in self.coords)
-
-    def is_integral(self):
-        return all(isinstance(c, int) for c in self.coords)
 
     def is_rational(self):
         return all(c == 0 for c in self.coords[1:])
@@ -272,7 +262,7 @@ class FieldElement:
             if other.K != self.K:
                 raise FieldMismatchError("elements of different fields")
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self.K.rational(other)
         return NotImplemented
 
@@ -309,7 +299,7 @@ class FieldElement:
 
     def __pow__(self, e):
         if e < 0:
-            return self.inverse() ** (-e)
+            raise ValueError("negative power of an element of Z[theta]")
         result = self.K.one()
         base = self
         while e > 0:
@@ -319,40 +309,16 @@ class FieldElement:
             e >>= 1
         return result
 
-    def inverse(self):
-        """Multiplicative inverse den*beta/N(den*self), from norm_quotient."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        den, g = self._integral()
-        beta, n = norm_quotient(FieldElement(self.K, g))
-        return FieldElement(self.K, [Fraction(den * c, n) for c in beta.coords])
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inverse()
-
     # -- norm ------------------------------------------------------------------
 
-    def _integral(self):
-        """(den, g) with self = g(theta) / den and g integral."""
-        den = 1
-        for c in self.coords:
-            if type(c) is not int and isinstance(c, Fraction):
-                den = lcm(den, c.denominator)
-        return den, (self.coords if den == 1 else [int(c * den) for c in self.coords])
-
     def _packed(self):
-        """(den, digits, W) for self = g(theta) / den: g as its digits
-        (`_digits`) at the least width W that `_tower` reads for g."""
-        den, g = self._integral()
-        W = _digit_width(sum(map(mul, g, g)), len(g))
-        return den, _digits(g, W), W
+        """(digits, W): the coordinates as their digits (`_digits`) at the
+        least width W that `_tower` reads for them."""
+        W = _digit_width(sum(map(mul, self.coords, self.coords)), self.K.degree)
+        return _digits(self.coords, W), W
 
-    def _norm_parts(self):
-        """(N(g), den^d) for self = g(theta) / den; their quotient is the
-        field norm N(self). N(g) = Res(f, g), as f is monic.
+    def norm_int(self):
+        """Field norm N(self) = Res(f, g) for self = g(theta), as f is monic.
 
         In a field certified cyclotomic of order m by `cyclotomic_order`,
         N(g) is read from g's digits (`_packed`): it halves the degree while
@@ -361,39 +327,22 @@ class FieldElement:
         product of the element over the roots of the last field modulo
         split primes above twice its Parseval bound, read as the residue of
         least absolute value (`_RootTable`). Every other field takes the
-        determinant of g's multiplication matrix by Bareiss elimination, the
-        elimination `norm_quotient` runs.
+        determinant of g's multiplication matrix by Bareiss elimination.
         """
         if self._norm is None:
             K = self.K
             m = cyclotomic_order(K)
             if m is None:
-                den, g = self._integral()
-                r = bareiss([list(row) for row in zip(*K.mul_matrix_columns(g))])
+                cols = K.mul_matrix_columns(self.coords)
+                self._norm = bareiss([list(row) for row in zip(*cols)])
             else:
-                den, digits, W = self._packed()
-                r = _cyclotomic_resultant(K, m, digits, W)
-            self._norm = (r, den**K.degree)
+                self._norm = _cyclotomic_resultant(K, m, *self._packed())
         return self._norm
-
-    def norm(self):
-        """Field norm N(self), a Fraction."""
-        return Fraction(*self._norm_parts())
-
-    def norm_int(self):
-        """Field norm N(self) as an int; ValueError if it is not one."""
-        r, dd = self._norm_parts()
-        if dd == 1:
-            return r
-        n, rem = divmod(r, dd)
-        if rem:
-            raise ValueError("norm is not an integer")
-        return n
 
     # -- misc -------------------------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self.is_rational() and self.coords[0] == other
         return (
             isinstance(other, FieldElement)
@@ -412,7 +361,7 @@ class FieldElement:
 
 
 class _PackedElement(FieldElement):
-    """An integral element held as its digits at width W (`_digits`), the
+    """An element held as its digits at width W (`_digits`), the
     form in which a switching draw is made (`decide._combiner`). W must be
     one that `_tower` reads, so the norm takes the digits as they are; the
     coordinates are unpacked when something first reads them."""
@@ -433,7 +382,7 @@ class _PackedElement(FieldElement):
         return self._coords
 
     def _packed(self):
-        return (1, *self._form)
+        return self._form
 
 
 def _totients(n):
@@ -819,25 +768,6 @@ def _cyclotomic_resultant(K, m, digits, W):
     return _base_table(K, poly, m).resultant(h, bound)
 
 
-def norm_quotient(alpha):
-    """(beta, n) with alpha * beta == n == N(alpha), beta in Z[theta].
-
-    beta = n * M_alpha^-1 e_0 is the first column of the adjugate of the
-    multiplication matrix, so it always has integer coordinates: Bareiss
-    elimination on [M_alpha | e_0], then back-substitution.
-    """
-    K = alpha.K
-    if not alpha.is_integral():
-        raise ValueError("norm_quotient needs an integral element")
-    d = K.degree
-    a = [[*row, int(i == 0)] for i, row in enumerate(zip(*K.mul_matrix_columns(alpha.coords)))]
-    det = bareiss(a)
-    if det == 0:
-        raise ZeroDivisionError("singular multiplication matrix")
-    beta = int_back_substitution(a, [det * row[d] for row in a])
-    return FieldElement(K, beta), det
-
-
 def int_back_substitution(rows, rhs):
     """The integer x with sum_j rows[i][j] * x[j] == rhs[i] for every i.
 
@@ -864,10 +794,7 @@ _CHUNK = 10**_CHUNK_DIGITS
 
 
 def decimal_str(x):
-    """Decimal string of an int (or Fraction) of any size."""
-    if isinstance(x, Fraction) and x.denominator != 1:
-        return f"{decimal_str(x.numerator)}/{decimal_str(x.denominator)}"
-    x = int(x)
+    """Decimal string of an int of any size."""
     if -_CHUNK < x < _CHUNK:
         return str(x)
     if x < 0:
@@ -933,7 +860,7 @@ class Ideal:
     entries of `cols` are taken as given, so they must be ints; input from
     outside is converted by `from_hnf_matrix`.
 
-    An integral u*J (u a nonzero integral element, J an integral ideal or
+    An integral u*J (u a nonzero element, J an integral ideal or
     None for O_K), built from one generator or as a product by one, keeps
     `_factors` = (u, J) and the Z-basis `_basis` = u x basis(J). LLL reduces
     J's basis under the Gram matrix of `_basis`, and the decision switches J
@@ -991,16 +918,14 @@ class Ideal:
 
     @staticmethod
     def from_generators(K, gens):
-        """The O_K-module generated by integral elements: u*O_K with its HNF
-        left unbuilt for a single nonzero u, else its HNF lattice."""
+        """The O_K-module generated by elements (or ints): u*O_K with its
+        HNF left unbuilt for a single nonzero u, else its HNF lattice."""
         elems = []
         for g in gens:
-            if isinstance(g, (int, Fraction)):
+            if isinstance(g, int):
                 g = K.rational(g)
             if g.K != K:
                 raise FieldMismatchError("generator from a different field")
-            if not g.is_integral():
-                raise ValueError("generators must be integral")
             if not g.is_zero():
                 elems.append(g)
         if not elems:
@@ -1110,15 +1035,7 @@ class Ideal:
     def contains_element(self, elem):
         if elem.K != self.K:
             raise FieldMismatchError("element from a different field")
-        scaled = [c * self.denom for c in elem.coords]
-        ints = []
-        for c in scaled:
-            if isinstance(c, Fraction):
-                if c.denominator != 1:
-                    return False
-                c = c.numerator
-            ints.append(c)
-        return self.contains_vector(ints)
+        return self.contains_vector([c * self.denom for c in elem.coords])
 
     # -- arithmetic ---------------------------------------------------------------------
 

@@ -156,11 +156,7 @@ def reduce_poly_mod_prime(coeffs, prime):
     monic of the same degree over the residue field.
     """
     F = residue_field(prime)
-    out = []
-    for c in coeffs:
-        if not c.is_integral():
-            raise ValueError("coefficients must be integral")
-        out.append(F.from_poly(list(c.coords)))
+    out = [F.from_poly(list(c.coords)) for c in coeffs]
     if not out or out[-1] != (1,):
         raise ValueError("polynomial must be monic")
     return ResiduePoly(F, out)
@@ -172,9 +168,7 @@ def residue_field(prime):
 
 
 def element_in_prime(elem, prime):
-    """Membership of an integral element in a prime ideal, via its image."""
-    if not elem.is_integral():
-        raise ValueError("membership test needs an integral element")
+    """Membership of an element in a prime ideal, via its image."""
     F = residue_field(prime)
     return not F.from_poly(list(elem.coords))
 

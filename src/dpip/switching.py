@@ -14,6 +14,7 @@ from itertools import product
 
 from .decide import cofactor_side, first_prime_cofactor, prime_cofactor, substream
 from .nf import kummer_dedekind
+from .ntheory import isprime
 
 TRIAL_CAP = 10**5
 
@@ -151,10 +152,8 @@ def prime_switch_density(ideal, bound, mode="exhaustive", budget=10**6, seed=0):
 
 def prime_ideal_count(K, limit):
     """Number of prime ideals of norm <= limit."""
-    from sympy import primerange
-
     count = 0
-    for p in primerange(2, limit + 1):
+    for p in filter(isprime, range(2, limit + 1)):
         for prime in kummer_dedekind(p, K):
             if prime.norm() <= limit:
                 count += 1

@@ -9,7 +9,7 @@ implementations they are checking.
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import gcd, lcm
+from math import gcd
 
 from sympy.polys.domains import ZZ
 from sympy.polys.euclidtools import dup_discriminant, dup_resultant
@@ -17,7 +17,7 @@ from sympy.polys.galoistools import gf_factor
 
 from dpip.intlattice import IntLattice, bareiss
 from dpip.lll import DELTA, lll_reduce
-from dpip.nf import Ideal, _cyclotomic_poly, _totients, norm_quotient
+from dpip.nf import Ideal, _cyclotomic_poly, _totients, int_back_substitution
 from dpip.residue import _rp_mod, _rp_mul
 
 
@@ -122,22 +122,30 @@ def sympy_discriminant(f):
 
 
 def resultant_norm(a):
-    """N(a) = Res(f, g) / den^d for a = g(theta) / den, by the subresultant
-    PRS: the reference for every other norm path."""
-    den = lcm(*(Fraction(c).denominator for c in a.coords))
-    g = [int(c * den) for c in a.coords]
-    return Fraction(sympy_resultant(a.K.poly, g), den**a.K.degree)
+    """N(a) = Res(f, g) for a = g(theta), by the subresultant PRS: the
+    reference for every other norm path."""
+    return sympy_resultant(a.K.poly, a.coords)
 
 
-def principal_inverse(a):
-    """The ideal (1/a) for a nonzero element a = g(theta) / den: (den *
-    beta) / |n| for (beta, n) = norm_quotient(g), as g * beta = n. Its
+def norm_quotient(u):
+    """(beta, n) with u * beta == n == N(u) for a nonzero u, beta in
+    Z[theta]: n * M_u^-1 e_0 is the first column of the adjugate of u's
+    multiplication matrix M_u, so it is integral. Bareiss elimination on
+    [M_u | e_0], then back-substitution."""
+    K, d = u.K, u.K.degree
+    a = [[*row, int(i == 0)] for i, row in enumerate(zip(*K.mul_matrix_columns(u.coords)))]
+    n = bareiss(a)
+    return K.element(int_back_substitution(a, [n * row[d] for row in a])), n
+
+
+def principal_inverse(a, den=1):
+    """The ideal (den/a) for a nonzero element a and an int den >= 1: (den *
+    beta) / |n| for (beta, n) = norm_quotient(a), as a * beta = n. Its
     numerator is spanned by the den * beta * theta^j and den * |n| Z^d
     (which lies in (den * beta), as beta divides n), inserted into a
     lattice mod den * |n|, then reduced by the content it shares with |n|."""
     K = a.K
-    den = lcm(*(Fraction(c).denominator for c in a.coords))
-    beta, n = norm_quotient(K.element([int(c * den) for c in a.coords]))
+    beta, n = norm_quotient(a)
     n = abs(n)
     lat = IntLattice(K.degree, modulus=den * n)
     lat.extend(K.mul_matrix_columns([den * c for c in beta.coords]))

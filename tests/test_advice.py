@@ -180,20 +180,26 @@ def test_every_advice_fixture_loads(fixtures_dir):
 
 def test_reducible_kummer_subfield_rejected(K5):
     # x^2 - 1 and x^3 - 8 = (x - 2)(x^2 + 2x + 4) pass the discriminant
-    # gate, but no prime shows them irreducible, since 1 and 8 are powers
+    # gate, but no prime shows them irreducible, since 1 and 8 are powers;
+    # nor x^2 - x - 2 = (x - 2)(x + 1), whose discriminant 9 is a square
     for q, beta in ((2, 1), (3, 8)):
         poly = [K5.rational(-beta)] + [K5.zero()] * (q - 1) + [K5.one()]
         with pytest.raises(AdviceError, match="irreducible"):
             build_advice(K5, [poly], S=())
-    data = advice_to_dict(genus_advice(-20))
-    data["subfields"][0]["poly"] = [["-1", "0"], ["0", "0"], ["1", "0"]]
-    del data["disc_cache"]
     with pytest.raises(AdviceError, match="irreducible"):
-        advice_from_dict(data)
-    # 2 and -1 are no cubes or squares in Q(sqrt -5)
+        build_advice(K5, [[K5.rational(-2), K5.rational(-1), K5.one()]], S=())
+    for coeffs in ([["-1", "0"], ["0", "0"], ["1", "0"]], [["-2", "0"], ["-1", "0"], ["1", "0"]]):
+        data = advice_to_dict(genus_advice(-20))
+        data["subfields"][0]["poly"] = coeffs
+        del data["disc_cache"]
+        with pytest.raises(AdviceError, match="irreducible"):
+            advice_from_dict(data)
+    # 2 and -1 are no cubes or squares in Q(sqrt -5), nor is disc -3 of
+    # x^2 + x + 1
     for q, beta in ((3, 2), (2, -1)):
         poly = [K5.rational(-beta)] + [K5.zero()] * (q - 1) + [K5.one()]
         assert build_advice(K5, [poly], S=()).subfields[0][0] == q
+    assert build_advice(K5, [[K5.one(), K5.one(), K5.one()]], S=()).subfields[0][0] == 2
 
 
 @pytest.mark.parametrize("disc", [-20, -84, -420])

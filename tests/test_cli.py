@@ -260,26 +260,33 @@ def test_zero_discriminant_advice_is_refused(capsys, tmp_path, fixtures_dir):
 
 
 def test_reducible_kummer_advice_is_refused(capsys, tmp_path, fixtures_dir):
-    # x^2 - 1 splits modulo every prime, so it used to pass advice-check and
-    # then answer Yes on the non-principal (3, 1 + theta)
-    data = json.loads((fixtures_dir / "advice_qsqrtm5.json").read_text())
-    data["subfields"][0]["poly"] = [["-1", "0"], ["0", "0"], ["1", "0"]]
-    data["disc_cache"] = [["4", "0"]]
-    bad = tmp_path / "reducible.json"
-    bad.write_text(json.dumps(data))
-    ideal = tmp_path / "ideal.json"
-    ideal.write_text(json.dumps({"generators": [["3", "0"], ["1", "1"]]}))
-    code, _, err = run(capsys, "advice-check", "--advice", str(bad))
-    assert code == 2
-    assert "irreducible" in err
+    # x^2 - 1 and x^2 - x - 2 = (x - 2)(x + 1) split modulo every prime, so
+    # they used to pass advice-check and then answer Yes on the non-principal
+    # (3, 1 + theta) and (7, 3 + theta)
     field = str(fixtures_dir / "field_qsqrtm5.json")
-    code, out, err = run(capsys, "decide", "--field", field, "--advice", str(bad), "--ideal", str(ideal))
-    assert code == 2
-    assert "verdict" not in out and "irreducible" in err
     good = str(fixtures_dir / "advice_qsqrtm5.json")
-    code, out, _ = run(capsys, "decide", "--field", field, "--advice", good, "--ideal", str(ideal))
-    assert code == 1
-    assert "verdict: No" in out
+    cases = (
+        ([["-1", "0"], ["0", "0"], ["1", "0"]], ["4", "0"], [["3", "0"], ["1", "1"]]),
+        ([["-2", "0"], ["-1", "0"], ["1", "0"]], ["9", "0"], [["7", "0"], ["3", "1"]]),
+    )
+    for poly, disc, gens in cases:
+        data = json.loads((fixtures_dir / "advice_qsqrtm5.json").read_text())
+        data["subfields"][0]["poly"] = poly
+        data["disc_cache"] = [disc]
+        bad = tmp_path / "reducible.json"
+        bad.write_text(json.dumps(data))
+        ideal = tmp_path / "ideal.json"
+        ideal.write_text(json.dumps({"generators": gens}))
+        code, _, err = run(capsys, "advice-check", "--advice", str(bad))
+        assert code == 2
+        assert "irreducible" in err
+        decide = ("decide", "--field", field, "--ideal", str(ideal), "--advice")
+        code, out, err = run(capsys, *decide, str(bad))
+        assert code == 2
+        assert "verdict" not in out and "irreducible" in err
+        code, out, _ = run(capsys, *decide, good)
+        assert code == 1
+        assert "verdict: No" in out
 
 
 def test_oracle_quad(capsys, fixtures_dir):

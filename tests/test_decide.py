@@ -230,7 +230,7 @@ def test_packed_combination_matches_the_plain_sum(K5, K21, K64, K180):
                 r = _combine(K, basis, c)
                 plain = plain_combination(basis, c)
                 if c in normed:
-                    assert r.norm() == resultant_norm(K.element(plain)), (K, B, c)
+                    assert r.norm_int() == resultant_norm(K.element(plain)), (K, B, c)
                 assert list(r.coords) == plain
                 assert all(type(x) is int for x in r.coords)
             # the same kernel multiplies vectors by an element
@@ -670,7 +670,7 @@ def test_decide_factored_ideals_run_no_bareiss(monkeypatch, K180, fixtures_dir):
     rng = random.Random(181)
     alpha = K180.element([rng.randint(-3, 3) for _ in range(K180.degree)])
     P = kummer_dedekind(181, K180)[1].to_ideal()
-    calls = {"bareiss": 0, "quotient": 0, "norm_quotient": 0, "span_det": 0}
+    calls = {"bareiss": 0, "quotient": 0, "span_det": 0}
 
     def counted(name, fn):
         def run(a):
@@ -681,31 +681,32 @@ def test_decide_factored_ideals_run_no_bareiss(monkeypatch, K180, fixtures_dir):
 
     monkeypatch.setattr(intlattice, "bareiss", counted("bareiss", intlattice.bareiss))
     monkeypatch.setattr(nf, "bareiss", counted("quotient", nf.bareiss))
-    monkeypatch.setattr(nf, "norm_quotient", counted("norm_quotient", nf.norm_quotient))
     monkeypatch.setattr(lll, "modular_det", counted("span_det", lll.modular_det))
     cfg = default_switch_config(K180, bound_B=5, seed=480)
     for ideal in (Ideal.principal(K180, alpha), Ideal.principal(K180, alpha) * P):
         decision = decide_ideal(ideal, advice, cfg)
         assert decision.switches_used > 0 and ideal._cols is None
-        assert calls == {"bareiss": 0, "quotient": 0, "norm_quotient": 0, "span_det": 1}
+        assert calls == {"bareiss": 0, "quotient": 0, "span_det": 1}
         calls["span_det"] = 0
 
 
 def test_decide_then_inverse_computes_no_norm_quotient(monkeypatch, K180, fixtures_dir):
     # neither the decision nor the inverse of (alpha), which solves the
-    # congruences of its one generator, computes beta = N(alpha)/alpha;
-    # membership in (alpha) reads its HNF
+    # congruences of its one generator, computes beta = N(alpha)/alpha, the
+    # adjugate column of a Bareiss elimination; membership in (alpha) reads
+    # its HNF
     advice = load_advice(fixtures_dir / "advice_zeta180.json")
     rng = random.Random(180)
     alpha = K180.element([rng.randint(-3, 3) for _ in range(K180.degree)])
     calls = []
-    norm_quotient = nf.norm_quotient
+    bareiss = intlattice.bareiss
 
     def counted(a):
         calls.append(a)
-        return norm_quotient(a)
+        return bareiss(a)
 
-    monkeypatch.setattr(nf, "norm_quotient", counted)
+    monkeypatch.setattr(intlattice, "bareiss", counted)
+    monkeypatch.setattr(nf, "bareiss", counted)
     I = Ideal.principal(K180, alpha)
     decide_ideal(I, advice, default_switch_config(K180, bound_B=5, seed=480))
     inv = I.inverse()

@@ -319,7 +319,7 @@ def test_cyclotomic_order_is_computed_once_per_field(monkeypatch, fixtures_dir):
     monkeypatch.setattr(nf, "_totients", counted)
     K = load_field(fixtures_dir / "field_zeta64.json")
     minkowski_gram(K)
-    assert K.element([1, 2] + [0] * 30).norm() == 1 + 2**32
+    assert K.element([1, 2] + [0] * 30).norm_int() == 1 + 2**32
     assert cyclotomic_order(K) == 64
     assert len(calls) == 1
 

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, prod
 
 import pytest
 
@@ -412,7 +412,7 @@ def test_from_generators_takes_no_norm_beside_a_rational_generator(
     def refuse(self):
         raise AssertionError("generator norm computed")
 
-    monkeypatch.setattr(FieldElement, "norm", refuse)
+    monkeypatch.setattr(FieldElement, "norm_int", refuse)
     I = load_ideal(path, K64)
     assert I.cols == tuple(map(tuple, lat.basis_columns()))
 
@@ -420,8 +420,8 @@ def test_from_generators_takes_no_norm_beside_a_rational_generator(
 def test_from_generators_rejects_zero(K5):
     with pytest.raises(ZeroIdealError):
         Ideal.from_generators(K5, [K5.zero()])
-    with pytest.raises(ValueError):
-        Ideal.from_generators(K5, [K5.element([Fraction(1, 2), 0])])
+    with pytest.raises(ZeroIdealError):
+        Ideal.from_generators(K5, [0, K5.zero()])
 
 
 def test_from_hnf_matrix_validation(K5):
@@ -549,8 +549,8 @@ _REFERENCE_FIELDS = {
 def test_norm_disc_inverse_and_membership_match_the_references(request, field):
     # the norm (Bareiss determinant or tower) against sympy's resultant, disc f
     # (power sums or read from m) against sympy's discriminant, the inverse
-    # of (a) against (den * beta)/|n| and membership in u*O_K and u*P
-    # against the test through beta = N(u)/u, fractional elements included
+    # of the fractional ideal (a)/den against (den * beta)/|n| and membership
+    # in u*O_K and u*P against the test through beta = N(u)/u
     poly = _REFERENCE_FIELDS[field]
     K = request.getfixturevalue("K180") if poly is None else NumberField(poly)
     d = K.degree
@@ -560,17 +560,17 @@ def test_norm_disc_inverse_and_membership_match_the_references(request, field):
         assert poly_discriminant(K.poly) == K.disc
     span = 3 if d > 4 else 40
     count = 2 if d > 4 else 12
-    elems = []
+    elems, dens = [], []
     while len(elems) < 2 * count:
         a = K.element([rng.randint(-span, span) for _ in range(d)])
         if not a.is_zero():
-            elems.append(a / rng.randint(1, 6) if len(elems) % 2 else a)
-    for a in elems:
-        assert a.norm() == resultant_norm(a), (field, a)
-        den = lcm(*(Fraction(c).denominator for c in a.coords))
-        g = Ideal.principal(K, a * den)
+            dens.append(rng.randint(1, 6) if len(elems) % 2 else 1)
+            elems.append(a)
+    for a, den in zip(elems, dens):
+        assert a.norm_int() == resultant_norm(a), (field, a)
+        g = Ideal.principal(K, a)
         frac = _normalized(K, g.cols, den) if den > 1 else g
-        assert frac.inverse() == principal_inverse(a), (field, a)
+        assert frac.inverse() == principal_inverse(a, den), (field, a, den)
     p = next(p for p in (181, 7, 11, 13) if kummer_dedekind(p, K)[0].res_degree < d)
     P = kummer_dedekind(p, K)[0].to_ideal()
     outside = 0

@@ -17,7 +17,6 @@ ALLOWED = {
     "nf.NumberField.__init__",
     "quadforms._check_fundamental",
     "quadforms.prime_discriminants",
-    "switching.prime_ideal_count",
 }
 
 
