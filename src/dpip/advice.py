@@ -12,7 +12,6 @@ import json
 from dataclasses import dataclass
 from math import lcm
 
-from . import fppoly
 from .errors import AdviceError
 from .nf import (
     FieldElement,
@@ -172,13 +171,8 @@ def _validate_prime(K, P):
         raise AdviceError("exceptional prime belongs to a different field")
     if not isprime(P.p):
         raise AdviceError(f"{P.p} is not prime")
-    g = list(P.gen_poly)
-    if not fppoly.is_irreducible(g, P.p):
-        raise AdviceError(f"gen_poly of {P.label()} is reducible mod {P.p}")
-    if fppoly.mod(fppoly.from_ints(list(K.poly), P.p), g, P.p):
-        raise AdviceError(
-            f"gen_poly of {P.label()} does not divide the defining polynomial mod {P.p}"
-        )
+    if P not in kummer_dedekind(P.p, K):
+        raise AdviceError(f"{P.label()} is no prime above {P.p}")
 
 
 # ---------------------------------------------------------------------------

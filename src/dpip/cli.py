@@ -2,13 +2,15 @@
 
 Commands: decide, precompute-quad, switch-stats, oracle-quad, factor-prime,
 advice-check. Exit codes: 0 for Yes/success, 1 for No, 2 for any input or
-validation error, 3 when the switching loop exhausts its trial budget.
+validation error and for any unexpected error (its traceback goes to
+stderr), 3 when the switching loop exhausts its trial budget.
 All randomness flows from --seed (default 42) so runs are reproducible.
 """
 
 import argparse
 import json
 import sys
+import traceback
 
 from .advice import load_advice
 from .decide import conjectural_bound, decide_ideal, default_switch_config
@@ -175,6 +177,9 @@ def main(argv=None):
         return EXIT_GAVE_UP
     except (DpipError, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception:  # a crash must never read as the verdict No (exit 1)
+        traceback.print_exc()
         return EXIT_ERROR
 
 

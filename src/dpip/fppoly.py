@@ -4,9 +4,9 @@ Polynomials are lists/tuples of ints indexed by degree (little-endian) with
 entries reduced into [0, p). The zero polynomial is the empty list. Only the
 handful of operations the rest of the package needs live here. A quadratic
 over F_p with p odd is factored from a square root of its discriminant mod
-p, taken by Tonelli-Shanks, and a linear polynomial is irreducible; every
-other factoring and irreducibility test is delegated to sympy's
-galoistools, imported when it first runs.
+p, taken by Tonelli-Shanks; every other polynomial is factored by sympy's
+galoistools, imported when it first runs. Irreducibility and
+multiplicities are read from a factorization (`nf.kummer_dedekind`).
 """
 
 
@@ -125,33 +125,6 @@ def xgcd(a, b, p):
         return [], u0, v0
     inv = pow(r0[-1], -1, p)
     return scale(r0, inv, p), scale(u0, inv, p), scale(v0, inv, p)
-
-
-def multiplicity(g, a, p):
-    """The largest e with g^e dividing a (nonzero a, deg g >= 1)."""
-    if deg(g) < 1:
-        raise ValueError("multiplicity needs a divisor of positive degree")
-    e = 0
-    while a:
-        q, r = divmod_(a, g, p)
-        if r:
-            break
-        e += 1
-        a = q
-    return e
-
-
-def is_irreducible(a, p):
-    """Irreducibility over F_p of a monic a of degree >= 1 (sympy's Rabin
-    test from degree 2 up); False for anything else, constants included."""
-    if len(a) < 2 or a[-1] != 1:
-        return False
-    if len(a) == 2:
-        return True
-    from sympy.polys.domains import ZZ
-    from sympy.polys.galoistools import gf_irreducible_p
-
-    return gf_irreducible_p([int(c) % p for c in reversed(a)], p, ZZ)
 
 
 def factor(a, p):

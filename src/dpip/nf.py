@@ -1247,8 +1247,8 @@ class PrimeIdeal:
     gen_poly is the monic irreducible factor of the defining polynomial
     mod p that cuts out this prime, with coefficients canonically in [0, p);
     a given polynomial is divided by its leading coefficient mod p, and its
-    degree, at least 1, is the residue degree. The ramification index, the
-    multiplicity of gen_poly in f mod p, is taken when it is first read.
+    degree, at least 1, is the residue degree. The ramification index is
+    read from the equal prime of `kummer_dedekind`, an error if none is.
 
     A prime of norm p from `prime_from_generators` is prime by its norm
     alone, so it keeps its generators instead of its form: gen_poly =
@@ -1299,9 +1299,10 @@ class PrimeIdeal:
     @property
     def ram_index(self):
         if self._ram_index is None:
-            p = self.p
-            f = fppoly.from_ints(self.K.poly, p)
-            self._ram_index = fppoly.multiplicity(list(self.gen_poly), f, p)
+            listed = [P for P in kummer_dedekind(self.p, self.K) if P == self]
+            if not listed:
+                raise DpipError(f"{self.label()} is no prime above {self.p}")
+            self._ram_index = listed[0]._ram_index
         return self._ram_index
 
     def norm(self):
@@ -1357,7 +1358,7 @@ class PrimeIdeal:
         return hash((self.K.poly, self.p, self.gen_poly))
 
     def __repr__(self):
-        return f"PrimeIdeal(p={self.p}, g={poly_str(self.gen_poly, 'x')}, f={self.res_degree}, e={self.ram_index})"
+        return f"PrimeIdeal(p={self.p}, g={poly_str(self.gen_poly, 'x')}, f={self.res_degree})"
 
     def label(self, var="θ"):
         return f"({decimal_str(self.p)}, {poly_str(self.gen_poly, var)})"
@@ -1372,9 +1373,9 @@ def kummer_dedekind(p, K):
     anything else with sympy's factoring.
 
     Returns the list of PrimeIdeal factors, sorted by (residue degree,
-    gen_poly); each one's ram_index is the exponent of its factor. The
-    product with multiplicities recomposes (p); the exponent-weighted
-    degrees sum to d.
+    gen_poly); each one's ram_index is the exponent of its factor, which
+    every other PrimeIdeal reads from here. The product with multiplicities
+    recomposes (p); the exponent-weighted degrees sum to d.
     """
     p = int(p)
     if p in K._kd_cache:
@@ -1389,6 +1390,8 @@ def kummer_dedekind(p, K):
     if sum(e * (len(coeffs) - 1) for coeffs, e in factors) != K.degree:
         raise DpipError("Kummer-Dedekind degree bookkeeping failed")
     out = [PrimeIdeal(K, p, coeffs) for coeffs, _ in factors]
+    for P, (_, e) in zip(out, factors):
+        P._ram_index = e
     K._kd_cache[p] = out
     return out
 
@@ -1415,8 +1418,9 @@ def prime_from_generators(K, p, k, gens):
     Z[theta]/(p) = F_p[x]/(f), so J + (p) = (p, G(theta)) for G = gcd(f,
     g for g in gens) mod p, an ideal of index p^deg G containing J. Hence
     J = (p, G(theta)) exactly when deg G = k, and as a prime of norm p^k
-    contains p, J is prime exactly when also G is irreducible mod p
-    (Kummer-Dedekind, Cohen GTM 138, 4.8). No maximality at p is needed.
+    contains p, J is prime exactly when also G is an irreducible factor of
+    f mod p, that is the gen_poly of a prime of `kummer_dedekind` (Cohen,
+    GTM 138, 4.8.13). No maximality at p is needed.
 
     For k = 1 no gcd runs: Z[theta]/J has p elements, so it is F_p and J is
     prime by its norm, and G (of degree 1, since p is in J) is taken when
@@ -1424,11 +1428,10 @@ def prime_from_generators(K, p, k, gens):
     """
     if k == 1:
         return PrimeIdeal._of_norm_p(K, p, gens)
-    f = fppoly.from_ints(K.poly, p)
-    G = _generated_gcd(f, p, gens, k)
-    if fppoly.deg(G) != k or not fppoly.is_irreducible(G, p):
+    G = tuple(_generated_gcd(fppoly.from_ints(K.poly, p), p, gens, k))
+    if len(G) - 1 != k:
         return None
-    return PrimeIdeal(K, p, G)
+    return next((P for P in kummer_dedekind(p, K) if P.gen_poly == G), None)
 
 
 def _generated_gcd(f, p, gens, least=0):

@@ -18,7 +18,8 @@ MR_EXACT = 3317044064679887385961981  # psi13
 
 def prime_factors(m):
     """The primes dividing m > 0 in increasing order, by trial division (for
-    a small m such as a cyclotomic order)."""
+    a small m: a cyclotomic order, or a discriminant whose forms are
+    enumerated in O(|m|) anyway)."""
     out, p = [], 2
     while p * p <= m:
         if m % p == 0:

@@ -10,7 +10,7 @@ package can build for itself (anything else is ingested from files).
 """
 
 from dataclasses import dataclass
-from math import isqrt
+from math import isqrt, prod
 
 from .advice import build_advice
 from .errors import (
@@ -20,6 +20,7 @@ from .errors import (
     NotFundamentalError,
 )
 from .nf import NumberField
+from .ntheory import prime_factors
 
 
 @dataclass(frozen=True)
@@ -79,8 +80,6 @@ class FormClassGroup:
 
 
 def _check_fundamental(disc):
-    from sympy import factorint
-
     if disc >= 0:
         raise NotFundamentalError("discriminant must be negative")
     m = disc % 4
@@ -94,9 +93,9 @@ def _check_fundamental(disc):
             squarefree_part = q
         else:
             raise NotFundamentalError(f"{disc} is not a fundamental discriminant")
-    for _, e in factorint(abs(squarefree_part)).items():
-        if e > 1:
-            raise NotFundamentalError(f"{disc} is not a fundamental discriminant")
+    n = abs(squarefree_part)
+    if any(n % (p * p) == 0 for p in prime_factors(n)):
+        raise NotFundamentalError(f"{disc} is not a fundamental discriminant")
 
 
 def enumerate_forms(disc):
@@ -169,12 +168,10 @@ def prime_discriminants(disc):
     Odd primes contribute (-1)^((p-1)/2) * p; whatever remains is the
     2-part, one of 1, -4, +-8.
     """
-    from sympy import factorint
-
     _check_fundamental(disc)
     out = []
     rem = disc
-    for p in sorted(factorint(abs(disc))):
+    for p in prime_factors(abs(disc)):
         if p == 2:
             continue
         star = p if p % 4 == 1 else -p
@@ -184,11 +181,8 @@ def prime_discriminants(disc):
         if rem not in (-4, 8, -8):
             raise NotFundamentalError(f"unexpected 2-part {rem} of {disc}")
         out.append(rem)
-    prod = 1
-    for d in out:
-        prod *= d
-    if prod != disc:
-        raise DpipError(f"prime discriminants of {disc} multiply to {prod}")
+    if prod(out) != disc:
+        raise DpipError(f"prime discriminants of {disc} multiply to {prod(out)}")
     return out
 
 

@@ -18,11 +18,11 @@ from .errors import SquarefreeViolationError
 
 
 class ResidueField:
-    """F_{p^f} presented as F_p[y]/(modulus)."""
+    """F_{p^f} presented as F_p[y]/(modulus), modulus monic irreducible mod p."""
 
     __slots__ = ("p", "f", "modulus", "q")
 
-    def __init__(self, p, modulus, check=True):
+    def __init__(self, p, modulus):
         self.p = int(p)
         self.modulus = tuple(int(c) % self.p for c in modulus)
         if not self.modulus or self.modulus[-1] != 1:
@@ -31,8 +31,6 @@ class ResidueField:
         if self.f < 1:
             raise ValueError("modulus must have degree >= 1")
         self.q = self.p**self.f
-        if check and not fppoly.is_irreducible(list(self.modulus), self.p):
-            raise ValueError("modulus is reducible over F_p")
 
     # elements are int tuples of length < f+1 semantics: little-endian, trimmed
     def zero(self):
@@ -163,8 +161,8 @@ def reduce_poly_mod_prime(coeffs, prime):
 
 
 def residue_field(prime):
-    """The residue field of a PrimeIdeal (gen_poly already irreducible)."""
-    return ResidueField(prime.p, prime.gen_poly, check=False)
+    """The residue field of a PrimeIdeal."""
+    return ResidueField(prime.p, prime.gen_poly)
 
 
 def element_in_prime(elem, prime):

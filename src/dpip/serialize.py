@@ -24,14 +24,21 @@ def decode_int(v):
     raise ValueError(f"expected an integer or decimal string, got {type(v).__name__}")
 
 
+def _array(v, what, item=decode_int):
+    """[item(x) for x in v] for a JSON array v, else a ValueError."""
+    if not isinstance(v, list):
+        raise ValueError(f"{what} must be a list, got {type(v).__name__}")
+    return [item(x) for x in v]
+
+
 def field_to_dict(K):
     return {"defining_poly": [encode_int(c) for c in K.poly]}
 
 
 def field_from_dict(data):
-    if "defining_poly" not in data:
+    if not isinstance(data, dict) or "defining_poly" not in data:
         raise ValueError("field file needs a 'defining_poly' entry")
-    return NumberField([decode_int(c) for c in data["defining_poly"]])
+    return NumberField(_array(data["defining_poly"], "defining_poly"))
 
 
 def read_json(path):
@@ -49,13 +56,13 @@ def ideal_to_dict(I):
 
 
 def ideal_from_dict(data, K):
+    if not isinstance(data, dict):
+        raise ValueError("ideal file needs 'generators' or 'hnf'")
     if "generators" in data:
-        gens = [
-            K.element([decode_int(x) for x in coords]) for coords in data["generators"]
-        ]
+        gens = _array(data["generators"], "generators", lambda g: K.element(_array(g, "generator")))
         return Ideal.from_generators(K, gens)
     if "hnf" in data:
-        rows = [[decode_int(x) for x in row] for row in data["hnf"]]
+        rows = _array(data["hnf"], "hnf", lambda row: _array(row, "hnf row"))
         return Ideal.from_hnf_matrix(K, rows)
     raise ValueError("ideal file needs 'generators' or 'hnf'")
 

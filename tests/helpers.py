@@ -13,7 +13,7 @@ from math import gcd
 
 from sympy.polys.domains import ZZ
 from sympy.polys.euclidtools import dup_discriminant, dup_resultant
-from sympy.polys.galoistools import gf_factor
+from sympy.polys.galoistools import gf_factor, gf_irreducible_p
 
 from dpip.intlattice import IntLattice, bareiss
 from dpip.lll import DELTA, lll_reduce
@@ -30,6 +30,13 @@ def sympy_factor(coeffs, p):
     _, factors = gf_factor([c % p for c in reversed(coeffs)], p, ZZ)
     out = [(tuple(int(c) for c in reversed(f)), int(e)) for f, e in factors]
     return sorted(out, key=lambda t: (len(t[0]), t[0]))
+
+
+def irreducible_mod_p(coeffs, p):
+    """Irreducibility over F_p of a monic integer polynomial (low degree
+    first) of degree >= 1, by sympy's `gf_irreducible_p` alone: the
+    reference that picks irreducible moduli for residue-field tests."""
+    return gf_irreducible_p([c % p for c in reversed(coeffs)], p, ZZ)
 
 
 def prime_ideal_by_insertion(P):

@@ -13,7 +13,6 @@ import random
 
 from sympy import primerange
 
-from dpip import fppoly
 from dpip.advice import build_advice, load_advice
 from dpip.decide import (
     NO,
@@ -27,7 +26,7 @@ from dpip.nf import Ideal, NumberField, kummer_dedekind
 from dpip.quadforms import genus_advice, is_principal_quad
 from dpip.residue import ResidueField, ResiduePoly, element_in_prime, splits_completely
 from dpip.switching import landau_ratio, prime_switch_density, switch_stats
-from helpers import residue_elements, residue_evaluate
+from helpers import irreducible_mod_p, residue_elements, residue_evaluate
 
 
 def _report(num, ok, detail):
@@ -228,7 +227,7 @@ def test_criterion_6_arithmetic_invariants(K5, K21, Ki):
         rloc = random.Random(p * 100 + f)
         while True:
             cand = [rloc.randrange(p) for _ in range(f)] + [1]
-            if fppoly.is_irreducible(cand, p):
+            if irreducible_mod_p(cand, p):
                 return cand
 
     built = [(p, f, ResidueField(p, modulus_for(p, f))) for p, f in qfields]

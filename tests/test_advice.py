@@ -87,12 +87,15 @@ def test_bogus_exceptional_prime_rejected(tmp_path):
 def test_reducible_gen_poly_rejected(tmp_path):
     bundle = genus_advice(-20)
     data = advice_to_dict(bundle)
-    # x^2 + 5 = (x+1)(x+2) mod 3: reducible, so not a prime's gen_poly
-    data["S"] = [{"p": "3", "gen_poly": ["2", "0", "1"]}]
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(data))
-    with pytest.raises(AdviceError):
-        load_advice(path)
+    # x^2 + 5 = (x+1)(x+2) mod 3: reducible, so not a prime's gen_poly; and
+    # x^2 + 1 = (x+1)^2 and x, which does not divide x^2 + 5, mod 2: both
+    # contain the subfield discriminant -4, so only the prime check refuses them
+    for p, gen in (("3", ["2", "0", "1"]), ("2", ["1", "0", "1"]), ("2", ["0", "1"])):
+        data["S"] = [{"p": p, "gen_poly": gen}]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(AdviceError, match=f"no prime above {p}"):
+            load_advice(path)
 
 
 def test_malformed_file_rejected(tmp_path):

@@ -520,3 +520,45 @@ def test_decide_reducible_field(capsys, tmp_path, fixtures_dir):
     )
     assert code == 2
     assert "reducible" in err
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("decide", {"hnf": 5}),
+        ("decide", {"hnf": [[1, 0], 5]}),
+        ("decide", {"generators": 7}),
+        ("decide", {"generators": [[1, 0], 3]}),
+        ("decide", 5),
+        ("factor-prime", {"defining_poly": None}),
+        ("factor-prime", 5),
+    ],
+)
+def test_a_malformed_file_is_an_input_error(capsys, tmp_path, fixtures_dir, command, payload):
+    # a file of the wrong shape used to escape main() as a TypeError, which
+    # exits 1, the code of the verdict No
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    if command == "decide":
+        argv = [
+            "--field", str(fixtures_dir / "field_qsqrtm5.json"),
+            "--advice", str(fixtures_dir / "advice_qsqrtm5.json"),
+            "--ideal", str(bad),
+        ]
+    else:
+        argv = ["--field", str(bad), "-p", "2"]
+    code, out, err = run(capsys, command, *argv)
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
+def test_an_unexpected_error_exits_2_with_its_traceback(capsys, monkeypatch, fixtures_dir):
+    def crash(*args):
+        raise RuntimeError("arithmetic bug")
+
+    monkeypatch.setattr("dpip.cli.kummer_dedekind", crash)
+    code, out, err = run(
+        capsys, "factor-prime", "--field", str(fixtures_dir / "field_qsqrtm5.json"), "-p", "2"
+    )
+    assert code == 2 and out == ""
+    assert "Traceback" in err and "RuntimeError: arithmetic bug" in err

@@ -6,7 +6,7 @@ from sympy import isprime, primerange
 from sympy.ntheory import sqrt_mod
 
 from dpip import fppoly
-from helpers import sympy_factor
+from helpers import irreducible_mod_p, sympy_factor
 
 PRIMES = [2, 3, 5, 7, 11, 13, 97]
 
@@ -66,7 +66,7 @@ def test_factor_recomposes_and_is_irreducible():
         prod = [a[-1]]  # leading coefficient
         for fac, e in factors:
             assert fac[-1] == 1
-            assert fppoly.is_irreducible(list(fac), p)
+            assert irreducible_mod_p(fac, p)
             for _ in range(e):
                 prod = fppoly.mul(prod, list(fac), p)
         assert prod == a
@@ -161,34 +161,12 @@ def _irreducible_by_trial_division(a, p):
     return True
 
 
-def test_is_irreducible_agrees_with_trial_division():
+def test_factor_finds_the_irreducibles_that_trial_division_finds():
+    # a monic polynomial is irreducible exactly when it is its own one factor
     for p in (2, 3, 5, 7):
         for n in range(1, 6):
             rng = random.Random(5 * p + n)
             for _ in range(30):
                 coeffs = [rng.randrange(p) for _ in range(n)] + [1]
-                assert fppoly.is_irreducible(coeffs, p) == _irreducible_by_trial_division(
-                    coeffs, p
-                ), (p, coeffs)
-
-
-def test_is_irreducible_needs_a_monic_polynomial_of_positive_degree():
-    assert fppoly.is_irreducible([], 5) is False
-    assert fppoly.is_irreducible([3], 5) is False
-    # 2x^2 + x + 1 is irreducible over F_5 but not monic
-    assert fppoly.is_irreducible([1, 1, 2], 5) is False
-    assert fppoly.is_irreducible([3, 3, 1], 5) is True  # its monic associate
-
-
-def test_multiplicity():
-    p = 7
-    g = [3, 1]  # x + 3
-    u = [1, 0, 1]  # x^2 + 1, which has no root -3 mod 7
-    a = u
-    for e in range(4):
-        assert fppoly.multiplicity(g, a, p) == e
-        a = fppoly.mul(a, g, p)
-    assert fppoly.multiplicity(fppoly.mul(g, g, p), a, p) == 2  # a = u * g^4
-    for constant in ([1], []):
-        with pytest.raises(ValueError):
-            fppoly.multiplicity(constant, u, p)
+                irreducible = fppoly.factor(coeffs, p) == [(tuple(coeffs), 1)]
+                assert irreducible == _irreducible_by_trial_division(coeffs, p), (p, coeffs)

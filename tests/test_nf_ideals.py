@@ -306,6 +306,25 @@ def test_inverse_prime_to_disc_factors_nothing(monkeypatch):
     assert inv == P.inverse()
 
 
+def test_inverse_of_a_prime_of_a_degree_16_field_factors_no_discriminant(monkeypatch):
+    # a random monic f of degree 16 (disc f has 77 digits, 3 | disc f): a
+    # degree-one prime above 3, read from its HNF columns alone, inverts
+    # without factoring disc f
+    import sympy
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("factorint ran")
+
+    monkeypatch.setattr(sympy, "factorint", refuse)
+    rng = random.Random(5)
+    K = NumberField([rng.randint(-99, 99) for _ in range(16)] + [1])
+    assert len(str(abs(K.disc))) == 77 and K.disc % 3 == 0
+    P = next(P for P in kummer_dedekind(3, K) if P.res_degree == 1)
+    I = Ideal(K, P.to_ideal().cols)
+    assert I._gens is None
+    assert I * I.inverse() == Ideal.ring(K)
+
+
 def test_inverse_checks_the_product_when_trial_division_stops(monkeypatch):
     # with no trial division at all, gcd(N(I), disc f) = 10 stays
     # unfactored, and I * I^-1 = O_K is checked instead

@@ -1,7 +1,8 @@
+import itertools
 import random
 
 import pytest
-from sympy import primerange
+from sympy import isprime, primerange
 
 from dpip import fppoly
 from dpip.decide import (
@@ -143,6 +144,43 @@ def test_split_primes_of_a_cyclotomic_field_match_gf_factor(request, monkeypatch
         kummer_dedekind(7, K)  # not 1 mod m: sympy factors it
 
 
+SINGLE_SOURCE_FIELDS = {
+    "x^2+5": ([5, 0, 1], range(2, 300)),
+    "x^2+3": ([3, 0, 1], range(2, 300)),  # Z[theta] is not maximal at 2
+    "x^3-2": ([-2, 0, 0, 1], range(2, 300)),
+    "x^4+x+1": ([1, 1, 0, 0, 1], range(2, 300)),
+    "Phi180": (None, (7, 11, 181)),
+}
+
+
+@pytest.mark.parametrize("field", SINGLE_SOURCE_FIELDS)
+def test_kummer_dedekind_is_the_one_source_of_how_p_factors(K180, field):
+    # the primes above p, with f and e, are sympy's factors of f mod p and
+    # their exponents; (p, G(theta)) of norm p^k is prime exactly when G is
+    # one of them, and a product of two of them, or a square, is not
+    poly, primes = SINGLE_SOURCE_FIELDS[field]
+    K = K180 if poly is None else NumberField(poly)
+    for p in filter(isprime, primes):
+        listed = kummer_dedekind(p, K)
+        want = [(c, len(c) - 1, e) for c, e in sympy_factor(K.poly, p)]
+        assert [(P.gen_poly, P.res_degree, P.ram_index) for P in listed] == want, (field, p)
+        for P in listed:
+            assert prime_from_generators(K, p, P.res_degree, [P.gen_poly]) == P
+        for P, Q in itertools.combinations_with_replacement(listed, 2):
+            G = fppoly.mul(list(P.gen_poly), list(Q.gen_poly), p)
+            assert prime_from_generators(K, p, fppoly.deg(G), [G]) is None, (field, p)
+
+
+def test_a_pair_that_cuts_out_no_prime_has_no_ramification_index(K5):
+    # x + 1 does not divide x^2 + 5 = x^2 - 2 mod 7, so (7, 1 + theta) is no
+    # prime of K5: its ramification index is an error, not e = 0
+    P = PrimeIdeal(K5, 7, [1, 1])
+    assert P not in kummer_dedekind(7, K5)
+    with pytest.raises(DpipError, match="no prime above 7"):
+        P.ram_index
+    assert repr(P) == "PrimeIdeal(p=7, g=1 + x, f=1)"
+
+
 def test_kummer_dedekind_rejects_composites(K5):
     with pytest.raises(ValueError):
         kummer_dedekind(6, K5)
@@ -196,8 +234,9 @@ def test_prime_gen_poly_is_divided_by_its_leading_coefficient(K5):
     # 2x + 3 = 2(x + 4) mod 5: both cut out theta = 1, of residue degree 1
     P = PrimeIdeal(K5, 5, (3, 2))
     assert (P.gen_poly, P.res_degree) == ((4, 1), 1)
-    # the residue degree is read from gen_poly, the ramification index is
-    # its multiplicity in f mod p: x^2 + 5 = x^2 mod 5, and 11 is inert
+    # the residue degree is read from gen_poly, the ramification index from
+    # the prime of `kummer_dedekind` it equals: x^2 + 5 = x^2 mod 5, and 11
+    # is inert
     assert PrimeIdeal(K5, 5, (0, 1)).ram_index == 2
     Q = PrimeIdeal(K5, 11, (5, 0, 1))
     assert (Q.res_degree, Q.ram_index) == (2, 1)

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from sympy import primerange
+from sympy import factorint, primerange
 
 from dpip.errors import ClassGroupNotElementary2Error, NotFundamentalError
 from dpip.nf import Ideal, kummer_dedekind
@@ -55,6 +55,9 @@ def test_enumerate_rejects_bad_discs():
         enumerate_forms(-12)  # 4 * (-3), -3 is 1 mod 4
     with pytest.raises(NotFundamentalError):
         enumerate_forms(-45)  # 9 * -5 not squarefree
+    for disc in (-75, -72):  # 1 mod 4 but 25 * -3; 4 * -18, 2 mod 4 but 9 * -2
+        with pytest.raises(NotFundamentalError):
+            enumerate_forms(disc)
 
 
 def test_reduction_terminates_at_reduced_forms():
@@ -138,6 +141,27 @@ def test_prime_discriminant_factorizations():
     assert prime_discriminants(-120) == [-3, 5, 8]
     assert prime_discriminants(-4) == [-4]
     assert prime_discriminants(-8) == [-8]
+
+
+def _fundamental_by_factorint(disc):
+    """D < 0 is fundamental when D = 1 (mod 4) is squarefree, or D = 4m with
+    m = 2, 3 (mod 4) squarefree: the definition, read from sympy's factorint."""
+    m = disc if disc % 4 == 1 else disc // 4 if disc % 16 in (8, 12) else None
+    return m is not None and all(e == 1 for e in factorint(-m).values())
+
+
+def test_fundamental_discriminants_and_their_prime_discriminants_match_factorint():
+    # trial division finds the discriminants and prime discriminants that
+    # sympy's factorint finds
+    for disc in range(-3000, 0):
+        if not _fundamental_by_factorint(disc):
+            with pytest.raises(NotFundamentalError):
+                prime_discriminants(disc)
+            continue
+        pds = prime_discriminants(disc)
+        odd = sorted(p for p in factorint(-disc) if p > 2)
+        assert [abs(d) for d in pds if d % 2] == odd, disc
+        assert all(d % 4 == 1 for d in pds if d % 2), disc
 
 
 def test_genus_advice_minus20(K5):

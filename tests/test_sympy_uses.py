@@ -12,11 +12,8 @@ ROOT = Path(__file__).resolve().parents[1]
 ALLOWED = {
     "advice._primes_dividing",
     "fppoly.gf_factor",
-    "fppoly.is_irreducible",
     "lll._numerical_gram",
     "nf.NumberField.__init__",
-    "quadforms._check_fundamental",
-    "quadforms.prime_discriminants",
 }
 
 
