@@ -19,13 +19,11 @@ exactly on whatever integral form it is given, the basis transformation is
 unimodular by construction, and lll_reduce checks exactly that the output
 spans the input ideal before returning.
 
-The reduction itself is the all-integer LLL (Cohen, GTM 138, 2.6), with
-exact arithmetic on the lambda/d Gram-Schmidt tables, so runs are
-deterministic. Every swap and size reduction is read from the Gram matrix
-alone, so it may be given any vectors together with the Gram matrix of
-other vectors they map to linearly. An ideal u*J is reduced that way on
-its cofactor side: the vectors are J's basis B_J (the identity for O_K),
-the Gram matrix is that of u x B_J, and the transform W of B_J is checked
+Every swap and size reduction is read from the Gram matrix alone, so the
+reduction may be given any vectors together with the Gram matrix of other
+vectors they map to linearly. An ideal u*J is reduced that way on its
+cofactor side: the vectors are J's basis B_J (the identity for O_K), the
+Gram matrix is that of u x B_J, and the transform W of B_J is checked
 against J and returned with it. The switching step draws on J's side, so
 neither u*J's Hermite form nor u x W is formed. In a cyclotomic field that
 Gram matrix comes from u's weight form: |sigma(theta)| = 1 makes <u
@@ -33,7 +31,30 @@ theta^i, u theta^j> depend on i - j only, so d inner products give a
 Toeplitz matrix T, and B_J^T T B_J follows (start_gram). Every other ideal
 pays b_i^T G b_j per pair.
 
-The reduction starts from the lambda/d tables, the minors of the Gram
+The reduction is float-guided where the Gram matrix fits in doubles
+(integral_lll; L^2, Nguyen and Stehle, SIAM J. Comput. 39, 2009): mu and B
+are taken from the Gram matrix as doubles, swaps and size reductions update
+them as in Cohen's Algorithm 2.6.3 (GTM 138), and each transform is applied
+exactly to the integer vectors. The cyclotomic symmetry makes exact ties
+common (|mu| = 1/2 exactly, most often at (k, l) = (30, 0) for (alpha) in
+Q(zeta_180)), and a double lands on either side of a tie. So both tests,
+and the rounding of mu to q, keep a margin of FLOAT_MARGIN = 2^-30 (about
+10^-9, against errors of at most about 10^-12 in mu on the tested inputs):
+a tie goes the way of the exact algorithm's strict inequalities, and on
+every input the tests try the basis is bit-identical to the exact one's.
+A value that is no tie but lies within the margin of one would be decided
+the other way; that changes which reduced basis comes out, not whether it
+is a basis. The all-integer LLL (exact_lll; Cohen 2.6, exact arithmetic on
+the lambda/d Gram-Schmidt tables) runs instead, from the start, when a
+Gram entry reaches 2^FLOAT_GRAM_BITS (an HNF-given ideal at d = 48 has
+entries of 316-349 bits), when a float pivot B_i is at most
+2^-FLOAT_PIVOT_BITS times its diagonal entry (too small to tell from 0:
+the zero pivot of a singular Gram matrix rounds to a tiny value of either
+sign), or after FLOAT_STEPS * n^2 float steps. No verdict rests on a float
+either way: the floats only choose unimodular transforms, and lll_reduce
+proves exactly that the output spans the input.
+
+exact_lll starts from the lambda/d tables, the minors of the Gram
 matrix. gram_schmidt takes them from any Gram matrix in O(d^3) steps. For
 u*O_K in a cyclotomic field the Gram matrix is T itself, and a symmetric
 Toeplitz matrix gives them in O(d^2) (toeplitz_gram_schmidt): two vectors
@@ -41,9 +62,12 @@ of minors, A_j(i) = det T[{0..j-1, i}, {0..j}], which is lambda_{i,j}, and
 B_j(i) = det T[{1..j, i}, {0..j}], advance one column at a time by the
 Desnanot-Jacobi identity, since shifting both index sets by one leaves a
 minor of T unchanged. Each division is exact because its quotient is again
-a minor of T (Bareiss, Numer. Math. 13, 1969). integral_lll takes that
+a minor of T (Bareiss, Numer. Math. 13, 1969). exact_lll takes that
 route whenever its Gram matrix is Toeplitz; the minors, and so every swap
-and size reduction, are the same either way.
+and size reduction, are the same either way. The float path does the same
+in doubles: the scaled form of that recurrence is Schur's algorithm
+(_float_schur); any other Gram matrix takes Cholesky's O(d^3) recurrence in
+fixed point (_float_gram_schmidt).
 
 DELTA is 3/4, the parameter of Lenstra, Lenstra and Lovasz (1982); the
 algorithm accepts any 1/4 < delta < 1. Since the span check makes the
@@ -52,6 +76,7 @@ basis, and so the switching draws over it, come out. A larger delta buys
 slightly shorter vectors for many more swaps.
 """
 
+from math import floor
 from operator import mul
 
 from .errors import DpipError, ZeroIdealError
@@ -61,6 +86,11 @@ from .nf import Ideal, cyclotomic_order, power_sums
 _PREC_BITS = 192
 _SCALE_BITS = 32
 DELTA = (3, 4)
+FLOAT_GRAM_BITS = 50
+FLOAT_MARGIN = 2.0**-30
+FLOAT_STEPS = 100
+FLOAT_PIVOT_BITS = 40
+_CHOLESKY_BITS = 96
 
 
 def minkowski_gram(K):
@@ -234,6 +264,161 @@ def _toeplitz_row(ips):
 
 
 def integral_lll(vectors, ips):
+    """LLL on coordinate vectors, given their Gram matrix ips[i][j] =
+    <b_i, b_j> under an integral positive definite form; the one reduction
+    lll_reduce calls.
+
+    _float_lll runs first: exact_lll's steps read from mu and B in doubles,
+    each transform applied exactly to the vectors, with every test held
+    FLOAT_MARGIN away from a tie, so that |mu| = 1/2 exactly is left alone
+    and B_k + mu^2 B_{k-1} = DELTA B_{k-1} exactly is not swapped, as in
+    exact_lll's strict tests. exact_lll runs instead, from the start, when
+    an entry of ips reaches 2^FLOAT_GRAM_BITS in absolute value, when a
+    float pivot B_i is at most 2^-FLOAT_PIVOT_BITS ips[i][i], or when the
+    float loop has taken FLOAT_STEPS * n^2 steps. exact_lll raises
+    DpipError on a form that is not positive definite.
+
+    Either way the result is a new list of vectors spanning the same
+    lattice, since every transform is exact and unimodular; floats only
+    choose them, and lll_reduce checks the span exactly, so no verdict
+    rests on a float.
+    """
+    b = _float_lll(vectors, ips)
+    return exact_lll(vectors, ips) if b is None else b
+
+
+def _float_gram_schmidt(ips):
+    """The Gram-Schmidt coefficients mu[i][j] (j < i) and squared norms B of
+    a Gram matrix as doubles, or None when some B_i is at most
+    2^-FLOAT_PIVOT_BITS times its diagonal entry.
+
+    A symmetric Toeplitz matrix takes _float_schur. Any other takes
+    Cholesky's recurrence in integers scaled by 2^_CHOLESKY_BITS, rounded
+    to doubles at the end. The Gram matrix of a prime's HNF basis under u's
+    weight form is ill-conditioned: in doubles the recurrence left mu off
+    by up to 1.5e-10 on (alpha)*P at Phi180, near FLOAT_MARGIN, while at 96
+    bits every tested value came out as the correctly rounded double.
+    Integer arithmetic also gives the same values on every interpreter.
+    """
+    row = _toeplitz_row(ips)
+    if row is not None:
+        return _float_schur(row)
+    n, s = len(ips), _CHOLESKY_BITS
+    mu, bb = [], []
+    for gi in ips:
+        mi, r = [], []  # r[j] = mu[i][j] * B_j, all scaled by 2^s
+        for mj, bj, g in zip(mu, bb, gi):
+            x = (g << s) - (sum(map(mul, mj, r)) >> s)
+            r.append(x)
+            mi.append((x << s) // bj)
+        g = gi[len(mu)] << s
+        x = g - (sum(map(mul, mi, r)) >> s)
+        if x <= g >> FLOAT_PIVOT_BITS:
+            return None
+        mu.append(mi)
+        bb.append(x)
+    one = 1 << s
+    mu = [[x / one for x in mi] + [0.0] * (n - i) for i, mi in enumerate(mu)]
+    return mu, [x / one for x in bb]
+
+
+def _float_schur(t):
+    """_float_gram_schmidt of the symmetric Toeplitz matrix T[r][c] =
+    t[|r - c|] in O(d^2) steps: toeplitz_gram_schmidt's recurrence on the
+    scaled minors a(i) = A_j(i) / d[j] and b(i) = B_j(i) / d[j] (Schur's
+    algorithm). With B_j = a(j) and c = b(j+1) / B_j it reads
+
+        a'(i) = a(i-1) - c b(i),    b'(i) = c a(i-1) - b(i),
+
+    and mu[i][j] = a(i) / B_j. Every step is one IEEE operation, so the
+    values are the same on every interpreter."""
+    n = len(t)
+    mu = [[0.0] * n for _ in range(n)]
+    bb = [0.0] * n
+    a = [float(x) for x in t]
+    b = list(a)
+    floor_b = a[0] / (1 << FLOAT_PIVOT_BITS)
+    for j in range(n):
+        bj = a[j]
+        if not bj > floor_b:
+            return None
+        bb[j] = bj
+        if j + 1 == n:
+            break
+        for i in range(j + 1, n):
+            mu[i][j] = a[i] / bj
+        c = b[j + 1] / bj
+        pairs = list(zip(a[j : n - 1], b[j + 1 :]))
+        a[j + 1 :] = [x - c * y for x, y in pairs]
+        b[j + 1 :] = [c * x - y for x, y in pairs]
+    return mu, bb
+
+
+def _float_lll(vectors, ips):
+    """exact_lll's steps on double-precision mu and B (Cohen, GTM 138,
+    2.6.3), each transform applied exactly to the vectors, or None when
+    integral_lll must run exact_lll instead.
+
+    A size reduction runs only when |mu| > 1/2 + FLOAT_MARGIN, and rounds
+    with q = floor(mu + 1/2 + FLOAT_MARGIN), so a half-integer mu rounds up
+    as in exact_lll; a swap runs only when B_k + mu^2 B_{k-1} <
+    (DELTA - FLOAT_MARGIN) B_{k-1}.
+    """
+    n = len(vectors)
+    bound = 1 << FLOAT_GRAM_BITS
+    if max(map(max, ips)) >= bound or min(map(min, ips)) <= -bound:
+        return None
+    gso = _float_gram_schmidt(ips)
+    if gso is None:
+        return None
+    mu, bb = gso
+    b = [list(v) for v in vectors]
+    half = 0.5 + FLOAT_MARGIN
+    delta = DELTA[0] / DELTA[1] - FLOAT_MARGIN
+
+    def redi(k, l):
+        mk, ml = mu[k], mu[l]
+        q = floor(mk[l] + half)
+        b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+        for j in range(l):
+            mk[j] -= q * ml[j]
+        mk[l] -= q
+
+    def swapi(k):
+        b[k], b[k - 1] = b[k - 1], b[k]
+        mk, mk1 = mu[k], mu[k - 1]
+        mk[: k - 1], mk1[: k - 1] = mk1[: k - 1], mk[: k - 1]
+        m, bk1 = mk[k - 1], bb[k - 1]
+        new_b = bb[k] + m * m * bk1
+        mk[k - 1] = new_mu = m * bk1 / new_b
+        bb[k] = bk1 * bb[k] / new_b
+        bb[k - 1] = new_b
+        for mi in mu[k + 1 :]:
+            t = mi[k]
+            mi[k] = u = mi[k - 1] - m * t
+            mi[k - 1] = t + new_mu * u
+
+    k, steps = 1, FLOAT_STEPS * n * n
+    while k < n:
+        steps -= 1
+        if steps < 0:
+            return None
+        mk = mu[k]
+        if abs(mk[k - 1]) > half:
+            redi(k, k - 1)
+        m = mk[k - 1]
+        if bb[k] + m * m * bb[k - 1] < delta * bb[k - 1]:
+            swapi(k)
+            k = max(k - 1, 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                if abs(mk[l]) > half:
+                    redi(k, l)
+            k += 1
+    return b
+
+
+def exact_lll(vectors, ips):
     """All-integer LLL on coordinate vectors, given their Gram matrix
     ips[i][j] = <b_i, b_j> under an integral positive definite form.
 

@@ -73,6 +73,8 @@ def switch_stats(ideal, bounds, trials, seed, field=None, cap=TRIAL_CAP, jobs=1)
         raise ValueError("jobs must be at least 1")
     if cap < 1:
         raise ValueError("cap must be at least 1")
+    if not bounds:
+        raise ValueError("at least one bound is required")
     if any(bound < 1 for bound in bounds):
         raise ValueError("bounds must be positive")
     side = cofactor_side(ideal)

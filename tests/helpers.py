@@ -203,46 +203,43 @@ def bareiss_det(rows):
     return bareiss([list(map(int, row)) for row in rows])
 
 
-def form_ip(gram, u, v):
-    """u^T gram v, skipping zero coordinates."""
-    acc = 0
-    for ui, grow in zip(u, gram):
-        if ui:
-            acc += ui * sum(g * vj for g, vj in zip(grow, v) if vj)
-    return acc
-
-
 def gram_of(vectors, gram):
-    """The matrix of form_ip over every pair of vectors."""
-    return [[form_ip(gram, u, v) for v in vectors] for u in vectors]
+    """u^T gram v over every pair of vectors, from gram v once per vector and
+    skipping zero coordinates."""
+    gv = [[sum(g * x for g, x in zip(row, v) if x) for row in gram] for v in vectors]
+    return [[sum(x * y for x, y in zip(u, w) if x) for w in gv] for u in vectors]
 
 
 def is_lll_reduced(vectors, gram, delta=DELTA):
-    """Exact check of size reduction and the Lovasz condition."""
+    """Exact check of size reduction and the Lovasz condition, in integers.
+
+    With d[k] the leading k x k minor of the vectors' Gram matrix and
+    lam[i][j] = mu_ij d[j+1] (Cohen, GTM 138, 2.6.7), |mu_ij| <= 1/2 is
+    2 |lam[i][j]| <= d[j+1], |b*_k|^2 = d[k+1] / d[k] > 0 is d[k+1] > 0,
+    and |b*_k|^2 >= (delta - mu_{k,k-1}^2) |b*_{k-1}|^2 is
+    den (d[k+1] d[k-1] + lam[k][k-1]^2) >= num d[k]^2.
+    """
     n = len(vectors)
     dnum, dden = delta
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    bstar = [Fraction(0)] * n
+    ips = gram_of(vectors, gram)
+    lam = [[0] * n for _ in range(n)]
+    d = [1] * (n + 1)
     for i in range(n):
-        # Gram-Schmidt over Q against earlier vectors
-        ips = [Fraction(form_ip(gram, vectors[i], vectors[j])) for j in range(i + 1)]
-        for j in range(i):
-            acc = ips[j]
+        for j in range(i + 1):
+            u = ips[i][j]
             for t in range(j):
-                acc -= mu[i][t] * mu[j][t] * bstar[t]
-            mu[i][j] = acc / bstar[j]
-            if abs(mu[i][j]) > Fraction(1, 2):
+                u = (d[t + 1] * u - lam[i][t] * lam[j][t]) // d[t]
+            if j == i:
+                if u <= 0:
+                    return False
+                d[i + 1] = u
+            elif 2 * abs(u) > d[j + 1]:
                 return False
-        acc = ips[i]
-        for t in range(i):
-            acc -= mu[i][t] * mu[i][t] * bstar[t]
-        bstar[i] = acc
-        if bstar[i] <= 0:
-            return False
-    for k in range(1, n):
-        if bstar[k] < (Fraction(dnum, dden) - mu[k][k - 1] ** 2) * bstar[k - 1]:
-            return False
-    return True
+            else:
+                lam[i][j] = u
+    return all(
+        dden * (d[k + 1] * d[k - 1] + lam[k][k - 1] ** 2) >= dnum * d[k] ** 2 for k in range(1, n)
+    )
 
 
 def lll_reference(basis, gram, delta=DELTA):

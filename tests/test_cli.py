@@ -394,6 +394,21 @@ def test_switch_stats_bad_jobs_is_an_error(capsys, fixtures_dir):
         assert "jobs must be at least 1" in err
 
 
+def test_switch_stats_with_no_bound_is_an_error(capsys, fixtures_dir):
+    for bounds in (",", ",,", ""):
+        code, out, err = run(
+            capsys,
+            "switch-stats",
+            "--field", str(fixtures_dir / "field_qsqrtm5.json"),
+            "--ideal", str(fixtures_dir / "ideal_qsqrtm5_ramified2.json"),
+            "--trials", "2",
+            "--bounds", bounds,
+        )
+        assert code == 2
+        assert out == ""
+        assert "at least one bound is required" in err
+
+
 def test_decide_non_invertible_ideal_is_an_error(capsys, tmp_path):
     # in Z[sqrt 5], (2, 1 + theta) * (a prime above 11) has no inverse
     from dpip.advice import build_advice, store_advice

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -40,12 +41,32 @@ def test_integral_lll_against_fraction_reference():
         checked += 1
 
 
-@pytest.mark.parametrize("gram", [[[1, 2], [2, 1]], [[2, 3], [3, 1]], [[1, 0], [0, 0]]])
+# a Toeplitz t = (1, 2), a non-Toeplitz Gram, a singular one, and the
+# singular Gram of five vectors in Z^5 of which one is a combination of the
+# others, whose zero pivot the float path's Cholesky rounds to a tiny
+# positive value
+_NOT_POSITIVE_DEFINITE = [
+    [[1, 2], [2, 1]],
+    [[2, 3], [3, 1]],
+    [[1, 0], [0, 0]],
+    [
+        [24861, 1211, 6955, -660, 2328],
+        [1211, 5887, 964, -1375, -153],
+        [6955, 964, 3187, 862, -1734],
+        [-660, -1375, 862, 2614, -2930],
+        [2328, -153, -1734, -2930, 5230],
+    ],
+]
+
+
+@pytest.mark.parametrize("gram", _NOT_POSITIVE_DEFINITE)
 def test_indefinite_form_is_refused(gram):
-    # a Toeplitz t = (1, 2), a non-Toeplitz Gram and a singular one: both
-    # set-ups raise the package's error, which the CLI maps to exit 2
+    # the float path declines the form and every exact set-up raises the
+    # package's error, which the CLI maps to exit 2
+    identity = [[int(i == j) for j in range(len(gram))] for i in range(len(gram))]
+    assert lll._float_lll(identity, gram) is None
     with pytest.raises(DpipError, match="positive definite"):
-        integral_lll([[1, 0], [0, 1]], gram)
+        integral_lll(identity, gram)
     with pytest.raises(DpipError, match="positive definite"):
         lll.gram_schmidt(gram)
     if lll._toeplitz_row(gram) is not None:
@@ -99,19 +120,24 @@ def test_toeplitz_set_up_matches_generic_on_autocorrelations():
             assert lll.toeplitz_gram_schmidt(t) == lll.gram_schmidt(gram)
 
 
-def test_principal_ideal_skips_the_generic_set_up(monkeypatch, K180):
-    # (alpha) in Q(zeta_180) reduces from the Toeplitz route alone; an HNF
-    # ideal still takes the generic one
+def test_small_gram_ideals_run_no_exact_set_up(monkeypatch, K180):
+    # (alpha) and P*Q above 181 in Q(zeta_180) have Gram entries below
+    # 2^FLOAT_GRAM_BITS, so the float path reduces them and neither exact
+    # set-up runs; the same (alpha)*P given by its HNF has 316-bit entries
+    # and takes the exact path
     def refuse(ips):
-        raise AssertionError("generic Gram-Schmidt set-up")
+        raise AssertionError("exact Gram-Schmidt set-up")
 
     monkeypatch.setattr(lll, "gram_schmidt", refuse)
-    rng = random.Random(180)
-    alpha = K180.element([rng.randint(-3, 3) for _ in range(48)])
+    monkeypatch.setattr(lll, "toeplitz_gram_schmidt", refuse)
+    alpha, P, J = _principal_times_prime(K180, 181)
     assert _basis_digest(lll_basis(Ideal.principal(K180, alpha))) == "c66531891a5df380"
-    P, Q = (F.to_ideal() for F in kummer_dedekind(181, K180)[:2])
-    with pytest.raises(AssertionError, match="generic"):
-        lll_reduce(P * Q)
+    Q = kummer_dedekind(181, K180)[1].to_ideal()
+    lll_reduce(P * Q)
+    hnf = Ideal(K180, J.cols)
+    assert max(map(max, lll.start_gram(hnf))).bit_length() > lll.FLOAT_GRAM_BITS
+    with pytest.raises(AssertionError, match="exact"):
+        lll_reduce(hnf)
 
 
 def test_minkowski_gram_quadratic(K5):
@@ -383,3 +409,121 @@ def test_span_check_on_factored_ideals(request, monkeypatch, case, corruption):
         lll_reduce(ideal)
     assert (ideal._factors is None) == (case == "K5-hnf")
     assert (ideal._cols is None) == (ideal._factors is not None)
+
+
+def _cofactor_start(ideal):
+    """The vectors and Gram matrix lll_reduce hands integral_lll."""
+    J = ideal if ideal._factors is None else ideal._factors[1] or Ideal.ring(ideal.K)
+    return J._basis or J.cols, lll.start_gram(ideal)
+
+
+def _assert_float_path_agrees(ideal):
+    # the float path runs, its W is exact_lll's on the same start, lll_reduce
+    # returns it, and u x W is LLL-reduced under the canonical-embedding form
+    vectors, gram = _cofactor_start(ideal)
+    exact = lll.exact_lll(vectors, gram)
+    assert lll._float_lll(vectors, gram) == exact
+    assert lll_reduce(ideal)[1] == tuple(map(tuple, exact))
+    assert is_lll_reduced([b.coords for b in lll_basis(ideal)], minkowski_gram(ideal.K))
+
+
+def _random_principal(K, seed, bound, count):
+    rng = random.Random(seed)
+    ideals = []
+    while len(ideals) < count:
+        coords = [rng.randint(-bound, bound) for _ in range(K.degree)]
+        if any(coords):
+            ideals.append(Ideal.principal(K, K.element(coords)))
+    return ideals
+
+
+@pytest.mark.parametrize("field, bound", [("K180", 3), ("K180", 9), ("K64", 3), ("K64", 9)])
+def test_float_path_agrees_with_exact_on_principal_ideals(request, field, bound):
+    K = request.getfixturevalue(field)
+    for ideal in _random_principal(K, 29 * bound + K.degree, bound, 26):
+        _assert_float_path_agrees(ideal)
+
+
+def test_float_path_agrees_with_exact_on_the_degree48_pool(pool180):
+    # |mu| = 1/2 exactly in most of these (the cyclotomic symmetry), so
+    # without the FLOAT_MARGIN tie rule some W here differs from exact_lll's
+    _, ideals = pool180
+    for ideal in ideals:
+        _assert_float_path_agrees(ideal)
+
+
+@pytest.mark.parametrize("field, p", [("K180", 181), ("K64", 193)])
+def test_float_path_agrees_with_exact_on_products_by_a_prime(request, field, p):
+    K = request.getfixturevalue(field)
+    primes = [F.to_ideal() for F in kummer_dedekind(p, K)]
+    for bound in (3, 9):
+        for i, ideal in enumerate(_random_principal(K, p + bound, bound, 3)):
+            _assert_float_path_agrees(ideal * primes[i])
+    _assert_float_path_agrees(_principal_times_prime(K, p)[2])
+
+
+def test_float_path_agrees_with_exact_on_prime_and_switch_ideals(K5, K21, K64, fixtures_dir):
+    for K in (K5, K21):
+        for p in (2, 3, 5, 7, 11, 13):
+            for P in kummer_dedekind(p, K):
+                _assert_float_path_agrees(P.to_ideal())
+    _assert_float_path_agrees(load_ideal(fixtures_dir / "ideal_zeta64_switch.json", K64))
+
+
+def test_hnf_given_ideal_takes_the_exact_path(monkeypatch, K180):
+    # the HNF of (alpha)*P181 has Gram entries of about 316 bits, beyond
+    # doubles: the float path declines at once, the exact path runs from the
+    # start, and its W passes lll_reduce's span check
+    _, _, J = _principal_times_prime(K180, 181)
+    hnf = Ideal(K180, J.cols)
+    runs = []
+    float_lll, exact_lll = lll._float_lll, lll.exact_lll
+    monkeypatch.setattr(lll, "_float_lll", lambda *a: runs.append(float_lll(*a)))
+    monkeypatch.setattr(lll, "exact_lll", lambda *a: runs.append(exact_lll(*a)) or runs[-1])
+    _, W = lll_reduce(hnf)
+    assert runs[0] is None and len(runs) == 2
+    assert W == tuple(map(tuple, runs[1]))
+
+
+def test_float_step_cap_falls_back_to_the_exact_path(monkeypatch, K180):
+    # with no float steps allowed the float path gives up, and integral_lll
+    # returns exact_lll's basis from the original vectors
+    ideal = _random_principal(K180, 5, 3, 1)[0]
+    vectors, gram = _cofactor_start(ideal)
+    monkeypatch.setattr(lll, "FLOAT_STEPS", 0)
+    assert lll._float_lll(vectors, gram) is None
+    assert integral_lll(vectors, gram) == lll.exact_lll(vectors, gram)
+
+
+def test_float_path_breaks_ties_as_the_exact_path_does():
+    # |b_1|^2 = 3/4 |b_0|^2 is a Lovasz tie, which exact_lll's strict test
+    # leaves unswapped; B_1 + mu^2 B_0 in doubles lands on either side of it,
+    # and FLOAT_MARGIN keeps every such pair unswapped as well
+    for g00 in range(4, 400, 4):
+        for g01 in range(g00 // 2 + 1):
+            gram = [[g00, g01], [g01, 3 * g00 // 4]]
+            if g00 * gram[1][1] > g01 * g01:
+                assert lll._float_lll([[1, 0], [0, 1]], gram) == lll.exact_lll([[1, 0], [0, 1]], gram)
+
+
+@pytest.mark.parametrize("field, p", [("K64", 193), ("K180", 181)])
+def test_float_gram_schmidt_is_far_inside_the_margin(request, fixtures_dir, field, p):
+    # Schur's recurrence on the Toeplitz Gram of (alpha), and the fixed-point
+    # Cholesky on the ill-conditioned Gram of (alpha)*P and of an HNF lattice,
+    # give mu and B within 2^-40 of the exact minors' ratios, far inside
+    # FLOAT_MARGIN = 2^-30
+    K = request.getfixturevalue(field)
+    cases = [_random_principal(K, p, bound, 2) for bound in (3, 9)]
+    ideals = [I for pair in cases for I in pair]
+    primes = [F.to_ideal() for F in kummer_dedekind(p, K)]
+    ideals += [I * P for I, P in zip(ideals, primes)]
+    if K.degree == 32:
+        ideals.append(load_ideal(fixtures_dir / "ideal_zeta64_switch.json", K))
+    for ideal in ideals:
+        gram = lll.start_gram(ideal)
+        mu, bb = lll._float_gram_schmidt(gram)
+        lam, d = lll.gram_schmidt(gram)
+        for i in range(K.degree):
+            assert abs(Fraction(bb[i]) * d[i] / d[i + 1] - 1) < 2**-40
+            for j in range(i):
+                assert abs(Fraction(mu[i][j]) - Fraction(lam[i][j], d[j + 1])) < 2**-40

@@ -182,6 +182,19 @@ def test_switch_stats_rejects_a_cap_below_one(fixtures_dir):
             switch_stats(I, [5], trials=2, seed=1, cap=cap)
 
 
+def test_switch_stats_needs_a_bound_before_it_reduces(monkeypatch, fixtures_dir):
+    # no bound means no statistics, so no LLL reduction is paid for either
+    K = load_field(fixtures_dir / "field_qsqrtm5.json")
+    I = load_ideal(fixtures_dir / "ideal_qsqrtm5_3pt.json", K)
+
+    def refuse(ideal):
+        raise AssertionError("reduced an ideal with no bound to draw at")
+
+    monkeypatch.setattr(switching, "cofactor_side", refuse)
+    with pytest.raises(ValueError, match="at least one bound is required"):
+        switch_stats(I, [], trials=2, seed=1)
+
+
 def test_exhaustive_density_unit_ideal(K5):
     """Independent oracle: count a^2+5b^2 prime (or a matching prime power)."""
     ring = Ideal.ring(K5)
