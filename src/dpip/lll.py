@@ -11,8 +11,7 @@ power-basis coordinates that is computed once per field and cached on it:
   over O_K). No floating point is involved.
 * Every other field falls back to mpmath roots at fixed precision. If each
   entry lies within 2^-40 of an integer it is rounded (a tolerance test,
-  not a proof); otherwise the form is scaled by 2^32, rounded and
-  symmetrised.
+  not a proof); otherwise the form is scaled by 2^32 and rounded.
 
 An inexact Gram matrix only shifts the reduction weights: the reduction runs
 exactly on whatever integral form it is given, the basis transformation is
@@ -44,30 +43,28 @@ a tie goes the way of the exact algorithm's strict inequalities, and on
 every input the tests try the basis is bit-identical to the exact one's.
 A value that is no tie but lies within the margin of one would be decided
 the other way; that changes which reduced basis comes out, not whether it
-is a basis. The all-integer LLL (exact_lll; Cohen 2.6, exact arithmetic on
-the lambda/d Gram-Schmidt tables) runs instead, from the start, when a
-Gram entry reaches 2^FLOAT_GRAM_BITS (an HNF-given ideal at d = 48 has
-entries of 316-349 bits), when a float pivot B_i is at most
-2^-FLOAT_PIVOT_BITS times its diagonal entry (too small to tell from 0:
-the zero pivot of a singular Gram matrix rounds to a tiny value of either
-sign), or after FLOAT_STEPS * n^2 float steps. No verdict rests on a float
-either way: the floats only choose unimodular transforms, and lll_reduce
-proves exactly that the output spans the input.
+is a basis.
 
-exact_lll starts from the lambda/d tables, the minors of the Gram
-matrix. gram_schmidt takes them from any Gram matrix in O(d^3) steps. For
-u*O_K in a cyclotomic field the Gram matrix is T itself, and a symmetric
-Toeplitz matrix gives them in O(d^2) (toeplitz_gram_schmidt): two vectors
-of minors, A_j(i) = det T[{0..j-1, i}, {0..j}], which is lambda_{i,j}, and
-B_j(i) = det T[{1..j, i}, {0..j}], advance one column at a time by the
-Desnanot-Jacobi identity, since shifting both index sets by one leaves a
-minor of T unchanged. Each division is exact because its quotient is again
-a minor of T (Bareiss, Numer. Math. 13, 1969). exact_lll takes that
-route whenever its Gram matrix is Toeplitz; the minors, and so every swap
-and size reduction, are the same either way. The float path does the same
-in doubles: the scaled form of that recurrence is Schur's algorithm
-(_float_schur); any other Gram matrix takes Cholesky's O(d^3) recurrence in
-fixed point (_float_gram_schmidt).
+"Fits in doubles" is a matter of range, not of precision. Every entry of
+the Gram matrix must lie below 2^FLOAT_GRAM_BITS = 2^511, half the
+double's exponent range less one bit: no B_i ever exceeds the largest
+diagonal entry (a swap only lowers max B_i), so the product B_{k-1} B_k a
+swap forms stays below 2^1022 and finite. Precision is the pivot floor's
+business: the float path also declines when a float pivot B_i is at most
+2^-FLOAT_PIVOT_BITS times its diagonal entry (too small to tell from 0: the
+zero pivot of a singular Gram matrix rounds to a tiny value of either
+sign, and the ill-conditioned Gram of an HNF-given ideal at d = 48 fails
+it as well), and gives up after FLOAT_STEPS * n^2 steps. In each of these
+cases the all-integer LLL (exact_lll; Cohen 2.6, exact arithmetic on the
+lambda/d Gram-Schmidt tables, which gram_schmidt takes from the Gram
+matrix) runs instead, from the start. No verdict rests on a float either
+way: the floats only choose unimodular transforms, and lll_reduce proves
+exactly that the output spans the input.
+
+The float Gram-Schmidt takes O(d^2) steps on a symmetric Toeplitz Gram
+matrix, the one of u x O_K in a cyclotomic field (Schur's algorithm,
+_float_schur), and Cholesky's O(d^3) recurrence in fixed point on any
+other (_float_gram_schmidt).
 
 DELTA is 3/4, the parameter of Lenstra, Lenstra and Lovasz (1982); the
 algorithm accepts any 1/4 < delta < 1. Since the span check makes the
@@ -76,6 +73,7 @@ basis, and so the switching draws over it, come out. A larger delta buys
 slightly shorter vectors for many more swaps.
 """
 
+import sys
 from math import floor
 from operator import mul
 
@@ -86,7 +84,7 @@ from .nf import Ideal, cyclotomic_order, power_sums
 _PREC_BITS = 192
 _SCALE_BITS = 32
 DELTA = (3, 4)
-FLOAT_GRAM_BITS = 50
+FLOAT_GRAM_BITS = sys.float_info.max_exp // 2 - 1
 FLOAT_MARGIN = 2.0**-30
 FLOAT_STEPS = 100
 FLOAT_PIVOT_BITS = 40
@@ -123,9 +121,8 @@ def _numerical_gram(K):
     """Gram matrix from mpmath roots, rounded to integers.
 
     Entries within 2^-40 of an integer are rounded; otherwise the whole
-    form is scaled by 2^32, rounded and symmetrised. Either way the
-    reduction runs on an exact integral form; only its weights are
-    approximate.
+    form is scaled by 2^32 and rounded. Either way the reduction runs on an
+    exact integral form; only its weights are approximate.
     """
     import mpmath
 
@@ -153,9 +150,6 @@ def _numerical_gram(K):
         else:
             s = mpmath.mpf(2) ** _SCALE_BITS
             q = [[int(mpmath.nint(x * s)) for x in row] for row in gram]
-            for j in range(d):
-                for k in range(j + 1, d):
-                    q[j][k] = q[k][j] = (q[j][k] + q[k][j]) // 2
     return tuple(tuple(row) for row in q)
 
 
@@ -218,41 +212,6 @@ def gram_schmidt(ips):
     return lam, big_d
 
 
-def toeplitz_gram_schmidt(t):
-    """gram_schmidt of the symmetric Toeplitz matrix T[r][c] = t[|r - c|],
-    by two vectors in O(d^2) steps instead of O(d^3).
-
-    A_j(i) = det T[{0..j-1, i}, {0..j}] is lam[i][j] (and d[j+1] at i = j);
-    B_j(i) = det T[{1..j, i}, {0..j}]. Both start as t, and the
-    Desnanot-Jacobi identity on a (j+2)-minor, with T[r+1][c+1] = T[r][c]
-    and T^T = T, gives for i > j
-
-        A_{j+1}(i) = (d[j+1] A_j(i-1) - B_j(i) B_j(j+1)) / d[j]
-        B_{j+1}(i) = (A_j(i-1) B_j(j+1) - B_j(i) d[j+1]) / d[j],
-
-    both exact because each quotient is a minor of T: the fraction-free
-    Toeplitz elimination of Bareiss (Numer. Math. 13, 1969)."""
-    n = len(t)
-    lam = [[0] * n for _ in range(n)]
-    big_d = [1] * (n + 1)
-    a, b = list(t), list(t)
-    for j in range(n):
-        dj, dj1 = big_d[j], a[j]
-        if dj1 <= 0:
-            raise DpipError("form is not positive definite on the basis")
-        big_d[j + 1] = dj1
-        if j + 1 == n:
-            break
-        bj1 = b[j + 1]
-        # downwards, so a[i - 1] is still A_j when A_{j+1}(i) reads it
-        for i in range(n - 1, j, -1):
-            lam[i][j] = a[i]
-            ai, bi = a[i - 1], b[i]
-            a[i] = (dj1 * ai - bi * bj1) // dj
-            b[i] = (ai * bj1 - bi * dj1) // dj
-    return lam, big_d
-
-
 def _toeplitz_row(ips):
     """The first row t of ips when ips[i][j] = t[|i - j|] throughout, else
     None; stops at the first mismatch."""
@@ -273,10 +232,11 @@ def integral_lll(vectors, ips):
     FLOAT_MARGIN away from a tie, so that |mu| = 1/2 exactly is left alone
     and B_k + mu^2 B_{k-1} = DELTA B_{k-1} exactly is not swapped, as in
     exact_lll's strict tests. exact_lll runs instead, from the start, when
-    an entry of ips reaches 2^FLOAT_GRAM_BITS in absolute value, when a
-    float pivot B_i is at most 2^-FLOAT_PIVOT_BITS ips[i][i], or when the
-    float loop has taken FLOAT_STEPS * n^2 steps. exact_lll raises
-    DpipError on a form that is not positive definite.
+    an entry of ips reaches 2^FLOAT_GRAM_BITS in absolute value (where a
+    product of two B_i could overflow a double), when a float pivot B_i is
+    at most 2^-FLOAT_PIVOT_BITS ips[i][i], or when the float loop has taken
+    FLOAT_STEPS * n^2 steps. exact_lll raises DpipError on a form that is
+    not positive definite.
 
     Either way the result is a new list of vectors spanning the same
     lattice, since every transform is exact and unimodular; floats only
@@ -324,14 +284,16 @@ def _float_gram_schmidt(ips):
 
 def _float_schur(t):
     """_float_gram_schmidt of the symmetric Toeplitz matrix T[r][c] =
-    t[|r - c|] in O(d^2) steps: toeplitz_gram_schmidt's recurrence on the
-    scaled minors a(i) = A_j(i) / d[j] and b(i) = B_j(i) / d[j] (Schur's
-    algorithm). With B_j = a(j) and c = b(j+1) / B_j it reads
+    t[|r - c|] in O(d^2) steps, by Schur's algorithm on two vectors a and
+    b, both starting as t. At column j, B_j = a(j), mu[i][j] = a(i) / B_j
+    for i > j, and with c = b(j+1) / B_j the next column's vectors are
 
-        a'(i) = a(i-1) - c b(i),    b'(i) = c a(i-1) - b(i),
+        a'(i) = a(i-1) - c b(i),    b'(i) = c a(i-1) - b(i)    (i > j).
 
-    and mu[i][j] = a(i) / B_j. Every step is one IEEE operation, so the
-    values are the same on every interpreter."""
+    a(i) is <b_i, b*_j>, and b is Schur's second generator, which T's
+    invariance under a shift of both indices keeps in step with a. Every
+    step is one IEEE operation, so the values are the same on every
+    interpreter."""
     n = len(t)
     mu = [[0.0] * n for _ in range(n)]
     bb = [0.0] * n
@@ -424,27 +386,23 @@ def exact_lll(vectors, ips):
 
     Returns a new list of vectors spanning the same lattice, size-reduced
     and satisfying the Lovasz condition at DELTA (a num/den pair). The
-    lambda/d tables start from toeplitz_gram_schmidt when ips is symmetric
-    Toeplitz (the Gram matrix of u x O_K in a cyclotomic field), else from
-    gram_schmidt; both give the same minors, so every later step is the
-    same. A form that is not positive definite raises DpipError.
+    lambda/d tables start from gram_schmidt. A form that is not positive
+    definite raises DpipError.
     """
     n = len(vectors)
     b = [list(v) for v in vectors]
     dnum, dden = DELTA
-    row = _toeplitz_row(ips)
-    lam, big_d = gram_schmidt(ips) if row is None else toeplitz_gram_schmidt(row)
+    lam, big_d = gram_schmidt(ips)
 
     def redi(k, l):
         dl = big_d[l + 1]
         lk = lam[k]
-        if 2 * abs(lk[l]) > dl:
-            q = (2 * lk[l] + dl) // (2 * dl)
-            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
-            ll = lam[l]
-            for j in range(l):
-                lk[j] -= q * ll[j]
-            lk[l] -= q * dl
+        q = (2 * lk[l] + dl) // (2 * dl)
+        b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+        ll = lam[l]
+        for j in range(l):
+            lk[j] -= q * ll[j]
+        lk[l] -= q * dl
 
     def swapi(k):
         b[k], b[k - 1] = b[k - 1], b[k]
@@ -462,13 +420,14 @@ def exact_lll(vectors, ips):
 
     k = 1
     while k < n:
-        redi(k, k - 1)
-        lam_ = lam[k][k - 1]
+        lk = lam[k]
+        if 2 * abs(lk[k - 1]) > big_d[k]:
+            redi(k, k - 1)
+        lam_ = lk[k - 1]
         if dden * (big_d[k + 1] * big_d[k - 1] + lam_ * lam_) < dnum * big_d[k] ** 2:
             swapi(k)
             k = max(k - 1, 1)
         else:
-            lk = lam[k]
             for l in range(k - 2, -1, -1):
                 if 2 * abs(lk[l]) > big_d[l + 1]:
                     redi(k, l)

@@ -127,6 +127,10 @@ def prime_switch_density(ideal, bound, mode="exhaustive", budget=10**6, seed=0):
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
+    if mode not in ("exhaustive", "sampled"):
+        raise ValueError(f"unknown mode {mode!r}")
     d = ideal.K.degree
     grid = (2 * bound + 1) ** d
     side = cofactor_side(ideal)
@@ -140,16 +144,14 @@ def prime_switch_density(ideal, bound, mode="exhaustive", budget=10**6, seed=0):
             raise ValueError(f"grid of {grid} points exceeds the budget {budget}")
         count = sum(1 for coeffs in product(range(-bound, bound + 1), repeat=d) if hit(coeffs))
         return DensityEstimate(Fraction(count, grid), 0.0, grid, True)
-    if mode == "sampled":
-        rng = substream(seed, "density", bound)
-        hits = 0
-        for _ in range(budget):
-            coeffs = [rng.randrange(-bound, bound + 1) for _ in range(d)]
-            hits += hit(coeffs)
-        phat = Fraction(hits, budget)
-        se = math.sqrt(float(phat) * (1.0 - float(phat)) / budget)
-        return DensityEstimate(phat, se, budget, False)
-    raise ValueError(f"unknown mode {mode!r}")
+    rng = substream(seed, "density", bound)
+    hits = 0
+    for _ in range(budget):
+        coeffs = [rng.randrange(-bound, bound + 1) for _ in range(d)]
+        hits += hit(coeffs)
+    phat = Fraction(hits, budget)
+    se = math.sqrt(float(phat) * (1.0 - float(phat)) / budget)
+    return DensityEstimate(phat, se, budget, False)
 
 
 def prime_ideal_count(K, limit):

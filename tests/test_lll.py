@@ -61,7 +61,7 @@ _NOT_POSITIVE_DEFINITE = [
 
 @pytest.mark.parametrize("gram", _NOT_POSITIVE_DEFINITE)
 def test_indefinite_form_is_refused(gram):
-    # the float path declines the form and every exact set-up raises the
+    # the float path declines the form and the exact set-up raises the
     # package's error, which the CLI maps to exit 2
     identity = [[int(i == j) for j in range(len(gram))] for i in range(len(gram))]
     assert lll._float_lll(identity, gram) is None
@@ -69,12 +69,9 @@ def test_indefinite_form_is_refused(gram):
         integral_lll(identity, gram)
     with pytest.raises(DpipError, match="positive definite"):
         lll.gram_schmidt(gram)
-    if lll._toeplitz_row(gram) is not None:
-        with pytest.raises(DpipError, match="positive definite"):
-            lll.toeplitz_gram_schmidt(gram[0])
 
 
-def test_toeplitz_row_needs_every_diagonal_constant():
+def test_toeplitz_row_needs_every_diagonal_constant(K64, K180):
     t = [5, 2, 1, 0]
     gram = [[t[abs(i - j)] for j in range(4)] for i in range(4)]
     assert lll._toeplitz_row(gram) == t
@@ -83,59 +80,38 @@ def test_toeplitz_row_needs_every_diagonal_constant():
         bent[i][j] += 1
         assert lll._toeplitz_row(bent) is None
     assert lll._toeplitz_row([]) is None
+    # the start Gram of u*O_K in a cyclotomic field is Toeplitz, so its float
+    # Gram-Schmidt takes Schur's recurrence
+    small = [NumberField(f) for f in ([-1, 1], [1, 1, 1], [1] + [0] * 7 + [1])]
+    for K in small + [K64, K180]:
+        rng = random.Random(K.degree)
+        for _ in range(3):
+            coords = [0] * K.degree
+            while not any(coords):
+                coords = [rng.randint(-9, 9) for _ in range(K.degree)]
+            gram = lll.start_gram(Ideal.principal(K, K.element(coords)))
+            assert lll._toeplitz_row(gram) == gram[0]
 
 
-@pytest.mark.parametrize(
-    "field",
-    [[-1, 1], [1, 1, 1], [1] + [0] * 7 + [1], "K64", "K180"],
-    ids=["x-1", "x^2+x+1", "x^8+1", "x^32+1", "phi180"],
-)
-def test_toeplitz_set_up_matches_generic_on_principal_ideals(request, field):
-    # the start Gram of u*O_K in a cyclotomic field is Toeplitz, and its
-    # two-vector minors are Cohen's lambda/d tables
-    K = request.getfixturevalue(field) if isinstance(field, str) else NumberField(field)
-    rng = random.Random(K.degree)
-    for _ in range(3 if K.degree > 32 else 10):
-        coords = [0] * K.degree
-        while not any(coords):
-            coords = [rng.randint(-9, 9) for _ in range(K.degree)]
-        gram = lll.start_gram(Ideal.principal(K, K.element(coords)))
-        t = lll._toeplitz_row(gram)
-        assert t == gram[0]
-        assert lll.toeplitz_gram_schmidt(t) == lll.gram_schmidt(gram)
-
-
-def test_toeplitz_set_up_matches_generic_on_autocorrelations():
-    # t_k = sum_j w_j w_{j+k} for a nonzero w is the Gram matrix of the
-    # shifts of w, so positive definite, with entries up to 2^100 here
-    rng = random.Random(14)
-    for n in range(1, 13):
-        for _ in range(6):
-            w = [0]
-            while not any(w):
-                w = [rng.randint(-(2**48), 2**48) for _ in range(rng.randint(1, 16))]
-            t = [sum(x * y for x, y in zip(w, w[k:])) for k in range(n)]
-            gram = [[t[abs(i - j)] for j in range(n)] for i in range(n)]
-            assert lll._toeplitz_row(gram) == t
-            assert lll.toeplitz_gram_schmidt(t) == lll.gram_schmidt(gram)
-
-
-def test_small_gram_ideals_run_no_exact_set_up(monkeypatch, K180):
-    # (alpha) and P*Q above 181 in Q(zeta_180) have Gram entries below
-    # 2^FLOAT_GRAM_BITS, so the float path reduces them and neither exact
-    # set-up runs; the same (alpha)*P given by its HNF has 316-bit entries
-    # and takes the exact path
+def _refuse_exact_set_up(monkeypatch):
     def refuse(ips):
         raise AssertionError("exact Gram-Schmidt set-up")
 
     monkeypatch.setattr(lll, "gram_schmidt", refuse)
-    monkeypatch.setattr(lll, "toeplitz_gram_schmidt", refuse)
+
+
+def test_small_gram_ideals_run_no_exact_set_up(monkeypatch, K180):
+    # the float path reduces (alpha) and P*Q above 181 in Q(zeta_180), so the
+    # exact set-up never runs; the same (alpha)*P given by its HNF has an
+    # ill-conditioned Gram whose float pivot falls below the floor, so it
+    # takes the exact path
+    _refuse_exact_set_up(monkeypatch)
     alpha, P, J = _principal_times_prime(K180, 181)
     assert _basis_digest(lll_basis(Ideal.principal(K180, alpha))) == "c66531891a5df380"
     Q = kummer_dedekind(181, K180)[1].to_ideal()
     lll_reduce(P * Q)
     hnf = Ideal(K180, J.cols)
-    assert max(map(max, lll.start_gram(hnf))).bit_length() > lll.FLOAT_GRAM_BITS
+    assert lll._float_gram_schmidt(lll.start_gram(hnf)) is None
     with pytest.raises(AssertionError, match="exact"):
         lll_reduce(hnf)
 
@@ -483,6 +459,58 @@ def test_hnf_given_ideal_takes_the_exact_path(monkeypatch, K180):
     _, W = lll_reduce(hnf)
     assert runs[0] is None and len(runs) == 2
     assert W == tuple(map(tuple, runs[1]))
+
+
+def _large_generator_ideals(K, p, bits):
+    # (u) and (u)*P for a prime P above p, one u per b with coordinates up
+    # to 2^b
+    P = kummer_dedekind(p, K)[0].to_ideal()
+    rng = random.Random(p)
+    ideals = []
+    for b in bits:
+        u = K.element([rng.randint(-(2**b), 2**b) for _ in range(K.degree)])
+        ideals += [Ideal.principal(K, u), Ideal.principal(K, u) * P]
+    return ideals
+
+
+def _gram_bits(gram):
+    return max(max(map(max, gram)), -min(map(min, gram))).bit_length()
+
+
+@pytest.mark.parametrize(
+    "coeffs, p", [([1] + [0] * 15 + [1], 97), ([-2, 0, 0, 1], 5)], ids=["x^16+1", "x^3-2"]
+)
+def test_float_path_reduces_gram_entries_up_to_the_double_range(monkeypatch, coeffs, p):
+    # Gram entries from 2^50 up to 2^511 leave room in a double for the
+    # product of two pivots, so the float path reduces (u) and (u)*P there:
+    # the exact set-up never runs, and W is exact_lll's
+    K = NumberField(coeffs)
+    starts = [_cofactor_start(I) for I in _large_generator_ideals(K, p, (30, 120, 220))]
+    expected = [lll.exact_lll(*start) for start in starts]
+    _refuse_exact_set_up(monkeypatch)
+    for start, exact in zip(starts, expected):
+        assert 50 < _gram_bits(start[1]) <= 511
+        assert integral_lll(*start) == exact
+
+
+def test_gram_entries_beyond_the_double_range_take_the_exact_path(monkeypatch):
+    # with u ~ 2^260 in x^8+1 the Gram entries pass 2^511, where a product of
+    # two pivots could overflow a double: the float path declines at once,
+    # and exact_lll reduces the Toeplitz Gram of (u) and the Gram of (u)*P
+    # with no OverflowError, to the pinned bases
+    K = NumberField([1] + [0] * 7 + [1])
+    runs = []
+    exact_lll = lll.exact_lll
+    monkeypatch.setattr(lll, "exact_lll", lambda *a: runs.append(a) or exact_lll(*a))
+    digests = []
+    for ideal in _large_generator_ideals(K, 17, (260,)):
+        vectors, gram = _cofactor_start(ideal)
+        assert _gram_bits(gram) > lll.FLOAT_GRAM_BITS == 511
+        assert lll._float_lll(vectors, gram) is None
+        W = lll_reduce(ideal)[1]
+        digests.append(hashlib.sha256(repr(W).encode()).hexdigest()[:16])
+    assert lll._toeplitz_row(runs[0][1]) is not None and len(runs) == 2
+    assert digests == ["5105befa541fb3ec", "42ba2e5f58fd018e"]
 
 
 def test_float_step_cap_falls_back_to_the_exact_path(monkeypatch, K180):

@@ -231,6 +231,26 @@ def test_density_budget_guard(K5):
         prime_switch_density(Ideal.ring(K5), 50, mode="exhaustive", budget=100)
 
 
+@pytest.mark.parametrize(
+    "mode, budget, message",
+    [
+        ("sampled", 0, "budget must be at least 1"),
+        ("sampled", -3, "budget must be at least 1"),
+        ("exhaustive", 0, "budget must be at least 1"),
+        ("grid", 100, "unknown mode 'grid'"),
+    ],
+)
+def test_density_arguments_are_checked_before_it_reduces(monkeypatch, K5, mode, budget, message):
+    # a sampled estimate over no samples, or one in an unknown mode, is
+    # refused before an LLL reduction is paid for
+    def refuse(ideal):
+        raise AssertionError("reduced an ideal for a density that cannot be taken")
+
+    monkeypatch.setattr(switching, "cofactor_side", refuse)
+    with pytest.raises(ValueError, match=message):
+        prime_switch_density(Ideal.ring(K5), 2, mode=mode, budget=budget)
+
+
 def test_sampled_density_consistent_between_seeds(K5):
     ring = Ideal.ring(K5)
     a = prime_switch_density(ring, 5, mode="sampled", budget=4000, seed=1)
