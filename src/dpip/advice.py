@@ -22,7 +22,7 @@ from .nf import (
     poly_discriminant,
     prime_power,
 )
-from .ntheory import isprime
+from .ntheory import isprime, prime_factors
 from .residue import element_in_prime, residue_field
 from .serialize import (
     decode_int,
@@ -76,11 +76,10 @@ def build_advice(K, polys, S=(), principal_test=None):
 
 
 def _primes_dividing(K, disc_elem):
-    """Prime ideals containing a nonzero element."""
-    from sympy import factorint
-
+    """Prime ideals containing a nonzero element, above the primes of its
+    norm (`prime_factors`, which may give up)."""
     out = []
-    for p in sorted(factorint(abs(disc_elem.norm_int()))):
+    for p in prime_factors(abs(disc_elem.norm_int())):
         for P in kummer_dedekind(p, K):
             if element_in_prime(disc_elem, P):
                 out.append(P)

@@ -3,7 +3,8 @@
 Commands: decide, precompute-quad, switch-stats, oracle-quad, factor-prime,
 advice-check. Exit codes: 0 for Yes/success, 1 for No, 2 for any input or
 validation error and for any unexpected error (its traceback goes to
-stderr), 3 when the switching loop exhausts its trial budget.
+stderr), 3 when a bounded step gives up: the switching loop at its trial
+budget, trial division, or form enumeration at its |D| bound.
 All randomness flows from --seed (default 42) so runs are reproducible.
 """
 
@@ -14,7 +15,7 @@ import traceback
 
 from .advice import load_advice
 from .decide import conjectural_bound, decide_ideal, default_switch_config
-from .errors import DpipError, MaxTrialsExceededError
+from .errors import DpipError, GaveUpError
 from .nf import kummer_dedekind
 from .quadforms import genus_advice, is_principal_quad
 from .serialize import load_field, load_ideal
@@ -172,7 +173,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return _RUNNERS[args.command](args)
-    except MaxTrialsExceededError as exc:
+    except GaveUpError as exc:
         print(f"gave up: {exc}", file=sys.stderr)
         return EXIT_GAVE_UP
     except (DpipError, OSError, ValueError, json.JSONDecodeError) as exc:

@@ -37,7 +37,11 @@ class AdviceError(DpipError):
     """An advice bundle violates its schema or invariants."""
 
 
-class MaxTrialsExceededError(DpipError):
+class GaveUpError(DpipError):
+    """A bounded step reached its bound without an answer."""
+
+
+class MaxTrialsExceededError(GaveUpError):
     """The switching loop gave up before finding a prime cofactor."""
 
     def __init__(self, trials, bound):

@@ -5,9 +5,15 @@ entries reduced into [0, p). The zero polynomial is the empty list. Only the
 handful of operations the rest of the package needs live here. A quadratic
 over F_p with p odd is factored from a square root of its discriminant mod
 p, taken by Tonelli-Shanks; every other polynomial is factored by sympy's
-galoistools, imported when it first runs. Irreducibility and
-multiplicities are read from a factorization (`nf.kummer_dedekind`).
+galoistools, imported when it first runs, and only for p below
+GF_FACTOR_LIMIT (about 2^1024). Irreducibility and multiplicities are read
+from a factorization (`nf.kummer_dedekind`).
 """
+
+from .errors import DpipError
+
+# sympy's random polynomials take float(p), which overflows from here on
+GF_FACTOR_LIMIT = 2**1024 - 2**970
 
 
 def gf_factor(a, p):
@@ -131,14 +137,18 @@ def factor(a, p):
     """Factor a over F_p into monic irreducibles with multiplicities.
 
     The coefficients are reduced mod p first, so a leading coefficient
-    divisible by p drops; the reduced a must have degree >= 1. Returns
-    [(coeffs, exponent)] sorted by (degree, coefficients).
+    divisible by p drops; the reduced a must have degree >= 1. Beyond a
+    quadratic at odd p, p must lie below GF_FACTOR_LIMIT (DpipError
+    otherwise). Returns [(coeffs, exponent)] sorted by (degree,
+    coefficients).
     """
     a = from_ints(a, p)
     if deg(a) < 1:
         raise ValueError(f"nothing to factor: degree {deg(a)} mod {p}")
     if deg(a) == 2 and p != 2:
         return _factor_quadratic(monic(a, p), p)
+    if p >= GF_FACTOR_LIMIT:
+        raise DpipError(f"factoring a polynomial of degree {deg(a)} mod p needs p < 2^1024 - 2^970")
     _, factors = gf_factor(a[::-1], p)
     out = []
     for fac, e in factors:

@@ -1,14 +1,15 @@
-"""Integer lattices in Z^d maintained in column-style Hermite form.
+"""Integer lattices in Z^d maintained in column-style Hermite form modulo
+a positive integer m (Cohen, GTM 138, ch. 2).
 
 A basis vector with pivot at index j has zeros before j and a positive
 entry at j; the canonical form additionally reduces every entry below a
 pivot modulo that row's own pivot. Canonical Hermite form is unique per
 lattice, which is what makes ideal representations comparable bit for bit.
 
-When a positive modulus m is supplied the lattice is seeded with m*e_j for
-every j (callers must guarantee m*Z^d lies inside the target lattice, e.g.
-m a multiple of the ideal norm); entries can then be reduced mod m
-throughout, which keeps coefficient growth bounded during insertion.
+The lattice is seeded with m*e_j for every j (callers must guarantee m*Z^d
+lies inside the target lattice, e.g. m a multiple of the ideal norm), so it
+has full rank throughout and entries are reduced mod m, which keeps
+coefficient growth bounded during insertion.
 """
 
 from math import isqrt
@@ -130,17 +131,17 @@ def det_mod(rows, q):
 
 def echelon_remainder(rows, vec):
     """Remainder of vec after reduction against an echelon basis: rows[j] is
-    zero before index j with a positive pivot at j, or None.
+    zero before index j with a positive pivot at j.
 
     The result is zero exactly when vec lies in the lattice the rows span;
     otherwise the nonzero entries sit at rows whose pivot does not divide
-    them (or rows with no pivot).
+    them.
     """
     v = [int(x) for x in vec]
     d = len(v)
     for j, r in enumerate(rows):
         x = v[j]
-        if x and r is not None:
+        if x:
             q = x // r[j]
             if q:
                 for i in range(j, d):
@@ -149,24 +150,16 @@ def echelon_remainder(rows, vec):
 
 
 class IntLattice:
-    __slots__ = ("dim", "modulus", "rows", "rank", "_canonical")
+    __slots__ = ("dim", "modulus", "rows")
 
-    def __init__(self, dim, modulus=None):
+    def __init__(self, dim, modulus):
         if dim < 1:
             raise ValueError("dimension must be positive")
-        if modulus is not None and modulus <= 0:
+        if modulus <= 0:
             raise ValueError("modulus must be positive")
         self.dim = dim
         self.modulus = modulus
-        self.rows = [None] * dim
-        self.rank = 0
-        self._canonical = False
-        if modulus is not None:
-            for j in range(dim):
-                v = [0] * dim
-                v[j] = modulus
-                self.rows[j] = v
-            self.rank = dim
+        self.rows = [[modulus if i == j else 0 for i in range(dim)] for j in range(dim)]
 
     @classmethod
     def from_echelon(cls, rows, modulus):
@@ -174,10 +167,8 @@ class IntLattice:
         index j, with a positive pivot at j); it must contain modulus*Z^d."""
         if any(r[j] <= 0 for j, r in enumerate(rows)):
             raise ValueError("echelon pivots must be positive")
-        lat = cls(len(rows))
-        lat.modulus = modulus
+        lat = cls(len(rows), modulus)
         lat.rows = [list(r) for r in rows]
-        lat.rank = lat.dim
         return lat
 
     def add(self, vec):
@@ -186,20 +177,13 @@ class IntLattice:
         if len(vec) != d:
             raise ValueError("dimension mismatch")
         m = self.modulus
-        v = [int(x) % m for x in vec] if m else [int(x) for x in vec]
+        v = [int(x) % m for x in vec]
         rows = self.rows
-        self._canonical = False
         for j in range(d):
             x = v[j]
             if x == 0:
                 continue
             r = rows[j]
-            if r is None:
-                if x < 0:
-                    v = [-t for t in v]
-                rows[j] = v
-                self.rank += 1
-                return
             a = r[j]
             if x % a == 0:
                 q = x // a
@@ -212,47 +196,32 @@ class IntLattice:
                     ri, vi = r[i], v[i]
                     r[i] = s * ri + t * vi
                     v[i] = qa * vi - qx * ri
-            if m:
-                for i in range(j + 1, d):
-                    r[i] %= m
-                    v[i] %= m
+            for i in range(j + 1, d):
+                r[i] %= m
+                v[i] %= m
         # v reduced to zero: already in the lattice
 
     def extend(self, vectors):
         for v in vectors:
             self.add(v)
 
-    def reduce(self, vec):
-        """Remainder of vec after reduction against the current pivots."""
-        return echelon_remainder(self.rows, vec)
-
-    def __contains__(self, vec):
-        return not any(self.reduce(vec))
-
-    def is_full_rank(self):
-        return self.rank == self.dim
-
     def det(self):
-        """Product of the pivots; requires full rank."""
-        if not self.is_full_rank():
-            raise ValueError("lattice is not full rank")
+        """Product of the pivots."""
         out = 1
         for j in range(self.dim):
             out *= self.rows[j][j]
         return out
 
-    def canonicalize(self):
-        """Reduce sub-pivot entries so the basis is the unique HNF.
+    def basis_columns(self):
+        """The canonical basis vectors, the unique HNF (column j has its
+        pivot at index j), after reducing the entries below the pivots.
 
         Rows are reduced from the last one up, each against the rows below
-        it, which are canonical by then. With a modulus m an entry is first
-        taken mod m (m*e_i lies in the lattice, and the pivots stay), so
-        every quotient is below m and the entries stay small.
+        it, which are canonical by then. An entry is first taken mod m (m*e_i
+        lies in the lattice, and the pivots stay), so every quotient is
+        below m and the entries stay small. A canonical basis is left as it
+        is.
         """
-        if self._canonical:
-            return
-        if not self.is_full_rank():
-            raise ValueError("canonical form requires full rank")
         d = self.dim
         m = self.modulus
         rows = self.rows
@@ -260,21 +229,10 @@ class IntLattice:
             v = rows[j]
             for i in range(j + 1, d):
                 ri = rows[i]
-                x = v[i] % m if m else v[i]
+                x = v[i] % m
                 q = x // ri[i]
                 v[i] = x - q * ri[i]
                 if q:
                     for k in range(i + 1, d):
                         v[k] -= q * ri[k]
-        self._canonical = True
-
-    def basis_columns(self):
-        """Canonical basis vectors (column j has its pivot at index j)."""
-        self.canonicalize()
-        return tuple(tuple(r) for r in self.rows)
-
-    def hnf_matrix(self):
-        """Canonical HNF as a row-major matrix: M[i][j] = basis_j[i]."""
-        cols = self.basis_columns()
-        d = self.dim
-        return tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
+        return tuple(tuple(r) for r in rows)

@@ -19,6 +19,7 @@ from .errors import (
     DefiningPolyError,
     DpipError,
     FieldMismatchError,
+    GaveUpError,
     NonDivisibleError,
     NonInvertibleIdealError,
     ZeroIdealError,
@@ -944,8 +945,6 @@ class Ideal:
         lat = IntLattice(K.degree, modulus=modulus)
         for g in elems:
             lat.extend(K.mul_matrix_columns(g.coords))
-        if not lat.is_full_rank():
-            raise ZeroIdealError("generators span a degenerate lattice")
         return Ideal(K, lat.basis_columns(), 1, gens=tuple(elems))
 
     @staticmethod
@@ -1165,23 +1164,15 @@ class Ideal:
         return q
 
 
-_TRIAL_LIMIT = 2**16  # trial division bound of the maximality audit
-
-
 def _maximal_above(K, g):
     """Is Z[theta] maximal at every prime dividing g > 0
-    (`order_is_maximal_at`)? The primes are found by trial division below
-    `_TRIAL_LIMIT`; a cofactor above it that is not then proven prime
-    answers False, which leaves the caller to check."""
-    p = 2
-    while p * p <= g and p < _TRIAL_LIMIT:
-        if g % p == 0:
-            if not order_is_maximal_at(p, K):
-                return False
-            while g % p == 0:
-                g //= p
-        p += 1 + (p > 2)
-    return g == 1 or (p * p > g and order_is_maximal_at(g, K))
+    (`order_is_maximal_at`)? False when `prime_factors` gives up, which
+    leaves the caller to check."""
+    try:
+        primes = prime_factors(g)
+    except GaveUpError:
+        return False
+    return all(order_is_maximal_at(p, K) for p in primes)
 
 
 def _normalized(K, cols, denom, gens=None):

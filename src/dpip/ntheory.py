@@ -1,5 +1,6 @@
 """Primality and perfect powers of integers, ported from sympy with its
-semantics; the tests check each function against sympy's.
+semantics, and the package's one trial division; the tests check each
+function against sympy's.
 
 `isprime` is exact below psi13 = MR_EXACT ~ 3.3 * 10^24: there it is the
 strong test on the first 13 prime bases, which no composite below psi13
@@ -10,23 +11,31 @@ has no known counterexample but is no proof.
 
 from math import gcd, isqrt, prod
 
+from .errors import GaveUpError
+
 SMALL_PRIMES = tuple(p for p in range(2, 1000) if all(p % q for q in range(2, isqrt(p) + 1)))
 SMALL_PRIMORIAL = prod(SMALL_PRIMES)
 _SMALL_SET = frozenset(SMALL_PRIMES)
 MR_EXACT = 3317044064679887385961981  # psi13
+TRIAL_LIMIT = 2**16  # the trial division of `prime_factors` stops here
 
 
 def prime_factors(m):
-    """The primes dividing m > 0 in increasing order, by trial division (for
-    a small m: a cyclotomic order, or a discriminant whose forms are
-    enumerated in O(|m|) anyway)."""
+    """The primes dividing m > 0 in increasing order, by trial division by 2
+    and the odd numbers below TRIAL_LIMIT. A cofactor left over is taken
+    only when every candidate up to its square root was tried, which proves
+    it prime; otherwise GaveUpError is raised."""
     out, p = [], 2
-    while p * p <= m:
+    while p * p <= m and p < TRIAL_LIMIT:
         if m % p == 0:
             out.append(p)
             while m % p == 0:
                 m //= p
         p += 1 + (p > 2)
+    if p * p <= m:
+        raise GaveUpError(
+            f"trial division below {TRIAL_LIMIT} leaves a {m.bit_length()}-bit cofactor unfactored"
+        )
     return out + [m] * (m > 1)
 
 

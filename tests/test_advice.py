@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from sympy import nextprime
 
 from dpip.advice import (
     advice_from_dict,
@@ -10,7 +11,7 @@ from dpip.advice import (
     store_advice,
     validate_advice,
 )
-from dpip.errors import AdviceError
+from dpip.errors import AdviceError, GaveUpError
 from dpip.quadforms import genus_advice, is_principal_quad
 
 
@@ -210,3 +211,13 @@ def test_genus_advice_passes_the_kummer_check(disc):
     bundle = genus_advice(disc)
     assert validate_advice(bundle) is None
     assert advice_from_dict(advice_to_dict(bundle)).subfields == bundle.subfields
+
+
+def test_building_advice_gives_up_on_a_discriminant_trial_division_leaves(K5):
+    # disc(x^2 - q1 q2) = 4 q1 q2 has the norm 16 q1^2 q2^2, which trial
+    # division below 2^16 cannot factor; genus advice only meets norms 16 m^2
+    # of tiny m
+    q1, q2 = nextprime(2**20), nextprime(2**30)
+    poly = [K5.rational(-q1 * q2), K5.zero(), K5.one()]
+    with pytest.raises(GaveUpError):
+        build_advice(K5, [poly], principal_test=lambda P: is_principal_quad(P.to_ideal(), -20))

@@ -187,6 +187,19 @@ def test_factor_prime_at_a_128_bit_prime(capsys, fixtures_dir):
         seen.add(symbol)
 
 
+def test_factor_prime_past_the_float_range_is_an_input_error(capsys, fixtures_dir):
+    # the first prime above 2^1024 that does not split in Q(zeta_180) would
+    # go to sympy, whose random polynomials overflow a float there
+    p = nextprime(2**1024)
+    while p % 180 == 1:
+        p = nextprime(p)
+    code, out, err = run(
+        capsys, "factor-prime", "--field", str(fixtures_dir / "field_zeta180.json"), "-p", str(p)
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "2^1024" in err and err.count("\n") == 1
+
+
 def test_factor_prime_rejects_composites(capsys, fixtures_dir):
     code, _, err = run(
         capsys,
@@ -224,6 +237,22 @@ def test_precompute_quad_nonelementary(capsys):
     code, _, err = run(capsys, "precompute-quad", "--disc", "-23")
     assert code == 2
     assert "order > 2" in err
+
+
+def test_precompute_quad_gives_up_on_a_large_discriminant():
+    # a subprocess with a timeout, so that a hang fails instead of stalling
+    src = str(Path(dpip.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dpip.cli", "precompute-quad", "-d", "1000000000000000000000000000057"],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("gave up:") and proc.stderr.count("\n") == 1
 
 
 def test_advice_check_tampered(capsys, tmp_path, fixtures_dir):

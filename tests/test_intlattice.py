@@ -5,7 +5,7 @@ import pytest
 
 from dpip import intlattice
 from dpip.errors import DpipError
-from dpip.intlattice import IntLattice, det_mod, modular_det, xgcd
+from dpip.intlattice import IntLattice, det_mod, echelon_remainder, modular_det, xgcd
 from dpip.ntheory import MR_EXACT
 from helpers import bareiss_det, naive_det, naive_lattice_basis
 
@@ -109,18 +109,44 @@ def test_det_mod_composite_modulus_raises_or_is_exact(monkeypatch):
         assert d == bareiss_det(a)
 
 
+def _naive_det(rows):
+    """|det| of a full-rank echelon basis from `naive_lattice_basis`."""
+    return math.prod(abs(row[j]) for j, row in enumerate(rows))
+
+
+def _seeded(vecs, rng=None):
+    """The lattice the vectors span, built mod a multiple of its |det| read
+    from `naive_lattice_basis`, or None when they do not span Z^d."""
+    d = len(vecs[0])
+    rows = naive_lattice_basis(vecs)
+    if len(rows) < d:
+        return None
+    lat = IntLattice(d, modulus=_naive_det(rows) * (rng.randint(1, 3) if rng else 1))
+    lat.extend(vecs)
+    return lat
+
+
+def _hnf_columns(rows):
+    """The canonical HNF of a full-rank echelon basis: each pivot made
+    positive, then each row reduced by the rows below it, entry by entry."""
+    rows = [list(r) if r[j] > 0 else [-x for x in r] for j, r in enumerate(rows)]
+    for j in range(len(rows) - 2, -1, -1):
+        for i in range(j + 1, len(rows)):
+            q = rows[j][i] // rows[i][i]
+            rows[j] = [a - q * b for a, b in zip(rows[j], rows[i])]
+    return tuple(map(tuple, rows))
+
+
 def test_add_and_membership():
-    lat = IntLattice(3)
-    lat.add([2, 0, 0])
-    lat.add([0, 3, 0])
-    assert [2, 0, 0] in lat
-    assert [4, 3, 0] in lat
-    assert [1, 0, 0] not in lat
-    assert [0, 0, 1] not in lat
-    assert not lat.is_full_rank()
-    lat.add([1, 1, 1])
-    assert lat.is_full_rank()
+    lat = IntLattice(3, modulus=12)
+    lat.extend([[2, 0, 0], [0, 3, 0], [1, 1, 1]])
     assert lat.det() == 6
+    cols = lat.basis_columns()
+    assert cols == ((1, 0, 3), (0, 1, 4), (0, 0, 6))
+    for v, inside in (([4, 3, 0], True), ([1, 0, 0], False), ([0, 0, 1], False)):
+        assert (not any(echelon_remainder(cols, v))) == inside
+    with pytest.raises(TypeError):
+        IntLattice(3)
 
 
 def test_hnf_is_canonical_under_generator_order():
@@ -128,36 +154,29 @@ def test_hnf_is_canonical_under_generator_order():
     for _ in range(60):
         d = rng.randint(2, 5)
         vecs = [[rng.randint(-20, 20) for _ in range(d)] for _ in range(d + 2)]
-        lat = IntLattice(d)
-        for v in vecs:
-            lat.add(v)
-        if not lat.is_full_rank():
+        lat = _seeded(vecs)
+        if lat is None:
             continue
-        ref = lat.hnf_matrix()
+        ref = lat.basis_columns()
         for _ in range(4):
             rng.shuffle(vecs)
-            lat2 = IntLattice(d)
-            for v in vecs:
-                lat2.add(v)
-            assert lat2.hnf_matrix() == ref
+            assert _seeded(vecs, rng).basis_columns() == ref
 
 
 def test_hnf_shape_invariants():
     rng = random.Random(3)
     for _ in range(60):
         d = rng.randint(1, 5)
-        lat = IntLattice(d)
-        for _ in range(d + 3):
-            lat.add([rng.randint(-30, 30) for _ in range(d)])
-        if not lat.is_full_rank():
+        lat = _seeded([[rng.randint(-30, 30) for _ in range(d)] for _ in range(d + 3)], rng)
+        if lat is None:
             continue
-        h = lat.hnf_matrix()
-        for i in range(d):
-            assert h[i][i] > 0
-            for j in range(i + 1, d):
-                assert h[i][j] == 0, "upper part must vanish"
-            for j in range(i):
-                assert 0 <= h[i][j] < h[i][i], "entries reduced mod the diagonal"
+        cols = lat.basis_columns()
+        for j in range(d):
+            assert cols[j][j] > 0
+            for i in range(j):
+                assert cols[j][i] == 0, "entries above the pivot must vanish"
+            for i in range(j + 1, d):
+                assert 0 <= cols[j][i] < cols[i][i], "entries reduced mod the pivot"
 
 
 def test_modulus_matches_plain_insertion():
@@ -165,16 +184,10 @@ def test_modulus_matches_plain_insertion():
     for _ in range(60):
         d = rng.randint(2, 4)
         vecs = [[rng.randint(-15, 15) for _ in range(d)] for _ in range(d + 1)]
-        plain = IntLattice(d)
-        for v in vecs:
-            plain.add(v)
-        if not plain.is_full_rank():
+        lat = _seeded(vecs, rng)
+        if lat is None:
             continue
-        det = plain.det()
-        seeded = IntLattice(d, modulus=det)
-        for v in vecs:
-            seeded.add(v)
-        assert seeded.hnf_matrix() == plain.hnf_matrix()
+        assert lat.basis_columns() == _hnf_columns(naive_lattice_basis(vecs))
 
 
 def test_against_naive_closure():
@@ -182,20 +195,15 @@ def test_against_naive_closure():
     for _ in range(40):
         d = rng.randint(2, 4)
         vecs = [[rng.randint(-9, 9) for _ in range(d)] for _ in range(d + 2)]
-        lat = IntLattice(d)
-        for v in vecs:
-            lat.add(v)
-        if not lat.is_full_rank():
+        lat = _seeded(vecs)
+        if lat is None:
             continue
         rows = naive_lattice_basis(vecs)
-        assert len(rows) == d
-        det_naive = 1
-        for j, row in enumerate(rows):
-            det_naive *= abs(row[j])
-        assert det_naive == lat.det()
+        cols = lat.basis_columns()
+        assert _naive_det(rows) == lat.det()
         for row in rows:
-            assert row in lat
-        for col in lat.basis_columns():
+            assert not any(echelon_remainder(cols, row))
+        for col in cols:
             red = list(col)
             for j, row in enumerate(rows):
                 q = red[j] // row[j]
@@ -205,9 +213,9 @@ def test_against_naive_closure():
 
 def test_degenerate_inputs():
     with pytest.raises(ValueError):
-        IntLattice(0)
-    lat = IntLattice(2)
+        IntLattice(0, modulus=1)
+    with pytest.raises(ValueError):
+        IntLattice(2, modulus=0)
+    lat = IntLattice(2, modulus=5)
     with pytest.raises(ValueError):
         lat.add([1])
-    with pytest.raises(ValueError):
-        lat.det()

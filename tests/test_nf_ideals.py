@@ -6,7 +6,7 @@ import pytest
 
 from sympy import primefactors
 
-from dpip import fppoly, nf
+from dpip import fppoly, ntheory
 from dpip.errors import NonDivisibleError, NonInvertibleIdealError, ZeroIdealError
 from dpip.intlattice import IntLattice
 from dpip.nf import (
@@ -339,7 +339,7 @@ def test_inverse_checks_the_product_when_trial_division_stops(monkeypatch):
         products.append(other)
         return mul(self, other)
 
-    monkeypatch.setattr(nf, "_TRIAL_LIMIT", 2)
+    monkeypatch.setattr(ntheory, "TRIAL_LIMIT", 2)
     monkeypatch.setattr(Ideal, "__mul__", counted)
     inv = I.inverse()
     assert len(products) == 1 and products[0] is inv

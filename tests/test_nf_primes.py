@@ -478,3 +478,15 @@ def test_dedekind_criterion(K5):
 def test_dedekind_criterion_cyclotomic(K64):
     # Z[zeta_64] is the maximal order, even at the totally ramified 2
     assert order_is_maximal_at(2, K64) is True
+
+
+def test_factoring_past_sympys_float_range_is_refused(K180, K5):
+    # sympy's random polynomials take float(p): from 2^1024 - 2^970 up that
+    # overflows, so a prime there is refused before sympy runs; a quadratic
+    # field takes its square root instead, and 1 mod 180 splits by roots
+    p = fppoly.GF_FACTOR_LIMIT
+    while not (isprime(p) and p % 180 != 1):
+        p += 1
+    with pytest.raises(DpipError, match="2\\^1024"):
+        kummer_dedekind(p, K180)
+    assert sum(P.res_degree * P.ram_index for P in kummer_dedekind(p, K5)) == 2

@@ -5,7 +5,8 @@ import functools
 import itertools
 import random
 
-from sympy import Poly, Symbol, cyclotomic_poly, nextprime, totient
+import pytest
+from sympy import Poly, Symbol, cyclotomic_poly, factorint, nextprime, totient
 from sympy import isprime as sympy_isprime
 from sympy import integer_nthroot
 from sympy import perfect_power as sympy_perfect_power
@@ -14,6 +15,7 @@ from sympy.polys.domains import ZZ
 from sympy.polys.euclidtools import dup_discriminant
 
 from dpip import ntheory
+from dpip.errors import GaveUpError
 from dpip.nf import NumberField, _cyclotomic_disc, _cyclotomic_poly, _totients
 
 LUCAS_PSEUDOPRIMES = [5459, 5777, 10877, 16109, 18971]  # strong, Selfridge's D
@@ -113,6 +115,28 @@ def test_small_primes_and_prime_factors():
     assert ntheory.prime_factors(1) == []
     assert ntheory.prime_factors(180) == [2, 3, 5]
     assert ntheory.prime_factors(2 * 10007**2) == [2, 10007]
+
+
+def test_prime_factors_matches_factorint_within_the_bound():
+    # a product of primes below the bound, times one prime below its
+    # square: the trial division finishes on each
+    rng = random.Random(31)
+    small = [p for p in range(2, ntheory.TRIAL_LIMIT) if sympy_isprime(p)]
+    for _ in range(200):
+        m = 1
+        for p in rng.sample(small, rng.randint(0, 5)):
+            m *= p ** rng.randint(1, 3)
+        m *= nextprime(rng.randrange(ntheory.TRIAL_LIMIT**2 - 1000))
+        assert ntheory.prime_factors(m) == sorted(factorint(m)), m
+
+
+def test_prime_factors_gives_up_on_two_primes_above_the_bound():
+    q1 = nextprime(ntheory.TRIAL_LIMIT)
+    q2 = nextprime(2**31)
+    for m in (q1 * q2, 12 * q1 * q2, q1 * q1):
+        with pytest.raises(GaveUpError, match="cofactor"):
+            ntheory.prime_factors(m)
+    assert ntheory.prime_factors(6 * q2) == [2, 3, q2]
 
 
 def test_cyclotomic_discriminant_matches_the_polynomial_discriminant():

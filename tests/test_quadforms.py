@@ -3,7 +3,8 @@ import random
 import pytest
 from sympy import factorint, primerange
 
-from dpip.errors import ClassGroupNotElementary2Error, NotFundamentalError
+from dpip import quadforms
+from dpip.errors import ClassGroupNotElementary2Error, GaveUpError, NotFundamentalError
 from dpip.nf import Ideal, kummer_dedekind
 from dpip.quadforms import (
     QuadForm,
@@ -197,3 +198,15 @@ def test_field_for_disc():
     assert field_for_disc(-20).poly == (5, 0, 1)
     assert field_for_disc(-7).poly == (2, -1, 1)
     assert field_for_disc(-7).disc == -7
+
+
+def test_a_discriminant_above_the_bound_is_given_up():
+    # squarefree, 1 mod 4 and built from primes below 30, so trial division
+    # alone would finish on it; the O(|D|) enumeration is what is refused
+    disc = -3 * 5 * 7 * 11 * 13 * 17 * 19 * 23
+    assert disc % 4 == 1 and -disc > quadforms.MAX_ABS_DISC
+    for run in (enumerate_forms, field_for_disc, prime_discriminants, genus_advice):
+        with pytest.raises(GaveUpError, match="bound"):
+            run(disc)
+    with pytest.raises(NotFundamentalError):
+        enumerate_forms(disc - 2)  # 3 mod 4 is refused as before

@@ -10,7 +10,6 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # `module.qualified_name`; an import at module level would be `module.<module>`
 ALLOWED = {
-    "advice._primes_dividing",
     "fppoly.gf_factor",
     "lll._numerical_gram",
     "nf.NumberField.__init__",
