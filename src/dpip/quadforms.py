@@ -83,31 +83,35 @@ class FormClassGroup:
 MAX_ABS_DISC = 10**8  # enumeration is O(|D|): 0.8 s at 10^8 on a 2-core x86-64 Xeon
 
 
-def _check_fundamental(disc):
-    """Refuse a D that is not a negative fundamental discriminant, and give
-    up on |D| > MAX_ABS_DISC before any factoring or enumeration."""
+def _squarefree_part(disc):
+    """|d| for D = d or 4d, refusing a D that is not negative, not 0 or 1
+    mod 4, or 4d with d = 1 mod 4."""
     if disc >= 0:
         raise NotFundamentalError("discriminant must be negative")
     m = disc % 4
     if m not in (0, 1):
         raise NotFundamentalError("discriminant must be 0 or 1 mod 4")
-    if -disc > MAX_ABS_DISC:
-        raise GaveUpError(f"|D| = {-disc} is above the bound {MAX_ABS_DISC} of form enumeration")
     if m == 1:
-        squarefree_part = disc
-    else:
-        q = disc // 4
-        if q % 4 in (2, 3):
-            squarefree_part = q
-        else:
-            raise NotFundamentalError(f"{disc} is not a fundamental discriminant")
-    n = abs(squarefree_part)
+        return -disc
+    if (disc // 4) % 4 in (2, 3):
+        return -(disc // 4)
+    raise NotFundamentalError(f"{disc} is not a fundamental discriminant")
+
+
+def _check_fundamental(disc):
+    n = _squarefree_part(disc)
     if any(n % (p * p) == 0 for p in prime_factors(n)):
         raise NotFundamentalError(f"{disc} is not a fundamental discriminant")
 
 
 def enumerate_forms(disc):
-    """All reduced forms of a fundamental discriminant, ordered by (a, b)."""
+    """All reduced forms of a fundamental discriminant, ordered by (a, b).
+
+    Gives up on |D| > MAX_ABS_DISC before any factoring or enumeration.
+    """
+    _squarefree_part(disc)  # the sign and mod-4 refusals come first
+    if -disc > MAX_ABS_DISC:
+        raise GaveUpError(f"|D| = {-disc} is above the bound {MAX_ABS_DISC} of form enumeration")
     _check_fundamental(disc)
     forms = []
     for a in range(1, isqrt(abs(disc) // 3) + 1):

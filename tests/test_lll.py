@@ -32,7 +32,9 @@ def test_integral_lll_against_fraction_reference():
         assert is_lll_reduced(out, gram)
         ref = lll_reference(vecs, gram)
         assert is_lll_reduced(ref, gram)
-        lat, lat2 = IntLattice(n, modulus=det), IntLattice(n, modulus=det)
+        # each modulus is the |det| of its own basis, so each HNF is exact
+        lat = IntLattice(n, modulus=det)
+        lat2 = IntLattice(n, modulus=abs(bareiss_det(out)))
         lat.extend(vecs)
         lat2.extend(out)
         assert lat2.basis_columns() == lat.basis_columns()
@@ -149,7 +151,7 @@ def test_reduce_table_basis_spans_ideal(K64):
     g[0], g[4], g[8], g[16] = 54, -33, -85, 34
     ideal = Ideal.from_generators(K64, [K64.rational(187), K64.element(g)])
     _, basis = lll_reduce(ideal)
-    lat = IntLattice(32, modulus=ideal.det())
+    lat = IntLattice(32, modulus=abs(bareiss_det([list(b) for b in basis])))
     lat.extend(basis)
     assert lat.basis_columns() == ideal.cols
     assert is_lll_reduced([list(b) for b in basis], minkowski_gram(K64))

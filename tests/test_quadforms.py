@@ -205,8 +205,11 @@ def test_a_discriminant_above_the_bound_is_given_up():
     # alone would finish on it; the O(|D|) enumeration is what is refused
     disc = -3 * 5 * 7 * 11 * 13 * 17 * 19 * 23
     assert disc % 4 == 1 and -disc > quadforms.MAX_ABS_DISC
-    for run in (enumerate_forms, field_for_disc, prime_discriminants, genus_advice):
+    for run in (enumerate_forms, genus_advice):
         with pytest.raises(GaveUpError, match="bound"):
             run(disc)
+    # neither enumerates forms, so neither is bounded
+    assert prime_discriminants(disc) == [-3, 5, -7, -11, 13, 17, -19, -23]
+    assert field_for_disc(disc).disc == disc
     with pytest.raises(NotFundamentalError):
         enumerate_forms(disc - 2)  # 3 mod 4 is refused as before
