@@ -23,7 +23,7 @@ from .nf import (
     prime_power,
 )
 from .ntheory import isprime, prime_factors
-from .residue import element_in_prime, residue_field
+from .residue import element_in_prime, residue_of
 from .serialize import (
     decode_int,
     encode_int,
@@ -144,7 +144,7 @@ def _check_kummer(K, idx, q, beta):
             continue
         tries += 1
         for P in kummer_dedekind(p, K):
-            b = residue_field(P).from_poly(list(beta.coords))
+            b = residue_of(beta, P)
             if P.res_degree == 1 and b and pow(b[0], (p - 1) // q, p) != 1:
                 return
     raise AdviceError(

@@ -118,7 +118,7 @@ def decide_prime_ideal(prime, advice):
             return Decision(NO, REASON_NOT_IN_S)
     for idx, (_, poly) in enumerate(advice.subfields):
         g = reduce_poly_mod_prime(list(poly), prime)
-        if not splits_completely(g):
+        if not splits_completely(g, prime.p, prime.gen_poly):
             return Decision(NO, REASON_NON_SPLIT, failed_subfield=idx)
     return Decision(YES, REASON_ALL_SPLIT)
 
@@ -151,10 +151,6 @@ def _combiner(K, packed):
     reads them."""
     cols, offset, W = packed
     return lambda coeffs: _PackedElement(K, sum(map(mul, coeffs, cols), offset), W)
-
-
-def _combine(K, basis, coeffs):
-    return _combiner(K, _packed_basis(basis, max(map(abs, coeffs))))(coeffs)
 
 
 class CofactorSide:

@@ -26,8 +26,9 @@ def gf_factor(a, p):
 
 
 def trim(a):
-    """Strip leading (high-degree) zeros in place and return the list."""
-    while a and a[-1] == 0:
+    """Strip leading (high-degree) zeros in place and return the list: 0
+    for a coefficient in F_p, [] for one in F_p[y]/(h) (`residue`)."""
+    while a and not a[-1]:
         a.pop()
     return a
 

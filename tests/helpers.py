@@ -15,10 +15,10 @@ from sympy.polys.domains import ZZ
 from sympy.polys.euclidtools import dup_discriminant, dup_resultant
 from sympy.polys.galoistools import gf_factor, gf_irreducible_p
 
+from dpip.decide import _combiner
 from dpip.intlattice import IntLattice, bareiss
 from dpip.lll import DELTA, lll_reduce
-from dpip.nf import Ideal, _cyclotomic_poly, _totients, int_back_substitution
-from dpip.residue import _rp_mod, _rp_mul
+from dpip.nf import Ideal, _cyclotomic_poly, _packed_basis, _totients, int_back_substitution
 
 
 @cache
@@ -108,6 +108,12 @@ def plain_combination(basis, coeffs):
         for i, x in enumerate(b):
             out[i] += c * x
     return out
+
+
+def combine(K, basis, coeffs):
+    """sum_j coeffs_j * basis_j as the packed element a switching draw
+    makes (`decide._combiner`), packed for this draw's largest |c_j|."""
+    return _combiner(K, _packed_basis(basis, max(map(abs, coeffs))))(coeffs)
 
 
 def sympy_resultant(f, g):
@@ -286,47 +292,111 @@ def lll_reference(basis, gram, delta=DELTA):
     return basis
 
 
-def residue_elements(F):
-    """All q elements of a ResidueField F_p[y]/(modulus), as trimmed
-    little-endian tuples (test-sized fields only)."""
-    for coeffs in product(range(F.p), repeat=F.f):
-        c = list(coeffs)
-        while c and not c[-1]:
-            c.pop()
-        yield tuple(c)
+def residue_elements(p, f):
+    """All p^f elements of a residue field F_p[y]/(h), h of degree f, as
+    trimmed little-endian lists (test-sized fields only)."""
+    for coeffs in product(range(p), repeat=f):
+        yield fq_trim(list(coeffs))
 
 
-def residue_evaluate(g, x):
-    """g(x) for a ResiduePoly g at an element x of its field, by Horner."""
-    F = g.field
-    acc = F.zero()
-    for c in reversed(g.coeffs):
-        acc = F.add(F.mul(acc, x), c)
+# Schoolbook arithmetic in F_q = F_p[y]/(h), h monic, and in F_q[x]: the
+# reference for `dpip.residue`, which it shares no code with. Elements and
+# polynomials are trimmed little-endian lists, as there.
+
+
+def fq_trim(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def fq_reduce(a, p, h):
+    """a(y) mod (h, p) for an integer list a."""
+    a = [c % p for c in a]
+    f = len(h) - 1
+    for k in range(len(a) - 1, f - 1, -1):
+        c = a.pop()
+        for j in range(f):
+            a[k - f + j] = (a[k - f + j] - c * h[j]) % p
+    return fq_trim(a)
+
+
+def fq_add(a, b, p):
+    n = max(len(a), len(b))
+    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+    return fq_trim([(x + y) % p for x, y in zip(a, b)])
+
+
+def fq_sub(a, b, p):
+    return fq_add(a, [-c % p for c in b], p)
+
+
+def fq_mul(a, b, p, h):
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return fq_reduce(out, p, h)
+
+
+def fq_pow(a, e, p, h):
+    out = [1]
+    while e:
+        if e & 1:
+            out = fq_mul(out, a, p, h)
+        a, e = fq_mul(a, a, p, h), e >> 1
+    return out
+
+
+def fqx_mul(a, b, p, h):
+    out = [[] for _ in range(len(a) + len(b))]
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = fq_add(out[i + j], fq_mul(x, y, p, h), p)
+    return fq_trim(out)
+
+
+def fqx_mod(a, m, p, h):
+    """a mod a monic m over F_q."""
+    if m[-1] != [1]:
+        raise ValueError("fqx_mod needs a monic modulus")
+    a, n = list(a), len(m) - 1
+    while len(a) > n:
+        c = a.pop()
+        k = len(a) - n
+        for j in range(n):
+            a[k + j] = fq_sub(a[k + j], fq_mul(c, m[j], p, h), p)
+    return fq_trim(a)
+
+
+def residue_evaluate(g, x, p, h):
+    """g(x) for a polynomial g over F_p[y]/(h) at an element x, by Horner."""
+    acc = []
+    for c in reversed(g):
+        acc = fq_add(fq_mul(acc, x, p, h), c, p)
     return acc
 
 
-def splits_reference(g):
-    """x^q == x mod g for a monic ResiduePoly g over F_q, q = p^f, with x^q
-    taken as f successive p-th powers, each by right-to-left
+def splits_reference(g, p, h):
+    """x^q == x mod g for a monic g over F_q = F_p[y]/(h), q = p^f, with
+    x^q taken as f successive p-th powers, each by right-to-left
     square-and-multiply with a full product per set bit: the reference for
     `residue.splits_completely`, which also checks that g is squarefree."""
-    F, m = g.field, list(g.coeffs)
 
     def pow_mod(base, e):
-        result = [F.one()]
-        base = _rp_mod(F, list(base), m)
+        result = [[1]]
         while e > 0:
             if e & 1:
-                result = _rp_mod(F, _rp_mul(F, result, base), m)
-            base = _rp_mod(F, _rp_mul(F, base, base), m)
+                result = fqx_mod(fqx_mul(result, base, p, h), g, p, h)
+            base = fqx_mod(fqx_mul(base, base, p, h), g, p, h)
             e >>= 1
         return result
 
-    x = _rp_mod(F, [F.zero(), F.one()], m)
-    h = x
-    for _ in range(F.f):
-        h = pow_mod(h, F.p)
-    return h == x
+    x = fqx_mod([[], [1]], g, p, h)
+    xq = x
+    for _ in range(len(h) - 1):
+        xq = pow_mod(xq, p)
+    return xq == x
 
 
 def represents(m, target, bound=None):

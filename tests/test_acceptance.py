@@ -24,7 +24,7 @@ from dpip.decide import (
 from dpip.errors import SquarefreeViolationError
 from dpip.nf import Ideal, NumberField, kummer_dedekind
 from dpip.quadforms import genus_advice, is_principal_quad
-from dpip.residue import ResidueField, ResiduePoly, element_in_prime, splits_completely
+from dpip.residue import element_in_prime, splits_completely
 from dpip.switching import landau_ratio, prime_switch_density, switch_stats
 from helpers import irreducible_mod_p, residue_elements, residue_evaluate
 
@@ -230,36 +230,33 @@ def test_criterion_6_arithmetic_invariants(K5, K21, Ki):
             if irreducible_mod_p(cand, p):
                 return cand
 
-    built = [(p, f, ResidueField(p, modulus_for(p, f))) for p, f in qfields]
-    small = [(p, f, F) for p, f, F in built if F.q <= 200]
-    big = [(p, f, F) for p, f, F in built if F.q > 200]
-    elements = {(p, f): list(residue_elements(F)) for p, f, F in built}
+    built = [(p, f, modulus_for(p, f)) for p, f in qfields]
+    small = [(p, f, h) for p, f, h in built if p**f <= 200]
+    big = [(p, f, h) for p, f, h in built if p**f > 200]
+    elements = {(p, f): list(residue_elements(p, f)) for p, f, _ in built}
     frob_cases = 0
     target = 6500
 
-    def frob_case(p, f, F):
+    def frob_case(p, f, h):
         els = elements[(p, f)]
         while True:
             n = rng.randint(1, 6)
-            coeffs = [rng.choice(els) for _ in range(n)] + [F.one()]
-            g = ResiduePoly(F, coeffs)
-            if g.degree() != n:
-                continue
+            g = [rng.choice(els) for _ in range(n)] + [[1]]
             try:
-                verdict = splits_completely(g)
+                verdict = splits_completely(g, p, h)
             except SquarefreeViolationError:
                 continue
-            roots = sum(1 for x in els if not residue_evaluate(g, x))
-            assert verdict == (roots == n), (p, f, coeffs)
+            roots = sum(1 for x in els if not residue_evaluate(g, x, p, h))
+            assert verdict == (roots == n), (p, f, g)
             return
 
-    for p, f, F in big:
+    for p, f, h in big:
         for _ in range(3):
-            frob_case(p, f, F)
+            frob_case(p, f, h)
             frob_cases += 1
     while frob_cases < target:
-        for p, f, F in small:
-            frob_case(p, f, F)
+        for p, f, h in small:
+            frob_case(p, f, h)
             frob_cases += 1
             if frob_cases >= target:
                 break

@@ -22,7 +22,6 @@ from dpip.decide import (
     decide_ideal,
     decide_prime_ideal,
     default_switch_config,
-    _combine,
     draw_coefficients,
     first_prime_cofactor,
     prime_cofactor,
@@ -41,7 +40,7 @@ from dpip.quadforms import genus_advice, is_principal_quad
 from dpip.residue import element_in_prime
 from dpip.serialize import load_ideal
 from dpip.switching import switch_stats
-from helpers import lll_basis, plain_combination, principal_inverse, resultant_norm
+from helpers import combine, lll_basis, plain_combination, principal_inverse, resultant_norm
 
 
 @pytest.fixture(scope="module")
@@ -127,7 +126,7 @@ def _basis(ideal):
 def _sample_switch(ideal, basis, cfg, rng):
     """One switching draw: r uniform on the box over basis, and (r)/I."""
     K = ideal.K
-    r = _combine(K, basis, draw_coefficients(rng, cfg.bound_B, K.degree))
+    r = combine(K, basis, draw_coefficients(rng, cfg.bound_B, K.degree))
     return r, Ideal.principal(K, r) * ideal.inverse()
 
 
@@ -227,7 +226,7 @@ def test_packed_combination_matches_the_plain_sum(K5, K21, K64, K180):
             # 0.3 s in degree 48, so there one extreme-sign draw is normed
             normed = draws[3:4] if d >= 32 and B > 20 else draws
             for c in draws:
-                r = _combine(K, basis, c)
+                r = combine(K, basis, c)
                 plain = plain_combination(basis, c)
                 if c in normed:
                     assert r.norm_int() == resultant_norm(K.element(plain)), (K, B, c)
@@ -236,7 +235,7 @@ def test_packed_combination_matches_the_plain_sum(K5, K21, K64, K180):
             # the same kernel multiplies vectors by an element
             x = basis[-1]
             assert K.mul_vectors(x, draws) == [K.mul_coords(x, c) for c in draws]
-        assert _combine(K, basis, [0] * d) == K.zero()
+        assert combine(K, basis, [0] * d) == K.zero()
 
 
 def test_prime_cofactor_matches_kummer_dedekind(K5, K21):
@@ -255,7 +254,7 @@ def test_prime_cofactor_matches_kummer_dedekind(K5, K21):
         for I in ideals:
             basis = _basis(I)
             for _ in range(20):
-                r = _combine(K, basis, draw_coefficients(rng, 6, K.degree))
+                r = combine(K, basis, draw_coefficients(rng, 6, K.degree))
                 C = Ideal.principal(K, r) * I.inverse()
                 want = _reference_prime(C)
                 got = prime_cofactor(I, r)
@@ -287,7 +286,7 @@ def test_prime_cofactor_witness_is_the_cofactor(K5, K64, K180, fixtures_dir):
         draws = substream(7, "witness")
         count = hits = 0
         while count < 30 or not hits:
-            w = _combine(K, W, draw_coefficients(draws, 5, K.degree))
+            w = combine(K, W, draw_coefficients(draws, 5, K.degree))
             r = u * w
             witness = prime_cofactor(J, w)
             assert witness == prime_cofactor(I, r), (K.degree, I, count)
@@ -315,7 +314,7 @@ def test_prime_cofactor_builds_no_lattice(monkeypatch, K180):
     # draw until the first hit, so that a cofactor is read at all
     draws = substream(3, "lattice-free")
     cofactors = (
-        prime_cofactor(I, _combine(K180, basis, draw_coefficients(draws, 5, K180.degree)))
+        prime_cofactor(I, combine(K180, basis, draw_coefficients(draws, 5, K180.degree)))
         for _ in range(400)
     )
     assert any(c is not None for c in cofactors)
@@ -725,7 +724,7 @@ def test_ideal_norm_reads_the_pivots_once(K64, fixtures_dir):
     draws = substream(5, "pivots")
     rs = []
     while len(rs) < 40:
-        r = _combine(K64, basis, draw_coefficients(draws, 5, K64.degree))
+        r = combine(K64, basis, draw_coefficients(draws, 5, K64.degree))
         if prime_power(abs(r.norm_int()) // n) is None:
             rs.append(r)
     reads = []

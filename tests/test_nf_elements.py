@@ -10,7 +10,6 @@ from sympy.ntheory import perfect_power
 from sympy.ntheory.primetest import mr
 
 from dpip import nf
-from dpip.decide import _combine
 from dpip.errors import DefiningPolyError, DpipError, FieldMismatchError
 from dpip.nf import (
     NumberField,
@@ -22,6 +21,7 @@ from dpip.nf import (
 import helpers
 from helpers import (
     bareiss_det,
+    combine,
     norm_quotient,
     resultant_norm,
     sympy_discriminant,
@@ -412,7 +412,7 @@ def test_norm_int_is_the_int_numerator_of_the_norm(K5, K64, K180):
         power_basis = [tuple(int(i == j) for i in range(d)) for j in range(d)]
         elems = [K.element([rng.randint(-30, 30) for _ in range(d)]) for _ in range(5)]
         # switching draws, held packed
-        elems += [_combine(K, power_basis, [rng.randint(-9, 9) for _ in range(d)]) for _ in range(5)]
+        elems += [combine(K, power_basis, [rng.randint(-9, 9) for _ in range(d)]) for _ in range(5)]
         for a in elems:
             n = a.norm_int()
             assert type(n) is int and n == resultant_norm(a)

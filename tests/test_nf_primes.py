@@ -6,7 +6,6 @@ from sympy import isprime, primerange
 
 from dpip import fppoly
 from dpip.decide import (
-    _combine,
     cofactor_side,
     draw_coefficients,
     first_prime_cofactor,
@@ -27,7 +26,7 @@ from dpip.nf import (
     power_sums,
     prime_from_generators,
 )
-from helpers import bareiss_det, prime_ideal_by_insertion, sympy_discriminant, sympy_factor
+from helpers import bareiss_det, combine, prime_ideal_by_insertion, sympy_discriminant, sympy_factor
 
 
 def test_ramified_two(K5):
@@ -275,7 +274,7 @@ def _norm_p_cofactors(K, ideals, want):
         draws = substream(17, "deferred", K.degree)
         found = 0
         for _ in range(2000):
-            r = _combine(K, W, draw_coefficients(draws, 5, K.degree))
+            r = combine(K, W, draw_coefficients(draws, 5, K.degree))
             P = prime_cofactor(J, r)
             if P is not None and P.res_degree == 1:
                 out.append((J, r))

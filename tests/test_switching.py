@@ -8,7 +8,7 @@ import pytest
 from sympy import primerange
 
 from dpip import decide, fppoly, nf, switching
-from dpip.decide import _combine, cofactor_side, first_prime_cofactor, substream
+from dpip.decide import cofactor_side, first_prime_cofactor, substream
 from dpip.lll import lll_reduce
 from dpip.nf import Ideal, kummer_dedekind, prime_power
 from dpip.serialize import load_field, load_ideal
@@ -19,6 +19,7 @@ from dpip.switching import (
     stats_csv,
     switch_stats,
 )
+from helpers import combine
 
 
 def test_stats_deterministic(K5):
@@ -299,7 +300,7 @@ def test_grid_monotone_under_basis_change(K5):
         for coeffs in itertools.product(range(-b, b + 1), repeat=2):
             if not any(coeffs):
                 continue
-            r = _combine(K5, basis, list(coeffs))
+            r = combine(K5, basis, list(coeffs))
             out.add(Ideal.principal(K5, r).divide(I))
         return out
 
