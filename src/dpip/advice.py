@@ -4,12 +4,13 @@ A bundle packages, for one number field, monic polynomials f_1..f_t over
 O_K whose root fields are the small unramified relative extensions that
 together cut out the class group, and the set S of principal primes
 dividing some disc(f_i) (those primes cannot be classified by the
-splitting test and are answered from S directly). Discriminants are cached
-in the bundle and recomputed on load, so tampered files are rejected.
+splitting test and are answered from S directly). A bundle checks itself
+when it is built: its discriminants are computed then, and a file whose
+stored discriminants differ from them is refused.
 """
 
+import dataclasses
 import json
-from dataclasses import dataclass
 from math import lcm
 
 from .errors import AdviceError
@@ -33,12 +34,25 @@ from .serialize import (
 )
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class AdviceBundle:
+    """Raises AdviceError when built from invalid advice (`_discriminants`,
+    then the S checks); disc_cache is derived, never passed."""
+
     field: NumberField
     subfields: tuple  # ((q_i, poly_i), ...) with poly_i a tuple of FieldElement
     S: tuple  # PrimeIdeal entries
-    disc_cache: tuple  # FieldElement, one per subfield
+    disc_cache: tuple = dataclasses.field(init=False)  # FieldElement, one per subfield
+
+    def __post_init__(self):
+        discs = _discriminants(self.field, self.subfields)
+        object.__setattr__(self, "disc_cache", discs)
+        for P in self.S:
+            _validate_prime(self.field, P)
+            if not any(element_in_prime(disc, P) for disc in discs):
+                raise AdviceError(
+                    f"exceptional prime {P.label()} divides no subfield discriminant"
+                )
 
     @property
     def t(self):
@@ -54,25 +68,23 @@ class AdviceBundle:
 
 
 def build_advice(K, polys, S=(), principal_test=None):
-    """Assemble and validate a bundle from subfield polynomials.
+    """Assemble a bundle from subfield polynomials.
 
     `polys` are sequences of FieldElement coefficients (low to high, monic).
     When `principal_test` is given, S is computed by enumerating the prime
     ideals dividing each polynomial discriminant and keeping the principal
-    ones; otherwise the provided S is validated as-is.
+    ones; otherwise the provided S is checked as-is.
     """
     subfields = tuple((len(p) - 1, tuple(p)) for p in polys)
-    discs = _discriminants(K, subfields)
-    if principal_test is not None:
-        found = []
-        for disc in discs:
-            for P in _primes_dividing(K, disc):
-                if P not in found and principal_test(P):
-                    found.append(P)
-        S = tuple(found)
-    bundle = AdviceBundle(field=K, subfields=subfields, S=tuple(S), disc_cache=discs)
-    _validate(bundle, discs)
-    return bundle
+    bundle = AdviceBundle(field=K, subfields=subfields, S=tuple(S))
+    if principal_test is None:
+        return bundle
+    found = []
+    for disc in bundle.disc_cache:
+        for P in _primes_dividing(K, disc):
+            if P not in found and principal_test(P):
+                found.append(P)
+    return dataclasses.replace(bundle, S=tuple(found))
 
 
 def _primes_dividing(K, disc_elem):
@@ -84,11 +96,6 @@ def _primes_dividing(K, disc_elem):
             if element_in_prime(disc_elem, P):
                 out.append(P)
     return out
-
-
-def validate_advice(bundle):
-    """Check every bundle invariant; raise AdviceError on the first failure."""
-    _validate(bundle, _discriminants(bundle.field, bundle.subfields))
 
 
 def _discriminants(K, subfields):
@@ -152,19 +159,6 @@ def _check_kummer(K, idx, q, beta):
     )
 
 
-def _validate(bundle, discs):
-    """The bundle checks, given the discriminants of its subfields."""
-    if tuple(bundle.disc_cache) != discs:
-        raise AdviceError("disc_cache does not match the recomputed discriminants")
-    K = bundle.field
-    for P in bundle.S:
-        _validate_prime(K, P)
-        if not any(element_in_prime(disc, P) for disc in discs):
-            raise AdviceError(
-                f"exceptional prime {P.label()} divides no subfield discriminant"
-            )
-
-
 def _validate_prime(K, P):
     if P.K != K:
         raise AdviceError("exceptional prime belongs to a different field")
@@ -219,15 +213,9 @@ def advice_from_dict(data):
             )
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise AdviceError(f"malformed advice file: {exc}") from exc
-    subfields = tuple(subfields)
-    discs = _discriminants(K, subfields)
-    bundle = AdviceBundle(
-        field=K,
-        subfields=subfields,
-        S=tuple(S),
-        disc_cache=discs if cached is None else cached,
-    )
-    _validate(bundle, discs)
+    bundle = AdviceBundle(field=K, subfields=tuple(subfields), S=tuple(S))
+    if cached is not None and cached != bundle.disc_cache:
+        raise AdviceError("disc_cache does not match the recomputed discriminants")
     return bundle
 
 

@@ -19,7 +19,6 @@ from .errors import (
     DefiningPolyError,
     DpipError,
     FieldMismatchError,
-    GaveUpError,
     NonDivisibleError,
     NonInvertibleIdealError,
     ZeroIdealError,
@@ -1114,12 +1113,10 @@ class Ideal:
         For n = det(I), n*I^-1 is cut out by one congruence per O_K-module
         generator of the numerator lattice (`_saturate_kernel` on
         `_generators`: one generator for (u)). A lattice with one generator
-        u is invertible, its inverse (1/u). For any other, where Z[theta] is
-        maximal at every prime dividing both N(I) and disc(f)
-        (`_maximal_above`; always when that gcd is 1, and at every prime
-        when f = Phi_m), the norm check proves the inverse; otherwise, or
-        when the gcd keeps a factor that trial division leaves, the product
-        is checked.
+        u is invertible, its inverse (1/u). For any other, the norm check
+        proves the inverse where a theorem makes Z[theta] maximal at every
+        prime dividing N(I): when f = Phi_m (`order_is_maximal_at`), or
+        when gcd(N(I), disc f) = 1. Otherwise I * I^-1 = O_K is checked.
         Raises NonInvertibleIdealError when I has no inverse.
         """
         if self._inv is not None:
@@ -1129,7 +1126,7 @@ class Ideal:
         if n == 0:
             raise ZeroIdealError("zero ideal has no inverse")
         gens = self._generators()
-        verified = len(gens) == 1 or _maximal_above(K, gcd(n, K.disc))
+        verified = len(gens) == 1 or K._cyclo or gcd(n, K.disc) == 1
         lat = _saturate_kernel(K, gens, n)
         if lat.det() * n != n**K.degree:
             raise NonInvertibleIdealError("lattice is not invertible over this order")
@@ -1162,17 +1159,6 @@ class Ideal:
         if q.norm() * other.norm() != self.norm():
             raise NonDivisibleError("division is not exact in this order")
         return q
-
-
-def _maximal_above(K, g):
-    """Is Z[theta] maximal at every prime dividing g > 0
-    (`order_is_maximal_at`)? False when `prime_factors` gives up, which
-    leaves the caller to check."""
-    try:
-        primes = prime_factors(g)
-    except GaveUpError:
-        return False
-    return all(order_is_maximal_at(p, K) for p in primes)
 
 
 def _normalized(K, cols, denom, gens=None):

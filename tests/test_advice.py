@@ -4,15 +4,21 @@ import pytest
 from sympy import nextprime
 
 from dpip.advice import (
+    AdviceBundle,
     advice_from_dict,
     advice_to_dict,
     build_advice,
     load_advice,
     store_advice,
-    validate_advice,
 )
 from dpip.errors import AdviceError, GaveUpError
+from dpip.nf import kummer_dedekind
 from dpip.quadforms import genus_advice, is_principal_quad
+
+
+def rebuilt(bundle):
+    """The bundle built again from its parts, which runs every check."""
+    return AdviceBundle(field=bundle.field, subfields=bundle.subfields, S=bundle.S)
 
 
 def test_round_trip(tmp_path, K21):
@@ -120,7 +126,7 @@ def test_non_prime_power_degree_rejected(K5):
 
 def test_validate_is_idempotent(K5):
     bundle = genus_advice(-20)
-    validate_advice(bundle)  # should not raise
+    assert rebuilt(bundle) == bundle
 
 
 def test_dict_round_trip_without_cache(K5):
@@ -179,7 +185,8 @@ def test_every_advice_fixture_loads(fixtures_dir):
     paths = sorted(fixtures_dir.glob("advice_*.json"))
     assert len(paths) == 3
     for path in paths:
-        validate_advice(load_advice(path))
+        bundle = load_advice(path)
+        assert rebuilt(bundle) == bundle
 
 
 def test_reducible_kummer_subfield_rejected(K5):
@@ -209,7 +216,7 @@ def test_reducible_kummer_subfield_rejected(K5):
 @pytest.mark.parametrize("disc", [-20, -84, -420])
 def test_genus_advice_passes_the_kummer_check(disc):
     bundle = genus_advice(disc)
-    assert validate_advice(bundle) is None
+    assert rebuilt(bundle) == bundle
     assert advice_from_dict(advice_to_dict(bundle)).subfields == bundle.subfields
 
 
@@ -221,3 +228,33 @@ def test_building_advice_gives_up_on_a_discriminant_trial_division_leaves(K5):
     poly = [K5.rational(-q1 * q2), K5.zero(), K5.one()]
     with pytest.raises(GaveUpError):
         build_advice(K5, [poly], principal_test=lambda P: is_principal_quad(P.to_ideal(), -20))
+
+
+def test_a_bundle_built_directly_is_checked(K5):
+    # x^2 - 1 = (x - 1)(x + 1) splits modulo every prime, so a bundle holding
+    # it would answer Yes on (3, 1 + theta) and (7, 3 + theta), neither of
+    # them principal
+    x2 = [K5.rational(-1), K5.zero(), K5.one()]
+    with pytest.raises(AdviceError, match="irreducible"):
+        AdviceBundle(field=K5, subfields=((2, tuple(x2)),), S=())
+    good = genus_advice(-20)
+    with pytest.raises(AdviceError, match="declared degree"):
+        AdviceBundle(field=K5, subfields=((3, good.subfields[0][1]),), S=())
+    square = (K5.one(), K5.rational(-2), K5.one())  # (x - 1)^2
+    with pytest.raises(AdviceError, match="vanishing discriminant"):
+        AdviceBundle(field=K5, subfields=((2, square),), S=())
+    # (3, 1 + theta) is a prime of Q(sqrt -5) but divides no disc(x^2 + 1)
+    P3 = kummer_dedekind(3, K5)[0]
+    with pytest.raises(AdviceError, match="divides no subfield discriminant"):
+        AdviceBundle(field=K5, subfields=good.subfields, S=(P3,))
+
+
+def test_disc_cache_is_derived_not_passed(K5):
+    # a disc_cache of (29,) would send both primes above 29, which are
+    # principal, to the S lookup, and answer No on them
+    good = genus_advice(-20)
+    with pytest.raises(TypeError):
+        AdviceBundle(
+            field=K5, subfields=good.subfields, S=good.S, disc_cache=(K5.rational(29),)
+        )
+    assert rebuilt(good).disc_cache == (K5.rational(-4),)

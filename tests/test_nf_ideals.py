@@ -6,7 +6,7 @@ import pytest
 
 from sympy import primefactors
 
-from dpip import fppoly, ntheory
+from dpip import fppoly, nf
 from dpip.errors import NonDivisibleError, NonInvertibleIdealError, ZeroIdealError
 from dpip.intlattice import IntLattice
 from dpip.nf import (
@@ -326,8 +326,8 @@ def test_inverse_of_a_prime_of_a_degree_16_field_factors_no_discriminant(monkeyp
 
 
 def test_inverse_checks_the_product_when_trial_division_stops(monkeypatch):
-    # with no trial division at all, gcd(N(I), disc f) = 10 stays
-    # unfactored, and I * I^-1 = O_K is checked instead
+    # gcd(N(I), disc f) = 10 and f is no Phi_m, so no theorem proves the
+    # inverse: I * I^-1 = O_K is checked, and nothing is factored or audited
     K = NumberField([5, 0, 1])
     P2, P5 = (kummer_dedekind(p, K)[0].to_ideal() for p in (2, 5))
     I = Ideal.from_hnf_matrix(K, (P2 * P5).hnf_matrix())
@@ -339,7 +339,6 @@ def test_inverse_checks_the_product_when_trial_division_stops(monkeypatch):
         products.append(other)
         return mul(self, other)
 
-    monkeypatch.setattr(ntheory, "TRIAL_LIMIT", 2)
     monkeypatch.setattr(Ideal, "__mul__", counted)
     inv = I.inverse()
     assert len(products) == 1 and products[0] is inv
@@ -363,9 +362,42 @@ def test_inverse_in_a_cyclotomic_field_runs_no_dedekind_criterion(monkeypatch, K
     assert gcd(bare.norm_int(), K.disc) == 81
     inv = bare.inverse()
     assert inv.cols == want.cols and inv.denom == want.denom
-    assert K._maximal_at == {3: True}
+    assert K._maximal_at == {}
     with pytest.raises(AssertionError, match="gf_factor ran"):
         kummer_dedekind(3, K)
+
+
+def test_inverse_without_a_theorem_runs_one_product_and_no_audit(monkeypatch):
+    # (2, 1 + theta) of Q(sqrt -5), read from its HNF: gcd(2, -20) = 2 and f
+    # is no Phi_m, so the product I * I^-1 = O_K proves the inverse, and
+    # neither the maximality audit nor a factorization of f mod 2 runs
+    K = NumberField([5, 0, 1])  # fresh, so nothing is cached
+    P = Ideal.from_generators(K, [K.rational(2), K.element([1, 1])])
+    bare = Ideal.from_hnf_matrix(K, P.hnf_matrix())
+    assert bare._gens is None and gcd(bare.norm_int(), K.disc) == 2
+    # Z[sqrt 5] is not maximal at 2, and its (2, 1 + theta) has no inverse
+    Kr5 = NumberField([-5, 0, 1])
+    Q = Ideal.from_generators(Kr5, [Kr5.rational(2), Kr5.element([1, 1])])
+    products = []
+    mul = Ideal.__mul__
+
+    def counted(self, other):
+        products.append(other)
+        return mul(self, other)
+
+    def refuse(*args):
+        raise AssertionError("maximality audit ran")
+
+    monkeypatch.setattr(nf, "order_is_maximal_at", refuse)
+    monkeypatch.setattr(nf, "kummer_dedekind", refuse)
+    monkeypatch.setattr(Ideal, "__mul__", counted)
+    inv = bare.inverse()
+    assert len(products) == 1 and products[0] is inv
+    with pytest.raises(NonInvertibleIdealError):
+        Q.inverse()
+    monkeypatch.undo()
+    assert bare * inv == Ideal.ring(K)
+    assert K._maximal_at == {}
 
 
 def test_divide_examples(K5):
