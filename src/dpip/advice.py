@@ -10,7 +10,6 @@ stored discriminants differ from them is refused.
 """
 
 import dataclasses
-import json
 from math import lcm
 
 from .errors import AdviceError
@@ -54,29 +53,21 @@ class AdviceBundle:
                     f"exceptional prime {P.label()} divides no subfield discriminant"
                 )
 
-    @property
-    def t(self):
-        return len(self.subfields)
-
-    def smoothness(self):
-        """Largest subfield degree (the group's smoothness parameter)."""
-        return max((q for q, _ in self.subfields), default=1)
-
     def __repr__(self):
         qs = [q for q, _ in self.subfields]
         return f"AdviceBundle(degrees={qs}, |S|={len(self.S)})"
 
 
-def build_advice(K, polys, S=(), principal_test=None):
+def build_advice(K, polys, principal_test=None):
     """Assemble a bundle from subfield polynomials.
 
     `polys` are sequences of FieldElement coefficients (low to high, monic).
     When `principal_test` is given, S is computed by enumerating the prime
     ideals dividing each polynomial discriminant and keeping the principal
-    ones; otherwise the provided S is checked as-is.
+    ones; otherwise S is empty. A known S is passed to `AdviceBundle`.
     """
     subfields = tuple((len(p) - 1, tuple(p)) for p in polys)
-    bundle = AdviceBundle(field=K, subfields=subfields, S=tuple(S))
+    bundle = AdviceBundle(field=K, subfields=subfields, S=())
     if principal_test is None:
         return bundle
     found = []
@@ -221,9 +212,3 @@ def advice_from_dict(data):
 
 def load_advice(path):
     return advice_from_dict(read_json(path))
-
-
-def store_advice(bundle, path):
-    with open(path, "w") as fh:
-        json.dump(advice_to_dict(bundle), fh, indent=1)
-        fh.write("\n")

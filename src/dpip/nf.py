@@ -99,9 +99,8 @@ class NumberField:
     """A monogenic number field, fixed by its monic integral defining poly.
 
     The discriminant is the polynomial discriminant of the defining
-    polynomial, i.e. the discriminant of the order Z[theta]; callers who
-    care whether that order is maximal at a given prime can ask
-    order_is_maximal_at.
+    polynomial, i.e. the discriminant of the order Z[theta], which need not
+    be maximal.
 
     f must be irreducible over Q. When f equals Phi_m coefficient for
     coefficient for some m (`_cyclotomic_index`), it is by theorem
@@ -117,7 +116,6 @@ class NumberField:
         "degree",
         "disc",
         "_kd_cache",
-        "_maximal_at",
         "_ring",
         "_gram",
         "_cyclo",
@@ -147,7 +145,6 @@ class NumberField:
             if not Poly(list(reversed(poly)), Symbol("x")).is_irreducible:
                 raise DefiningPolyError("defining polynomial is reducible over Q")
         self._kd_cache = {}
-        self._maximal_at = {}
         self._ring = None
         self._gram = None
         self._roots = None  # the _RootTable at the foot of the cyclotomic tower
@@ -171,14 +168,6 @@ class NumberField:
 
     def one(self):
         return self.element([1] + [0] * (self.degree - 1))
-
-    def gen(self):
-        c = [0] * self.degree
-        if self.degree == 1:
-            c[0] = -self.poly[0]
-        else:
-            c[1] = 1
-        return self.element(c)
 
     def rational(self, q):
         return self.element([q] + [0] * (self.degree - 1))
@@ -280,12 +269,6 @@ class FieldElement:
             return NotImplemented
         return FieldElement(self.K, [a - b for a, b in zip(self.coords, o.coords)])
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o - self
-
     def __neg__(self):
         return FieldElement(self.K, [-c for c in self.coords])
 
@@ -296,18 +279,6 @@ class FieldElement:
         return FieldElement(self.K, self.K.mul_coords(self.coords, o.coords))
 
     __rmul__ = __mul__
-
-    def __pow__(self, e):
-        if e < 0:
-            raise ValueError("negative power of an element of Z[theta]")
-        result = self.K.one()
-        base = self
-        while e > 0:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     # -- norm ------------------------------------------------------------------
 
@@ -1115,7 +1086,8 @@ class Ideal:
         `_generators`: one generator for (u)). A lattice with one generator
         u is invertible, its inverse (1/u). For any other, the norm check
         proves the inverse where a theorem makes Z[theta] maximal at every
-        prime dividing N(I): when f = Phi_m (`order_is_maximal_at`), or
+        prime dividing N(I): when f = Phi_m (Z[zeta_m] is the ring of
+        integers of Q(zeta_m); Washington, GTM 83, Thm. 2.6), or
         when gcd(N(I), disc f) = 1. Otherwise I * I^-1 = O_K is checked.
         Raises NonInvertibleIdealError when I has no inverse.
         """
@@ -1164,14 +1136,7 @@ class Ideal:
 def _normalized(K, cols, denom, gens=None):
     """Reduce a (cols, denom) pair by the common content, which invalidates
     the recorded generators."""
-    g = denom
-    for c in cols:
-        for x in c:
-            g = gcd(g, x)
-            if g == 1:
-                break
-        if g == 1:
-            break
+    g = gcd(denom, *(x for c in cols for x in c))
     if g > 1:
         cols = [[x // g for x in c] for c in cols]
         denom //= g
@@ -1337,8 +1302,8 @@ class PrimeIdeal:
     def __repr__(self):
         return f"PrimeIdeal(p={self.p}, g={poly_str(self.gen_poly, 'x')}, f={self.res_degree})"
 
-    def label(self, var="θ"):
-        return f"({decimal_str(self.p)}, {poly_str(self.gen_poly, var)})"
+    def label(self):
+        return f"({decimal_str(self.p)}, {poly_str(self.gen_poly)})"
 
 
 def kummer_dedekind(p, K):
@@ -1420,41 +1385,6 @@ def _generated_gcd(f, p, gens, least=0):
         if fppoly.deg(G) < least:
             break
     return G
-
-
-def order_is_maximal_at(p, K):
-    """Is Z[theta] maximal at p? (cached on K) Always when f = Phi_m, as
-    Z[zeta_m] is the ring of integers of Q(zeta_m) (Washington, GTM 83,
-    Thm. 2.6); otherwise by Dedekind's criterion."""
-    p = int(p)
-    if p not in K._maximal_at:
-        if not isprime(p):
-            raise ValueError(f"{p} is not prime")
-        K._maximal_at[p] = bool(K._cyclo) or _dedekind_criterion(p, K)
-    return K._maximal_at[p]
-
-
-def _dedekind_criterion(p, K):
-    gbar = [1]
-    hbar = [1]
-    for P in kummer_dedekind(p, K):
-        gbar = fppoly.mul(gbar, list(P.gen_poly), p)
-        for _ in range(P.ram_index - 1):
-            hbar = fppoly.mul(hbar, list(P.gen_poly), p)
-    repeated = fppoly.gcd(gbar, hbar, p)
-    if fppoly.deg(repeated) == 0:
-        return True
-    # g*h is only needed mod p^2: (g*h - f) / p is read mod p
-    lift = fppoly.mul(gbar, hbar, p * p)
-    diff = lift + [0] * max(0, len(K.poly) - len(lift))
-    for i, c in enumerate(K.poly):
-        diff[i] -= c
-    fbig = [c // p for c in diff]
-    if any(c * p != d for c, d in zip(fbig, diff)):
-        raise DpipError("Dedekind lift failed")
-    fbar = fppoly.from_ints(fbig, p)
-    g = fppoly.gcd(fbar, repeated, p)
-    return fppoly.deg(g) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -51,10 +51,6 @@ def load_field(path):
     return field_from_dict(read_json(path))
 
 
-def ideal_to_dict(I):
-    return {"hnf": [[encode_int(x) for x in row] for row in I.hnf_matrix()]}
-
-
 def ideal_from_dict(data, K):
     if not isinstance(data, dict):
         raise ValueError("ideal file needs 'generators' or 'hnf'")

@@ -29,10 +29,6 @@ class SwitchStats:
     seed: int
     capped_trials: int = 0
 
-    @property
-    def capped(self):
-        return self.capped_trials > 0
-
 
 def ProcessPoolExecutor(max_workers):
     """concurrent.futures' process pool, imported only when jobs > 1."""

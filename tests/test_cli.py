@@ -440,16 +440,17 @@ def test_switch_stats_with_no_bound_is_an_error(capsys, fixtures_dir):
 
 def test_decide_non_invertible_ideal_is_an_error(capsys, tmp_path):
     # in Z[sqrt 5], (2, 1 + theta) * (a prime above 11) has no inverse
-    from dpip.advice import build_advice, store_advice
+    from dpip.advice import advice_to_dict, build_advice
     from dpip.nf import Ideal, NumberField, kummer_dedekind
-    from dpip.serialize import ideal_to_dict
 
     K = NumberField([-5, 0, 1])
     I = Ideal.from_generators(K, [K.rational(2), K.element([1, 1])])
     I = I * kummer_dedekind(11, K)[0].to_ideal()
     (tmp_path / "field.json").write_text(json.dumps({"defining_poly": ["-5", "0", "1"]}))
-    (tmp_path / "ideal.json").write_text(json.dumps(ideal_to_dict(I)))
-    store_advice(build_advice(K, [[K.one(), K.zero(), K.one()]]), tmp_path / "advice.json")
+    hnf = [[str(x) for x in row] for row in I.hnf_matrix()]
+    (tmp_path / "ideal.json").write_text(json.dumps({"hnf": hnf}))
+    advice = advice_to_dict(build_advice(K, [[K.one(), K.zero(), K.one()]]))
+    (tmp_path / "advice.json").write_text(json.dumps(advice))
     code, _, err = run(
         capsys,
         "decide",
@@ -606,3 +607,49 @@ def test_an_unexpected_error_exits_2_with_its_traceback(capsys, monkeypatch, fix
     )
     assert code == 2 and out == ""
     assert "Traceback" in err and "RuntimeError: arithmetic bug" in err
+
+
+_Q5 = {"defining_poly": ["5", "0", "1"]}
+_X2_PLUS_1 = {"q": 2, "poly": [["1", "0"], ["0", "0"], ["1", "0"]]}
+
+
+@pytest.mark.parametrize(
+    "argv, payload, message",
+    [
+        (["precompute-quad", "-d", "0"], None, "positive m"),
+        (
+            ["oracle-quad", "--field", "field_zeta64.json", "--ideal", "ideal_zeta64_switch.json"],
+            None,
+            "imaginary quadratic field",
+        ),
+        (
+            ["advice-check", "--advice", "@"],
+            {"field": _Q5, "subfields": [{"q": 1, "poly": [["1", "0"], ["1", "0"]]}]},
+            "degree must be at least 2",
+        ),
+        (
+            ["advice-check", "--advice", "@"],
+            {"field": _Q5, "subfields": [_X2_PLUS_1], "S": [{"p": "4", "gen_poly": ["1", "1"]}]},
+            "4 is not prime",
+        ),
+        (["factor-prime", "-p", "2", "--field", "@"], {"defining_poly": ["5", "0", True]}, "boolean"),
+        (["factor-prime", "-p", "2", "--field", "@"], {"defining_poly": ["5", 1.5, "1"]}, "float"),
+        (["oracle-quad", "--field", "field_qsqrtm5.json", "--ideal", "@"], {"hnf": [["2", "1"]]}, "wrong shape"),
+        (
+            ["oracle-quad", "--field", "field_qsqrtm5.json", "--ideal", "@"],
+            {"hnf": [["0", "0"], ["1", "1"]]},
+            "diagonal entries must be positive",
+        ),
+        (["oracle-quad", "--field", "field_qsqrtm5.json", "--ideal", "@"], {"basis": []}, "'generators' or 'hnf'"),
+    ],
+)
+def test_a_refused_input_exits_2_with_one_error_line(capsys, tmp_path, fixtures_dir, argv, payload, message):
+    # "@" is the file holding the payload, and every other .json name a fixture
+    (tmp_path / "input.json").write_text(json.dumps(payload))
+    argv = [
+        str(tmp_path / "input.json") if a == "@" else str(fixtures_dir / a) if a.endswith(".json") else a
+        for a in argv
+    ]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err

@@ -387,7 +387,7 @@ def test_decide_principal_by_construction(K5, advice20):
 
 def test_decide_nonprincipal_product(K5, advice20):
     I2 = Ideal.from_generators(K5, [K5.rational(2), K5.element([1, 1])])
-    I5 = Ideal.from_generators(K5, [K5.rational(5), K5.gen()])
+    I5 = Ideal.from_generators(K5, [K5.rational(5), K5.element([0, 1])])
     ten = I2 * I5
     assert ten.norm() == 10
     cfg = default_switch_config(K5, bound_B=8, seed=2)

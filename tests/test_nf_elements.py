@@ -32,7 +32,7 @@ coords5 = st.lists(st.integers(-50, 50), min_size=2, max_size=2)
 
 
 def test_defining_relation(K5):
-    th = K5.gen()
+    th = K5.element([0, 1])
     assert (th * th).coords == (-5, 0)
 
 
@@ -110,7 +110,7 @@ def test_cyclotomic_norm_matches_resultant(K64, K180):
     fields = [NumberField(K.poly) for K in (K64, K180)]  # fresh: +-300 grows a table
     for K in fields:
         d = K.degree
-        theta = K.gen()
+        theta = K.element([0, 1] + [0] * (d - 2))
         elems = [K.zero(), K.one(), -K.one(), theta, -theta, theta + 1]
         elems += [K.element([rng.randint(-9, 9) for _ in range(d)]) for _ in range(20)]
         elems += [K.element([rng.randint(-300, 300) for _ in range(d)]) for _ in range(5)]
@@ -285,7 +285,7 @@ def test_tower_norms_match_the_resultant(monkeypatch):
     ):
         K = NumberField(_phi(m))
         d = K.degree
-        theta = K.gen()
+        theta = K.element(K.theta_shift(K.one().coords))  # theta * 1, also at d = 1
         elems = [K.one(), -K.one(), theta, -theta, K.rational(2**200), K.rational(-(2**200))]
         elems += [K.element([big] * d), K.element([big if j % 2 else -big for j in range(d)])]
         elems += [K.element([rng.randint(-(2**64), 2**64) for _ in range(d)]) for _ in range(2)]
@@ -428,9 +428,8 @@ def test_elements_have_no_division(K5):
         a / a
     with pytest.raises(TypeError):
         a / 2
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         a**-1
-    assert a**0 == K5.one() and a**3 == a * a * a
 
 
 def test_norm_quotient_identity(K5, K64, K180):
@@ -476,7 +475,7 @@ def test_rational_elements_hash_as_their_values(K5, K64):
             x = K.rational(q)
             assert x == q and hash(x) == hash(q)
             assert len({x, q}) == 1 and {q: 1}[x] == 1
-    assert len({K5.rational(3), K5.gen(), K5.gen() + 0}) == 2
+    assert len({K5.rational(3), K5.element([0, 1]), K5.element([0, 1]) + 0}) == 2
 
 
 def test_fractional_coordinates(K5):
@@ -569,6 +568,6 @@ def test_resultant_constant_cases():
     assert K5.zero().norm_int() == 0
     K = NumberField([9, 1])
     assert K.rational(7).norm_int() == 7 and K.rational(-99).norm_int() == -99
-    assert K.gen().norm_int() == -9
+    assert K.element([-9]).norm_int() == -9  # theta = -9
     # N(theta + 9) = -f(-9) in the cubic field of x^3 + 8x^2 + 2x + 1
     assert NumberField([1, 2, 8, 1]).element([9, 1, 0]).norm_int() == 98

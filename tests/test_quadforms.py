@@ -168,7 +168,7 @@ def test_fundamental_discriminants_and_their_prime_discriminants_match_factorint
 def test_genus_advice_minus20(K5):
     bundle = genus_advice(-20)
     assert bundle.field == K5
-    assert bundle.t == 1
+    assert len(bundle.subfields) == 1
     q, poly = bundle.subfields[0]
     assert q == 2
     assert [c.coords for c in poly] == [(1, 0), (0, 0), (1, 0)]  # x^2 + 1
@@ -178,7 +178,7 @@ def test_genus_advice_minus20(K5):
 
 def test_genus_advice_trivial_group():
     bundle = genus_advice(-4)
-    assert bundle.t == 0
+    assert len(bundle.subfields) == 0
     assert bundle.S == ()
 
 

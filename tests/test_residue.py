@@ -62,7 +62,7 @@ def test_reduce_mod_prime_rational_coeffs(K5):
 def test_reduce_mod_prime_maps_theta(K5):
     # theta = 1 under (3, theta - 1), so x^2 - theta becomes x^2 - 1
     P = [P for P in kummer_dedekind(3, K5) if P.gen_poly == (2, 1)][0]
-    g = reduce_poly_mod_prime([-K5.gen(), K5.zero(), K5.one()], P)
+    g = reduce_poly_mod_prime([-K5.element([0, 1]), K5.zero(), K5.one()], P)
     assert g == [[2], [], [1]]
 
 
@@ -91,7 +91,7 @@ def test_element_in_prime_examples(K5):
     P5 = kummer_dedekind(5, K5)[0]
     assert element_in_prime(K5.rational(-4), P2) is True
     assert element_in_prime(K5.rational(-4), P3) is False
-    assert element_in_prime(K5.gen(), P5) is True
+    assert element_in_prime(K5.element([0, 1]), P5) is True
 
 
 def test_element_in_prime_matches_lattice(K5, K21):
@@ -245,7 +245,7 @@ def test_frobenius_power_edge_cases(p):
 def test_frobenius_power_on_every_prime_of_qsqrtm5(K5):
     # inert primes give f = 2, the rest f = 1; the ramified ones and those
     # dividing a discriminant raise for the polynomials with a double root
-    one, zero, theta = K5.one(), K5.zero(), K5.gen()
+    one, zero, theta = K5.one(), K5.zero(), K5.element([0, 1])
     polys = [
         [one, zero, one],
         [-theta, zero, one],

@@ -95,7 +95,7 @@ def test_switch_counts_are_pinned(K64, fixtures_dir):
         (9, 24, 5, 2, 5, 92, 7, 12),
         (9, 127, 4, 11, 70, 27, 17, 6),
     ]
-    assert not any(s.capped for s in stats)
+    assert not any(s.capped_trials > 0 for s in stats)
 
 
 def test_switch_stats_runs_no_gcd_on_prime_norm_cofactors(monkeypatch, K64, fixtures_dir):
@@ -110,7 +110,7 @@ def test_switch_stats_runs_no_gcd_on_prime_norm_cofactors(monkeypatch, K64, fixt
     monkeypatch.setattr(fppoly, "gcd", refuse)
     J = load_ideal(fixtures_dir / "ideal_zeta64_switch.json", K64)
     assert switch_stats(J, [5, 10, 20], trials=4, seed=17) == plain
-    assert not any(s.capped for s in plain)
+    assert not any(s.capped_trials > 0 for s in plain)
 
 
 def test_switch_stats_unpacks_only_prime_power_draws(monkeypatch, K64, fixtures_dir):
@@ -363,6 +363,5 @@ def test_trial_cap_records_and_flags(K5):
     I = Ideal.principal(K5, K5.rational(2))
     stats = switch_stats(I, [2], trials=20, seed=1, cap=1)[0]
     assert all(c <= 1 for c in stats.switch_counts)
-    if stats.capped_trials:
-        assert stats.capped
+    if stats.capped_trials > 0:
         assert stats.prime_fraction < 1
