@@ -132,8 +132,6 @@ def run_switch_stats(args):
 
 def run_oracle_quad(args):
     K = load_field(args.field)
-    if K.degree != 2 or K.disc >= 0:
-        raise DpipError("the form oracle needs an imaginary quadratic field")
     ideal = load_ideal(args.ideal, K)
     principal = is_principal_quad(ideal, K.disc)
     print("principal: " + ("yes" if principal else "no"))

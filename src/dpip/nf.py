@@ -107,8 +107,9 @@ class NumberField:
     (Washington, GTM 83, ch. 2), m is kept as `cyclotomic_order`, and the
     discriminant is read from m (`_cyclotomic_disc`), so such a field needs
     no sympy. Every other f is checked by sympy's `Poly.is_irreducible`,
-    and its discriminant is the Hankel determinant of its roots' power sums
-    (`poly_discriminant`).
+    and its discriminant is (-1)^(d(d-1)/2) Res(f, f') = (-1)^(d(d-1)/2)
+    N(f'(theta)) for monic f, by the one exact norm (`norm_int`); it is 0,
+    and f is refused, when f has a repeated factor.
     """
 
     __slots__ = (
@@ -139,7 +140,9 @@ class NumberField:
         else:
             from sympy import Poly, Symbol
 
-            self.disc = poly_discriminant(poly)
+            d = self.degree
+            derivative = FieldElement(self, [(j + 1) * poly[j + 1] for j in range(d)])
+            self.disc = (-1) ** (d * (d - 1) // 2) * derivative.norm_int()
             if self.disc == 0:
                 raise DefiningPolyError("defining polynomial has a repeated factor")
             if not Poly(list(reversed(poly)), Symbol("x")).is_irreducible:
@@ -204,10 +207,11 @@ class NumberField:
 
     def mul_vectors(self, coords, vecs):
         """Coordinates of x*v for every integer vector v in vecs, x given by
-        integer coords: one packed mat-vec each (`_matvec`)."""
+        integer coords: one packed product each (`_packed_basis`), read
+        back from its digits."""
         bound = max((abs(t) for v in vecs for t in v), default=0)
-        apply = _matvec(self.mul_matrix_columns(coords), bound)
-        return [apply(v) for v in vecs]
+        cols, offset, W = _packed_basis(self.mul_matrix_columns(coords), bound)
+        return [_undigits(sum(map(mul, v, cols), offset), W, self.degree) for v in vecs]
 
 
 class FieldElement:
@@ -294,11 +298,12 @@ class FieldElement:
         In a field certified cyclotomic of order m by `cyclotomic_order`,
         N(g) is read from g's digits (`_packed`): it halves the degree while
         4 | m, as N(g) is the norm of g(x) g(-x) in the field of order m/2
-        (`_tower`). At degree one that is the norm; otherwise it is the
-        product of the element over the roots of the last field modulo
-        split primes above twice its Parseval bound, read as the residue of
-        least absolute value (`_RootTable`). Every other field takes the
-        determinant of g's multiplication matrix by Bareiss elimination.
+        (`_tower`). At degree one the foot h of that walk is the norm;
+        otherwise the norm is Res(F, h) for the cyclotomic F at the foot,
+        from K's root table for F (`_RootTable.resultant`), built on first
+        use.
+        Every other field takes the determinant of g's multiplication
+        matrix by Bareiss elimination.
         """
         if self._norm is None:
             K = self.K
@@ -307,7 +312,13 @@ class FieldElement:
                 cols = K.mul_matrix_columns(self.coords)
                 self._norm = bareiss([list(row) for row in zip(*cols)])
             else:
-                self._norm = _cyclotomic_resultant(K, m, *self._packed())
+                poly, m, h = _tower(K.poly, m, *self._packed())
+                if len(h) == 1:
+                    self._norm = h[0]
+                else:
+                    if K._roots is None:
+                        K._roots = _RootTable(poly, m)
+                    self._norm = K._roots.resultant(h)
         return self._norm
 
     # -- misc -------------------------------------------------------------------
@@ -431,24 +442,6 @@ def _cyclotomic_disc(m, d):
     return -out if d % 4 else out
 
 
-def _pack(rows, width):
-    """Column integers of an integer matrix: column j is the sum of
-    rows[i][j] * 2^(8 * width * i), for entries of either sign.
-
-    A combination of the columns then holds the same combination of row i
-    in slot i (bytes i * width to (i + 1) * width, little-endian), which
-    `_slots` reads back when every slot lies in [0, 2^(8 * width)).
-    """
-    shift = 8 * width
-    cols = []
-    for col in zip(*rows):
-        acc = 0
-        for x in reversed(col):
-            acc = (acc << shift) + x
-        cols.append(acc)
-    return cols
-
-
 def _packed_basis(cols, bound):
     """(packed, offset, W): integer columns packed for the combinations
     sum_j v_j cols[j] with max |v_j| <= bound, at the width W at which
@@ -457,35 +450,14 @@ def _packed_basis(cols, bound):
     Entry i of a combination is at most R_i = bound * sum_j |cols[j][i]| in
     absolute value, so its squares sum to at most sum_i R_i^2, and W is
     `_digit_width` of that bound: every entry is below 2^(W-1) in absolute
-    value. Column j holds its entry i in slot i of W bits (`_pack`), and
-    offset holds 2^(W-1) in each slot, so sum_j v_j packed_j + offset is
-    exactly `_digits` of the combination at width W."""
-    rows = list(zip(*cols))
-    sq = sum((bound * sum(map(abs, row))) ** 2 for row in rows)
-    W = _digit_width(sq, len(rows))
-    return _pack(rows, W // 8), _digits([0] * len(rows), W), W
-
-
-def _matvec(cols, bound):
-    """v -> sum_j v_j * cols[j] for integer vectors v with max |v_j| <= bound,
-    as one packed product (`_packed_basis`) read back from its digits."""
-    packed, offset, W = _packed_basis(cols, bound)
-    n = len(cols[0])
-    return lambda v: _undigits(sum(map(mul, v, packed), offset), W, n)
-
-
-def _slots(acc, width, n):
-    """The n slots of `width` bytes of 0 <= acc < 2^(8 * width * n), lowest
-    first; anything else raises DpipError."""
-    shift = 8 * width
-    mask = (1 << shift) - 1
-    out = []
-    for _ in range(n):
-        out.append(acc & mask)
-        acc >>= shift
-    if acc:
-        raise DpipError("packed slots out of range")
-    return out
+    value. offset is `_digits` of the zero column, 2^(W-1) in each slot of
+    W bits, and column j is `_digits(cols[j], W)` minus offset, its entry i
+    in slot i; so sum_j v_j packed_j + offset is exactly `_digits` of the
+    combination at width W, which `_undigits` reads back."""
+    sq = sum((bound * sum(map(abs, row))) ** 2 for row in zip(*cols))
+    W = _digit_width(sq, len(cols[0]))
+    offset = _digits([0] * len(cols[0]), W)
+    return [_digits(col, W) - offset for col in cols], offset, W
 
 
 class _RootTable:
@@ -505,9 +477,9 @@ class _RootTable:
     a prefix, the CRT lifts z to one of order m mod M, whose powers z^k
     (k < m, `_powers`) are then the roots a_i of f mod M and their powers.
 
-    Per prefix, `evaluation` packs a_i^0, ..., a_i^(d-1) and the offset
-    -sum_j a_i^j mod M into d + 1 columns with row i in slot i, built once
-    per prefix.
+    Per prefix, `evaluation` packs the columns cols[j][i] = a_i^j by
+    `_packed_basis`, built once per prefix, so evaluating g at every a_i is
+    one packed product, the one that draws and `mul_vectors` take.
     """
 
     __slots__ = ("poly", "m", "exps", "primes", "roots", "_evaluation")
@@ -559,51 +531,38 @@ class _RootTable:
         return powers
 
     def evaluation(self, above):
-        """(M, width, columns) for the fewest leading primes with M > above:
-        the d + 1 columns of `values`, packed by `_pack` in slots of `width`
-        bytes, 8 * width >= bits(M) + bits(M) // d + bits(d) + 2."""
+        """(M, packed) for the fewest leading primes with M > above: the
+        columns a_i^j (j < d) packed by `_packed_basis` for coefficients
+        below C = 2^(bits(M) // d + 1) in absolute value."""
         count, M = self._prefix(above)
         if count not in self._evaluation:
             pw, d = self._powers(count, M), len(self.poly) - 1
-            rows = [[pw[k * j % self.m] for j in range(d)] for k in self.exps]
-            for row in rows:
-                row.append(-sum(row) % M)
-            bits = M.bit_length()
-            width = (bits + bits // d + d.bit_length() + 9) // 8
-            self._evaluation[count] = (M, width, _pack(rows, width))
+            cols = [[pw[k * j % self.m] for k in self.exps] for j in range(d)]
+            C = 1 << (M.bit_length() // d + 1)
+            self._evaluation[count] = (M, _packed_basis(cols, C))
         return self._evaluation[count]
 
-    def values(self, g, bound):
-        """(M, values): numbers congruent to g(a_i) mod M, for integer
-        coordinates g with max |g_j| = bound.
+    def resultant(self, g):
+        """Res(f, g) for integer coordinates g: the product of the g(a_i),
+        read as the residue of least absolute value modulo M > 2 |Res(f, g)|.
 
         For deg g < m, Parseval over the m-th roots of unity w gives sum
         |g(w)|^2 = m * sum g_j^2; the d roots of f are among them, so by
         AM-GM |Res(f, g)|^2 <= (m * sum g_j^2 / d)^d <= t^d for t =
         ceil(m * sum g_j^2 / d), and |Res(f, g)| < 2^e with e = ceil(d *
-        bits(t) / 2). M is also taken above 2^(e + 1) > 2 |Res(f, g)|. With
-        C = bound, every coefficient of (g_0 + C, ..., g_(d-1) + C, C) is
-        nonnegative, so their combination of the columns holds in slot i a
-        number congruent to g(a_i) mod M, below (2d + 1) C M; and C^2 <= sum
-        g_j^2 <= m * sum g_j^2 / d as m >= d, so C^d < M and C < 2^(bits(M)
-        // d + 1), which keeps the slot within its width.
+        bits(t) / 2). M is taken above 2^(e + 1) > 2 |Res(f, g)|. And
+        max |g_j|^2 <= sum g_j^2 <= t as m >= d, so max |g_j|^d < M and
+        every |g_j| is below the bound C = 2^(bits(M) // d + 1) for which
+        `evaluation` packed the columns: the packed sum holds g(a_i) in
+        slot i.
         """
         d = len(g)
         t = -(-self.m * sum(map(mul, g, g)) // d)
-        M, width, cols = self.evaluation(1 << ((d * t.bit_length() + 1) // 2 + 1))
-        acc = sum(map(mul, [x + bound for x in g] + [bound], cols))
-        return M, _slots(acc, width, d)
-
-    def resultant(self, g, bound):
-        """Res(f, g) for integer coordinates g with max |g_j| = bound: the
-        product of the values, read as the residue of least absolute value
-        modulo M > 2 |Res(f, g)|."""
-        M, vals = self.values(g, bound)
+        M, (cols, offset, W) = self.evaluation(1 << ((d * t.bit_length() + 1) // 2 + 1))
         r = 1
-        for s in vals:
+        for s in _undigits(sum(map(mul, g, cols), offset), W, d):
             r = r * s % M
         return r - M if 2 * r > M else r
-
 
 
 def _common_roots(m, ell, gens):
@@ -655,14 +614,22 @@ def _digits(g, W):
     2^(W-1)."""
     c, acc = 1 << (W - 1), 0
     for x in reversed(g):
-        acc = (acc << W) + x + c
+        acc = (acc << W) + (x + c)  # one big-integer addition per slot
     return acc
 
 
 def _undigits(digits, W, n):
-    """The n slots of `digits` (`_digits`), for W a multiple of 8."""
-    c = 1 << (W - 1)
-    return [x - c for x in _slots(digits, W // 8, n)]
+    """The n coefficients whose digits at width W (`_digits`) are the n
+    slots of W bits of 0 <= digits < 2^(W n), lowest first; anything else
+    raises DpipError."""
+    c, mask = 1 << (W - 1), (1 << W) - 1
+    out = []
+    for _ in range(n):
+        out.append((digits & mask) - c)
+        digits >>= W
+    if digits:
+        raise DpipError("packed slots out of range")
+    return out
 
 
 def _tower(poly, m, digits, W):
@@ -716,27 +683,6 @@ def _tower(poly, m, digits, W):
     if digits is not None:
         h = _undigits(digits, W, len(poly) - 1)
     return poly, m, h
-
-
-def _base_table(K, poly, m):
-    """K's root table, for the cyclotomic field at the foot of its tower."""
-    if K._roots is None:
-        K._roots = _RootTable(poly, m)
-    return K._roots
-
-
-def _cyclotomic_resultant(K, m, digits, W):
-    """Res(f, g) for the m-th cyclotomic f of K and g given by its digits at
-    a width W that `_tower` reads: the norm of the foot h of g's tower,
-    which is h itself at degree one and otherwise comes from K's root table
-    for that foot (`_RootTable.resultant`)."""
-    poly, m, h = _tower(K.poly, m, digits, W)
-    if len(h) == 1:
-        return h[0]
-    bound = max(map(abs, h))
-    if not bound:
-        return 0
-    return _base_table(K, poly, m).resultant(h, bound)
 
 
 def int_back_substitution(rows, rhs):

@@ -145,9 +145,12 @@ def field_for_disc(disc):
 
 
 def ideal_form(ideal, disc):
-    """The norm form of an integral ideal, integral of discriminant disc."""
+    """The norm form of an integral ideal, integral of discriminant disc.
+    The field must be imaginary quadratic, which is checked first."""
     K = ideal.K
-    if K.degree != 2 or K.disc != disc:
+    if K.degree != 2 or K.disc >= 0:
+        raise FieldMismatchError("the form oracle needs an imaginary quadratic field")
+    if K.disc != disc:
         raise FieldMismatchError(
             f"ideal lives in a field of discriminant {K.disc}, not {disc}"
         )

@@ -533,6 +533,20 @@ def test_discriminants():
         assert NumberField(poly).disc == poly_discriminant(poly) == sympy_discriminant(poly)
 
 
+def test_field_discriminant_is_the_norm_of_the_derivative():
+    # disc f = (-1)^(d(d-1)/2) N(f'(theta)) for f that is not Phi_m, against
+    # the Hankel determinant of the power sums, on degrees 1 to 3, three
+    # dense degree-32 polynomials and the sparse x^31 - x - 1, x^64 - x - 1
+    rng = random.Random(32)
+    polys = [[2, 1], [5, 0, 1], [-1, -1, 1], [-1, -1, 0, 1], [-2, 0, 0, 1], [3, -5, 2, 1]]
+    polys += [[rng.randint(-9, 9) for _ in range(32)] + [1] for _ in range(3)]
+    polys += [[-1, -1] + [0] * 29 + [1], [-1, -1] + [0] * 62 + [1]]
+    for poly in polys:
+        K = NumberField(poly)
+        assert cyclotomic_order(K) is None
+        assert K.disc == poly_discriminant(poly), poly
+
+
 def test_resultant_against_sylvester_determinant():
     # the norm of g(theta) in a field that is not cyclotomic is Res(f, g),
     # the determinant of the Sylvester matrix of the monic f and g

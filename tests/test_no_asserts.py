@@ -1,5 +1,7 @@
-"""No verdict may rest on an `assert`, since `python -O` strips them: the
-sources of src/dpip, read as syntax trees, hold no assert statement."""
+"""No verdict may rest on code that `python -O` changes: it strips assert
+statements and `if __debug__:` blocks, so the sources of src/dpip, read as
+syntax trees, hold no assert statement and no `__debug__` name. Tests that
+check a refusal in-process then hold under -O too."""
 
 import ast
 from pathlib import Path
@@ -14,6 +16,6 @@ def test_library_has_no_assert_statements():
         f"{path.name}:{node.lineno}"
         for path in paths
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Assert)
+        if isinstance(node, ast.Assert) or (isinstance(node, ast.Name) and node.id == "__debug__")
     ]
     assert found == []

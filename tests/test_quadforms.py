@@ -4,8 +4,13 @@ import pytest
 from sympy import factorint, primerange
 
 from dpip import quadforms
-from dpip.errors import ClassGroupNotElementary2Error, GaveUpError, NotFundamentalError
-from dpip.nf import Ideal, kummer_dedekind
+from dpip.errors import (
+    ClassGroupNotElementary2Error,
+    FieldMismatchError,
+    GaveUpError,
+    NotFundamentalError,
+)
+from dpip.nf import Ideal, NumberField, kummer_dedekind
 from dpip.quadforms import (
     QuadForm,
     enumerate_forms,
@@ -82,6 +87,18 @@ def test_ideal_form_discriminant(K5):
             form = ideal_form(P.to_ideal(), -20)
             assert form.disc() == -20
             assert form.a > 0
+
+
+def test_form_oracle_refuses_fields_that_are_not_imaginary_quadratic(K5, K64):
+    # Q(sqrt 5) as x^2 - x - 1, disc 5, used to end in a form reduction that
+    # reads like an internal fault; Phi_64 in a message about two equal discs
+    real = NumberField([-1, -1, 1])
+    P11 = kummer_dedekind(11, real)[0].to_ideal()
+    for ideal in (P11, Ideal.principal(K64, K64.element([1, 1] + [0] * 30))):
+        with pytest.raises(FieldMismatchError, match="needs an imaginary quadratic field"):
+            is_principal_quad(ideal, ideal.K.disc)
+    with pytest.raises(FieldMismatchError, match="discriminant -20, not -4"):
+        ideal_form(Ideal.principal(K5, K5.one()), -4)
 
 
 def test_is_principal_examples(K5):

@@ -145,16 +145,15 @@ def test_switch_stats_unpacks_only_prime_power_draws(monkeypatch, K64, fixtures_
 def test_switch_stats_packs_the_basis_once_per_bound(monkeypatch, K64, fixtures_dir):
     J = load_ideal(fixtures_dir / "ideal_zeta64_switch.json", K64)
     _, W = lll_reduce(J)
-    rows = [tuple(row) for row in zip(*W)]
     packs = []
-    pack = nf._pack
+    pack = decide._packed_basis
 
-    def counted(table, width):
-        if [tuple(row) for row in table] == rows:
-            packs.append(width)
-        return pack(table, width)
+    def counted(cols, bound):
+        if cols == W:
+            packs.append(bound)
+        return pack(cols, bound)
 
-    monkeypatch.setattr(nf, "_pack", counted)
+    monkeypatch.setattr(decide, "_packed_basis", counted)
     for bounds in ([5], [10, 20], [5], [20, 10], [5, 10, 20]):
         switch_stats(J, bounds, trials=2, seed=4)
     assert len(packs) == 3
@@ -168,10 +167,10 @@ def test_cofactor_side_pickles_with_its_packed_basis(monkeypatch, K64, fixtures_
     assert copy.W == side.W and copy.J == side.J
     assert copy._packed == side._packed and list(copy._packed) == [5]
 
-    def refuse(table, width):
+    def refuse(cols, bound):
         raise AssertionError("the unpickled side packed its basis again")
 
-    monkeypatch.setattr(nf, "_pack", refuse)
+    monkeypatch.setattr(decide, "_packed_basis", refuse)
     assert first_prime_cofactor(copy, 5, substream(6, "pickle"), 500) == want
 
 
